@@ -6,15 +6,18 @@ significant digits) and deterministic for fixed flags and config, so
 runs can be diffed byte for byte.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3
-numeric-domain error (a violated precondition, named in the message).
+numeric-domain error (a violated precondition, named in the message),
+overflow, or a config or output file that cannot be used.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -72,11 +75,12 @@ def format_complex(value: complex) -> str:
 def _parse_complex(text: str) -> complex:
     """Command-line complex literal RE,IM (the imaginary part optional)."""
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise argparse.ArgumentTypeError(f"expected RE,IM, got {text!r}")
+    if len(parts) not in (1, 2):
+        raise argparse.ArgumentTypeError(f"expected RE,IM, got {text!r}")
+    value = complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0)
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite point, got {text!r}")
+    return value
 
 
 def _json_complex(value: complex) -> float | list[float]:
@@ -86,20 +90,40 @@ def _json_complex(value: complex) -> float | list[float]:
     return [value.real + 0.0, value.imag + 0.0]
 
 
+# The JSON number type each config key takes; an int also serves as a float.
+_CONFIG_TYPES = {
+    "nr": int,
+    "ntheta": int,
+    "radius_pad": float,
+    "kernel_truncation": int,
+    "tolerances": float,
+}
+
+
 def _load_config(args: argparse.Namespace) -> VerifyConfig:
     """Merge the optional JSON config file with flag overrides."""
     data: dict = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"config file {args.config} cannot be read: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-        known = {"nr", "ntheta", "radius_pad", "kernel_truncation", "tolerances"}
-        unknown = set(data) - known
+        unknown = set(data) - set(_CONFIG_TYPES)
         if unknown:
             raise ValueError(
                 f"config file {args.config} has unknown keys {sorted(unknown)}"
             )
+        for key, value in data.items():
+            kind = _CONFIG_TYPES[key]
+            numeric = isinstance(value, (int, kind)) and not isinstance(value, bool)
+            if not numeric or not math.isfinite(value):
+                raise ValueError(
+                    f"config file {args.config}: {key} must be a finite "
+                    f"{kind.__name__}, got {value!r}"
+                )
     nr = getattr(args, "nr", None)
     ntheta = getattr(args, "ntheta", None)
     tolerance = getattr(args, "tolerance", None)
@@ -347,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args)
         return _DISPATCH[args.command](args, cfg)
-    except ValueError as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

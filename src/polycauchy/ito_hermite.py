@@ -210,6 +210,8 @@ def _extended_radial_body(n: int, t: np.ndarray) -> np.ndarray:
     closed = ~series
     if np.any(closed):
         tc = t[closed]
+        # n! first: past its overflow it raises before an n-step loop
+        scale = -factorial(n)
         partial = np.zeros_like(tc)
         comp = np.zeros_like(tc)
         term = np.ones_like(tc)
@@ -220,7 +222,7 @@ def _extended_radial_body(n: int, t: np.ndarray) -> np.ndarray:
             partial = s
             term = term * tc / (k + 1)
         body = (np.exp(tc) - partial) / tc ** (n + 1)
-        out[closed] = -factorial(n) * body
+        out[closed] = scale * body
 
     return out
 

@@ -4,8 +4,9 @@ Three views of the same operator family live here.  Index-set bases
 describe the spaces P_n(C(A^2_ell)) and their finite-dimensional
 complements; the psi-Gram computations expose the orthogonality
 selection rule <psi_{m,n}, psi_{j,k}> = 0 unless m - j = n - k; and a
-truncated matrix of the transform against the normalized basis yields
-singular values for compactness experiments.
+truncated matrix of the transform against the normalized basis,
+assembled entry by entry from the closed projection coefficients and
+handed to LAPACK, yields singular values for compactness experiments.
 
 The R-basis index sets are determined by a single threshold: the span
 of {P_n C H_{j,ell}: j} is spanned by H_{m,n} for m >= max(0,
@@ -44,9 +45,6 @@ __all__ = [
     "range_basis_indices",
     "truncated_operator_svd",
 ]
-
-_JACOBI_TOL = 1e-12
-_RADIAL_CHECK_TOL = 1e-8
 
 VARIANT_R = "R"
 VARIANT_R_TILDE = "R-tilde"
@@ -269,88 +267,42 @@ def e_ell_indices(ell: int, count: int) -> list[HermiteIndex]:
     return [HermiteIndex(i - ell, i) for i in range(count)]
 
 
-def _psi_basis_entry(psi_idx: HermiteIndex, basis_idx: HermiteIndex, grid1: PolarGrid, grid2: PolarGrid) -> float:
-    """<psi_{j,k}, H_{m,n}> by the separable rule.
+def _operator_matrix(max_total_degree: int) -> np.ndarray:
+    """Real matrix of <C H_{j,k}, H_{m,n}> / (pi sqrt(m! n! j! k!)).
 
-    For j >= 1 the polynomial factors pair with the psi envelope into
-    an effective e^{-2|z|^2} weight (beta = 2 grid, exact rule); j = 0
-    keeps the extended profile on the beta = 1 grid.
+    Rows and columns run over {(m, n): m+n <= max_total_degree} ordered
+    by (m+n, m).  Column (j, k) meets level n only at the target of the
+    closed projection coefficient, where <C H_{j,k}, H_{m,n}> = pi m! n!
+    * coefficient; every other entry is zero.
     """
-    j, k = psi_idx.m, psi_idx.n
-    if j >= 1:
-        ah, al, fa = hermite_radial_profile(HermiteIndex(j - 1, k), grid2.radial_t)
-        bh, bl, fb = hermite_radial_profile(basis_idx, grid2.radial_t)
-        rh, rl = dd_mul(ah, al, bh, bl)
-        rh, rl = dd_mul_scalar(rh, rl, -1.0)
-        return complex(polar_separable_quadrature(rh, rl, fa - fb, grid2)).real
-    ah, al, fa = _psi_profile(psi_idx, grid1)
-    bh, bl, fb = hermite_radial_profile(basis_idx, grid1.radial_t)
-    rh, rl = dd_mul(ah, al, bh, bl)
-    return complex(polar_separable_quadrature(rh, rl, fa - fb, grid1)).real
-
-
-def _jacobi_singular_values(a: np.ndarray) -> list[float]:
-    """Singular values by one-sided Jacobi rotations, descending.
-
-    Columns are rotated pairwise until every implicit Gram
-    off-diagonal entry is below _JACOBI_TOL relative to its diagonal
-    pair; sweeps visit pairs in a fixed order, so the result is
-    deterministic.
-    """
-    a = a.copy()
-    cols = a.shape[1]
-    for _ in range(60):
-        rotated = False
-        for p in range(cols - 1):
-            for q in range(p + 1, cols):
-                app = float(a[:, p] @ a[:, p])
-                aqq = float(a[:, q] @ a[:, q])
-                apq = float(a[:, p] @ a[:, q])
-                if abs(apq) <= _JACOBI_TOL * math.sqrt(app * aqq) or apq == 0.0:
-                    continue
-                rotated = True
-                tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                col_p = a[:, p].copy()
-                a[:, p] = c * col_p - s * a[:, q]
-                a[:, q] = s * col_p + c * a[:, q]
-        if not rotated:
-            break
-    sv = sorted((float(np.linalg.norm(a[:, p])) for p in range(cols)), reverse=True)
-    return sv
+    degrees = range(max_total_degree + 1)
+    basis = [HermiteIndex(m, d - m) for d in degrees for m in range(d + 1)]
+    row_of = {idx: r for r, idx in enumerate(basis)}
+    matrix = np.zeros((len(basis), len(basis)))
+    for s, col in enumerate(basis):
+        col_norm = factorial(col.m) * factorial(col.n)
+        for n in degrees:
+            coefficient, target = projection_coefficient_closed(n, col.m, col.n)
+            r = row_of.get(target)
+            if r is not None:
+                row_norm = factorial(target.m) * factorial(n)
+                matrix[r, s] = math.sqrt(row_norm / col_norm) * coefficient
+    return matrix
 
 
 def truncated_operator_svd(max_total_degree: int) -> list[float]:
     """Singular values of the transform cut to total degree <= D.
 
-    Builds the real matrix of <C H_{j,k}, H_{m,n}> / (pi sqrt(m! n!
-    j! k!)) over the basis {(m, n): m+n <= D} ordered by (m+n, m),
-    then runs the one-sided Jacobi reduction.  Values come out
-    descending; growing D extends the matrix, so leading values are
-    nondecreasing in D.
+    The normalized operator matrix over the basis {(m, n): m+n <= D}
+    is assembled from the closed projection coefficients and its
+    singular values come from LAPACK (``numpy.linalg.svd``).  Values
+    come out descending; growing D extends the matrix, so leading
+    values are nondecreasing in D.
     """
     if not 0 <= max_total_degree <= 12:
         raise ValueError(
             f"truncated_operator_svd requires 0 <= max_total_degree <= 12, "
             f"got {max_total_degree}"
         )
-    basis = sorted(
-        (
-            HermiteIndex(m, n)
-            for m in range(max_total_degree + 1)
-            for n in range(max_total_degree + 1 - m)
-        ),
-        key=lambda i: (i.m + i.n, i.m),
-    )
-    grid1 = default_polar_grid(1.0)
-    grid2 = default_polar_grid(2.0)
-    size = len(basis)
-    matrix = np.empty((size, size))
-    for r, row in enumerate(basis):
-        row_norm = math.pi * math.sqrt(factorial(row.m) * factorial(row.n))
-        for s, col in enumerate(basis):
-            col_norm = math.sqrt(factorial(col.m) * factorial(col.n))
-            matrix[r, s] = _psi_basis_entry(col, row, grid1, grid2) / (row_norm * col_norm)
-    return _jacobi_singular_values(matrix)
+    matrix = _operator_matrix(max_total_degree)
+    return [float(s) for s in np.linalg.svd(matrix, compute_uv=False)]

@@ -67,7 +67,10 @@ def factorial(n: int) -> float:
         raise ValueError(f"factorial requires n >= 0, got {n}")
     if n <= 20:
         return float(math.factorial(n))
-    return math.exp(math.lgamma(n + 1.0))
+    try:
+        return math.exp(math.lgamma(n + 1.0))
+    except OverflowError:
+        raise OverflowError(f"factorial({n}) overflows a double") from None
 
 
 def gamma_ratio(a: int, b: int) -> float:

@@ -174,6 +174,15 @@ def _worst_pair(lhs: np.ndarray, rhs: np.ndarray) -> tuple[complex, complex, flo
     return complex(lhs[i]), complex(rhs[i]), float(err[i])
 
 
+def _worst_gap(triples: list[tuple]) -> tuple:
+    """The (lhs, rhs, gap) triple with the largest gap, the last of equals.
+
+    A NaN gap wins outright, so its record fails instead of being skipped.
+    """
+    nan = [triple for triple in triples if math.isnan(triple[2])]
+    return nan[0] if nan else max(reversed(triples), key=lambda triple: triple[2])
+
+
 def _kummer_fraction_oracle(p: int, b: int, t: Fraction) -> Fraction:
     total = Fraction(0)
     term = Fraction(1)
@@ -193,13 +202,12 @@ def _suite_hermite(cfg: VerifyConfig) -> list[VerificationRecord]:
     # confluent factor against exact rational sums
     for p in range(13):
         for b in range(1, 13):
-            worst = (0.0, 0.0, 0.0)
+            triples = []
             for t in t_values:
                 oracle = float(_kummer_fraction_oracle(p, b, t))
                 got = kummer_terminating(p, b, float(t))
-                gap = abs(got - oracle) / (1.0 + abs(oracle))
-                if gap >= worst[2]:
-                    worst = (got, oracle, gap)
+                triples.append((got, oracle, abs(got - oracle) / (1.0 + abs(oracle))))
+            worst = _worst_gap(triples)
             rec.add(
                 f"kummer-rational-p{p}-b{b}",
                 worst[0],
@@ -210,13 +218,12 @@ def _suite_hermite(cfg: VerifyConfig) -> list[VerificationRecord]:
             )
 
     for n in range(11):
-        worst = (0.0, 0.0, 0.0)
+        triples = []
         for t in t_values:
             a = laguerre(n, float(t))
             b = kummer_terminating(n, 1, float(t))
-            gap = abs(a - b) / (1.0 + abs(b))
-            if gap >= worst[2]:
-                worst = (a, b, gap)
+            triples.append((a, b, abs(a - b) / (1.0 + abs(b))))
+        worst = _worst_gap(triples)
         rec.add(
             f"laguerre-kummer-n{n}",
             worst[0],
@@ -474,14 +481,13 @@ def _suite_projection(cfg: VerifyConfig) -> list[VerificationRecord]:
     kernel_pts = (0j, 0.7 + 0j, -1.2 + 0.5j, 1.9j, -0.3 - 1.1j)
     for n in range(5):
         spec = KernelSpec(n=n, truncation=cfg.kernel_truncation)
-        worst = (0j, 0j, 0.0)
+        triples = []
         for z in kernel_pts:
             for w in kernel_pts:
                 series = kernel_series(spec, z, w)
                 closed = kernel_closed(n, z, w)
-                gap = abs(series - closed)
-                if gap >= worst[2]:
-                    worst = (series, closed, gap)
+                triples.append((series, closed, abs(series - closed)))
+        worst = _worst_gap(triples)
         rec.add(
             f"kernel-series-vs-closed-n{n}",
             worst[0],
@@ -493,14 +499,13 @@ def _suite_projection(cfg: VerifyConfig) -> list[VerificationRecord]:
 
     # kernel hermiticity
     for n in range(5):
-        worst = (0j, 0j, 0.0)
+        triples = []
         for z in kernel_pts:
             for w in kernel_pts:
                 a = kernel_closed(n, z, w)
                 b = kernel_closed(n, w, z).conjugate()
-                gap = abs(a - b)
-                if gap >= worst[2]:
-                    worst = (a, b, gap)
+                triples.append((a, b, abs(a - b)))
+        worst = _worst_gap(triples)
         rec.add(
             f"kernel-hermitian-n{n}",
             worst[0],
@@ -774,7 +779,7 @@ def _suite_ranges(cfg: VerifyConfig) -> list[VerificationRecord]:
     # truncated-operator spectrum structure
     values = truncated_operator_svd(8)
     finite = sum(0 if math.isfinite(s) else 1 for s in values)
-    rec.add("svd-d8-all-finite", finite, 0, 0.0, PROVENANCE_QUADRATURE)
+    rec.add("svd-d8-all-finite", finite, 0, 0.0, PROVENANCE_CLOSED)
     disorder = max(
         (values[i + 1] - values[i] for i in range(len(values) - 1)), default=0.0
     )
@@ -783,7 +788,7 @@ def _suite_ranges(cfg: VerifyConfig) -> list[VerificationRecord]:
         max(0.0, disorder),
         0.0,
         0.0,
-        PROVENANCE_QUADRATURE,
+        PROVENANCE_CLOSED,
     )
     mid = values[len(values) // 2]
     rec.add(
@@ -791,7 +796,7 @@ def _suite_ranges(cfg: VerifyConfig) -> list[VerificationRecord]:
         0.0 if values[-1] < mid else 1.0,
         0.0,
         0.0,
-        PROVENANCE_QUADRATURE,
+        PROVENANCE_CLOSED,
     )
     head = truncated_operator_svd(1)
     rec.add(
@@ -854,12 +859,17 @@ def record_to_row(record: VerificationRecord) -> dict:
 def write_report(records: list[VerificationRecord], path: str) -> str:
     """Write records as JSON lines plus a CSV summary next to them.
 
-    Returns the CSV path.  Output bytes depend only on the records.
+    Returns the CSV path: ``path`` with its extension replaced by
+    ``.csv``.  Output bytes depend only on the records.
     """
+    csv_path = path.rsplit(".", 1)[0] + ".csv" if "." in path.rsplit("/", 1)[-1] else path + ".csv"
+    if csv_path == path:
+        raise ValueError(
+            f"report path {path} is where its CSV summary goes; use another extension"
+        )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for record in records:
             fh.write(json.dumps(record_to_row(record)) + "\n")
-    csv_path = path.rsplit(".", 1)[0] + ".csv" if "." in path.rsplit("/", 1)[-1] else path + ".csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(

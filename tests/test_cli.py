@@ -1,11 +1,15 @@
 """Command-line interface: formatting, exit codes, and determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycauchy.cli import format_complex, format_real, main
 
@@ -168,6 +172,56 @@ def test_config_file_settings(capsys, tmp_path):
     assert main(["verify", "ranges", "--config", str(bad)]) == 3
     err = capsys.readouterr().err
     assert "mystery" in err
+
+    for text, named in (
+        (json.dumps({"nr": "abc"}), "nr must be a finite int"),
+        (json.dumps({"ntheta": 64.5}), "ntheta must be a finite int"),
+        (json.dumps({"kernel_truncation": True}), "kernel_truncation must be a finite int"),
+        (json.dumps({"radius_pad": None}), "radius_pad must be a finite float"),
+        (json.dumps({"tolerances": float("nan")}), "tolerances must be a finite float"),
+        ('{"nr": 48', "cannot be read"),
+    ):
+        bad.write_text(text)
+        assert main(["verify", "ranges", "--config", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
+    missing = tmp_path / "missing.json"
+    assert main(["verify", "ranges", "--config", str(missing)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing.json" in err
+
+
+def test_bad_out_paths_exit_3(capsys, tmp_path):
+    out = tmp_path / "r.csv"
+    assert main(["verify", "ranges", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
+    assert not out.exists()
+
+    out = tmp_path / "missing" / "value.txt"
+    assert main(["hermite", "--m", "0", "--n", "0", "--z", "1,0", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
+
+
+_INDICES = st.one_of(st.integers(-3, 400), st.sampled_from([10**6, 10**18, 10**30]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(m=_INDICES, n=_INDICES, re=st.floats(), im=st.floats())
+def test_hermite_exit_codes(m, n, re, im):
+    argv = ["hermite", "--m", str(m), "--n", str(n), "--z", f"{re!r},{im!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3)
+    if code == 3:
+        assert err.getvalue().startswith("error:")
 
 
 def test_module_entry_point():

@@ -1,8 +1,9 @@
 """Range bases, psi-Gram selection rule, and truncated singular values.
 
 Oracles: exact index-set combinatorics, closed Gaussian integrals
-(pi/3, pi/9, pi ln(4/3)) for Gram diagonals, and numpy's SVD for the
-Jacobi reduction.
+(pi/3, pi/9, pi ln(4/3)) for Gram diagonals, and double-double polar
+quadrature of every <psi_{j,k}, H_{m,n}> for the closed operator
+matrix behind the truncated spectrum.
 """
 
 import math
@@ -24,7 +25,14 @@ from polycauchy import (
     range_basis_indices,
     truncated_operator_svd,
 )
-from polycauchy.range_analysis import _jacobi_singular_values
+from polycauchy._ddouble import dd_mul, dd_mul_scalar
+from polycauchy.gaussian_quadrature import (
+    PolarGrid,
+    default_polar_grid,
+    polar_separable_quadrature,
+)
+from polycauchy.ito_hermite import hermite_radial_profile
+from polycauchy.range_analysis import _operator_matrix, _psi_profile
 
 
 def test_basis_spec_validation():
@@ -146,16 +154,47 @@ def test_angular_blocks_mutually_orthogonal():
     assert report.passed
 
 
-def test_jacobi_matches_numpy_svd():
-    rng = np.random.default_rng(905)
-    square = rng.standard_normal((4, 4))
-    tall = rng.standard_normal((6, 3))
-    deficient = np.column_stack([square[:, 0], square[:, 0], square[:, 1]])
-    for a in (square, tall, deficient):
-        got = np.array(_jacobi_singular_values(a))
-        want = np.linalg.svd(a, compute_uv=False)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) < 1e-12
+def _psi_basis_entry(
+    psi_idx: HermiteIndex, basis_idx: HermiteIndex, grid1: PolarGrid, grid2: PolarGrid
+) -> float:
+    """<psi_{j,k}, H_{m,n}> by the separable rule.
+
+    For j >= 1 the polynomial factors pair with the psi envelope into
+    an effective e^{-2|z|^2} weight (beta = 2 grid, exact rule); j = 0
+    keeps the extended profile on the beta = 1 grid.
+    """
+    j, k = psi_idx.m, psi_idx.n
+    if j >= 1:
+        ah, al, fa = hermite_radial_profile(HermiteIndex(j - 1, k), grid2.radial_t)
+        bh, bl, fb = hermite_radial_profile(basis_idx, grid2.radial_t)
+        rh, rl = dd_mul(ah, al, bh, bl)
+        rh, rl = dd_mul_scalar(rh, rl, -1.0)
+        return complex(polar_separable_quadrature(rh, rl, fa - fb, grid2)).real
+    ah, al, fa = _psi_profile(psi_idx, grid1)
+    bh, bl, fb = hermite_radial_profile(basis_idx, grid1.radial_t)
+    rh, rl = dd_mul(ah, al, bh, bl)
+    return complex(polar_separable_quadrature(rh, rl, fa - fb, grid1)).real
+
+
+def test_closed_operator_matrix_matches_quadrature():
+    degree = 8
+    basis = sorted(
+        (HermiteIndex(m, n) for m in range(degree + 1) for n in range(degree + 1 - m)),
+        key=lambda i: (i.m + i.n, i.m),
+    )
+    grid1 = default_polar_grid(1.0)
+    grid2 = default_polar_grid(2.0)
+    quadrature = np.empty((len(basis), len(basis)))
+    for r, row in enumerate(basis):
+        row_norm = math.pi * math.sqrt(math.factorial(row.m) * math.factorial(row.n))
+        for s, col in enumerate(basis):
+            col_norm = math.sqrt(math.factorial(col.m) * math.factorial(col.n))
+            quadrature[r, s] = _psi_basis_entry(col, row, grid1, grid2) / (row_norm * col_norm)
+    closed = _operator_matrix(degree)
+    assert np.array_equal(closed != 0, quadrature != 0)
+    assert np.max(np.abs(closed - quadrature)) < 1e-14
+    want = np.linalg.svd(quadrature, compute_uv=False)
+    assert np.max(np.abs(np.array(truncated_operator_svd(degree)) - want)) < 1e-14
 
 
 def test_operator_svd_small_degrees():

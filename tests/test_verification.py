@@ -1,9 +1,11 @@
 """Verification suites: record integrity, coverage, and report determinism."""
 
 import json
+import math
 
 import pytest
 
+import polycauchy.verification as verification
 from polycauchy import (
     SUITE_NAMES,
     VerificationRecord,
@@ -87,6 +89,19 @@ def test_every_suite_passes_at_default_config():
         records = run_suite(suite)
         assert records
         assert all(r.passed for r in records), suite
+
+
+def test_nan_gap_fails_its_record(monkeypatch):
+    real = verification.kummer_terminating
+
+    def poisoned(p, b, t):
+        return math.nan if (p, b, t) == (3, 2, 1.0) else real(p, b, t)
+
+    monkeypatch.setattr(verification, "kummer_terminating", poisoned)
+    records = {r.test_id: r for r in run_suite("hermite")}
+    record = records["kummer-rational-p3-b2"]
+    assert not record.passed
+    assert math.isnan(record.abs_err)
 
 
 def test_report_rows_round_trip():
