@@ -8,138 +8,36 @@ range: bases, selection rules, and truncated-operator spectra.
 
 from __future__ import annotations
 
-from .cauchy_transform import (
-    CauchyGridOptions,
-    PsiFunction,
-    cauchy_hermite_closed,
-    cauchy_transform_numeric,
+from . import (
+    cauchy_transform,
+    gaussian_quadrature,
+    ito_hermite,
+    poly_bergman,
+    range_analysis,
+    special_fn,
+    verification,
 )
-from .gaussian_quadrature import (
-    PolarGrid,
-    SingularGrid,
-    angular_phase_sum,
-    build_polar_grid,
-    build_singular_grid,
-    cauchy_singular_quadrature,
-    gauss_laguerre_nodes,
-    inner_product_gaussian,
-    integrate_radial_weighted,
-    plane_quadrature,
-    polar_separable_quadrature,
-)
-from .ito_hermite import (
-    EXTENSION_CROSSOVER,
-    HermiteIndex,
-    c_mn,
-    hermite_eval,
-    hermite_eval_extended,
-    hermite_gram_matrix,
-    hermite_inner_product,
-    hermite_radial_profile,
-    hermite_recurrence_eval,
-)
-from .poly_bergman import (
-    CoefficientSequence,
-    KernelSpec,
-    kernel_closed,
-    kernel_series,
-    kernel_series_tail,
-    project_numeric,
-    projection_coefficient_closed,
-    radial_J_closed,
-    synthesize,
-)
-from .range_analysis import (
-    GramReport,
-    RangeBasisSpec,
-    VARIANT_R,
-    VARIANT_R_TILDE,
-    e_ell_indices,
-    pn_cauchy_on_coeffs,
-    psi_gram,
-    r_range_inclusions,
-    range_basis_indices,
-    truncated_operator_svd,
-)
-from .special_fn import (
-    TerminatingSeriesSpec,
-    factorial,
-    gamma_ratio,
-    gauss2f1_unit,
-    generalized_laguerre,
-    hyp2f1_terminating_unit,
-    kahan_sum,
-    kummer_terminating,
-    laguerre,
-)
-from .verification import (
-    SUITE_NAMES,
-    VerificationRecord,
-    VerifyConfig,
-    record_to_row,
-    run_suite,
-    write_report,
-)
+from .cauchy_transform import *  # noqa: F403
+from .gaussian_quadrature import *  # noqa: F403
+from .ito_hermite import *  # noqa: F403
+from .poly_bergman import *  # noqa: F403
+from .range_analysis import *  # noqa: F403
+from .special_fn import *  # noqa: F403
+from .verification import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CauchyGridOptions",
-    "CoefficientSequence",
-    "EXTENSION_CROSSOVER",
-    "GramReport",
-    "HermiteIndex",
-    "KernelSpec",
-    "PolarGrid",
-    "PsiFunction",
-    "RangeBasisSpec",
-    "SUITE_NAMES",
-    "SingularGrid",
-    "TerminatingSeriesSpec",
-    "VARIANT_R",
-    "VARIANT_R_TILDE",
-    "VerificationRecord",
-    "VerifyConfig",
-    "angular_phase_sum",
-    "build_polar_grid",
-    "build_singular_grid",
-    "c_mn",
-    "cauchy_hermite_closed",
-    "cauchy_singular_quadrature",
-    "cauchy_transform_numeric",
-    "e_ell_indices",
-    "factorial",
-    "gamma_ratio",
-    "gauss2f1_unit",
-    "gauss_laguerre_nodes",
-    "generalized_laguerre",
-    "hermite_eval",
-    "hermite_eval_extended",
-    "hermite_gram_matrix",
-    "hermite_inner_product",
-    "hermite_radial_profile",
-    "hermite_recurrence_eval",
-    "hyp2f1_terminating_unit",
-    "inner_product_gaussian",
-    "integrate_radial_weighted",
-    "kahan_sum",
-    "kernel_closed",
-    "kernel_series",
-    "kernel_series_tail",
-    "kummer_terminating",
-    "laguerre",
-    "plane_quadrature",
-    "pn_cauchy_on_coeffs",
-    "polar_separable_quadrature",
-    "project_numeric",
-    "projection_coefficient_closed",
-    "psi_gram",
-    "r_range_inclusions",
-    "radial_J_closed",
-    "range_basis_indices",
-    "record_to_row",
-    "run_suite",
-    "synthesize",
-    "truncated_operator_svd",
-    "write_report",
-]
+# Each module's __all__ is the one list of its public names.
+__all__ = sorted(
+    name
+    for module in (
+        cauchy_transform,
+        gaussian_quadrature,
+        ito_hermite,
+        poly_bergman,
+        range_analysis,
+        special_fn,
+        verification,
+    )
+    for name in module.__all__
+)

@@ -57,10 +57,6 @@ def dd_neg(xh, xl):
     return -xh, -xl
 
 
-def dd_sub(xh, xl, yh, yl):
-    return dd_add(xh, xl, -yh, -yl)
-
-
 def dd_mul(xh, xl, yh, yl):
     ph, pl = two_prod(xh, yh)
     pl = pl + (xh * yl + xl * yh)
@@ -100,15 +96,20 @@ def dd_sqrt(xh, xl):
 
 
 def dd_weighted_sum(hi, lo, w):
-    """Compensated sum of w[i] * (hi[i] + lo[i]) in ascending order.
+    """Compensated sum of w[i] * (hi[..., i] + lo[..., i]) in ascending i.
 
-    Each product is formed with an error-free transformation and the
-    running total kept in double-double, so the result is correct to a
-    final rounding even when the terms span many orders of magnitude.
+    ``hi``/``lo`` have shape (N,), giving a float, or (E, N), giving E
+    sums that each equal the 1-D call on their row.  Each product is
+    formed with an error-free transformation and the running total kept
+    in double-double, so the result is correct to a final rounding even
+    when the terms span many orders of magnitude.
     """
-    th, tl = 0.0, 0.0
-    for i in range(len(hi)):
-        ph, pl = two_prod(float(hi[i]), float(w[i]))
-        pl = pl + float(lo[i]) * float(w[i])
+    hi = np.asarray(hi, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    th = tl = np.zeros(hi.shape[:-1])
+    for i, wi in enumerate(np.asarray(w, dtype=float)):
+        ph, pl = two_prod(hi[..., i], wi)
+        pl = pl + lo[..., i] * wi
         th, tl = dd_add(th, tl, ph, pl)
-    return th + tl
+    total = th + tl
+    return float(total) if total.ndim == 0 else total

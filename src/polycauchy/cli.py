@@ -83,6 +83,31 @@ def _parse_complex(text: str) -> complex:
     return value
 
 
+def _grid_count(text: str) -> int:
+    """Command-line node count: a positive integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive node count, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """Command-line tolerance: a finite, nonnegative float."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite tolerance >= 0, got {text!r}"
+        )
+    return value
+
+
+def _finite(value: complex, what: str) -> complex:
+    """The value itself, or a named error when it is inf or nan."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{what} = {format_complex(value)} is not a finite double")
+    return value
+
+
 def _json_complex(value: complex) -> float | list[float]:
     value = complex(value)
     if value.imag == 0.0:
@@ -153,18 +178,20 @@ def _cmd_hermite(args: argparse.Namespace, cfg: VerifyConfig) -> int:
         value = hermite_recurrence_eval(HermiteIndex(args.m, args.n), args.z)
     else:
         value = hermite_eval(HermiteIndex(args.m, args.n), args.z)
-    _emit(format_complex(value), args)
+    _emit(format_complex(_finite(value, f"H_{{{args.m},{args.n}}}{args.z}")), args)
     return 0
 
 
 def _cmd_cauchy(args: argparse.Namespace, cfg: VerifyConfig) -> int:
     idx = HermiteIndex(args.m, args.n)
-    closed = cauchy_hermite_closed(idx, args.z)
+    what = f"C H_{{{args.m},{args.n}}}{args.z}"
+    closed = _finite(cauchy_hermite_closed(idx, args.z), what)
     if not args.numeric:
         _emit(format_complex(closed), args)
         return 0
-    numeric = cauchy_transform_numeric(
-        lambda pts: hermite_eval(idx, pts), args.z, cfg.cauchy_opts()
+    numeric = _finite(
+        cauchy_transform_numeric(lambda pts: hermite_eval(idx, pts), args.z, cfg.cauchy_opts()),
+        f"numeric {what}",
     )
     lines = [
         f"closed={format_complex(closed)}",
@@ -284,8 +311,8 @@ _DISPATCH = {
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat JSON settings file")
-    sub.add_argument("--nr", type=int, help="radial node count override")
-    sub.add_argument("--ntheta", type=int, help="angular node count override")
+    sub.add_argument("--nr", type=_grid_count, help="radial node count override")
+    sub.add_argument("--ntheta", type=_grid_count, help="angular node count override")
     sub.add_argument("--out", help="write output to this path instead of stdout")
 
 
@@ -358,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="which suite (default all)",
     )
     p.add_argument(
-        "--tolerance", type=float, help="override every record tolerance"
+        "--tolerance", type=_tolerance, help="override every record tolerance"
     )
     _add_common(p)
 

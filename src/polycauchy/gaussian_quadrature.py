@@ -42,8 +42,10 @@ integrated by Gauss-Legendre in rho over [0, R] and the trapezoid rule
 in theta.  R = |z| + radius_pad puts the Gaussian tail below 1e-60 for
 the default pad of 12.
 
-All reductions run angle-innermost, ascending node index, with Kahan
-compensation, so repeated runs produce identical bits.
+Every reduction runs in a fixed order, so repeated runs produce
+identical bits.  Only the separable rule (double-double) and radial
+integrals (Kahan) are compensated; point-value integrands take numpy
+sums, whose rounding sits far below the quadrature error.
 """
 
 from __future__ import annotations
@@ -254,12 +256,13 @@ class PolarGrid:
         return self.radial_t.size
 
 
+@lru_cache(maxsize=32)
 def build_polar_grid(
     n_radial: int = DEFAULT_RADIAL_NODES,
     n_theta: int = DEFAULT_ANGULAR_NODES,
     beta: float = 1.0,
 ) -> PolarGrid:
-    """Build a PolarGrid for the weight e^{-beta |z|^2}.
+    """The (cached, immutable) PolarGrid for the weight e^{-beta |z|^2}.
 
     n_radial is capped at 200; node accuracy is not guaranteed beyond
     that, and trailing weights underflow well before it.
@@ -285,11 +288,6 @@ def _standard_laguerre_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
-
-
-@lru_cache(maxsize=16)
-def default_polar_grid(beta: float = 1.0) -> PolarGrid:
-    return build_polar_grid(DEFAULT_RADIAL_NODES, DEFAULT_ANGULAR_NODES, beta)
 
 
 @dataclass(frozen=True)
@@ -343,21 +341,12 @@ def build_singular_grid(
 
 
 def _reduce_polar(values: np.ndarray, radial_w: np.ndarray):
-    """Angle-innermost compensated reduction of per-node values.
+    """Sum per-node values over theta, then weighted over radial nodes.
 
-    values has shape (n_radial, n_theta).  The angular sum runs over
-    ascending theta index with a vector Kahan accumulator, then the
-    weighted radial sum runs over ascending node index, also
-    compensated.
+    values has shape (n_radial, n_theta), or (..., n_radial, n_theta)
+    for a stack of integrands, giving an array of the leading shape.
     """
-    acc = np.zeros(values.shape[0], dtype=values.dtype)
-    comp = np.zeros_like(acc)
-    for j in range(values.shape[1]):
-        y = values[:, j] - comp
-        s = acc + y
-        comp = (s - acc) - y
-        acc = s
-    return kahan_sum(acc * radial_w)
+    return np.sum(values.sum(axis=-1) * radial_w, axis=-1)
 
 
 def plane_quadrature(values: np.ndarray, grid: PolarGrid) -> complex:
@@ -413,9 +402,9 @@ def angular_phase_sum(frequency: int, grid: PolarGrid) -> complex:
 def polar_separable_quadrature(
     radial_hi: np.ndarray,
     radial_lo: np.ndarray,
-    frequency: int,
+    frequency,
     grid: PolarGrid,
-) -> complex:
+) -> complex | np.ndarray:
     """Grid quadrature of a separable integrand R(|z|^2) e^{i p theta}.
 
     Applies the same tensor rule as :func:`plane_quadrature` to an
@@ -427,19 +416,28 @@ def polar_separable_quadrature(
     re-deriving t = |z|^2 from the rounded grid points, which is what
     limits the generic path to a few units in the last place times the
     integrand's radial log-derivative.
+
+    The radial pair has shape (n_radial,) with an integer frequency,
+    giving a complex, or (E, n_radial) with E frequencies, giving E
+    values that each equal the 1-D call on their row.
     """
     radial_hi = np.asarray(radial_hi, dtype=float)
     radial_lo = np.asarray(radial_lo, dtype=float)
-    if radial_hi.shape != grid.radial_t.shape or radial_lo.shape != grid.radial_t.shape:
+    frequency = np.asarray(frequency)
+    if not radial_hi.shape == radial_lo.shape == frequency.shape + grid.radial_t.shape:
         raise ValueError(
             f"radial profile shape {radial_hi.shape}/{radial_lo.shape} does not match "
-            f"grid nodes {grid.radial_t.shape}"
+            f"{frequency.shape} frequencies on grid nodes {grid.radial_t.shape}"
         )
-    a = angular_phase_sum(frequency, grid)
-    if a == 0:
-        return 0j
-    s = dd_weighted_sum(radial_hi, radial_lo, grid.radial_w)
-    return complex(a) * (np.pi / grid.n_theta) * s
+    distinct, which = np.unique(frequency, return_inverse=True)
+    phase = np.array([angular_phase_sum(p, grid) for p in distinct], dtype=complex)
+    a = phase[which.reshape(frequency.shape)]
+    out = np.zeros(frequency.shape, dtype=complex)
+    live = a != 0
+    if live.any():
+        s = dd_weighted_sum(radial_hi[live], radial_lo[live], grid.radial_w)
+        out[live] = a[live] * (np.pi / grid.n_theta) * s
+    return complex(out) if out.ndim == 0 else out
 
 
 def inner_product_gaussian(f, g, grid: PolarGrid | None = None) -> complex:
@@ -450,7 +448,7 @@ def inner_product_gaussian(f, g, grid: PolarGrid | None = None) -> complex:
     scalars (constants broadcast).
     """
     if grid is None:
-        grid = default_polar_grid(1.0)
+        grid = build_polar_grid()
     if grid.beta != 1.0:
         raise ValueError(
             f"inner_product_gaussian requires a grid with beta=1, got beta={grid.beta}"
@@ -469,7 +467,7 @@ def integrate_radial_weighted(h, beta: float, grid: PolarGrid | None = None) -> 
     if beta <= 0:
         raise ValueError(f"integrate_radial_weighted requires beta > 0, got {beta}")
     if grid is None:
-        grid = default_polar_grid(float(beta))
+        grid = build_polar_grid(beta=float(beta))
     scale = grid.beta / beta
     t = grid.radial_t * scale
     w = grid.radial_w * scale

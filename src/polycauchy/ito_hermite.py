@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ddouble import dd_mul, dd_mul_scalar, dd_sqrt
-from .gaussian_quadrature import PolarGrid, default_polar_grid, polar_separable_quadrature
+from .gaussian_quadrature import PolarGrid, build_polar_grid, polar_separable_quadrature
 from .special_fn import (
     _generalized_laguerre_dd,
     factorial,
@@ -305,7 +305,7 @@ def hermite_inner_product(
     at scale m! n! need.
     """
     if grid is None:
-        grid = default_polar_grid(1.0)
+        grid = build_polar_grid()
     if grid.beta != 1.0:
         raise ValueError(
             f"hermite_inner_product requires a grid with beta=1, got beta={grid.beta}"
@@ -321,20 +321,30 @@ def hermite_gram_matrix(indices, grid: PolarGrid | None = None) -> np.ndarray:
 
     ``indices`` is a sequence of :class:`HermiteIndex`; entry (i, j)
     is <H_{indices[i]}, H_{indices[j]}> by the same separable rule as
-    :func:`hermite_inner_product`, with radial profiles computed once
-    per index.
+    :func:`hermite_inner_product`, bit for bit, with radial profiles
+    computed once per index.
     """
     if grid is None:
-        grid = default_polar_grid(1.0)
+        grid = build_polar_grid()
     if grid.beta != 1.0:
         raise ValueError(
             f"hermite_gram_matrix requires a grid with beta=1, got beta={grid.beta}"
         )
-    indices = list(indices)
     profiles = [hermite_radial_profile(idx, grid.radial_t) for idx in indices]
-    out = np.empty((len(indices), len(indices)), dtype=complex)
-    for i, (ah, al, fa) in enumerate(profiles):
-        for j, (bh, bl, fb) in enumerate(profiles):
-            rh, rl = dd_mul(ah, al, bh, bl)
-            out[i, j] = polar_separable_quadrature(rh, rl, fa - fb, grid)
-    return out
+    size = len(profiles)
+    rows, cols = np.indices((size, size)).reshape(2, -1)
+    return _separable_gram(profiles, rows, cols, grid).reshape(size, size)
+
+
+def _separable_gram(profiles, rows, cols, grid: PolarGrid) -> np.ndarray:
+    """Separable-rule inner products of the profile pairs (rows[e], cols[e]).
+
+    ``profiles`` holds (hi, lo, frequency) triples on ``grid.radial_t``;
+    all pairs go through one stacked :func:`polar_separable_quadrature`.
+    """
+    shape = (len(profiles), grid.n_radial)
+    hi = np.array([p[0] for p in profiles]).reshape(shape)
+    lo = np.array([p[1] for p in profiles]).reshape(shape)
+    freq = np.array([p[2] for p in profiles], dtype=int)
+    rh, rl = dd_mul(hi[rows], lo[rows], hi[cols], lo[cols])
+    return polar_separable_quadrature(rh, rl, freq[rows] - freq[cols], grid)

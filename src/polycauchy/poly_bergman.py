@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_quadrature import PolarGrid, default_polar_grid, inner_product_gaussian
+from .gaussian_quadrature import PolarGrid, build_polar_grid, inner_product_gaussian
 from .ito_hermite import HermiteIndex, c_mn, hermite_eval
 from .special_fn import (
     factorial,
@@ -178,7 +178,7 @@ def project_numeric(
     if J < 1:
         raise ValueError(f"project_numeric requires J >= 1, got J={J}")
     if grid is None:
-        grid = default_polar_grid(1.0)
+        grid = build_polar_grid()
     fn = factorial(n)
     coeffs = []
     for j in range(J + 1):

@@ -24,20 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._ddouble import dd_mul, dd_mul_scalar
-from .gaussian_quadrature import (
-    PolarGrid,
-    build_polar_grid,
-    default_polar_grid,
-    integrate_radial_weighted,
-    polar_separable_quadrature,
-)
-from .ito_hermite import HermiteIndex, c_mn, hermite_radial_profile
+from .gaussian_quadrature import PolarGrid, build_polar_grid
+from .ito_hermite import HermiteIndex, _separable_gram, c_mn, hermite_radial_profile
 from .poly_bergman import CoefficientSequence, projection_coefficient_closed
-from .special_fn import factorial, kummer_terminating
+from .special_fn import factorial, kahan_sum, kummer_terminating
 
 __all__ = [
     "GramReport",
     "RangeBasisSpec",
+    "VARIANT_R",
+    "VARIANT_R_TILDE",
     "e_ell_indices",
     "pn_cauchy_on_coeffs",
     "psi_gram",
@@ -137,27 +133,29 @@ def _psi_profile(idx: HermiteIndex, grid: PolarGrid):
     return dd_mul_scalar(h, l, -1.0) + (freq,)
 
 
-def _psi_pair_radial(a: HermiteIndex, b: HermiteIndex, grid: PolarGrid) -> float:
+def _psi_pair_radial(indices, rows, cols, grid: PolarGrid) -> np.ndarray:
     """Radial route to <psi_a, psi_b> for polynomial pairs (m, j >= 1).
 
     pi c_{m-1,n} c_{j-1,k} * integral of t^{(d_a+d_b)/2} F_a F_b e^{-3t} dt,
     with F the terminating confluent factors; an independent check on
     the grid value (series evaluation against recurrence evaluation).
+    Returns one value per pair (indices[rows[e]], indices[cols[e]]),
+    Kahan-summed over ascending beta = 3 nodes.
     """
-    m, n = a.m, a.n
-    j, k = b.m, b.n
-    da, db = abs(m - 1 - n), abs(j - 1 - k)
-    pa, pb = min(m - 1, n), min(j - 1, k)
-
-    def h(t):
-        return (
-            t ** (0.5 * (da + db))
-            * kummer_terminating(pa, da + 1, t)
-            * kummer_terminating(pb, db + 1, t)
-        )
-
-    radial = integrate_radial_weighted(h, 3.0, build_polar_grid(grid.n_radial, grid.n_theta, 3.0))
-    return math.pi * c_mn(m - 1, n) * c_mn(j - 1, k) * radial
+    grid3 = build_polar_grid(grid.n_radial, grid.n_theta, 3.0)
+    t, w = grid3.radial_t, grid3.radial_w
+    d = np.array([abs(i.m - 1 - i.n) for i in indices], dtype=int)
+    factor = np.array(
+        [kummer_terminating(min(i.m - 1, i.n), abs(i.m - 1 - i.n) + 1, t) for i in indices]
+    ).reshape(len(indices), t.size)
+    const = np.array([c_mn(i.m - 1, i.n) for i in indices])
+    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    exponent = d[rows] + d[cols]
+    terms = np.empty((rows.size, t.size))
+    for e in np.unique(exponent):
+        pick = exponent == e
+        terms[pick] = t ** (0.5 * int(e)) * factor[rows[pick]] * factor[cols[pick]] * w
+    return math.pi * const[rows] * const[cols] * kahan_sum(terms.T)
 
 
 @dataclass(frozen=True)
@@ -201,7 +199,7 @@ def psi_gram(
     gap is reported.
     """
     if grid is None:
-        grid = default_polar_grid(1.0)
+        grid = build_polar_grid()
     if grid.beta != 1.0:
         raise ValueError(f"psi_gram requires a grid with beta=1, got beta={grid.beta}")
     idx = [i if isinstance(i, HermiteIndex) else HermiteIndex(*i) for i in indices]
@@ -209,36 +207,28 @@ def psi_gram(
         if i.m < 0:
             raise ValueError(f"psi_gram requires indices with m >= 0, got {i}")
     grid3 = build_polar_grid(grid.n_radial, grid.n_theta, 3.0)
-    poly_profiles = {}
-    psi_profiles = {}
-    for i in idx:
-        if i.m >= 1:
-            poly_profiles[i] = hermite_radial_profile(
-                HermiteIndex(i.m - 1, i.n), grid3.radial_t
-            )
-        psi_profiles[i] = _psi_profile(i, grid)
+    poly_idx = [i for i in idx if i.m >= 1]
+    poly_profiles = [
+        hermite_radial_profile(HermiteIndex(i.m - 1, i.n), grid3.radial_t) for i in poly_idx
+    ]
+    psi_profiles = [_psi_profile(i, grid) for i in idx]
 
     size = len(idx)
-    values = np.empty((size, size), dtype=complex)
-    mask = np.empty((size, size), dtype=bool)
-    radial_worst = 0.0
-    for r, a in enumerate(idx):
-        for s, b in enumerate(idx):
-            mask[r, s] = (a.m - b.m) != (a.n - b.n)
-            if a.m >= 1 and b.m >= 1:
-                ah, al, fa = poly_profiles[a]
-                bh, bl, fb = poly_profiles[b]
-                rh, rl = dd_mul(ah, al, bh, bl)
-                values[r, s] = polar_separable_quadrature(rh, rl, fa - fb, grid3)
-                if not mask[r, s]:
-                    expected = _psi_pair_radial(a, b, grid)
-                    gap = abs(values[r, s] - expected) / (1.0 + abs(expected))
-                    radial_worst = max(radial_worst, gap)
-            else:
-                ah, al, fa = psi_profiles[a]
-                bh, bl, fb = psi_profiles[b]
-                rh, rl = dd_mul(ah, al, bh, bl)
-                values[r, s] = polar_separable_quadrature(rh, rl, fa - fb, grid)
+    m = np.array([i.m for i in idx], dtype=int)
+    n = np.array([i.n for i in idx], dtype=int)
+    mask = (m[:, None] - m[None, :]) != (n[:, None] - n[None, :])
+    rows, cols = np.indices((size, size)).reshape(2, -1)
+    poly = (m[rows] >= 1) & (m[cols] >= 1)
+    place = np.cumsum(m >= 1) - 1  # position of each m >= 1 index in poly_idx
+    values = np.empty(size * size, dtype=complex)
+    values[poly] = _separable_gram(poly_profiles, place[rows[poly]], place[cols[poly]], grid3)
+    values[~poly] = _separable_gram(psi_profiles, rows[~poly], cols[~poly], grid)
+
+    check = poly & ~mask.reshape(-1)
+    expected = _psi_pair_radial(poly_idx, place[rows[check]], place[cols[check]], grid)
+    gap = np.abs(values[check] - expected) / (1.0 + np.abs(expected))
+    radial_worst = float(np.max(gap, initial=0.0))
+    values = values.reshape(size, size)
 
     violation = float(np.max(np.abs(values[mask]))) if mask.any() else 0.0
     values.flags.writeable = False

@@ -24,6 +24,11 @@ from .cauchy_transform import (
     cauchy_singular_quadrature,
 )
 from .gaussian_quadrature import (
+    DEFAULT_ANGULAR_NODES,
+    DEFAULT_RADIAL_NODES,
+    DEFAULT_RADIUS_PAD,
+    DEFAULT_SINGULAR_ANGULAR,
+    DEFAULT_SINGULAR_RADIAL,
     PolarGrid,
     build_polar_grid,
     build_singular_grid,
@@ -102,24 +107,35 @@ class VerificationRecord:
 class VerifyConfig:
     """Grid and tolerance settings shared by every suite.
 
-    nr / ntheta replace the module default resolutions when set; the
+    nr / ntheta replace the module default resolutions when set (None
+    means unset; 0 and negative counts are rejected); the
     singular-integral grid keeps its own (larger) defaults otherwise.
     tolerance, when set, overrides the tolerance of every record.
     """
 
     nr: int | None = None
     ntheta: int | None = None
-    radius_pad: float = 12.0
+    radius_pad: float = DEFAULT_RADIUS_PAD
     kernel_truncation: int = 60
     tolerance: float | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("nr", "ntheta"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"VerifyConfig requires {name} >= 1 when set, got {value}")
+
     def polar_grid(self, beta: float = 1.0) -> PolarGrid:
-        return build_polar_grid(self.nr or 64, self.ntheta or 128, beta)
+        return build_polar_grid(
+            DEFAULT_RADIAL_NODES if self.nr is None else self.nr,
+            DEFAULT_ANGULAR_NODES if self.ntheta is None else self.ntheta,
+            beta,
+        )
 
     def cauchy_opts(self) -> CauchyGridOptions:
         return CauchyGridOptions(
-            n_radial=self.nr or 96,
-            n_theta=self.ntheta or 256,
+            n_radial=DEFAULT_SINGULAR_RADIAL if self.nr is None else self.nr,
+            n_theta=DEFAULT_SINGULAR_ANGULAR if self.ntheta is None else self.ntheta,
             radius_pad=self.radius_pad,
         )
 
@@ -181,6 +197,29 @@ def _worst_gap(triples: list[tuple]) -> tuple:
     """
     nan = [triple for triple in triples if math.isnan(triple[2])]
     return nan[0] if nan else max(reversed(triples), key=lambda triple: triple[2])
+
+
+def _psi_diagonal_radial(indices: list[HermiteIndex], grid: PolarGrid) -> dict:
+    """Radial-route <psi_i, psi_i> for indices with m >= 1, keyed by index."""
+    at = np.arange(len(indices))
+    return dict(zip(indices, _psi_pair_radial(indices, at, at, grid).tolist()))
+
+
+def _hermite_integer_coefficients(max_index: int) -> dict:
+    """Exact coefficients {(a, b): c} of z^a zbar^b in H_{m,n}, m, n <= max_index.
+
+    Built from H_{m,0} = z^m by the index recurrence
+    H_{m,n+1} = zbar H_{m,n} - m H_{m-1,n} in integer arithmetic.
+    """
+    table = {}
+    for m in range(max_index + 1):
+        table[m, 0] = {(m, 0): 1}
+        for n in range(max_index):
+            poly = {(a, b + 1): c for (a, b), c in table[m, n].items()}
+            for key, c in (table[m - 1, n].items() if m else ()):
+                poly[key] = poly.get(key, 0) - m * c
+            table[m, n + 1] = poly
+    return table
 
 
 def _kummer_fraction_oracle(p: int, b: int, t: Fraction) -> Fraction:
@@ -279,15 +318,17 @@ def _suite_hermite(cfg: VerifyConfig) -> list[VerificationRecord]:
                 abs_err=float(err[i]),
             )
 
-    # lowering chain terminates: the (n+1)-fold coefficient is exactly 0
+    # polyanalytic of order n+1: d/dzbar applied n+1 times to the exact
+    # integer coefficients of H_{m,n} leaves nothing
+    table = _hermite_integer_coefficients(8)
     for m in range(9):
         for n in range(9):
-            coefficient = 1.0
-            for step in range(n, -1, -1):
-                coefficient *= float(step)
+            poly = table[m, n]
+            for _ in range(n + 1):
+                poly = {(a, b - 1): b * c for (a, b), c in poly.items() if b}
             rec.add(
                 f"polyanalytic-order-m{m}-n{n}",
-                coefficient,
+                float(max((abs(c) for c in poly.values()), default=0)),
                 0.0,
                 0.0,
                 PROVENANCE_CLOSED,
@@ -399,12 +440,14 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
 
     # transform images stay square-integrable: diagonal radial route
     base = cfg.polar_grid(1.0)
+    poly = [HermiteIndex(m, n) for m in range(1, 5) for n in range(5)]
+    radial = _psi_diagonal_radial(poly, base)
     for m in range(5):
         for n in range(5):
             idx = HermiteIndex(m, n)
             value = psi_gram([idx], grid=base).values[0, 0].real
             if m >= 1:
-                expected = _psi_pair_radial(idx, idx, base)
+                expected = radial[idx]
                 rec.add(
                     f"membership-radial-m{m}-n{n}",
                     value,
@@ -635,10 +678,11 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
     diag = {
         idx: report.values[i, i].real for i, idx in enumerate(indices)
     }
+    radial = _psi_diagonal_radial([i for i in indices if i.m >= 1], base)
     for m in range(1, 6):
         for n in range(6):
             idx = HermiteIndex(m, n)
-            expected = _psi_pair_radial(idx, idx, base)
+            expected = radial[idx]
             rec.add(
                 f"gram-diagonal-m{m}-n{n}",
                 diag[idx],

@@ -70,11 +70,28 @@ def test_domain_error_exit_code(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_result_exit_code(capsys):
+    # zbar**(n-m) overflows: a named error, never a printed nan
+    for command in ("hermite", "cauchy"):
+        argv = [command, "--m", "5", "--n", "100000000000000000000000", "--z", "2,1"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "not a finite double" in captured.err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hermite", "--m", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
+    for flag in ("--nr", "--ntheta"):
+        for count in ("0", "-4"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "ranges", flag, count])
+            assert exc.value.code == 2
+            assert "positive node count" in capsys.readouterr().err
 
 
 def test_verify_pass_and_fail_codes(capsys):
@@ -84,6 +101,12 @@ def test_verify_pass_and_fail_codes(capsys):
     assert main(["verify", "ranges", "--tolerance", "1e-30"]) == 1
     out = capsys.readouterr().out
     assert "FAIL " in out
+    # a tolerance no record could meet is a bad flag, not a failed check
+    for bad in ("nan", "inf", "-1e-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "hermite", f"--tolerance={bad}"])
+        assert exc.value.code == 2
+        assert "finite tolerance" in capsys.readouterr().err
 
 
 def test_project_json_output(capsys):
@@ -179,6 +202,8 @@ def test_config_file_settings(capsys, tmp_path):
         (json.dumps({"kernel_truncation": True}), "kernel_truncation must be a finite int"),
         (json.dumps({"radius_pad": None}), "radius_pad must be a finite float"),
         (json.dumps({"tolerances": float("nan")}), "tolerances must be a finite float"),
+        (json.dumps({"nr": 0}), "nr >= 1"),
+        (json.dumps({"ntheta": 0}), "ntheta >= 1"),
         ('{"nr": 48', "cannot be read"),
     ):
         bad.write_text(text)
@@ -220,6 +245,8 @@ def test_hermite_exit_codes(m, n, re, im):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 2, 3)
+    if code == 0:
+        assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
     if code == 3:
         assert err.getvalue().startswith("error:")
 

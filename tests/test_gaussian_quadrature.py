@@ -24,7 +24,7 @@ from polycauchy import (
     plane_quadrature,
     polar_separable_quadrature,
 )
-from polycauchy.gaussian_quadrature import _phase_table
+from polycauchy.gaussian_quadrature import _phase_table, _reduce_polar
 
 
 def test_one_point_rule_exact():
@@ -130,6 +130,35 @@ def test_polar_separable_matches_generic():
         values = radial[:, None] * g.phase[None, :] ** p
         gen = plane_quadrature(values, g)
         assert abs(sep - gen) <= 1e-13 * (1.0 + abs(gen))
+
+
+def test_polar_separable_stacked_matches_1d():
+    # stacked rows with mixed frequencies equal their 1-D calls bit for bit
+    for n_theta in (16, 15):
+        g = build_polar_grid(24, n_theta, 1.0)
+        hi = np.stack([np.exp(-k * g.radial_t) * (1.0 + g.radial_t) ** k for k in range(6)])
+        lo = hi * 1e-17
+        freq = np.array([0, 3, 0, n_theta, -1, 2])
+        got = polar_separable_quadrature(hi, lo, freq, g)
+        assert got.shape == (6,)
+        for row in range(6):
+            assert got[row] == polar_separable_quadrature(hi[row], lo[row], int(freq[row]), g)
+    with pytest.raises(ValueError):
+        polar_separable_quadrature(hi, lo, freq[:5], g)
+
+
+def test_reduce_polar_accepts_stacked_values():
+    g = build_polar_grid(16, 8, 1.0)
+    values = np.stack([g.points**k for k in range(3)])
+    stacked = _reduce_polar(values, g.radial_w)
+    assert stacked.shape == (3,)
+    for k in range(3):
+        assert stacked[k] == _reduce_polar(values[k], g.radial_w)
+
+
+def test_polar_grids_are_cached():
+    assert build_polar_grid(12, 8, 3.0) is build_polar_grid(12, 8, 3.0)
+    assert build_polar_grid(12, 8, 3.0) is not build_polar_grid(12, 8, 1.0)
 
 
 def test_inner_product_examples():

@@ -28,10 +28,12 @@ from polycauchy import (
 from polycauchy._ddouble import dd_mul, dd_mul_scalar
 from polycauchy.gaussian_quadrature import (
     PolarGrid,
-    default_polar_grid,
+    build_polar_grid,
+    integrate_radial_weighted,
     polar_separable_quadrature,
 )
-from polycauchy.ito_hermite import hermite_radial_profile
+from polycauchy.ito_hermite import c_mn, hermite_radial_profile
+from polycauchy.special_fn import kummer_terminating
 from polycauchy.range_analysis import _operator_matrix, _psi_profile
 
 
@@ -117,10 +119,47 @@ def test_gram_selection_rule_exact_zeros():
 def test_gram_validation():
     with pytest.raises(ValueError):
         psi_gram([(-1, 0)])
-    from polycauchy import build_polar_grid
-
     with pytest.raises(ValueError):
         psi_gram([(1, 0)], build_polar_grid(8, 8, 3.0))
+
+
+def test_psi_gram_matches_pairwise():
+    # every entry equals its own 1-D separable call, and the radial
+    # cross-check equals the per-pair confluent-series integral
+    indices = [HermiteIndex(m, n) for m in range(4) for n in range(3)]
+    grid = build_polar_grid(32, 16, 1.0)
+    grid3 = build_polar_grid(32, 16, 3.0)
+    report = psi_gram(indices, grid)
+    worst = 0.0
+    for r, a in enumerate(indices):
+        for s, b in enumerate(indices):
+            if a.m >= 1 and b.m >= 1:
+                ah, al, fa = hermite_radial_profile(HermiteIndex(a.m - 1, a.n), grid3.radial_t)
+                bh, bl, fb = hermite_radial_profile(HermiteIndex(b.m - 1, b.n), grid3.radial_t)
+                rh, rl = dd_mul(ah, al, bh, bl)
+                value = polar_separable_quadrature(rh, rl, fa - fb, grid3)
+                if a.m - b.m == a.n - b.n:
+                    da, db = abs(a.m - 1 - a.n), abs(b.m - 1 - b.n)
+
+                    def h(t, a=a, b=b, da=da, db=db):
+                        return (
+                            t ** (0.5 * (da + db))
+                            * kummer_terminating(min(a.m - 1, a.n), da + 1, t)
+                            * kummer_terminating(min(b.m - 1, b.n), db + 1, t)
+                        )
+
+                    expected = (
+                        math.pi * c_mn(a.m - 1, a.n) * c_mn(b.m - 1, b.n)
+                        * integrate_radial_weighted(h, 3.0, grid3)
+                    )
+                    worst = max(worst, abs(value - expected) / (1.0 + abs(expected)))
+            else:
+                ah, al, fa = _psi_profile(a, grid)
+                bh, bl, fb = _psi_profile(b, grid)
+                rh, rl = dd_mul(ah, al, bh, bl)
+                value = polar_separable_quadrature(rh, rl, fa - fb, grid)
+            assert report.values[r, s] == value
+    assert report.radial_check_max_rel == worst > 0.0
 
 
 def test_gram_report_consistency_enforced():
@@ -182,8 +221,8 @@ def test_closed_operator_matrix_matches_quadrature():
         (HermiteIndex(m, n) for m in range(degree + 1) for n in range(degree + 1 - m)),
         key=lambda i: (i.m + i.n, i.m),
     )
-    grid1 = default_polar_grid(1.0)
-    grid2 = default_polar_grid(2.0)
+    grid1 = build_polar_grid(beta=1.0)
+    grid2 = build_polar_grid(beta=2.0)
     quadrature = np.empty((len(basis), len(basis)))
     for r, row in enumerate(basis):
         row_norm = math.pi * math.sqrt(math.factorial(row.m) * math.factorial(row.n))

@@ -8,12 +8,15 @@ import pytest
 import polycauchy.verification as verification
 from polycauchy import (
     SUITE_NAMES,
+    HermiteIndex,
     VerificationRecord,
     VerifyConfig,
     record_to_row,
     run_suite,
+    hermite_eval,
     write_report,
 )
+from polycauchy.verification import _hermite_integer_coefficients
 
 
 def test_suite_names_are_stable():
@@ -132,3 +135,14 @@ def test_report_bytes_deterministic(tmp_path):
     for line in path_a.read_text().splitlines():
         parsed = json.loads(line)
         assert parsed["pass"] is True
+
+
+def test_hermite_integer_coefficients_match_evaluation():
+    # the exact table behind the polyanalytic-order oracle is H_{m,n} itself
+    table = _hermite_integer_coefficients(6)
+    z = 0.7 - 1.3j
+    for (m, n), poly in table.items():
+        value = sum(c * z**a * z.conjugate() ** b for (a, b), c in poly.items())
+        want = hermite_eval(HermiteIndex(m, n), z)
+        assert abs(value - want) <= 1e-12 * (1.0 + abs(want))
+        assert max(b for _, b in poly) == n
