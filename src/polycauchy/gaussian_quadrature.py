@@ -14,17 +14,21 @@ integrates e^{i p theta} exactly to zero for 0 < |p| < N_theta, which is
 what makes index selection rules hold to machine precision on these
 grids.
 
-Laguerre nodes are found by Newton iteration on the three-term
-recurrence with the classical empirical initial guesses, first in
-plain doubles to relative tolerance 1e-15, then polished by two more
-Newton steps in double-double arithmetic so the stored node is the
-correctly rounded root and the weight 1/(x L_n'(x)^2) is accurate to
-a final rounding.  The recurrence is evaluated with power-of-two
-rescaling so large node counts neither overflow nor lose the ratio
-L_n/L_n' needed by Newton; weights whose magnitude defeats the
-double-double path fall back to log space.  Beyond roughly N_r = 186
-the smallest true weights drop below the double precision range and
-underflow to zero; nodes stay accurate.
+Laguerre nodes are built all at once.  The eigenvalues of the n x n
+Laguerre Jacobi matrix (Golub-Welsch) are the starting guesses, good
+to about 1e-13 relative; two Newton steps on the three-term recurrence,
+evaluated in double-double arithmetic for every node in one array
+pass, make each stored node the correctly rounded root, and a final
+double-double evaluation gives the weight 1/(x L_n'(x)^2) to a final
+rounding.  That evaluation also gives each node's residual Newton
+step; one above 2^-50 of the node raises a ValueError naming n and
+the node index instead of returning an unconverged rule.  The
+recurrence is rescaled per node by exact powers of two so large node
+counts neither overflow nor lose the ratio L_n/L_n' needed by Newton;
+weights whose magnitude defeats the double-double path fall back to
+log space.  Beyond roughly N_r = 186 the smallest true weights drop
+below the double precision range and underflow to zero; nodes stay
+accurate.
 
 Angular phase tables are built with exact reflection symmetry:
 table[j + N/2] = -table[j] holds bit-for-bit (quadrant symmetry too
@@ -51,12 +55,13 @@ sums, whose rounding sits far below the quadrature error.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from ._ddouble import dd_add, dd_div, dd_div_scalar, dd_mul, dd_mul_scalar, dd_weighted_sum
+from ._ddouble import dd_add, dd_div, dd_div_scalar, dd_mul, dd_mul_scalar, dd_neg, dd_weighted_sum
 from .special_fn import kahan_sum
 
 __all__ = [
@@ -80,54 +85,40 @@ DEFAULT_SINGULAR_RADIAL = 96
 DEFAULT_SINGULAR_ANGULAR = 256
 DEFAULT_RADIUS_PAD = 12.0
 
-_NEWTON_TOL = 1e-15
 _RESCALE_EXP = 500  # power-of-two renormalisation threshold, exact in binary
+_LOG_RESCALE = _RESCALE_EXP * math.log(2.0)
+_MAX_CORRECTION = 2.0**-50  # largest residual Newton step accepted, relative to the node
 
 
-def _scaled_laguerre(n: int, x: float) -> tuple[float, float, float]:
-    """L_n(x) and L_n'(x) up to a common scale 2^e; returns (p, dp, e*ln2).
+def _laguerre_guesses(n: int) -> np.ndarray:
+    """Golub-Welsch starting nodes: eigenvalues of the Laguerre Jacobi matrix."""
+    k = np.arange(1.0, n)
+    return np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) - np.diag(k, 1) - np.diag(k, -1))
 
-    The recurrence is renormalised by exact powers of two whenever the
-    iterates grow past 2^500, so the Newton ratio p/dp is always formed
-    from well-scaled numbers.
+
+def _scaled_laguerre_dd(n: int, zh: np.ndarray, zl: np.ndarray):
+    """Double-double L_n and L_n' at each dd point (zh[i], zl[i]).
+
+    Returns (ph, pl, dph, dpl, log_scale) with the true values equal to
+    the dd pairs times e^{log_scale}.  Whenever an element's iterates
+    grow past 2^500 they are renormalised by that exact power of two
+    and its log scale grows by 500 ln 2, so the Newton ratio p/dp is
+    always formed from well-scaled numbers.
     """
-    if n == 0:
-        return 1.0, 0.0, 0.0
-    pm = 1.0
-    p = 1.0 - x
-    log_scale = 0.0
-    for k in range(1, n):
-        pm, p = p, ((2 * k + 1 - x) * p - k * pm) / (k + 1)
-        if max(abs(p), abs(pm)) > 2.0**_RESCALE_EXP:
-            p = math.ldexp(p, -_RESCALE_EXP)
-            pm = math.ldexp(pm, -_RESCALE_EXP)
-            log_scale += _RESCALE_EXP * math.log(2.0)
-    dp = n * (p - pm) / x
-    return p, dp, log_scale
-
-
-def _scaled_laguerre_dd(n: int, zh: float, zl: float):
-    """Double-double L_n and L_n' at the dd point (zh, zl).
-
-    Same power-of-two renormalisation as the double version; returns
-    (ph, pl, dph, dpl, log_scale) with the true values equal to the dd
-    pairs times e^{log_scale}.
-    """
-    pmh, pml = 1.0, 0.0
+    pmh, pml = np.ones_like(zh), np.zeros_like(zh)
     ph, pl = dd_add(1.0, 0.0, -zh, -zl)
-    log_scale = 0.0
+    log_scale = np.zeros_like(zh)
     for k in range(1, n):
         ah, al = dd_add(float(2 * k + 1), 0.0, -zh, -zl)
         th, tl = dd_mul(ah, al, ph, pl)
         sh, sl = dd_add(th, tl, *dd_mul_scalar(pmh, pml, -float(k)))
         nh, nl = dd_div_scalar(sh, sl, float(k + 1))
         pmh, pml, ph, pl = ph, pl, nh, nl
-        if max(abs(ph), abs(pmh)) > 2.0**_RESCALE_EXP:
-            ph = math.ldexp(ph, -_RESCALE_EXP)
-            pl = math.ldexp(pl, -_RESCALE_EXP)
-            pmh = math.ldexp(pmh, -_RESCALE_EXP)
-            pml = math.ldexp(pml, -_RESCALE_EXP)
-            log_scale += _RESCALE_EXP * math.log(2.0)
+        big = np.maximum(np.abs(ph), np.abs(pmh)) > 2.0**_RESCALE_EXP
+        if big.any():
+            shift = np.where(big, -_RESCALE_EXP, 0)
+            ph, pl, pmh, pml = (np.ldexp(v, shift) for v in (ph, pl, pmh, pml))
+            log_scale = log_scale + np.where(big, _LOG_RESCALE, 0.0)
     dh, dl = dd_add(ph, pl, -pmh, -pml)
     dh, dl = dd_mul_scalar(dh, dl, float(n))
     dph, dpl = dd_div(dh, dl, zh, zl)
@@ -137,48 +128,43 @@ def _scaled_laguerre_dd(n: int, zh: float, zl: float):
 def gauss_laguerre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for the weight e^{-x} on [0, inf), ascending.
 
-    Newton iteration on the recurrence with the classical spacing-based
-    initial guesses, finished by two double-double Newton steps so each
-    stored node is the correctly rounded root.  Weights come from
-    w = 1/(x L_n'(x)^2) in double-double; entries too large for that
-    path are formed in log space and entries below the double-precision
-    floor underflow to 0.
+    All nodes are found at once: Golub-Welsch eigenvalues are the
+    starting guesses, and two double-double Newton steps on the
+    three-term recurrence make each stored node the correctly rounded
+    root.  A final double-double evaluation gives the weights
+    w = 1/(x L_n'(x)^2); entries too large for that path are formed in
+    log space and entries below the double-precision floor underflow
+    to 0.  The same evaluation gives each node's residual Newton step,
+    and a ValueError names n and the node index if one exceeds 2^-50
+    relative to its node.
     """
     if n < 1:
         raise ValueError(f"gauss_laguerre_nodes requires n >= 1, got {n}")
-    x = np.empty(n)
+    zh = _laguerre_guesses(n)
+    zl = np.zeros(n)
+    for _ in range(2):
+        ph, pl, dph, dpl, _ = _scaled_laguerre_dd(n, zh, zl)
+        zh, zl = dd_add(zh, zl, *dd_neg(*dd_div(ph, pl, dph, dpl)))
+    ph, pl, dph, dpl, log_scale = _scaled_laguerre_dd(n, zh, zl)
+    correction = np.abs(dd_div(ph, pl, dph, dpl)[0])
+    bad = np.flatnonzero(~(correction <= _MAX_CORRECTION * zh))  # NaN fails too
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"gauss_laguerre_nodes(n={n}): Newton did not converge at node {i} "
+            f"(residual step {correction[i]:.3g} at x = {zh[i]!r})"
+        )
     w = np.empty(n)
-    z = 0.0
-    for i in range(n):
-        if i == 0:
-            z = 3.0 / (1.0 + 2.4 * n)
-        elif i == 1:
-            z += 15.0 / (1.0 + 2.5 * n)
-        else:
-            ai = i - 1.0
-            z += ((1.0 + 2.55 * ai) / (1.9 * ai)) * (z - x[i - 2])
-        for _ in range(100):
-            p, dp, _ = _scaled_laguerre(n, z)
-            step = p / dp
-            z -= step
-            if abs(step) <= _NEWTON_TOL * max(abs(z), 1.0):
-                break
-        zh, zl = z, 0.0
-        for _ in range(2):
-            ph, pl, dph, dpl, _ = _scaled_laguerre_dd(n, zh, zl)
-            sh, sl = dd_div(ph, pl, dph, dpl)
-            zh, zl = dd_add(zh, zl, -sh, -sl)
-        x[i] = zh
-        _, _, dph, dpl, log_scale = _scaled_laguerre_dd(n, zh, zl)
-        if log_scale == 0.0 and abs(dph) < 1e140:
-            dh, dl = dd_mul(dph, dpl, dph, dpl)
-            dh, dl = dd_mul(dh, dl, zh, zl)
-            wh, _ = dd_div(1.0, 0.0, dh, dl)
-            w[i] = wh
-        else:
-            log_w = -math.log(zh) - 2.0 * (math.log(abs(dph)) + log_scale)
-            w[i] = math.exp(log_w) if log_w > -745.0 else 0.0
-    return x, w
+    direct = (log_scale == 0.0) & (np.abs(dph) < 1e140)
+    dh, dl = dd_mul(dph[direct], dpl[direct], dph[direct], dpl[direct])
+    dh, dl = dd_mul(dh, dl, zh[direct], zl[direct])
+    w[direct] = dd_div(1.0, 0.0, dh, dl)[0]
+    # libm log/exp per entry: numpy's vector versions round 3 of the 102
+    # log-space weights over n = 2..200 differently in the last place.
+    for i in np.flatnonzero(~direct):
+        log_w = -math.log(zh[i]) - 2.0 * (math.log(abs(dph[i])) + log_scale[i])
+        w[i] = math.exp(log_w) if log_w > -745.0 else 0.0
+    return zh, w
 
 
 def _phase_table(n: int) -> np.ndarray:
@@ -256,7 +242,6 @@ class PolarGrid:
         return self.radial_t.size
 
 
-@lru_cache(maxsize=32)
 def build_polar_grid(
     n_radial: int = DEFAULT_RADIAL_NODES,
     n_theta: int = DEFAULT_ANGULAR_NODES,
@@ -265,8 +250,15 @@ def build_polar_grid(
     """The (cached, immutable) PolarGrid for the weight e^{-beta |z|^2}.
 
     n_radial is capped at 200; node accuracy is not guaranteed beyond
-    that, and trailing weights underflow well before it.
+    that, and trailing weights underflow well before it.  The cache is
+    keyed on (int, int, float), so ``build_polar_grid()`` and
+    ``build_polar_grid(64, 128, 1)`` return the same grid.
     """
+    return _polar_grid_cached(operator.index(n_radial), int(n_theta), float(beta))
+
+
+@lru_cache(maxsize=32)
+def _polar_grid_cached(n_radial: int, n_theta: int, beta: float) -> PolarGrid:
     if not 1 <= n_radial <= MAX_RADIAL_NODES:
         raise ValueError(
             f"build_polar_grid requires 1 <= n_radial <= {MAX_RADIAL_NODES}, got {n_radial}"
@@ -274,17 +266,20 @@ def build_polar_grid(
     if beta <= 0:
         raise ValueError(f"build_polar_grid requires beta > 0, got {beta}")
     x, w = _standard_laguerre_cached(n_radial)
-    return PolarGrid(
-        beta=float(beta),
-        radial_t=x / beta,
-        radial_w=w / beta,
-        n_theta=int(n_theta),
-    )
+    return PolarGrid(beta=beta, radial_t=x / beta, radial_w=w / beta, n_theta=n_theta)
 
 
 @lru_cache(maxsize=32)
 def _standard_laguerre_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = gauss_laguerre_nodes(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+@lru_cache(maxsize=32)
+def _standard_legendre_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -328,7 +323,7 @@ def build_singular_grid(
         raise ValueError(f"build_singular_grid requires radius_pad > 0, got {radius_pad}")
     center = complex(center)
     radius = abs(center) + radius_pad
-    x, w = np.polynomial.legendre.leggauss(n_radial)
+    x, w = _standard_legendre_cached(n_radial)
     rho = 0.5 * radius * (x + 1.0)
     rho_w = 0.5 * radius * w
     return SingularGrid(
@@ -366,37 +361,23 @@ def plane_quadrature(values: np.ndarray, grid: PolarGrid) -> complex:
 def angular_phase_sum(frequency: int, grid: PolarGrid) -> complex:
     """Sum of e^{i p theta_j} over the grid's angular nodes.
 
-    Computed from the phase table by stride reduction: while the
-    frequency and the current subgrid size are both even the sum
-    equals twice the sum over the half-size subgrid, and once the
-    frequency is odd the nodes pair up as j, j + N/2 whose table
-    entries are exact negatives.  On an even-N grid the result is
-    therefore the exact integer N for p = 0 (mod N) and an exact 0.0
-    for every other frequency; odd N falls back to a compensated sum.
+    The trapezoid rule sums the N-th roots of unity raised to p, which
+    is exactly N for p = 0 (mod N) and exactly 0 otherwise; on an
+    even-N grid those exact values are returned.  Where p has fewer
+    factors of two than N, the zero is also what summing the phase
+    table gives, since its half-turn antisymmetry is bit-exact and the
+    nodes cancel in pairs.  For p a multiple of N's power-of-two part
+    (p = 4 on N = 12, say) the table sum would leave rounding noise,
+    and the selection rules need the exact zero.  Odd N, whose table has no such symmetry, falls back to
+    a compensated sum over the table.
     """
-    table = grid.phase
     n_full = grid.n_theta
     p = int(frequency) % n_full
     if p == 0:
         return complex(n_full)
-    m, step, scale = n_full, p, 1
-    while step % 2 == 0 and m % 2 == 0:
-        step //= 2
-        m //= 2
-        scale *= 2
-    if m % 2 == 0:
-        half = m // 2
-        stride = n_full // m
-        acc = 0j
-        for j in range(half):
-            a = stride * ((step * j) % m)
-            b = stride * ((step * (j + half)) % m)
-            acc += table[a] + table[b]
-        return scale * acc
-    stride = n_full // m
-    return scale * complex(
-        kahan_sum(table[stride * ((step * j) % m)] for j in range(m))
-    )
+    if n_full % 2 == 0:
+        return 0j
+    return complex(kahan_sum(grid.phase[(p * j) % n_full] for j in range(n_full)))
 
 
 def polar_separable_quadrature(

@@ -5,6 +5,7 @@ k!/beta^(k+1), and numpy's Gauss-Laguerre constructor as an independent
 node/weight source.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from polycauchy import (
     plane_quadrature,
     polar_separable_quadrature,
 )
+from polycauchy import gaussian_quadrature
 from polycauchy.gaussian_quadrature import _phase_table, _reduce_polar
 
 
@@ -44,13 +46,43 @@ def test_two_point_rule_closed_form():
 
 
 def test_nodes_against_numpy_constructor():
-    for n in (5, 16, 64):
+    # At n = 128 numpy's own first node is 7.6e-14 off the root (checked
+    # against mpmath at 50 digits), which moves its first weight by 2.1e-11.
+    for n, w_tol in ((5, 1e-11), (16, 1e-11), (64, 1e-11), (128, 5e-11)):
         x, w = gauss_laguerre_nodes(n)
         xr, wr = np.polynomial.laguerre.laggauss(n)
         assert np.max(np.abs(x - xr) / xr) < 1e-13
-        assert np.max(np.abs(w - wr) / np.abs(wr)) < 1e-11
+        assert np.max(np.abs(w - wr) / np.abs(wr)) < w_tol
         assert np.all(np.diff(x) > 0)
         assert np.all(w > 0)
+
+
+def test_node_digests_are_pinned():
+    # sha256 of the little-endian float64 nodes and weights
+    pins = {
+        24: ("c25654dc4fbf63fe7f09b1cc6bf6483b2278a11a3fc8109e6760394141a8d767",
+             "c79146804c2ee396e1399732a2375738eb41df5fa2120c28640d961220a6c94c"),
+        64: ("c8bc55baa12766094fa17c2b9af11a5e90ae86dfd104b854442e5b7284c9cc7e",
+             "4120103efdfb8578bd094c55d2c6c1563a4bfcc6de3eef886dab1558349864d9"),
+        128: ("6729fdb5b28deac0050fbf6f8ebedfdbfc8bbe4e57e1616c92f2072aa474cc5a",
+              "d2518cb0215f49302485dc4faab2644d6bfcca972473518444eaab585d421a12"),
+        200: ("8f932434f7a82871cb025e38d70d45e1252871a1cf86b498271170e397655fdb",
+              "9b93cbe16dbe2192c9a7cd3843d3df32031d74296f4a4080d0ddf2c96b0ac1c4"),
+    }
+    for n, want in pins.items():
+        got = tuple(
+            hashlib.sha256(np.asarray(a, dtype="<f8").tobytes()).hexdigest()
+            for a in gauss_laguerre_nodes(n)
+        )
+        assert got == want, n
+
+
+def test_newton_non_convergence_raises(monkeypatch):
+    # guesses 10% off are too far for the two double-double Newton steps
+    good = gaussian_quadrature._laguerre_guesses
+    monkeypatch.setattr(gaussian_quadrature, "_laguerre_guesses", lambda n: 1.1 * good(n))
+    with pytest.raises(ValueError, match=r"n=24\): Newton did not converge at node \d+"):
+        gauss_laguerre_nodes(24)
 
 
 def test_weights_sum_to_one():
@@ -119,6 +151,12 @@ def test_angular_phase_sum_exact_selection():
     assert angular_phase_sum(16, g) == complex(16)
     for p in (1, 2, 3, 5, 7, 8, 9, 15, -3, 31):
         assert angular_phase_sum(p, g) == 0j
+    # even grids with an odd factor: p a multiple of N's power-of-two part
+    for n_theta, freqs in ((12, (4, 8, -4)), (96, (32, 64))):
+        g = build_polar_grid(4, n_theta, 1.0)
+        assert angular_phase_sum(n_theta, g) == complex(n_theta)
+        for p in freqs:
+            assert angular_phase_sum(p, g) == 0j
 
 
 def test_polar_separable_matches_generic():
@@ -159,6 +197,11 @@ def test_reduce_polar_accepts_stacked_values():
 def test_polar_grids_are_cached():
     assert build_polar_grid(12, 8, 3.0) is build_polar_grid(12, 8, 3.0)
     assert build_polar_grid(12, 8, 3.0) is not build_polar_grid(12, 8, 1.0)
+    # the cache key is normalised, so defaults and int beta hit the same grid
+    default = build_polar_grid()
+    assert build_polar_grid(64, 128, 1.0) is default
+    assert build_polar_grid(64, 128, 1) is default
+    assert build_polar_grid(n_theta=128, beta=1) is default
 
 
 def test_inner_product_examples():

@@ -267,6 +267,12 @@ def test_gram_matrix_matches_pairwise():
             assert g[i, j] == hermite_inner_product(a, b)
 
 
+def test_gram_selection_zero_on_grid_with_odd_factor():
+    # frequency difference 4 on n_theta = 12 is off-pattern: an exact zero
+    g = hermite_gram_matrix([HermiteIndex(4, 0), HermiteIndex(0, 0)], build_polar_grid(16, 12))
+    assert g[0, 1] == 0j and g[1, 0] == 0j
+
+
 def test_unit_weight_required():
     grid = build_polar_grid(16, 16, 2.0)
     with pytest.raises(ValueError):
