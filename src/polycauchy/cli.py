@@ -91,6 +91,14 @@ def _grid_count(text: str) -> int:
     return value
 
 
+def _max_index(text: str) -> int:
+    """Command-line highest index: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative index, got {text!r}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     """Command-line tolerance: a finite, nonnegative float."""
     value = float(text)
@@ -356,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = commands.add_parser("gram", help="transform-image Gram matrix")
-    p.add_argument("--max-index", type=int, required=True, help="indices run 0..K")
+    p.add_argument("--max-index", type=_max_index, required=True, help="indices run 0..K")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
 

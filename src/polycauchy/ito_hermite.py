@@ -20,8 +20,17 @@ generalized-Laguerre form
     \\qquad p = \\min(m,n), \\; d = |m-n|,
 
 whose three-term recurrence is forward stable where the ascending
-series cancels digits.  The recurrence route seeds H_{0,0} = 1 and
-climbs
+series cancels digits.
+
+The row evaluator :func:`hermite_row` returns H_{m,n} for m = 0..M at
+one level n, stacked on a leading axis, with every entry equal to
+:func:`hermite_eval` bit for bit (the two share the code).  The
+entries m >= n all have p = n, so one Laguerre climb over the
+parameter array d = m - n serves them; each m < n takes its own climb.
+Monomials are raised per exponent, since a stacked power is not
+bit-identical.  Since H_{n,m}(w) = H_{m,n}(conj w) bit for bit, the
+same row also gives the mirrored indices.  The recurrence route seeds
+H_{0,0} = 1 and climbs
 
 .. math::
 
@@ -68,6 +77,7 @@ __all__ = [
     "hermite_inner_product",
     "hermite_radial_profile",
     "hermite_recurrence_eval",
+    "hermite_row",
 ]
 
 # Base crossover |z|^2 between the ascending series and the closed
@@ -141,16 +151,59 @@ def hermite_eval(idx: HermiteIndex, z):
         )
     z_arr = np.asarray(z, dtype=complex)
     t = (z_arr * z_arr.conjugate()).real
-    p, d = min(m, n), abs(m - n)
-    confluent = factorial(p) * generalized_laguerre(p, d, t)
-    if p % 2:
-        confluent = -confluent
-    if m >= n:
-        mono = z_arr ** (m - n)
-    else:
-        mono = z_arr.conjugate() ** (n - m)
-    out = mono * confluent
+    out = _monomial(z_arr, m, n) * _confluent(min(m, n), abs(m - n), t)
     return out if z_arr.ndim else complex(out)
+
+
+def hermite_row(m_max: int, n: int, z) -> np.ndarray:
+    """H_{m,n}(z, zbar) for m = 0..m_max, stacked on a new leading axis.
+
+    Entry m equals ``hermite_eval(HermiteIndex(m, n), z)`` bit for bit.
+    The entries m >= n share p = n and run one Laguerre climb over the
+    parameter array d = m - n; each m < n takes its own climb.
+
+    Parameters
+    ----------
+    m_max : int
+        Highest first index, m_max >= 0.
+    n : int
+        Second index, n >= 0.
+    z : complex or ndarray
+        Evaluation point(s).
+
+    Returns
+    -------
+    ndarray
+        Shape ``(m_max + 1,) + np.shape(z)``.
+    """
+    if m_max < 0 or n < 0:
+        raise ValueError(f"hermite_row requires m_max, n >= 0, got m_max={m_max}, n={n}")
+    z_arr = np.asarray(z, dtype=complex)
+    t = (z_arr * z_arr.conjugate()).real
+    out = np.empty((m_max + 1,) + z_arr.shape, dtype=complex)
+    for m in range(min(m_max + 1, n)):
+        np.multiply(_monomial(z_arr, m, n), _confluent(m, n - m, t), out=out[m, ...])
+    if m_max >= n:
+        d = np.arange(m_max - n + 1).reshape((-1,) + (1,) * t.ndim)
+        shared = _confluent(n, d, t)
+        for k in range(m_max - n + 1):
+            np.multiply(_monomial(z_arr, n + k, n), shared[k], out=out[n + k, ...])
+    return out
+
+
+def _confluent(p: int, d, t):
+    """(-1)^p p! L_p^(d)(t); d an int or an integer array broadcasting against t."""
+    confluent = factorial(p) * generalized_laguerre(p, d, t)
+    return -confluent if p % 2 else confluent
+
+
+def _monomial(z_arr: np.ndarray, m: int, n: int):
+    """z^(m-n) for m >= n, else zbar^(n-m), one scalar exponent per call.
+
+    A stacked ``z ** d_array`` is not bit-identical: numpy turns a scalar
+    exponent of 2 into ``square``.
+    """
+    return z_arr ** (m - n) if m >= n else z_arr.conjugate() ** (n - m)
 
 
 def hermite_recurrence_eval(idx: HermiteIndex, z):

@@ -34,12 +34,13 @@ exponent n+k+1 is fixed by an independent Gaussian-integral oracle at
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_quadrature import PolarGrid, build_polar_grid, inner_product_gaussian
-from .ito_hermite import HermiteIndex, c_mn, hermite_eval
+from .gaussian_quadrature import PolarGrid, _reduce_polar, build_polar_grid
+from .ito_hermite import HermiteIndex, c_mn, hermite_row
 from .special_fn import (
     factorial,
     gamma_ratio,
@@ -132,11 +133,13 @@ def kernel_series(spec: KernelSpec, z: complex, w: complex) -> complex:
     z, w = complex(z), complex(w)
     n = spec.n
     fn = factorial(n)
+    # M! first: past its overflow it raises before the rows are built
+    factorial(spec.truncation)
+    # H_{n,m}(w) = H_{m,n}(conj w), bit for bit: the same climb and monomial
+    at_z = hermite_row(spec.truncation, n, z).tolist()
+    at_w = hermite_row(spec.truncation, n, w.conjugate()).tolist()
     terms = (
-        hermite_eval(HermiteIndex(m, n), z)
-        * hermite_eval(HermiteIndex(n, m), w)
-        / (math.pi * factorial(m) * fn)
-        for m in range(spec.truncation + 1)
+        a * b / (math.pi * factorial(m) * fn) for m, (a, b) in enumerate(zip(at_z, at_w))
     )
     return complex(kahan_sum(terms))
 
@@ -152,12 +155,13 @@ def kernel_series_tail(spec: KernelSpec, z: complex, w: complex) -> float:
     z, w = complex(z), complex(w)
     n = spec.n
     fn = factorial(n)
+    factorial(spec.truncation)
 
     def residue(v: complex) -> float:
         diag = math.exp((v * v.conjugate()).real) / math.pi
         partial = kahan_sum(
-            abs(hermite_eval(HermiteIndex(m, n), v)) ** 2 / (math.pi * factorial(m) * fn)
-            for m in range(spec.truncation + 1)
+            abs(h) ** 2 / (math.pi * factorial(m) * fn)
+            for m, h in enumerate(hermite_row(spec.truncation, n, v).tolist())
         )
         return max(0.0, diag - float(partial))
 
@@ -169,9 +173,12 @@ def project_numeric(
 ) -> CoefficientSequence:
     """Coefficients alpha_j = <f, H_{j,n}> / (pi j! n!), j = 0..J.
 
-    Extraction is basis-wise through :func:`inner_product_gaussian`,
-    one quadrature per coefficient; ``f`` must accept complex ndarray
-    input.
+    ``f`` is evaluated once on the grid points and contracted against
+    the stacked conjugate basis row H_{0..J,n} by one reduction; each
+    coefficient equals the quadrature
+    ``inner_product_gaussian(f, H_{j,n}, grid)`` over pi j! n! bit for
+    bit.  ``f`` must accept complex ndarray input; the grid must carry
+    beta = 1, the weight of the ambient space.
     """
     if n < 0:
         raise ValueError(f"project_numeric requires n >= 0, got n={n}")
@@ -179,13 +186,44 @@ def project_numeric(
         raise ValueError(f"project_numeric requires J >= 1, got J={J}")
     if grid is None:
         grid = build_polar_grid()
+    if grid.beta != 1.0:
+        raise ValueError(
+            f"project_numeric requires a grid with beta=1, got beta={grid.beta}"
+        )
     fn = factorial(n)
-    coeffs = []
-    for j in range(J + 1):
-        basis = HermiteIndex(j, n)
-        ip = inner_product_gaussian(f, lambda pts, b=basis: hermite_eval(b, pts), grid)
-        coeffs.append(ip / (math.pi * factorial(j) * fn))
+    # J! first: past its overflow it raises before the (J+1)-row stack
+    factorial(J)
+    fv = np.broadcast_to(np.asarray(f(grid.points), dtype=complex), grid.points.shape)
+    sums = _reduce_polar(fv * _conjugate_basis(grid, n, J), grid.radial_w)
+    scale = np.pi / grid.n_theta
+    coeffs = (
+        complex(s) * scale / (math.pi * factorial(j) * fn) for j, s in enumerate(sums)
+    )
     return CoefficientSequence(n=n, coeffs=tuple(coeffs))
+
+
+_BASIS_CACHE_SIZE = 8
+_basis_cache: OrderedDict = OrderedDict()
+
+
+def _conjugate_basis(grid: PolarGrid, n: int, J: int) -> np.ndarray:
+    """conj(H_{j,n}) on the grid points for j = 0..J, read-only.
+
+    Kept for the last :data:`_BASIS_CACHE_SIZE` (grid, level) pairs.
+    Keys hold the grid's id and the entry holds the grid, so the id
+    cannot be reused by another grid while its entry lives.
+    """
+    key = (id(grid), n)
+    entry = _basis_cache.get(key)
+    if entry is None or entry[1].shape[0] <= J:
+        stack = hermite_row(J, n, grid.points).conjugate()
+        stack.flags.writeable = False
+        entry = (grid, stack)
+    _basis_cache[key] = entry
+    _basis_cache.move_to_end(key)
+    while len(_basis_cache) > _BASIS_CACHE_SIZE:
+        _basis_cache.popitem(last=False)
+    return entry[1][: J + 1]
 
 
 def projection_coefficient_closed(n: int, j: int, k: int):
@@ -253,10 +291,7 @@ def radial_J_closed(m: int, n: int, j: int, k: int) -> float:
 
 def synthesize(seq: CoefficientSequence, z) -> complex:
     """Evaluate sum_j H_{j,n}(z) alpha_j at z."""
-    z = complex(z)
-    return complex(
-        kahan_sum(
-            hermite_eval(HermiteIndex(j, seq.n), z) * a
-            for j, a in enumerate(seq.coeffs)
-        )
-    )
+    if not seq.coeffs:
+        return 0j
+    row = hermite_row(len(seq.coeffs) - 1, seq.n, complex(z)).tolist()
+    return complex(kahan_sum(h * a for h, a in zip(row, seq.coeffs)))

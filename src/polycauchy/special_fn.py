@@ -107,7 +107,7 @@ def laguerre(n: int, t):
     return generalized_laguerre(n, 0, t)
 
 
-def generalized_laguerre(p: int, d: int, t):
+def generalized_laguerre(p: int, d, t):
     """Generalized Laguerre polynomial L_p^(d)(t) by the recurrence.
 
     The three-term recurrence
@@ -121,28 +121,29 @@ def generalized_laguerre(p: int, d: int, t):
     ----------
     p : int
         Degree, p >= 0.
-    d : int
-        Parameter, d >= 0.
+    d : int or integer ndarray
+        Parameter, d >= 0.  An array runs one climb for every parameter
+        at once; each entry equals the scalar-``d`` call bit for bit.
     t : float or ndarray
         Evaluation point(s).
 
     Returns
     -------
     float or ndarray
-        L_p^(d)(t), matching the shape of ``t``.
+        L_p^(d)(t), with the broadcast shape of ``d`` and ``t``.
     """
     if p < 0:
         raise ValueError(f"generalized_laguerre requires p >= 0, got {p}")
-    if d < 0:
+    if np.any(np.asarray(d) < 0):
         raise ValueError(f"generalized_laguerre requires d >= 0, got {d}")
     t_arr = np.asarray(t, dtype=float)
-    prev = np.ones_like(t_arr)
+    prev = np.ones(np.broadcast_shapes(np.shape(d), t_arr.shape))
     if p == 0:
-        return prev if t_arr.ndim else float(prev)
+        return prev if prev.ndim else float(prev)
     cur = (1.0 + d) - t_arr
     for k in range(1, p):
         prev, cur = cur, ((2 * k + d + 1 - t_arr) * cur - (k + d) * prev) / (k + 1)
-    return cur if t_arr.ndim else float(cur)
+    return cur if cur.ndim else float(cur)
 
 
 def _generalized_laguerre_dd(p: int, d: int, t):

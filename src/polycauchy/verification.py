@@ -39,6 +39,7 @@ from .ito_hermite import (
     HermiteIndex,
     hermite_eval,
     hermite_eval_extended,
+    hermite_row,
 )
 from .poly_bergman import (
     KernelSpec,
@@ -222,6 +223,32 @@ def _hermite_integer_coefficients(max_index: int) -> dict:
     return table
 
 
+def _exact_rank(polys: list[dict]) -> int:
+    """Rank over the rationals of polynomials given as {(a, b): c} maps."""
+    rows = [{key: Fraction(c) for key, c in poly.items() if c} for poly in polys]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        if not pivot:
+            continue
+        rank += 1
+        key, lead = next(iter(pivot.items()))
+        for row in rows:
+            factor = row.get(key, 0) / lead
+            if factor:
+                for k, c in pivot.items():
+                    row[k] = row.get(k, 0) - factor * c
+                    if not row[k]:
+                        del row[k]
+    return rank
+
+
+def _span_rank(spec: RangeBasisSpec) -> int:
+    """Exact rank of the integer coefficient vectors of the spec's basis."""
+    table = _hermite_integer_coefficients(max(spec.n + spec.ell - 1, spec.n))
+    return _exact_rank([table[i.m, i.n] for i in range_basis_indices(spec)])
+
+
 def _kummer_fraction_oracle(p: int, b: int, t: Fraction) -> Fraction:
     total = Fraction(0)
     term = Fraction(1)
@@ -288,12 +315,14 @@ def _suite_hermite(cfg: VerifyConfig) -> list[VerificationRecord]:
                 )
 
     pts = _sample_points(20, 3.0, seed=20260815)
+    # h[m, n] = H_{m,n}(pts) for m, n <= 9
+    h = np.stack([hermite_row(9, n, pts) for n in range(10)], axis=1)
 
     # conjugate symmetry
     for m in range(9):
         for n in range(9):
-            a = hermite_eval(HermiteIndex(m, n), pts)
-            b = np.conjugate(hermite_eval(HermiteIndex(n, m), pts))
+            a = h[m, n]
+            b = np.conjugate(h[n, m])
             lhs, rhs, err = _worst_pair(a, b)
             rec.add(
                 f"hermite-conjugate-m{m}-n{n}", lhs, rhs, 1e-11,
@@ -303,9 +332,9 @@ def _suite_hermite(cfg: VerifyConfig) -> list[VerificationRecord]:
     # raising identity residual
     for m in range(9):
         for n in range(9):
-            up = hermite_eval(HermiteIndex(m + 1, n), pts)
-            mid = pts * hermite_eval(HermiteIndex(m, n), pts)
-            low = 0.0 if n == 0 else n * hermite_eval(HermiteIndex(m, n - 1), pts)
+            up = h[m + 1, n]
+            mid = pts * h[m, n]
+            low = 0.0 if n == 0 else n * h[m, n - 1]
             scale = 1.0 + np.abs(up) + np.abs(mid) + np.abs(low)
             err = np.abs(up - mid + low) / scale
             i = int(np.argmax(err))
@@ -338,14 +367,14 @@ def _suite_hermite(cfg: VerifyConfig) -> list[VerificationRecord]:
     for m in range(9):
         for n in range(9):
             if m >= 1 and n >= 1:
-                first = m * n * hermite_eval(HermiteIndex(m - 1, n - 1), pts)
+                first = m * n * h[m - 1, n - 1]
             else:
                 first = np.zeros_like(pts)
             if n >= 1:
-                second = n * np.conjugate(pts) * hermite_eval(HermiteIndex(m, n - 1), pts)
+                second = n * np.conjugate(pts) * h[m, n - 1]
             else:
                 second = np.zeros_like(pts)
-            target = -n * hermite_eval(HermiteIndex(m, n), pts)
+            target = -n * h[m, n]
             scale = 1.0 + np.abs(first) + np.abs(second) + np.abs(target)
             err = np.abs(first - second - target) / scale
             i = int(np.argmax(err))
@@ -393,14 +422,20 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
         for z in _CAUCHY_POINTS
     }
 
+    # one stacked quadrature of H_{0..5,n} per centre and level
+    numerics = {
+        (z, n): cauchy_singular_quadrature(
+            lambda pts, nn=n: hermite_row(5, nn, pts), complex(z), grids[z]
+        )
+        for z in _CAUCHY_POINTS
+        for n in range(6)
+    }
     for m in range(6):
         for n in range(6):
             idx = HermiteIndex(m, n)
             for z in _CAUCHY_POINTS:
                 closed = cauchy_hermite_closed(idx, z)
-                numeric = cauchy_singular_quadrature(
-                    lambda pts, i=idx: hermite_eval(i, pts), complex(z), grids[z]
-                )
+                numeric = complex(numerics[z, n][m])
                 rec.add(
                     f"cauchy-closed-vs-numeric-m{m}-n{n}-z{z}",
                     numeric,
@@ -438,35 +473,37 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
             PROVENANCE_QUADRATURE,
         )
 
-    # transform images stay square-integrable: diagonal radial route
+    # transform images stay square-integrable: diagonal radial route.
+    # Gram entries are computed pair by pair, so the diagonal of one
+    # block Gram equals each single-index Gram bit for bit.
     base = cfg.polar_grid(1.0)
-    poly = [HermiteIndex(m, n) for m in range(1, 5) for n in range(5)]
-    radial = _psi_diagonal_radial(poly, base)
-    for m in range(5):
-        for n in range(5):
-            idx = HermiteIndex(m, n)
-            value = psi_gram([idx], grid=base).values[0, 0].real
-            if m >= 1:
-                expected = radial[idx]
-                rec.add(
-                    f"membership-radial-m{m}-n{n}",
-                    value,
-                    expected,
-                    1e-8 * (1.0 + abs(expected)),
-                    PROVENANCE_CLOSED,
-                )
-            else:
-                fine = build_polar_grid(
-                    min(2 * base.n_radial, 160), 2 * base.n_theta, 1.0
-                )
-                refined = psi_gram([idx], grid=fine).values[0, 0].real
-                rec.add(
-                    f"membership-refined-m{m}-n{n}",
-                    value,
-                    refined,
-                    1e-8 * (1.0 + abs(refined)),
-                    PROVENANCE_QUADRATURE,
-                )
+    block = [HermiteIndex(m, n) for m in range(5) for n in range(5)]
+    diagonal = np.diagonal(psi_gram(block, grid=base).values).real
+    radial = _psi_diagonal_radial([idx for idx in block if idx.m >= 1], base)
+    fine = build_polar_grid(min(2 * base.n_radial, 160), 2 * base.n_theta, 1.0)
+    # block[:5] holds the m = 0 indices
+    refined_diagonal = np.diagonal(psi_gram(block[:5], grid=fine).values).real
+    for i, idx in enumerate(block):
+        m, n = idx.m, idx.n
+        value = diagonal[i]
+        if m >= 1:
+            expected = radial[idx]
+            rec.add(
+                f"membership-radial-m{m}-n{n}",
+                value,
+                expected,
+                1e-8 * (1.0 + abs(expected)),
+                PROVENANCE_CLOSED,
+            )
+        else:
+            refined = refined_diagonal[i]
+            rec.add(
+                f"membership-refined-m{m}-n{n}",
+                value,
+                refined,
+                1e-8 * (1.0 + abs(refined)),
+                PROVENANCE_QUADRATURE,
+            )
 
     return rec.records
 
@@ -733,22 +770,22 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
 def _suite_ranges(cfg: VerifyConfig) -> list[VerificationRecord]:
     rec = _Recorder(cfg)
 
-    # closure dimensions of the conjugate-side spans
+    # closure dimensions of the conjugate-side spans: the exact rank of
+    # the integer coefficient vectors of each listed basis
     for n in range(11):
         for ell in range(11):
             if not 0 < n + ell <= 10:
                 continue
-            spec = RangeBasisSpec(VARIANT_R_TILDE, ell, n)
             rec.add(
                 f"rtilde-dimension-n{n}-l{ell}",
-                len(range_basis_indices(spec)),
+                _span_rank(RangeBasisSpec(VARIANT_R_TILDE, ell, n)),
                 n + ell,
                 0.0,
                 PROVENANCE_CLOSED,
             )
     rec.add(
         "rtilde-dimension-n0-l0",
-        len(range_basis_indices(RangeBasisSpec(VARIANT_R_TILDE, 0, 0))),
+        _span_rank(RangeBasisSpec(VARIANT_R_TILDE, 0, 0)),
         0,
         0.0,
         PROVENANCE_CLOSED,

@@ -92,6 +92,11 @@ def test_usage_error_exit_code(capsys):
                 main(["verify", "ranges", flag, count])
             assert exc.value.code == 2
             assert "positive node count" in capsys.readouterr().err
+    for bound in ("-1", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["gram", "--max-index", bound])
+        assert exc.value.code == 2
+        assert "nonnegative index" in capsys.readouterr().err
 
 
 def test_verify_pass_and_fail_codes(capsys):
@@ -124,6 +129,14 @@ def test_project_json_output(capsys):
     assert len(coeffs) == 3
     lead = coeffs[0] if isinstance(coeffs[0], float) else coeffs[0][0]
     assert abs(lead - (-0.5)) < 1e-9
+
+
+def test_project_overflowing_jmax_fails_at_once(capsys):
+    argv = ["project", "--source", "psi", "1", "0", "--level", "0", "--jmax", "100000000"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "factorial(100000000) overflows" in captured.err
 
 
 def test_project_rejects_unknown_source(capsys):
@@ -249,6 +262,46 @@ def test_hermite_exit_codes(m, n, re, im):
         assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
     if code == 3:
         assert err.getvalue().startswith("error:")
+
+
+def _exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if code == 3:
+        assert err.getvalue().startswith("error:")
+    return code, out.getvalue()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["hermite", "psi"]),
+    m=st.integers(-2, 12),
+    k=st.integers(-2, 12),
+    level=st.integers(-2, 10),
+    jmax=st.integers(0, 200),
+)
+def test_project_exit_codes(kind, m, k, level, jmax):
+    argv = [
+        "project", "--source", kind, str(m), str(k),
+        "--level", str(level), "--jmax", str(jmax), "--nr", "16", "--ntheta", "16",
+    ]
+    code, out = _exit_code(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert "NaN" not in out and "Infinity" not in out
+
+
+@settings(max_examples=10, deadline=None)
+@given(bound=st.integers(-3, 2))
+def test_gram_exit_codes(bound):
+    code, out = _exit_code(["gram", "--max-index", str(bound), "--nr", "16", "--ntheta", "16"])
+    assert code in (0, 2, 3)
+    assert (code == 2) == (bound < 0)
 
 
 def test_module_entry_point():

@@ -268,6 +268,21 @@ def test_singular_quadrature_examples():
     assert abs(got - (-math.exp(-1.0))) < 1e-9
 
 
+def test_singular_quadrature_stacked_matches_1d():
+    for z, (n_radial, n_theta) in ((0j, (24, 16)), (1 - 0.5j, (40, 64)), (0.3 + 2j, (96, 256))):
+        grid = build_singular_grid(z, n_radial, n_theta)
+        indices = [HermiteIndex(m, n) for m in range(4) for n in range(3)]
+        stacked = cauchy_singular_quadrature(
+            lambda pts: np.array([hermite_eval(i, pts) for i in indices]).reshape(4, 3, *pts.shape),
+            z,
+            grid,
+        )
+        assert stacked.shape == (4, 3)
+        for k, idx in enumerate(indices):
+            want = cauchy_singular_quadrature(lambda pts: hermite_eval(idx, pts), z, grid)
+            assert stacked[divmod(k, 3)] == want
+
+
 def test_singular_grid_center_mismatch_raises():
     grid = build_singular_grid(1.0 + 0j)
     with pytest.raises(ValueError):

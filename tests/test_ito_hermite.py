@@ -27,6 +27,7 @@ from polycauchy import (
     hermite_inner_product,
     hermite_radial_profile,
     hermite_recurrence_eval,
+    hermite_row,
 )
 from polycauchy.ito_hermite import EXTENSION_CROSSOVER
 
@@ -114,6 +115,36 @@ def test_eval_array_matches_scalar():
         assert arr.shape == z.shape
         for i, zi in enumerate(POINTS):
             assert arr[i] == hermite_eval(HermiteIndex(m, n), zi)
+
+
+def _bits(value) -> np.ndarray:
+    return np.atleast_1d(np.asarray(value, dtype=complex)).view(np.uint64)
+
+
+def test_hermite_row_matches_eval_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    inputs = [
+        0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1.5 - 0.3j, -2.0 + 0j,
+        np.array(POINTS[:20]),
+        3.0 * (rng.standard_normal((64, 128)) + 1j * rng.standard_normal((64, 128))),
+        # above numpy's 256 KiB temporary-elision size
+        3.0 * (rng.standard_normal((96, 256)) + 1j * rng.standard_normal((96, 256))),
+    ]
+    for z in inputs:
+        for n in range(9):
+            for m_max in sorted({0, max(n - 1, 0), n, n + 1, n + 7}):
+                row = hermite_row(m_max, n, z)
+                assert row.shape == (m_max + 1,) + np.shape(z)
+                for m in range(m_max + 1):
+                    want = hermite_eval(HermiteIndex(m, n), z)
+                    assert np.array_equal(_bits(row[m]), _bits(want)), (m, n, np.shape(z))
+
+
+def test_hermite_row_validation():
+    with pytest.raises(ValueError):
+        hermite_row(-1, 0, 1.0)
+    with pytest.raises(ValueError):
+        hermite_row(2, -1, 1.0)
 
 
 def test_conjugate_symmetry():

@@ -15,7 +15,13 @@ from polycauchy import (
     CoefficientSequence,
     HermiteIndex,
     KernelSpec,
+    PolarGrid,
+    PsiFunction,
+    build_polar_grid,
+    factorial,
     hermite_eval,
+    inner_product_gaussian,
+    kahan_sum,
     kernel_closed,
     kernel_series,
     kernel_series_tail,
@@ -24,6 +30,7 @@ from polycauchy import (
     radial_J_closed,
     synthesize,
 )
+from polycauchy import poly_bergman
 
 KERNEL_POINTS = (0j, 0.7 + 0j, -1.2 + 0.5j, 1.9j, -0.3 - 1.1j)
 
@@ -152,3 +159,94 @@ def test_project_synthesize_round_trip():
     seq = project_numeric(f, 1, 3)
     for z in (0.5 + 0.2j, -0.9 + 1.1j):
         assert abs(synthesize(seq, z) - complex(f(np.asarray(z)))) < 1e-9
+
+
+def _project_oracle(f, n, J, grid):
+    """The per-coefficient quadrature loop that project_numeric batches."""
+    return tuple(
+        inner_product_gaussian(f, lambda pts, b=HermiteIndex(j, n): hermite_eval(b, pts), grid)
+        / (math.pi * factorial(j) * factorial(n))
+        for j in range(J + 1)
+    )
+
+
+def test_project_numeric_equals_per_coefficient_quadrature():
+    sources = (
+        lambda pts: hermite_eval(HermiteIndex(3, 1), pts),
+        PsiFunction(HermiteIndex(2, 1)),
+        PsiFunction(HermiteIndex(0, 2)),
+    )
+    for grid in (build_polar_grid(), build_polar_grid(16, 12)):
+        for f in sources:
+            for n in range(4):
+                # a growing J rebuilds the cached basis, a shrinking one slices it
+                for J in (1, 5, 9, 3):
+                    got = project_numeric(f, n, J, grid=grid).coeffs
+                    assert got == _project_oracle(f, n, J, grid)
+
+
+def test_project_basis_cache_is_bounded_and_per_grid():
+    grid = build_polar_grid(12, 8)
+    # same shape, other nodes: must never see the first grid's basis
+    other = PolarGrid(
+        beta=1.0,
+        radial_t=np.array(grid.radial_t) * 0.75,
+        radial_w=np.array(grid.radial_w),
+        n_theta=8,
+    )
+    f = PsiFunction(HermiteIndex(1, 0))
+    for g in (grid, other, grid):
+        assert project_numeric(f, 0, 3, grid=g).coeffs == _project_oracle(f, 0, 3, g)
+    for n in range(3 * poly_bergman._BASIS_CACHE_SIZE):
+        project_numeric(f, n, 2, grid=grid)
+    assert len(poly_bergman._basis_cache) <= poly_bergman._BASIS_CACHE_SIZE
+    for g, stack in poly_bergman._basis_cache.values():
+        assert not stack.flags.writeable
+
+
+def test_project_rejects_other_beta():
+    with pytest.raises(ValueError, match="beta=1"):
+        project_numeric(lambda pts: pts, 0, 2, grid=build_polar_grid(8, 8, 3.0))
+
+
+def test_overflow_raises_before_allocation():
+    calls = []
+
+    def source(pts):
+        calls.append(pts.shape)
+        return pts
+
+    with pytest.raises(OverflowError, match="factorial"):
+        project_numeric(source, 0, 10**8)
+    assert calls == []
+    spec = KernelSpec(n=0, truncation=10**8)
+    with pytest.raises(OverflowError, match="factorial"):
+        kernel_series(spec, 0.5j, 0.2)
+    with pytest.raises(OverflowError, match="factorial"):
+        kernel_series_tail(spec, 0.5j, 0.2)
+
+
+def test_series_equal_per_index_terms():
+    # the per-index sums the row evaluator replaced, term for term
+    for n in range(4):
+        spec = KernelSpec(n=n, truncation=25)
+        for z in KERNEL_POINTS:
+            for w in KERNEL_POINTS:
+                want = complex(
+                    kahan_sum(
+                        hermite_eval(HermiteIndex(m, n), z)
+                        * hermite_eval(HermiteIndex(n, m), w)
+                        / (math.pi * factorial(m) * factorial(n))
+                        for m in range(26)
+                    )
+                )
+                assert kernel_series(spec, z, w) == want
+    seq = CoefficientSequence(n=2, coeffs=(0.5, -2.0j, 1.0 + 1.0j, 0.25))
+    for z in KERNEL_POINTS:
+        want = complex(
+            kahan_sum(
+                hermite_eval(HermiteIndex(j, 2), z) * a for j, a in enumerate(seq.coeffs)
+            )
+        )
+        assert synthesize(seq, z) == want
+    assert synthesize(CoefficientSequence(n=1, coeffs=()), 0.5) == 0j

@@ -128,6 +128,21 @@ def test_generalized_laguerre_scalar_type():
         generalized_laguerre(2, -1, 1.0)
 
 
+def test_generalized_laguerre_parameter_array_matches_scalar():
+    t = np.linspace(0.0, 40.0, 33).reshape(3, 11)
+    d = np.arange(9).reshape(-1, 1, 1)
+    for p in range(8):
+        stacked = generalized_laguerre(p, d, t)
+        assert stacked.shape == (9, 3, 11)
+        for k in range(9):
+            want = generalized_laguerre(p, k, t)
+            assert np.array_equal(stacked[k].view(np.uint64), want.view(np.uint64))
+        scalar_t = generalized_laguerre(p, np.arange(4.0), 2.5)
+        assert scalar_t.tolist() == [generalized_laguerre(p, k, 2.5) for k in range(4)]
+    with pytest.raises(ValueError):
+        generalized_laguerre(2, np.array([0, -1]), 1.0)
+
+
 def test_gauss2f1_unit_symmetry():
     for c in (1.0, 2.5, 6.0):
         for p in range(9):

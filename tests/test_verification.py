@@ -16,7 +16,7 @@ from polycauchy import (
     hermite_eval,
     write_report,
 )
-from polycauchy.verification import _hermite_integer_coefficients
+from polycauchy.verification import _exact_rank, _hermite_integer_coefficients
 
 
 def test_suite_names_are_stable():
@@ -146,3 +146,35 @@ def test_hermite_integer_coefficients_match_evaluation():
         want = hermite_eval(HermiteIndex(m, n), z)
         assert abs(value - want) <= 1e-12 * (1.0 + abs(want))
         assert max(b for _, b in poly) == n
+
+
+def test_exact_rank_sees_dependent_sets():
+    table = _hermite_integer_coefficients(5)
+    level = [table[k, 3] for k in range(5)]
+    assert _exact_rank(level) == 5
+    assert _exact_rank(level + [table[2, 3]]) == 5  # a duplicated index adds nothing
+    assert _exact_rank(level[:3] + [{(0, 0): 0}]) == 3  # nor does the zero polynomial
+    # nor does an integer combination of the others
+    combo = dict(table[1, 3])
+    for key, c in table[4, 3].items():
+        combo[key] = combo.get(key, 0) - 2 * c
+    assert _exact_rank(level + [combo]) == 5
+    assert _exact_rank([table[1, 3], table[4, 3], combo, table[0, 0]]) == 3
+    assert _exact_rank([]) == 0
+
+
+def test_rtilde_dimension_records_use_the_rank_oracle(monkeypatch):
+    records = {r.test_id: r for r in run_suite("ranges")}
+    assert records["rtilde-dimension-n3-l2"].lhs == 5
+    assert records["rtilde-dimension-n0-l0"].lhs == 0
+    # a basis list with a repeated index no longer passes on its length
+    real = verification.range_basis_indices
+
+    def repeated(spec, count=8):
+        out = real(spec, count)
+        return out[:1] * len(out)
+
+    monkeypatch.setattr(verification, "range_basis_indices", repeated)
+    records = {r.test_id: r for r in run_suite("ranges")}
+    assert not records["rtilde-dimension-n3-l2"].passed
+    assert records["rtilde-dimension-n1-l0"].passed
