@@ -289,11 +289,6 @@ def _cmd_verify(args: argparse.Namespace, cfg: VerifyConfig) -> int:
         csv_path = write_report(records, args.out)
         print(f"report: {args.out}")
         print(f"summary: {csv_path}")
-    counts: dict[str, list[int]] = {}
-    for record in records:
-        family = record.test_id.split("-", 1)[0]
-        counts.setdefault(family, [0, 0])
-        counts[family][record.passed] += 1
     failures = [r for r in records if not r.passed]
     passed = len(records) - len(failures)
     for record in failures:

@@ -74,7 +74,6 @@ __all__ = [
     "hermite_eval",
     "hermite_eval_extended",
     "hermite_gram_matrix",
-    "hermite_inner_product",
     "hermite_radial_profile",
     "hermite_recurrence_eval",
     "hermite_row",
@@ -344,38 +343,14 @@ def hermite_radial_profile(idx: HermiteIndex, t):
     return h, l, m - n
 
 
-def hermite_inner_product(
-    a: HermiteIndex, b: HermiteIndex, grid: PolarGrid | None = None
-) -> complex:
-    """<H_a, H_b> against e^{-|z|^2} dx dy by the separable grid rule.
-
-    Both radial profiles are real, so the integrand factors into one
-    real radial product times e^{i (f_a - f_b) theta}; the angular sum
-    vanishes exactly unless the frequencies match, and the radial
-    contraction runs in double-double.  This path works from the
-    grid's exact radial nodes instead of re-deriving |z|^2 from the
-    rounded points, which is what the absolute orthonormality checks
-    at scale m! n! need.
-    """
-    if grid is None:
-        grid = build_polar_grid()
-    if grid.beta != 1.0:
-        raise ValueError(
-            f"hermite_inner_product requires a grid with beta=1, got beta={grid.beta}"
-        )
-    ah, al, fa = hermite_radial_profile(a, grid.radial_t)
-    bh, bl, fb = hermite_radial_profile(b, grid.radial_t)
-    rh, rl = dd_mul(ah, al, bh, bl)
-    return polar_separable_quadrature(rh, rl, fa - fb, grid)
-
-
 def hermite_gram_matrix(indices, grid: PolarGrid | None = None) -> np.ndarray:
     """Gram matrix of basis polynomials on a beta = 1 grid.
 
     ``indices`` is a sequence of :class:`HermiteIndex`; entry (i, j)
-    is <H_{indices[i]}, H_{indices[j]}> by the same separable rule as
-    :func:`hermite_inner_product`, bit for bit, with radial profiles
-    computed once per index.
+    is <H_{indices[i]}, H_{indices[j]}> against e^{-|z|^2} dx dy by the
+    separable grid rule: the real radial profiles (computed once per
+    index) multiply in double-double on the grid's exact radial nodes,
+    and the angular sum vanishes exactly unless the frequencies match.
     """
     if grid is None:
         grid = build_polar_grid()

@@ -21,14 +21,12 @@ reasoning trivial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._ddouble import dd_add, dd_div_scalar, dd_mul, dd_mul_scalar
 
 __all__ = [
-    "TerminatingSeriesSpec",
     "factorial",
     "gamma_ratio",
     "gauss2f1_unit",
@@ -168,15 +166,6 @@ def _generalized_laguerre_dd(p: int, d: int, t):
     return ch, cl
 
 
-def _kummer_terms(p: int, b: int, t):
-    """Yield the p+1 terms of 1F1(-p; b; t) in ascending order."""
-    term = np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else 1.0
-    yield term
-    for k in range(p):
-        term = term * ((k - p) * t) / ((b + k) * (k + 1))
-        yield term
-
-
 def kummer_terminating(p: int, b: int, t):
     """Terminating confluent series 1F1(-p; b; t).
 
@@ -241,31 +230,3 @@ def hyp2f1_terminating_unit(p: int, b: float, c: float) -> float:
             yield term
 
     return float(kahan_sum(terms()))
-
-
-@dataclass(frozen=True)
-class TerminatingSeriesSpec:
-    """Parameters (p, b, t) of a terminating series 1F1(-p; b; t).
-
-    ``p >= 0`` and integer ``b >= 1`` guarantee the sum has exactly
-    ``p + 1`` terms and no vanishing denominator; ``t >= 0`` is the
-    radial variable |z|^2.
-    """
-
-    p: int
-    b: int
-    t: float
-
-    def __post_init__(self) -> None:
-        if self.p < 0:
-            raise ValueError(f"TerminatingSeriesSpec requires p >= 0, got {self.p}")
-        if self.b < 1:
-            raise ValueError(f"TerminatingSeriesSpec requires b >= 1, got {self.b}")
-        if self.t < 0:
-            raise ValueError(f"TerminatingSeriesSpec requires t >= 0, got {self.t}")
-
-    def value(self) -> float:
-        return kummer_terminating(self.p, self.b, self.t)
-
-    def term_count(self) -> int:
-        return sum(1 for _ in _kummer_terms(self.p, self.b, self.t))

@@ -5,6 +5,8 @@ route (rational arithmetic, closed forms, or quadrature) and emits one
 :class:`VerificationRecord` per check.  Suites are deterministic: all
 pseudo-random draws use fixed seeds and every record carries the value
 pair it compared, so repeated runs produce byte-identical reports.
+A record's tolerance, provenance and error model come from its family's
+row of :data:`CHECK_FAMILIES`.
 """
 
 from __future__ import annotations
@@ -141,35 +143,134 @@ class VerifyConfig:
         )
 
 
+ABSOLUTE = "absolute"
+RELATIVE = "relative"
+SCALED = "scaled"
+
+
+@dataclass(frozen=True)
+class CheckFamily:
+    """Tolerance, provenance and error model shared by a family of records.
+
+    A record's gap is |lhs - rhs|, judged by the family's model:
+
+    - ``absolute``: the gap against ``tolerance``;
+    - ``relative``: the gap against ``tolerance * (1 + |rhs|)``;
+    - ``scaled``: the gap divided by a scale against ``tolerance``; the
+      scale is 1 + |rhs|, or 1 + the sum of the term magnitudes when the
+      check passes the terms of its identity.
+    """
+
+    tolerance: float
+    provenance: str
+    model: str
+
+
+# One row per check family; a record's id is its family name, or the name,
+# a hyphen and a suffix.
+CHECK_FAMILIES = {
+    # hermite
+    "kummer-rational": CheckFamily(1e-12, PROVENANCE_CLOSED, SCALED),
+    "laguerre-kummer": CheckFamily(1e-12, PROVENANCE_CLOSED, SCALED),
+    "gauss2f1-symmetry": CheckFamily(1e-13, PROVENANCE_CLOSED, SCALED),
+    "hermite-conjugate": CheckFamily(1e-11, PROVENANCE_CLOSED, SCALED),
+    "hermite-index-shift": CheckFamily(1e-11, PROVENANCE_CLOSED, SCALED),
+    "polyanalytic-order": CheckFamily(0.0, PROVENANCE_CLOSED, ABSOLUTE),
+    "landau-eigenvalue": CheckFamily(1e-11, PROVENANCE_CLOSED, SCALED),
+    "extension-transform": CheckFamily(1e-6, PROVENANCE_QUADRATURE, RELATIVE),
+    # cauchy
+    "cauchy-closed-vs-numeric": CheckFamily(1e-6, PROVENANCE_QUADRATURE, RELATIVE),
+    "cauchy-linearity": CheckFamily(1e-10, PROVENANCE_QUADRATURE, RELATIVE),
+    "membership-radial": CheckFamily(1e-8, PROVENANCE_CLOSED, RELATIVE),
+    "membership-refined": CheckFamily(1e-8, PROVENANCE_QUADRATURE, RELATIVE),
+    # projection
+    "projection-reproducing": CheckFamily(1e-9, PROVENANCE_QUADRATURE, ABSOLUTE),
+    "projection-level-orthogonal": CheckFamily(1e-9, PROVENANCE_QUADRATURE, ABSOLUTE),
+    "kernel-series-vs-closed": CheckFamily(1e-8, PROVENANCE_CLOSED, ABSOLUTE),
+    "kernel-hermitian": CheckFamily(1e-13, PROVENANCE_CLOSED, ABSOLUTE),
+    "prop-coefficient": CheckFamily(1e-8, PROVENANCE_QUADRATURE, ABSOLUTE),
+    "prop-sign": CheckFamily(1e-8, PROVENANCE_QUADRATURE, ABSOLUTE),
+    "prop-sign-display-typo": CheckFamily(1e-6, PROVENANCE_QUADRATURE, ABSOLUTE),
+    # gram
+    "radial-moment": CheckFamily(1e-11, PROVENANCE_CLOSED, RELATIVE),
+    "angular-orthogonal": CheckFamily(1e-12, PROVENANCE_QUADRATURE, ABSOLUTE),
+    "singular-refinement": CheckFamily(1e-7, PROVENANCE_QUADRATURE, RELATIVE),
+    "gram-selection-rule-max": CheckFamily(1e-9, PROVENANCE_QUADRATURE, ABSOLUTE),
+    "gram-radial-crosscheck-max": CheckFamily(1e-8, PROVENANCE_CLOSED, ABSOLUTE),
+    "gram-diagonal": CheckFamily(1e-8, PROVENANCE_CLOSED, RELATIVE),
+    "gram-diagonal-pi": CheckFamily(1e-8, PROVENANCE_CONSTANT, RELATIVE),
+    "offset-block-orthogonal": CheckFamily(1e-9, PROVENANCE_QUADRATURE, ABSOLUTE),
+    # ranges
+    "rtilde-dimension": CheckFamily(0.0, PROVENANCE_CLOSED, ABSOLUTE),
+    "range-support": CheckFamily(0.0, PROVENANCE_CLOSED, ABSOLUTE),
+    "range-route-equality": CheckFamily(1e-8, PROVENANCE_QUADRATURE, ABSOLUTE),
+    "svd-d8-all-finite": CheckFamily(0.0, PROVENANCE_CLOSED, ABSOLUTE),
+    "svd-d8-sorted-descending": CheckFamily(0.0, PROVENANCE_CLOSED, ABSOLUTE),
+    "svd-d8-tail-decreases": CheckFamily(0.0, PROVENANCE_CLOSED, ABSOLUTE),
+    "svd-d1-contains-half": CheckFamily(1e-12, PROVENANCE_CLOSED, ABSOLUTE),
+}
+
+
+def _magnitude(values) -> np.ndarray:
+    """Elementwise |values| by libm hypot, as Python's abs(complex) rounds it.
+
+    numpy 2.4's np.abs on complex arrays differs from hypot in the last
+    place on about a third of random inputs, so every gap and scale goes
+    through this one function.
+    """
+    values = np.asarray(values, dtype=complex)
+    return np.hypot(values.real, values.imag)
+
+
+def _worst_entry(gaps: np.ndarray) -> int:
+    """Index of the worst gap: the first NaN if any, else the first largest.
+
+    This is np.argmax's rule, which ranks NaN above every number and
+    returns the first of equal maxima.
+    """
+    return int(gaps.argmax())
+
+
 class _Recorder:
-    """Accumulates records, applying any global tolerance override."""
+    """Accumulates records judged by their family's row of CHECK_FAMILIES.
+
+    lhs and rhs may be paired arrays (rhs may be a scalar); the record
+    keeps the worst entry, and a relative tolerance scales with that
+    entry's rhs.  A set ``cfg.tolerance`` replaces the tolerance of
+    every record.
+    """
 
     def __init__(self, cfg: VerifyConfig):
         self.cfg = cfg
         self.records: list[VerificationRecord] = []
 
-    def add(
-        self,
-        test_id: str,
-        lhs: complex,
-        rhs: complex,
-        tolerance: float,
-        provenance: str,
-        abs_err: float | None = None,
-    ) -> None:
-        if abs_err is None:
-            abs_err = abs(complex(lhs) - complex(rhs))
+    def add(self, family: str, suffix: str, lhs, rhs, terms: tuple = ()) -> None:
+        row = CHECK_FAMILIES[family]
+        lhs = np.array(lhs, dtype=complex, ndmin=1)
+        rhs = np.full(lhs.shape, rhs, dtype=complex)
+        gaps = _magnitude(lhs - rhs)
+        if row.model == SCALED:
+            scale = 1.0
+            for term in terms or (rhs,):
+                scale = scale + _magnitude(term)
+            gaps = gaps / scale
+        i = _worst_entry(gaps)
+        worst_lhs, worst_rhs, abs_err = complex(lhs[i]), complex(rhs[i]), float(gaps[i])
         if self.cfg.tolerance is not None:
             tolerance = self.cfg.tolerance
+        elif row.model == RELATIVE:
+            tolerance = row.tolerance * (1.0 + abs(worst_rhs))
+        else:
+            tolerance = row.tolerance
         self.records.append(
             VerificationRecord(
-                test_id=test_id,
-                lhs=complex(lhs),
-                rhs=complex(rhs),
-                abs_err=float(abs_err),
+                test_id=f"{family}-{suffix}" if suffix else family,
+                lhs=worst_lhs,
+                rhs=worst_rhs,
+                abs_err=abs_err,
                 tolerance=float(tolerance),
                 passed=bool(abs_err <= tolerance),
-                provenance=provenance,
+                provenance=row.provenance,
             )
         )
 
@@ -180,24 +281,6 @@ def _sample_points(count: int, radius: float, seed: int) -> np.ndarray:
     r = radius * np.sqrt(rng.uniform(0.05, 1.0, size=count))
     theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
     return r * np.exp(1j * theta)
-
-
-def _worst_pair(lhs: np.ndarray, rhs: np.ndarray) -> tuple[complex, complex, float]:
-    """Worst scaled gap across paired arrays, with the values at it."""
-    lhs = np.atleast_1d(np.asarray(lhs, dtype=complex))
-    rhs = np.atleast_1d(np.asarray(rhs, dtype=complex))
-    err = np.abs(lhs - rhs) / (1.0 + np.abs(rhs))
-    i = int(np.argmax(err))
-    return complex(lhs[i]), complex(rhs[i]), float(err[i])
-
-
-def _worst_gap(triples: list[tuple]) -> tuple:
-    """The (lhs, rhs, gap) triple with the largest gap, the last of equals.
-
-    A NaN gap wins outright, so its record fails instead of being skipped.
-    """
-    nan = [triple for triple in triples if math.isnan(triple[2])]
-    return nan[0] if nan else max(reversed(triples), key=lambda triple: triple[2])
 
 
 def _psi_diagonal_radial(indices: list[HermiteIndex], grid: PolarGrid) -> dict:
@@ -268,50 +351,29 @@ def _suite_hermite(cfg: VerifyConfig) -> list[VerificationRecord]:
     # confluent factor against exact rational sums
     for p in range(13):
         for b in range(1, 13):
-            triples = []
-            for t in t_values:
-                oracle = float(_kummer_fraction_oracle(p, b, t))
-                got = kummer_terminating(p, b, float(t))
-                triples.append((got, oracle, abs(got - oracle) / (1.0 + abs(oracle))))
-            worst = _worst_gap(triples)
             rec.add(
-                f"kummer-rational-p{p}-b{b}",
-                worst[0],
-                worst[1],
-                1e-12,
-                PROVENANCE_CLOSED,
-                abs_err=worst[2],
+                "kummer-rational",
+                f"p{p}-b{b}",
+                [kummer_terminating(p, b, float(t)) for t in t_values],
+                [float(_kummer_fraction_oracle(p, b, t)) for t in t_values],
             )
 
     for n in range(11):
-        triples = []
-        for t in t_values:
-            a = laguerre(n, float(t))
-            b = kummer_terminating(n, 1, float(t))
-            triples.append((a, b, abs(a - b) / (1.0 + abs(b))))
-        worst = _worst_gap(triples)
         rec.add(
-            f"laguerre-kummer-n{n}",
-            worst[0],
-            worst[1],
-            1e-12,
-            PROVENANCE_CLOSED,
-            abs_err=worst[2],
+            "laguerre-kummer",
+            f"n{n}",
+            [laguerre(n, float(t)) for t in t_values],
+            [kummer_terminating(n, 1, float(t)) for t in t_values],
         )
 
     for c in (1.0, 2.5, 6.0):
         for p in range(9):
             for q in range(p + 1, 9):
-                a = gauss2f1_unit(p, q, c)
-                b = gauss2f1_unit(q, p, c)
-                gap = abs(a - b) / (1.0 + abs(b))
                 rec.add(
-                    f"gauss2f1-symmetry-p{p}-q{q}-c{c:g}",
-                    a,
-                    b,
-                    1e-13,
-                    PROVENANCE_CLOSED,
-                    abs_err=gap,
+                    "gauss2f1-symmetry",
+                    f"p{p}-q{q}-c{c:g}",
+                    gauss2f1_unit(p, q, c),
+                    gauss2f1_unit(q, p, c),
                 )
 
     pts = _sample_points(20, 3.0, seed=20260815)
@@ -321,31 +383,15 @@ def _suite_hermite(cfg: VerifyConfig) -> list[VerificationRecord]:
     # conjugate symmetry
     for m in range(9):
         for n in range(9):
-            a = h[m, n]
-            b = np.conjugate(h[n, m])
-            lhs, rhs, err = _worst_pair(a, b)
-            rec.add(
-                f"hermite-conjugate-m{m}-n{n}", lhs, rhs, 1e-11,
-                PROVENANCE_CLOSED, abs_err=err,
-            )
+            rec.add("hermite-conjugate", f"m{m}-n{n}", h[m, n], np.conjugate(h[n, m]))
 
-    # raising identity residual
+    # raising identity H_{m+1,n} = z H_{m,n} - n H_{m,n-1}
     for m in range(9):
         for n in range(9):
             up = h[m + 1, n]
             mid = pts * h[m, n]
             low = 0.0 if n == 0 else n * h[m, n - 1]
-            scale = 1.0 + np.abs(up) + np.abs(mid) + np.abs(low)
-            err = np.abs(up - mid + low) / scale
-            i = int(np.argmax(err))
-            rec.add(
-                f"hermite-index-shift-m{m}-n{n}",
-                complex(up[i]),
-                complex((mid - low)[i]),
-                1e-11,
-                PROVENANCE_CLOSED,
-                abs_err=float(err[i]),
-            )
+            rec.add("hermite-index-shift", f"m{m}-n{n}", up, mid - low, terms=(up, mid, low))
 
     # polyanalytic of order n+1: d/dzbar applied n+1 times to the exact
     # integer coefficients of H_{m,n} leaves nothing
@@ -356,35 +402,25 @@ def _suite_hermite(cfg: VerifyConfig) -> list[VerificationRecord]:
             for _ in range(n + 1):
                 poly = {(a, b - 1): b * c for (a, b), c in poly.items() if b}
             rec.add(
-                f"polyanalytic-order-m{m}-n{n}",
+                "polyanalytic-order",
+                f"m{m}-n{n}",
                 float(max((abs(c) for c in poly.values()), default=0)),
                 0.0,
-                0.0,
-                PROVENANCE_CLOSED,
             )
 
     # Landau eigen-identity m*n*H_{m-1,n-1} - n*conj(z)*H_{m,n-1} = -n*H_{m,n}
+    zero = np.zeros_like(pts)
     for m in range(9):
         for n in range(9):
-            if m >= 1 and n >= 1:
-                first = m * n * h[m - 1, n - 1]
-            else:
-                first = np.zeros_like(pts)
-            if n >= 1:
-                second = n * np.conjugate(pts) * h[m, n - 1]
-            else:
-                second = np.zeros_like(pts)
+            first = m * n * h[m - 1, n - 1] if m >= 1 and n >= 1 else zero
+            second = n * np.conjugate(pts) * h[m, n - 1] if n >= 1 else zero
             target = -n * h[m, n]
-            scale = 1.0 + np.abs(first) + np.abs(second) + np.abs(target)
-            err = np.abs(first - second - target) / scale
-            i = int(np.argmax(err))
             rec.add(
-                f"landau-eigenvalue-m{m}-n{n}",
-                complex((first - second)[i]),
-                complex(target[i]),
-                1e-11,
-                PROVENANCE_CLOSED,
-                abs_err=float(err[i]),
+                "landau-eigenvalue",
+                f"m{m}-n{n}",
+                first - second,
+                target,
+                terms=(first, second, target),
             )
 
     # extended function matches the transform of the antiholomorphic basis
@@ -397,13 +433,7 @@ def _suite_hermite(cfg: VerifyConfig) -> list[VerificationRecord]:
             numeric = cauchy_singular_quadrature(
                 lambda pts, nn=n: hermite_eval(HermiteIndex(0, nn), pts), z, grid
             )
-            rec.add(
-                f"extension-transform-n{n}-r{r:g}",
-                numeric,
-                closed,
-                1e-6 * (1.0 + abs(closed)),
-                PROVENANCE_QUADRATURE,
-            )
+            rec.add("extension-transform", f"n{n}-r{r:g}", numeric, closed)
 
     return rec.records
 
@@ -412,6 +442,30 @@ def _suite_hermite(cfg: VerifyConfig) -> list[VerificationRecord]:
 
 
 _CAUCHY_POINTS = (0.5 + 0j, 1 + 1j, -2 + 0j, 0.3 - 1.7j, 3j)
+_LINEARITY_WEIGHTS = (0.8 - 0.3j, -1.1 + 0.7j)
+
+
+def _linearity_f(pts):
+    return hermite_eval(HermiteIndex(2, 1), pts) + 0.5j * hermite_eval(
+        HermiteIndex(0, 3), pts
+    )
+
+
+def _linearity_g(pts):
+    return hermite_eval(HermiteIndex(1, 1), pts) - 1.25 * hermite_eval(
+        HermiteIndex(3, 0), pts
+    )
+
+
+def _linearity_integrand(pts):
+    """a f + b g with the array as the left operand of each product.
+
+    numpy's complex multiply can round ``scalar * array`` and
+    ``array * scalar`` differently, so the operand order is fixed here
+    to keep the report bytes independent of how the terms are named.
+    """
+    a, b = _LINEARITY_WEIGHTS
+    return np.multiply(_linearity_f(pts), a) + np.multiply(_linearity_g(pts), b)
 
 
 def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
@@ -434,44 +488,22 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
         for n in range(6):
             idx = HermiteIndex(m, n)
             for z in _CAUCHY_POINTS:
-                closed = cauchy_hermite_closed(idx, z)
-                numeric = complex(numerics[z, n][m])
                 rec.add(
-                    f"cauchy-closed-vs-numeric-m{m}-n{n}-z{z}",
-                    numeric,
-                    closed,
-                    1e-6 * (1.0 + abs(closed)),
-                    PROVENANCE_QUADRATURE,
+                    "cauchy-closed-vs-numeric",
+                    f"m{m}-n{n}-z{z}",
+                    numerics[z, n][m],
+                    cauchy_hermite_closed(idx, z),
                 )
 
     # linearity of the numeric transform
-    a, b = 0.8 - 0.3j, -1.1 + 0.7j
-
-    def f(pts):
-        return hermite_eval(HermiteIndex(2, 1), pts) + 0.5j * hermite_eval(
-            HermiteIndex(0, 3), pts
-        )
-
-    def g(pts):
-        return hermite_eval(HermiteIndex(1, 1), pts) - 1.25 * hermite_eval(
-            HermiteIndex(3, 0), pts
-        )
-
+    a, b = _LINEARITY_WEIGHTS
     for z in _CAUCHY_POINTS:
         grid = grids[z]
-        combined = cauchy_singular_quadrature(
-            lambda pts: a * f(pts) + b * g(pts), complex(z), grid
+        combined = cauchy_singular_quadrature(_linearity_integrand, complex(z), grid)
+        split = a * cauchy_singular_quadrature(_linearity_f, complex(z), grid) + b * (
+            cauchy_singular_quadrature(_linearity_g, complex(z), grid)
         )
-        split = a * cauchy_singular_quadrature(f, complex(z), grid) + b * (
-            cauchy_singular_quadrature(g, complex(z), grid)
-        )
-        rec.add(
-            f"cauchy-linearity-z{z}",
-            combined,
-            split,
-            1e-10 * (1.0 + abs(split)),
-            PROVENANCE_QUADRATURE,
-        )
+        rec.add("cauchy-linearity", f"z{z}", combined, split)
 
     # transform images stay square-integrable: diagonal radial route.
     # Gram entries are computed pair by pair, so the diagonal of one
@@ -484,26 +516,11 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
     # block[:5] holds the m = 0 indices
     refined_diagonal = np.diagonal(psi_gram(block[:5], grid=fine).values).real
     for i, idx in enumerate(block):
-        m, n = idx.m, idx.n
-        value = diagonal[i]
-        if m >= 1:
-            expected = radial[idx]
-            rec.add(
-                f"membership-radial-m{m}-n{n}",
-                value,
-                expected,
-                1e-8 * (1.0 + abs(expected)),
-                PROVENANCE_CLOSED,
-            )
+        suffix = f"m{idx.m}-n{idx.n}"
+        if idx.m >= 1:
+            rec.add("membership-radial", suffix, diagonal[i], radial[idx])
         else:
-            refined = refined_diagonal[i]
-            rec.add(
-                f"membership-refined-m{m}-n{n}",
-                value,
-                refined,
-                1e-8 * (1.0 + abs(refined)),
-                PROVENANCE_QUADRATURE,
-            )
+            rec.add("membership-refined", suffix, diagonal[i], refined_diagonal[i])
 
     return rec.records
 
@@ -522,18 +539,9 @@ def _suite_projection(cfg: VerifyConfig) -> list[VerificationRecord]:
             seq = project_numeric(
                 lambda pts, i=idx: hermite_eval(i, pts), n, J=m + 2, grid=grid
             )
-            coeffs = np.asarray(seq.coeffs)
             expected = np.zeros(m + 3, dtype=complex)
             expected[m] = 1.0
-            err = float(np.max(np.abs(coeffs - expected)))
-            rec.add(
-                f"projection-reproducing-m{m}-n{n}",
-                complex(coeffs[m]),
-                1.0,
-                1e-9,
-                PROVENANCE_QUADRATURE,
-                abs_err=err,
-            )
+            rec.add("projection-reproducing", f"m{m}-n{n}", seq.coeffs, expected)
 
     # cross-level projections vanish
     for m in range(6):
@@ -547,85 +555,48 @@ def _suite_projection(cfg: VerifyConfig) -> list[VerificationRecord]:
                     J=m + 2,
                     grid=grid,
                 )
-                coeffs = np.asarray(seq.coeffs)
-                i = int(np.argmax(np.abs(coeffs)))
-                rec.add(
-                    f"projection-level-orthogonal-m{m}-n{n}-k{k}",
-                    complex(coeffs[i]),
-                    0.0,
-                    1e-9,
-                    PROVENANCE_QUADRATURE,
-                )
+                rec.add("projection-level-orthogonal", f"m{m}-n{n}-k{k}", seq.coeffs, 0.0)
 
-    # kernel series versus closed evaluation
+    # kernel series versus closed evaluation, and kernel hermiticity
     kernel_pts = (0j, 0.7 + 0j, -1.2 + 0.5j, 1.9j, -0.3 - 1.1j)
+    pairs = [(z, w) for z in kernel_pts for w in kernel_pts]
     for n in range(5):
         spec = KernelSpec(n=n, truncation=cfg.kernel_truncation)
-        triples = []
-        for z in kernel_pts:
-            for w in kernel_pts:
-                series = kernel_series(spec, z, w)
-                closed = kernel_closed(n, z, w)
-                triples.append((series, closed, abs(series - closed)))
-        worst = _worst_gap(triples)
         rec.add(
-            f"kernel-series-vs-closed-n{n}",
-            worst[0],
-            worst[1],
-            1e-8,
-            PROVENANCE_CLOSED,
-            abs_err=worst[2],
+            "kernel-series-vs-closed",
+            f"n{n}",
+            [kernel_series(spec, z, w) for z, w in pairs],
+            [kernel_closed(n, z, w) for z, w in pairs],
         )
-
-    # kernel hermiticity
     for n in range(5):
-        triples = []
-        for z in kernel_pts:
-            for w in kernel_pts:
-                a = kernel_closed(n, z, w)
-                b = kernel_closed(n, w, z).conjugate()
-                triples.append((a, b, abs(a - b)))
-        worst = _worst_gap(triples)
         rec.add(
-            f"kernel-hermitian-n{n}",
-            worst[0],
-            worst[1],
-            1e-13,
-            PROVENANCE_CLOSED,
-            abs_err=worst[2],
+            "kernel-hermitian",
+            f"n{n}",
+            [kernel_closed(n, z, w) for z, w in pairs],
+            [kernel_closed(n, w, z).conjugate() for z, w in pairs],
         )
 
-    # closed projection coefficient against quadrature extraction
+    # closed projection coefficient against quadrature extraction; a
+    # vanishing projection is judged by its largest coefficient
     for n in range(5):
         for j in range(5):
             for k in range(5):
                 coefficient, target = projection_coefficient_closed(n, j, k)
                 psi = PsiFunction(HermiteIndex(j, k))
                 upto = 1 if target is None else max(1, target.m + 1)
-                seq = project_numeric(psi, n, J=upto, grid=grid)
-                coeffs = np.asarray(seq.coeffs)
-                if target is None:
-                    i = int(np.argmax(np.abs(coeffs)))
-                    oracle = complex(coeffs[i])
-                else:
-                    oracle = complex(coeffs[target.m])
-                test_id = f"prop-coefficient-n{n}-j{j}-k{k}"
+                coeffs = project_numeric(psi, n, J=upto, grid=grid).coeffs
+                oracle = coeffs if target is None else coeffs[target.m]
                 if (n, j, k) == (0, 1, 0):
-                    test_id = "prop-sign-n0j1k0"
-                rec.add(test_id, oracle, coefficient, 1e-8, PROVENANCE_QUADRATURE)
+                    rec.add("prop-sign", "n0j1k0", oracle, coefficient)
+                else:
+                    rec.add("prop-coefficient", f"n{n}-j{j}-k{k}", oracle, coefficient)
 
     # the flipped-sign variant must disagree with the oracle at (0, 1, 0)
     coefficient, _ = projection_coefficient_closed(0, 1, 0)
     display = -coefficient
     psi = PsiFunction(HermiteIndex(1, 0))
     oracle = complex(project_numeric(psi, 0, J=1, grid=grid).coeffs[0])
-    rec.add(
-        "prop-sign-display-typo-n0j1k0",
-        abs(display - oracle),
-        1.0,
-        1e-6,
-        PROVENANCE_QUADRATURE,
-    )
+    rec.add("prop-sign-display-typo", "n0j1k0", abs(display - oracle), 1.0)
 
     return rec.records
 
@@ -641,14 +612,11 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
     for n_radial, beta in ((base.n_radial, 1.0), (24, 3.0)):
         grid = build_polar_grid(n_radial, 8, beta)
         for k in range(2 * n_radial):
-            got = integrate_radial_weighted(lambda t, kk=k: t**kk, beta, grid)
-            want = factorial(k) / beta ** (k + 1)
             rec.add(
-                f"radial-moment-beta{beta:g}-k{k}",
-                got,
-                want,
-                1e-11 * (1.0 + abs(want)),
-                PROVENANCE_CLOSED,
+                "radial-moment",
+                f"beta{beta:g}-k{k}",
+                integrate_radial_weighted(lambda t, kk=k: t**kk, beta, grid),
+                factorial(k) / beta ** (k + 1),
             )
 
     # angular exactness of monomial inner products
@@ -660,13 +628,7 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
             normalized = value / (
                 math.pi * math.sqrt(factorial(a) * factorial(b))
             )
-            rec.add(
-                f"angular-orthogonal-a{a}-b{b}",
-                normalized,
-                0.0,
-                1e-12,
-                PROVENANCE_QUADRATURE,
-            )
+            rec.add("angular-orthogonal", f"a{a}-b{b}", normalized, 0.0)
 
     # refinement stability of the singular rule
     refinement_cases = (
@@ -686,31 +648,13 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
         coarse = cauchy_singular_quadrature(f, z, coarse_grid)
         fine = cauchy_singular_quadrature(f, z, fine_grid)
         name = "const" if idx is None else f"m{idx.m}-n{idx.n}"
-        rec.add(
-            f"singular-refinement-{name}-z{z}",
-            coarse,
-            fine,
-            1e-7 * (1.0 + abs(fine)),
-            PROVENANCE_QUADRATURE,
-        )
+        rec.add("singular-refinement", f"{name}-z{z}", coarse, fine)
 
     # selection rule over the full index block
     indices = [HermiteIndex(m, n) for m in range(6) for n in range(6)]
     report = psi_gram(indices, grid=base)
-    rec.add(
-        "gram-selection-rule-max",
-        report.max_violation,
-        0.0,
-        1e-9,
-        PROVENANCE_QUADRATURE,
-    )
-    rec.add(
-        "gram-radial-crosscheck-max",
-        report.radial_check_max_rel,
-        0.0,
-        1e-8,
-        PROVENANCE_CLOSED,
-    )
+    rec.add("gram-selection-rule-max", "", report.max_violation, 0.0)
+    rec.add("gram-radial-crosscheck-max", "", report.radial_check_max_rel, 0.0)
 
     diag = {
         idx: report.values[i, i].real for i, idx in enumerate(indices)
@@ -719,32 +663,18 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
     for m in range(1, 6):
         for n in range(6):
             idx = HermiteIndex(m, n)
-            expected = radial[idx]
-            rec.add(
-                f"gram-diagonal-m{m}-n{n}",
-                diag[idx],
-                expected,
-                1e-8 * (1.0 + abs(expected)),
-                PROVENANCE_CLOSED,
-            )
+            rec.add("gram-diagonal", f"m{m}-n{n}", diag[idx], radial[idx])
 
     for idx, constant, label in (
         (HermiteIndex(1, 0), math.pi / 3.0, "third"),
         (HermiteIndex(2, 0), math.pi / 9.0, "ninth"),
     ):
-        rec.add(
-            f"gram-diagonal-pi-{label}-m{idx.m}-n{idx.n}",
-            diag[idx],
-            constant,
-            1e-8 * (1.0 + constant),
-            PROVENANCE_CONSTANT,
-        )
+        rec.add("gram-diagonal-pi", f"{label}-m{idx.m}-n{idx.n}", diag[idx], constant)
     rec.add(
-        "gram-diagonal-log-m0-n0",
+        "gram-diagonal",
+        "log-m0-n0",
         diag[HermiteIndex(0, 0)],
         math.pi * math.log(4.0 / 3.0),
-        1e-8 * (1.0 + math.pi * math.log(4.0 / 3.0)),
-        PROVENANCE_CLOSED,
     )
 
     # diagonal-offset families are mutually orthogonal
@@ -753,13 +683,7 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
         for ell2 in offsets[i + 1 :]:
             union = e_ell_indices(ell, 4) + e_ell_indices(ell2, 4)
             cross = psi_gram(union, grid=base)
-            rec.add(
-                f"offset-block-orthogonal-l{ell}-l{ell2}",
-                cross.max_violation,
-                0.0,
-                1e-9,
-                PROVENANCE_QUADRATURE,
-            )
+            rec.add("offset-block-orthogonal", f"l{ell}-l{ell2}", cross.max_violation, 0.0)
 
     return rec.records
 
@@ -777,19 +701,12 @@ def _suite_ranges(cfg: VerifyConfig) -> list[VerificationRecord]:
             if not 0 < n + ell <= 10:
                 continue
             rec.add(
-                f"rtilde-dimension-n{n}-l{ell}",
+                "rtilde-dimension",
+                f"n{n}-l{ell}",
                 _span_rank(RangeBasisSpec(VARIANT_R_TILDE, ell, n)),
                 n + ell,
-                0.0,
-                PROVENANCE_CLOSED,
             )
-    rec.add(
-        "rtilde-dimension-n0-l0",
-        _span_rank(RangeBasisSpec(VARIANT_R_TILDE, 0, 0)),
-        0,
-        0.0,
-        PROVENANCE_CLOSED,
-    )
+    rec.add("rtilde-dimension", "n0-l0", _span_rank(RangeBasisSpec(VARIANT_R_TILDE, 0, 0)), 0)
 
     # projected-transform support stays inside the range index set
     rng = np.random.default_rng(20260816)
@@ -814,13 +731,7 @@ def _suite_ranges(cfg: VerifyConfig) -> list[VerificationRecord]:
                 )
             }
             violations += len(support - allowed)
-        rec.add(
-            f"range-support-case{case:02d}",
-            violations,
-            0,
-            0.0,
-            PROVENANCE_CLOSED,
-        )
+        rec.add("range-support", f"case{case:02d}", violations, 0)
 
     # coefficient route equals the quadrature route
     grid = cfg.polar_grid(1.0)
@@ -845,48 +756,20 @@ def _suite_ranges(cfg: VerifyConfig) -> list[VerificationRecord]:
             numeric = project_numeric(image, n, J=upto, grid=grid)
             closed_arr = np.zeros(upto + 1, dtype=complex)
             closed_arr[: len(closed.coeffs)] = closed.coeffs
-            numeric_arr = np.asarray(numeric.coeffs)
-            gap = float(np.max(np.abs(closed_arr - numeric_arr)))
-            i = int(np.argmax(np.abs(closed_arr - numeric_arr)))
-            rec.add(
-                f"range-route-equality-l{ell}-n{n}",
-                complex(numeric_arr[i]),
-                complex(closed_arr[i]),
-                1e-8,
-                PROVENANCE_QUADRATURE,
-                abs_err=gap,
-            )
+            rec.add("range-route-equality", f"l{ell}-n{n}", numeric.coeffs, closed_arr)
 
     # truncated-operator spectrum structure
     values = truncated_operator_svd(8)
     finite = sum(0 if math.isfinite(s) else 1 for s in values)
-    rec.add("svd-d8-all-finite", finite, 0, 0.0, PROVENANCE_CLOSED)
+    rec.add("svd-d8-all-finite", "", finite, 0)
     disorder = max(
         (values[i + 1] - values[i] for i in range(len(values) - 1)), default=0.0
     )
-    rec.add(
-        "svd-d8-sorted-descending",
-        max(0.0, disorder),
-        0.0,
-        0.0,
-        PROVENANCE_CLOSED,
-    )
+    rec.add("svd-d8-sorted-descending", "", max(0.0, disorder), 0.0)
     mid = values[len(values) // 2]
-    rec.add(
-        "svd-d8-tail-decreases",
-        0.0 if values[-1] < mid else 1.0,
-        0.0,
-        0.0,
-        PROVENANCE_CLOSED,
-    )
+    rec.add("svd-d8-tail-decreases", "", 0.0 if values[-1] < mid else 1.0, 0.0)
     head = truncated_operator_svd(1)
-    rec.add(
-        "svd-d1-contains-half",
-        min(head, key=lambda s: abs(s - 0.5)),
-        0.5,
-        1e-12,
-        PROVENANCE_CLOSED,
-    )
+    rec.add("svd-d1-contains-half", "", min(head, key=lambda s: abs(s - 0.5)), 0.5)
 
     return rec.records
 

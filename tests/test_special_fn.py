@@ -13,7 +13,6 @@ import pytest
 import scipy.special
 
 from polycauchy import (
-    TerminatingSeriesSpec,
     factorial,
     gamma_ratio,
     gauss2f1_unit,
@@ -179,15 +178,3 @@ def test_hyp2f1_terminating_generalizes_chu_vandermonde():
                 a = hyp2f1_terminating_unit(p, -float(q), c)
                 b = gauss2f1_unit(p, q, c)
                 assert abs(a - b) <= 1e-12 * (1.0 + abs(b))
-
-
-def test_terminating_series_spec():
-    spec = TerminatingSeriesSpec(p=4, b=2, t=1.5)
-    assert spec.value() == kummer_terminating(4, 2, 1.5)
-    assert spec.term_count() == 5
-    with pytest.raises(ValueError):
-        TerminatingSeriesSpec(p=-1, b=1, t=0.0)
-    with pytest.raises(ValueError):
-        TerminatingSeriesSpec(p=1, b=0, t=0.0)
-    with pytest.raises(ValueError):
-        TerminatingSeriesSpec(p=1, b=1, t=-0.5)

@@ -1,8 +1,10 @@
 """Verification suites: record integrity, coverage, and report determinism."""
 
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 import polycauchy.verification as verification
@@ -16,7 +18,27 @@ from polycauchy import (
     hermite_eval,
     write_report,
 )
-from polycauchy.verification import _exact_rank, _hermite_integer_coefficients
+from polycauchy.gaussian_quadrature import (
+    DEFAULT_SINGULAR_ANGULAR,
+    DEFAULT_SINGULAR_RADIAL,
+    build_singular_grid,
+)
+from polycauchy.verification import (
+    CHECK_FAMILIES,
+    RELATIVE,
+    _exact_rank,
+    _hermite_integer_coefficients,
+    _Recorder,
+    _worst_entry,
+)
+
+# sha256 of the "test_id,provenance,tolerance (.6g)" lines of run_suite("all")
+PINNED_ID_TABLE = "c6f07db753c9a4bba3b43567a2f478a76f8bdac00b9bf150bd36f845b8d62cc9"
+
+
+@pytest.fixture(scope="module")
+def all_records():
+    return run_suite("all")
 
 
 def test_suite_names_are_stable():
@@ -178,3 +200,58 @@ def test_rtilde_dimension_records_use_the_rank_oracle(monkeypatch):
     records = {r.test_id: r for r in run_suite("ranges")}
     assert not records["rtilde-dimension-n3-l2"].passed
     assert records["rtilde-dimension-n1-l0"].passed
+
+
+def test_every_record_resolves_to_one_family_row(all_records):
+    used = set()
+    for record in all_records:
+        # ids are the family name or the name plus "-suffix"; where one
+        # family name extends another (prop-sign-display-typo, gram-diagonal-pi)
+        # the longer name is the record's family
+        names = [
+            name
+            for name in CHECK_FAMILIES
+            if record.test_id == name or record.test_id.startswith(name + "-")
+        ]
+        assert names, record.test_id
+        name = max(names, key=len)
+        row = CHECK_FAMILIES[name]
+        tolerance = row.tolerance
+        if row.model == RELATIVE:
+            tolerance = row.tolerance * (1.0 + abs(record.rhs))
+        assert record.tolerance == tolerance, record.test_id
+        assert record.provenance == row.provenance, record.test_id
+        used.add(name)
+    assert used == set(CHECK_FAMILIES)
+
+
+def test_ids_provenance_and_tolerances_are_pinned(all_records):
+    text = "".join(
+        f"{r.test_id},{r.provenance},{format(r.tolerance, '.6g')}\n" for r in all_records
+    )
+    assert len(all_records) == 1540
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ID_TABLE
+
+
+def test_worst_entry_rule():
+    nan = math.nan
+    assert _worst_entry(np.array([1.0, 3.0, nan, 3.0, nan])) == 2
+    assert _worst_entry(np.array([1.0, 3.0, 2.0, 3.0])) == 1
+    assert _worst_entry(np.array([0.0, 0.0, 0.0])) == 0
+    # a record keeps the first of tied entries
+    rec = _Recorder(VerifyConfig())
+    rec.add("kernel-hermitian", "tie", [1.0, 2.0, 3.0], [0.5, 1.5, 2.5])
+    assert (rec.records[0].lhs, rec.records[0].rhs) == (1.0, 0.5)
+
+
+def test_linearity_integrand_has_fixed_operand_order():
+    # numpy may round scalar * array and array * scalar differently, so
+    # the integrand multiplies with the array on the left, bit for bit
+    a, b = verification._LINEARITY_WEIGHTS
+    for z in verification._CAUCHY_POINTS:
+        grid = build_singular_grid(z, DEFAULT_SINGULAR_RADIAL, DEFAULT_SINGULAR_ANGULAR)
+        pts = grid.points
+        want = np.multiply(verification._linearity_f(pts), a) + np.multiply(
+            verification._linearity_g(pts), b
+        )
+        assert verification._linearity_integrand(pts).tobytes() == want.tobytes()
