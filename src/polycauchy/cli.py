@@ -267,13 +267,14 @@ def _cmd_ranges(args: argparse.Namespace, cfg: VerifyConfig) -> int:
     variant = VARIANT_R if args.variant == "r" else VARIANT_R_TILDE
     spec = RangeBasisSpec(variant, args.ell, args.level)
     indices = range_basis_indices(spec, count=args.count)
-    _emit(" ".join(f"({i.m},{i.n})" for i in indices), args)
+    lines = [" ".join(f"({i.m},{i.n})" for i in indices)]
     if args.inclusions:
-        for ell, forward, backward in r_range_inclusions(args.level, args.ell + 1):
-            print(
-                f"ell={ell}: subset_of_next={'true' if forward else 'false'} "
-                f"contains_next={'true' if backward else 'false'}"
-            )
+        lines += [
+            f"ell={ell}: subset_of_next={'true' if forward else 'false'} "
+            f"contains_next={'true' if backward else 'false'}"
+            for ell, forward, backward in r_range_inclusions(args.level, args.ell + 1)
+        ]
+    _emit("\n".join(lines), args)
     return 0
 
 

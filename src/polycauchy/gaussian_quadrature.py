@@ -30,11 +30,12 @@ log space.  Beyond roughly N_r = 186 the smallest true weights drop
 below the double precision range and underflow to zero; nodes stay
 accurate.
 
-Angular phase tables are built with exact reflection symmetry:
-table[j + N/2] = -table[j] holds bit-for-bit (quadrant symmetry too
-when 4 | N).  Summing e^{i p theta_j} over such a table cancels in
-pairs, so the trapezoid rule annihilates off-pattern frequencies to
-an exact floating-point zero, not merely to rounding level.
+Angular phase tables are built once per size, read-only, with exact
+reflection symmetry: table[j + N/2] = -table[j] holds bit-for-bit
+(quadrant symmetry too when 4 | N).  Summing e^{i p theta_j} over such
+a table cancels in pairs, so the trapezoid rule annihilates off-pattern
+frequencies to an exact floating-point zero, not merely to rounding
+level.
 
 A second grid family handles the Cauchy kernel: recentred polar
 coordinates xi = z + rho e^{i theta} absorb the 1/(z - xi) singularity
@@ -167,8 +168,9 @@ def gauss_laguerre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return zh, w
 
 
+@lru_cache(maxsize=32)
 def _phase_table(n: int) -> np.ndarray:
-    """Unit phases e^{2 pi i j / n}, j = 0..n-1, with exact symmetry.
+    """Unit phases e^{2 pi i j / n}, j = 0..n-1, with exact symmetry; read-only.
 
     For even n the table satisfies table[j + n/2] == -table[j]
     bit-for-bit, and for 4 | n additionally table[j + n/4] == i*table[j]
@@ -203,6 +205,7 @@ def _phase_table(n: int) -> np.ndarray:
         for j in range(1, n):
             theta = 2.0 * math.pi * j / n
             table[j] = complex(math.cos(theta), math.sin(theta))
+    table.flags.writeable = False
     return table
 
 
@@ -232,7 +235,7 @@ class PolarGrid:
             raise ValueError("PolarGrid nodes and weights must be nonnegative")
         phase = _phase_table(self.n_theta)
         pts = np.sqrt(self.radial_t)[:, None] * phase[None, :]
-        for arr in (self.radial_t, self.radial_w, pts, phase):
+        for arr in (self.radial_t, self.radial_w, pts):
             arr.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "phase", phase)
@@ -287,7 +290,12 @@ def _standard_legendre_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SingularGrid:
-    """Recentred polar grid absorbing the Cauchy singularity at ``center``."""
+    """Recentred polar grid absorbing the Cauchy singularity at ``center``.
+
+    Besides the points it holds the Gaussian factor e^{-|xi|^2} at each
+    point and the conjugate phases, the two fixed factors of every
+    integrand :func:`cauchy_singular_quadrature` reduces on it.
+    """
 
     center: complex
     radius: float
@@ -296,6 +304,8 @@ class SingularGrid:
     n_theta: int
     points: np.ndarray = field(init=False, repr=False, compare=False)
     phase: np.ndarray = field(init=False, repr=False, compare=False)
+    gauss: np.ndarray = field(init=False, repr=False, compare=False)
+    phase_conj: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.radius <= 0:
@@ -304,10 +314,14 @@ class SingularGrid:
             raise ValueError(f"SingularGrid requires n_theta >= 4, got {self.n_theta}")
         phase = _phase_table(self.n_theta)
         pts = self.center + self.radial_rho[:, None] * phase[None, :]
-        for arr in (self.radial_rho, self.radial_w, pts, phase):
+        gauss = np.exp(-(pts * pts.conjugate()).real)
+        phase_conj = phase.conjugate()
+        for arr in (self.radial_rho, self.radial_w, pts, gauss, phase_conj):
             arr.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "gauss", gauss)
+        object.__setattr__(self, "phase_conj", phase_conj)
 
 
 def build_singular_grid(
@@ -476,11 +490,10 @@ def cauchy_singular_quadrature(f, z: complex, grid: SingularGrid | None = None) 
     pts = grid.points
     fv = np.asarray(f(pts), dtype=complex)
     fv = np.broadcast_to(fv, np.broadcast_shapes(fv.shape, pts.shape))
-    gauss = np.exp(-(pts * pts.conjugate()).real)
-    values = fv * gauss
+    values = fv * grid.gauss
     # in place: a second stack-sized temporary made this step ~5x slower
     # on a (6, 96, 256) stack
-    values *= grid.phase.conjugate()
+    values *= grid.phase_conj
     sums = _reduce_polar(values, grid.radial_w)
     if np.ndim(sums):
         return sums * (-2.0 / grid.n_theta)

@@ -22,15 +22,19 @@ generalized-Laguerre form
 whose three-term recurrence is forward stable where the ascending
 series cancels digits.
 
-The row evaluator :func:`hermite_row` returns H_{m,n} for m = 0..M at
-one level n, stacked on a leading axis, with every entry equal to
-:func:`hermite_eval` bit for bit (the two share the code).  The
-entries m >= n all have p = n, so one Laguerre climb over the
-parameter array d = m - n serves them; each m < n takes its own climb.
-Monomials are raised per exponent, since a stacked power is not
-bit-identical.  Since H_{n,m}(w) = H_{m,n}(conj w) bit for bit, the
-same row also gives the mirrored indices.  The recurrence route seeds
-H_{0,0} = 1 and climbs
+The table evaluator :func:`hermite_table` returns H_{m,n} for
+m = 0..M over a block of levels n, with every entry equal to
+:func:`hermite_eval` bit for bit (the two share the code).  One
+Laguerre climb over the array of needed parameters d passes through
+every L_p^{(d)} the block needs, since the climb's iterates are the
+lower degrees; each power z^d and zbar^d is raised once.  Monomials are
+raised per exponent, since a stacked power is not bit-identical.
+:func:`hermite_row` is the one-level case.  Since H_{n,m}(w) =
+H_{m,n}(conj w), a row at conj w also gives the mirrored indices (for a
+scalar w not always to the last bit of ``hermite_eval``, whose
+conjugated scalar takes numpy's scalar power).
+
+The recurrence route seeds H_{0,0} = 1 and climbs
 
 .. math::
 
@@ -55,6 +59,7 @@ the weighted Cauchy transform uniform in m.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +68,7 @@ from ._ddouble import dd_mul, dd_mul_scalar, dd_sqrt
 from .gaussian_quadrature import PolarGrid, build_polar_grid, polar_separable_quadrature
 from .special_fn import (
     _generalized_laguerre_dd,
+    _laguerre_climb,
     factorial,
     generalized_laguerre,
 )
@@ -77,6 +83,7 @@ __all__ = [
     "hermite_radial_profile",
     "hermite_recurrence_eval",
     "hermite_row",
+    "hermite_table",
 ]
 
 # Base crossover |z|^2 between the ascending series and the closed
@@ -150,16 +157,85 @@ def hermite_eval(idx: HermiteIndex, z):
         )
     z_arr = np.asarray(z, dtype=complex)
     t = (z_arr * z_arr.conjugate()).real
-    out = _monomial(z_arr, m, n) * _confluent(min(m, n), abs(m - n), t)
+    p = min(m, n)
+    # p! first: past its overflow it raises before a p-step climb
+    confluent = _signed_factorial(p) * generalized_laguerre(p, abs(m - n), t)
+    out = _monomial(z_arr, m, n) * confluent
     return out if z_arr.ndim else complex(out)
+
+
+def hermite_table(m_max: int, levels, z) -> np.ndarray:
+    """H_{m,n}(z, zbar) for m = 0..m_max and n in ``levels``, on new leading axes.
+
+    Entry [m, j] equals ``hermite_eval(HermiteIndex(m, levels[j]), z)``
+    bit for bit.  Every entry needs L_p^(d)(t) with p = min(m, n) and
+    d = |m - n|.  One Laguerre climb over the array of needed
+    parameters d passes through all of them, since its iterates are the
+    lower degrees, and each d leaves the climb once its highest needed
+    p is reached.  Each power z^d (entries m >= n) and zbar^d (entries
+    m < n) is then raised once, per scalar exponent, and multiplies
+    every entry that shares it.  The conjugate of z^d would not do for
+    zbar^d: numpy's power rounds signed zeros its own way.
+
+    Parameters
+    ----------
+    m_max : int
+        Highest first index, m_max >= 0.
+    levels : sequence of int
+        Second indices, each >= 0.
+    z : complex or ndarray
+        Evaluation point(s).
+
+    Returns
+    -------
+    ndarray
+        Shape ``(m_max + 1, len(levels)) + np.shape(z)``.
+    """
+    levels = [operator.index(n) for n in levels]
+    if m_max < 0 or any(n < 0 for n in levels):
+        raise ValueError(
+            f"hermite_table requires m_max, n >= 0, got m_max={m_max}, levels={levels}"
+        )
+    z_arr = np.asarray(z, dtype=complex)
+    t = (z_arr * z_arr.conjugate()).real
+    out = np.empty((m_max + 1, len(levels)) + z_arr.shape, dtype=complex)
+    if not levels:
+        return out
+    # the (p, d) pairs each entry needs, the degree each parameter d
+    # must climb to, and the entries sharing each monomial
+    needs = [set() for _ in range(min(m_max, max(levels)) + 1)]
+    depth: dict = {}
+    by_monomial: dict = {}
+    for j, n in enumerate(levels):
+        for m in range(m_max + 1):
+            p, d = min(m, n), abs(m - n)
+            needs[p].add(d)
+            depth[d] = max(depth.get(d, 0), p)
+            by_monomial.setdefault((m < n, d), []).append((m, j, p))
+    # deepest parameters first, so each step of the climb drops the rows
+    # that no later iterate needs from the end of the array
+    order = sorted(depth, key=lambda d: -depth[d])
+    row = {d: i for i, d in enumerate(order)}
+    active = [sum(depth[d] >= k for d in order) for k in range(len(needs))]
+    d_arr = np.array(order).reshape((-1,) + (1,) * t.ndim)
+    confluent = {}
+    for p, laguerre_p in enumerate(_laguerre_climb(len(needs) - 1, d_arr, t, active)):
+        scale = _signed_factorial(p)
+        for d in needs[p]:
+            confluent[p, d] = scale * laguerre_p[row[d]]
+    zbar = z_arr.conjugate()
+    for (mirrored, d), entries in by_monomial.items():
+        monomial = zbar**d if mirrored else z_arr**d
+        for m, j, p in entries:
+            np.multiply(monomial, confluent[p, d], out=out[m, j, ...])
+    return out
 
 
 def hermite_row(m_max: int, n: int, z) -> np.ndarray:
     """H_{m,n}(z, zbar) for m = 0..m_max, stacked on a new leading axis.
 
-    Entry m equals ``hermite_eval(HermiteIndex(m, n), z)`` bit for bit.
-    The entries m >= n share p = n and run one Laguerre climb over the
-    parameter array d = m - n; each m < n takes its own climb.
+    The one-level case of :func:`hermite_table`: entry m equals
+    ``hermite_eval(HermiteIndex(m, n), z)`` bit for bit.
 
     Parameters
     ----------
@@ -177,23 +253,15 @@ def hermite_row(m_max: int, n: int, z) -> np.ndarray:
     """
     if m_max < 0 or n < 0:
         raise ValueError(f"hermite_row requires m_max, n >= 0, got m_max={m_max}, n={n}")
-    z_arr = np.asarray(z, dtype=complex)
-    t = (z_arr * z_arr.conjugate()).real
-    out = np.empty((m_max + 1,) + z_arr.shape, dtype=complex)
-    for m in range(min(m_max + 1, n)):
-        np.multiply(_monomial(z_arr, m, n), _confluent(m, n - m, t), out=out[m, ...])
-    if m_max >= n:
-        d = np.arange(m_max - n + 1).reshape((-1,) + (1,) * t.ndim)
-        shared = _confluent(n, d, t)
-        for k in range(m_max - n + 1):
-            np.multiply(_monomial(z_arr, n + k, n), shared[k], out=out[n + k, ...])
-    return out
+    return hermite_table(m_max, (n,), z)[:, 0]
 
 
-def _confluent(p: int, d, t):
-    """(-1)^p p! L_p^(d)(t); d an int or an integer array broadcasting against t."""
-    confluent = factorial(p) * generalized_laguerre(p, d, t)
-    return -confluent if p % 2 else confluent
+def _signed_factorial(p: int) -> float:
+    """(-1)^p p!, the factor taking L_p^(d) to the confluent form.
+
+    Scaling by -p! rounds exactly as negating the product with p! does.
+    """
+    return -factorial(p) if p % 2 else factorial(p)
 
 
 def _monomial(z_arr: np.ndarray, m: int, n: int):

@@ -122,26 +122,42 @@ def kernel_closed(n: int, z: complex, w: complex) -> complex:
     )
 
 
-def kernel_series(spec: KernelSpec, z: complex, w: complex) -> complex:
+def kernel_series(spec: KernelSpec, z, w):
     """Series form sum_{m<=M} H_{m,n}(z) H_{n,m}(w) / (pi m! n!).
 
     Terms are summed in ascending m with compensation.  For
     |z|, |w| <= 2 and M = 60 the factorial decay puts the remainder
     below 1e-12; see :func:`kernel_series_tail` for a computable
     bound.
+
+    ``z`` and ``w`` are points or sequences of points.  For two points
+    the result is a complex; otherwise it is the array of K_n(z_i, w_j)
+    with shape ``np.shape(z) + np.shape(w)``, each entry equal to the
+    call on its two points.  One Hermite row is built per point of each
+    list, at the scalar point: rows evaluated on a point array can
+    differ from scalar rows in the last bits.
     """
-    z, w = complex(z), complex(w)
     n = spec.n
     fn = factorial(n)
     # M! first: past its overflow it raises before the rows are built
     factorial(spec.truncation)
-    # H_{n,m}(w) = H_{m,n}(conj w), bit for bit: the same climb and monomial
-    at_z = hermite_row(spec.truncation, n, z).tolist()
-    at_w = hermite_row(spec.truncation, n, w.conjugate()).tolist()
-    terms = (
-        a * b / (math.pi * factorial(m) * fn) for m, (a, b) in enumerate(zip(at_z, at_w))
-    )
-    return complex(kahan_sum(terms))
+    scale = [math.pi * factorial(m) * fn for m in range(spec.truncation + 1)]
+    z_arr = np.asarray(z, dtype=complex)
+    w_arr = np.asarray(w, dtype=complex)
+    at_z = [hermite_row(spec.truncation, n, v).tolist() for v in z_arr.ravel().tolist()]
+    # H_{n,m}(w) = H_{m,n}(conj w): the series takes the row at conj w
+    at_w = [
+        hermite_row(spec.truncation, n, v.conjugate()).tolist()
+        for v in w_arr.ravel().tolist()
+    ]
+    values = [
+        complex(kahan_sum(a * b / s for a, b, s in zip(row_z, row_w, scale)))
+        for row_z in at_z
+        for row_w in at_w
+    ]
+    if not z_arr.ndim and not w_arr.ndim:
+        return values[0]
+    return np.array(values, dtype=complex).reshape(z_arr.shape + w_arr.shape)
 
 
 def kernel_series_tail(spec: KernelSpec, z: complex, w: complex) -> float:

@@ -130,18 +130,37 @@ def generalized_laguerre(p: int, d, t):
     float or ndarray
         L_p^(d)(t), with the broadcast shape of ``d`` and ``t``.
     """
+    for cur in _laguerre_climb(p, d, t):
+        pass
+    return cur if cur.ndim else float(cur)
+
+
+def _laguerre_climb(p: int, d, t, active=None):
+    """Yield L_0^(d)(t), ..., L_p^(d)(t), the iterates of one recurrence climb.
+
+    Iterate k equals ``generalized_laguerre(k, d, t)`` bit for bit (that
+    function returns the climb's last iterate), as an ndarray or numpy
+    scalar of the broadcast shape of ``d`` and ``t``.  For an array
+    ``d``, ``active[k]`` (nonincreasing in k) may give how many leading
+    rows of ``d`` iterate k must hold: rows past it leave the climb, so
+    no step is spent on a parameter whose needed degree is passed.
+    """
     if p < 0:
         raise ValueError(f"generalized_laguerre requires p >= 0, got {p}")
     if np.any(np.asarray(d) < 0):
         raise ValueError(f"generalized_laguerre requires d >= 0, got {d}")
     t_arr = np.asarray(t, dtype=float)
     prev = np.ones(np.broadcast_shapes(np.shape(d), t_arr.shape))
+    yield prev
     if p == 0:
-        return prev if prev.ndim else float(prev)
+        return
     cur = (1.0 + d) - t_arr
+    yield cur
     for k in range(1, p):
+        if active is not None:
+            d, cur, prev = d[: active[k + 1]], cur[: active[k + 1]], prev[: active[k + 1]]
         prev, cur = cur, ((2 * k + d + 1 - t_arr) * cur - (k + d) * prev) / (k + 1)
-    return cur if cur.ndim else float(cur)
+        yield cur
 
 
 def _generalized_laguerre_dd(p: int, d: int, t):
@@ -166,32 +185,37 @@ def _generalized_laguerre_dd(p: int, d: int, t):
     return ch, cl
 
 
-def kummer_terminating(p: int, b: int, t):
+def kummer_terminating(p: int, b, t):
     """Terminating confluent series 1F1(-p; b; t).
 
     Exactly ``p + 1`` terms are carried in double-double precision,
     term ratio and running sum alike; the alternating cancellation for
     large t therefore costs no double-precision digits.  ``b`` must be
-    a positive integer so no denominator can vanish.  Accepts scalar
-    or ndarray ``t``.
+    a positive integer so no denominator can vanish; an integer array
+    ``b`` broadcasts against ``t`` and sums every series at once, each
+    entry equal to the scalar-``b`` call bit for bit.  Accepts scalar
+    or ndarray ``t``; the result is a float when both are scalars.
     """
     if p < 0:
         raise ValueError(f"kummer_terminating requires p >= 0, got {p}")
-    if b < 1:
+    b_arr = np.asarray(b)
+    if (b_arr < 1).any():
         raise ValueError(f"kummer_terminating requires integer b >= 1, got {b}")
-    scalar = not np.ndim(t)
+    # a scalar b stays a Python int, so its step divisors are Python floats
+    b_num = b_arr if b_arr.ndim else int(b_arr)
     t_arr = np.asarray(t, dtype=float)
-    term_h = np.ones_like(t_arr)
-    term_l = np.zeros_like(t_arr)
+    zero = np.zeros_like(t_arr)
+    term_h = np.ones(np.broadcast(b_arr, t_arr).shape)
+    term_l = np.zeros_like(term_h)
     sum_h, sum_l = term_h, term_l
     for k in range(p):
         # (k - p) and (b + k)(k + 1) are exact small integers
-        term_h, term_l = dd_mul(term_h, term_l, t_arr, np.zeros_like(t_arr))
+        term_h, term_l = dd_mul(term_h, term_l, t_arr, zero)
         term_h, term_l = dd_mul_scalar(term_h, term_l, float(k - p))
-        term_h, term_l = dd_div_scalar(term_h, term_l, float((b + k) * (k + 1)))
+        term_h, term_l = dd_div_scalar(term_h, term_l, (b_num + k) * float(k + 1))
         sum_h, sum_l = dd_add(sum_h, sum_l, term_h, term_l)
     out = sum_h + sum_l
-    return float(out) if scalar else out
+    return out if out.ndim else float(out)
 
 
 def gauss2f1_unit(p: int, q: int, c: float) -> float:

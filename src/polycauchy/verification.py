@@ -41,7 +41,7 @@ from .ito_hermite import (
     HermiteIndex,
     hermite_eval,
     hermite_eval_extended,
-    hermite_row,
+    hermite_table,
 )
 from .poly_bergman import (
     KernelSpec,
@@ -113,7 +113,9 @@ class VerifyConfig:
     nr / ntheta replace the module default resolutions when set (None
     means unset; 0 and negative counts are rejected); the
     singular-integral grid keeps its own (larger) defaults otherwise.
-    tolerance, when set, overrides the tolerance of every record.
+    tolerance, when set, overrides the tolerance of every record; it
+    must be finite and >= 0.  radius_pad must be finite and > 0, and
+    kernel_truncation >= 0.
     """
 
     nr: int | None = None
@@ -127,6 +129,21 @@ class VerifyConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"VerifyConfig requires {name} >= 1 when set, got {value}")
+        if self.tolerance is not None and not (
+            math.isfinite(self.tolerance) and self.tolerance >= 0
+        ):
+            raise ValueError(
+                f"VerifyConfig requires a finite tolerance >= 0, got {self.tolerance}"
+            )
+        if not (math.isfinite(self.radius_pad) and self.radius_pad > 0):
+            raise ValueError(
+                f"VerifyConfig requires a finite radius_pad > 0, got {self.radius_pad}"
+            )
+        if self.kernel_truncation < 0:
+            raise ValueError(
+                "VerifyConfig requires kernel_truncation >= 0, "
+                f"got {self.kernel_truncation}"
+            )
 
     def polar_grid(self, beta: float = 1.0) -> PolarGrid:
         return build_polar_grid(
@@ -216,9 +233,8 @@ def _magnitude(values) -> np.ndarray:
 
     numpy 2.4's np.abs on complex arrays differs from hypot in the last
     place on about a third of random inputs, so every gap and scale goes
-    through this one function.
+    through this one function.  ``values`` is a number or an ndarray.
     """
-    values = np.asarray(values, dtype=complex)
     return np.hypot(values.real, values.imag)
 
 
@@ -247,15 +263,14 @@ class _Recorder:
     def add(self, family: str, suffix: str, lhs, rhs, terms: tuple = ()) -> None:
         row = CHECK_FAMILIES[family]
         lhs = np.array(lhs, dtype=complex, ndmin=1)
-        rhs = np.full(lhs.shape, rhs, dtype=complex)
+        rhs = np.array(rhs, dtype=complex, ndmin=1)
         gaps = _magnitude(lhs - rhs)
         if row.model == SCALED:
-            scale = 1.0
-            for term in terms or (rhs,):
-                scale = scale + _magnitude(term)
-            gaps = gaps / scale
+            gaps = gaps / sum((_magnitude(term) for term in terms or (rhs,)), 1.0)
         i = _worst_entry(gaps)
-        worst_lhs, worst_rhs, abs_err = complex(lhs[i]), complex(rhs[i]), float(gaps[i])
+        # a one-entry side broadcasts against the other
+        worst_lhs, worst_rhs = lhs.item(i % lhs.size), rhs.item(i % rhs.size)
+        abs_err = gaps.item(i)
         if self.cfg.tolerance is not None:
             tolerance = self.cfg.tolerance
         elif row.model == RELATIVE:
@@ -332,13 +347,19 @@ def _span_rank(spec: RangeBasisSpec) -> int:
     return _exact_rank([table[i.m, i.n] for i in range_basis_indices(spec)])
 
 
-def _kummer_fraction_oracle(p: int, b: int, t: Fraction) -> Fraction:
-    total = Fraction(0)
-    term = Fraction(1)
-    for k in range(p + 1):
-        total += term
-        term *= Fraction(-(p - k), 1) * t / ((b + k) * (k + 1))
-    return total
+def _kummer_exact(p: int, b: int, t: Fraction) -> float:
+    """1F1(-p; b; t) summed exactly in integers, then correctly rounded.
+
+    The series is nested as 1 + c_0 t (1 + c_1 t (1 + ...)) over one
+    integer numerator and denominator.  Python's int / int rounds the
+    quotient correctly, so the result equals float() of the exact
+    rational sum.
+    """
+    num, den = 1, 1
+    for k in reversed(range(p)):
+        step = (b + k) * (k + 1) * t.denominator
+        num, den = den * step + (k - p) * t.numerator * num, den * step
+    return num / den
 
 
 # ----------------------------------------------------------------- hermite
@@ -347,24 +368,22 @@ def _kummer_fraction_oracle(p: int, b: int, t: Fraction) -> Fraction:
 def _suite_hermite(cfg: VerifyConfig) -> list[VerificationRecord]:
     rec = _Recorder(cfg)
     t_values = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(9))
+    t = np.array([float(v) for v in t_values])
 
-    # confluent factor against exact rational sums
+    # confluent factor against exact rational sums, every b of one p at once
+    b_values = np.arange(1, 13)
     for p in range(13):
-        for b in range(1, 13):
+        batch = kummer_terminating(p, b_values[:, None], t)
+        for b, row in zip(b_values.tolist(), batch):
             rec.add(
                 "kummer-rational",
                 f"p{p}-b{b}",
-                [kummer_terminating(p, b, float(t)) for t in t_values],
-                [float(_kummer_fraction_oracle(p, b, t)) for t in t_values],
+                row,
+                [_kummer_exact(p, b, v) for v in t_values],
             )
 
     for n in range(11):
-        rec.add(
-            "laguerre-kummer",
-            f"n{n}",
-            [laguerre(n, float(t)) for t in t_values],
-            [kummer_terminating(n, 1, float(t)) for t in t_values],
-        )
+        rec.add("laguerre-kummer", f"n{n}", laguerre(n, t), kummer_terminating(n, 1, t))
 
     for c in (1.0, 2.5, 6.0):
         for p in range(9):
@@ -378,7 +397,7 @@ def _suite_hermite(cfg: VerifyConfig) -> list[VerificationRecord]:
 
     pts = _sample_points(20, 3.0, seed=20260815)
     # h[m, n] = H_{m,n}(pts) for m, n <= 9
-    h = np.stack([hermite_row(9, n, pts) for n in range(10)], axis=1)
+    h = hermite_table(9, range(10), pts)
 
     # conjugate symmetry
     for m in range(9):
@@ -476,14 +495,15 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
         for z in _CAUCHY_POINTS
     }
 
-    # one stacked quadrature of H_{0..5,n} per centre and level
-    numerics = {
-        (z, n): cauchy_singular_quadrature(
-            lambda pts, nn=n: hermite_row(5, nn, pts), complex(z), grids[z]
-        )
-        for z in _CAUCHY_POINTS
-        for n in range(6)
-    }
+    # one H_{m,n} table (m, n <= 5) per centre, one stacked quadrature
+    # of H_{0..5,n} per level: a 36-deep stack measured slower
+    numerics = {}
+    for z in _CAUCHY_POINTS:
+        table = hermite_table(5, range(6), grids[z].points)
+        for n in range(6):
+            numerics[z, n] = cauchy_singular_quadrature(
+                lambda pts, h=table[:, n]: h, complex(z), grids[z]
+            )
     for m in range(6):
         for n in range(6):
             idx = HermiteIndex(m, n)
@@ -531,14 +551,14 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
 def _suite_projection(cfg: VerifyConfig) -> list[VerificationRecord]:
     rec = _Recorder(cfg)
     grid = cfg.polar_grid(1.0)
+    # h[m, n] = H_{m,n} on the grid points for m, n <= 5; each source
+    # below is a precomputed value array on those points
+    h = hermite_table(5, range(6), grid.points)
 
     # reproducing property on the basis of each level
     for m in range(6):
         for n in range(6):
-            idx = HermiteIndex(m, n)
-            seq = project_numeric(
-                lambda pts, i=idx: hermite_eval(i, pts), n, J=m + 2, grid=grid
-            )
+            seq = project_numeric(lambda pts, v=h[m, n]: v, n, J=m + 2, grid=grid)
             expected = np.zeros(m + 3, dtype=complex)
             expected[m] = 1.0
             rec.add("projection-reproducing", f"m{m}-n{n}", seq.coeffs, expected)
@@ -549,42 +569,39 @@ def _suite_projection(cfg: VerifyConfig) -> list[VerificationRecord]:
             for k in range(5):
                 if k == n:
                     continue
-                seq = project_numeric(
-                    lambda pts, i=HermiteIndex(m, k): hermite_eval(i, pts),
-                    n,
-                    J=m + 2,
-                    grid=grid,
-                )
+                seq = project_numeric(lambda pts, v=h[m, k]: v, n, J=m + 2, grid=grid)
                 rec.add("projection-level-orthogonal", f"m{m}-n{n}-k{k}", seq.coeffs, 0.0)
 
-    # kernel series versus closed evaluation, and kernel hermiticity
+    # kernel series versus closed evaluation, and kernel hermiticity;
+    # closed[n][i, j] = K_n(z_i, z_j), so K_n(z_j, z_i) is its transpose
     kernel_pts = (0j, 0.7 + 0j, -1.2 + 0.5j, 1.9j, -0.3 - 1.1j)
-    pairs = [(z, w) for z in kernel_pts for w in kernel_pts]
+    closed = [
+        np.array([[kernel_closed(n, z, w) for w in kernel_pts] for z in kernel_pts])
+        for n in range(5)
+    ]
     for n in range(5):
         spec = KernelSpec(n=n, truncation=cfg.kernel_truncation)
-        rec.add(
-            "kernel-series-vs-closed",
-            f"n{n}",
-            [kernel_series(spec, z, w) for z, w in pairs],
-            [kernel_closed(n, z, w) for z, w in pairs],
-        )
+        series = kernel_series(spec, kernel_pts, kernel_pts)
+        rec.add("kernel-series-vs-closed", f"n{n}", series.ravel(), closed[n].ravel())
     for n in range(5):
-        rec.add(
-            "kernel-hermitian",
-            f"n{n}",
-            [kernel_closed(n, z, w) for z, w in pairs],
-            [kernel_closed(n, w, z).conjugate() for z, w in pairs],
-        )
+        flipped = closed[n].T.conjugate()
+        rec.add("kernel-hermitian", f"n{n}", closed[n].ravel(), flipped.ravel())
 
     # closed projection coefficient against quadrature extraction; a
-    # vanishing projection is judged by its largest coefficient
+    # vanishing projection is judged by its largest coefficient.  Each
+    # psi_{j,k} is evaluated on the grid once, for every level.
+    psi = {
+        (j, k): PsiFunction(HermiteIndex(j, k))(grid.points)
+        for j in range(5)
+        for k in range(5)
+    }
     for n in range(5):
         for j in range(5):
             for k in range(5):
                 coefficient, target = projection_coefficient_closed(n, j, k)
-                psi = PsiFunction(HermiteIndex(j, k))
                 upto = 1 if target is None else max(1, target.m + 1)
-                coeffs = project_numeric(psi, n, J=upto, grid=grid).coeffs
+                seq = project_numeric(lambda pts, v=psi[j, k]: v, n, J=upto, grid=grid)
+                coeffs = seq.coeffs
                 oracle = coeffs if target is None else coeffs[target.m]
                 if (n, j, k) == (0, 1, 0):
                     rec.add("prop-sign", "n0j1k0", oracle, coefficient)
@@ -594,8 +611,7 @@ def _suite_projection(cfg: VerifyConfig) -> list[VerificationRecord]:
     # the flipped-sign variant must disagree with the oracle at (0, 1, 0)
     coefficient, _ = projection_coefficient_closed(0, 1, 0)
     display = -coefficient
-    psi = PsiFunction(HermiteIndex(1, 0))
-    oracle = complex(project_numeric(psi, 0, J=1, grid=grid).coeffs[0])
+    oracle = complex(project_numeric(lambda pts: psi[1, 0], 0, J=1, grid=grid).coeffs[0])
     rec.add("prop-sign-display-typo", "n0j1k0", abs(display - oracle), 1.0)
 
     return rec.records
@@ -677,13 +693,19 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
         math.pi * math.log(4.0 / 3.0),
     )
 
-    # diagonal-offset families are mutually orthogonal
+    # diagonal-offset families are mutually orthogonal.  Their indices lie
+    # in the block above, and Gram entries are computed pair by pair, so
+    # the masked entries of each union's Gram are read from that report
+    # in the union's order: the maximum equals psi_gram(union).max_violation.
     offsets = (-2, -1, 0, 1, 2)
+    position = {idx: i for i, idx in enumerate(indices)}
     for i, ell in enumerate(offsets):
         for ell2 in offsets[i + 1 :]:
             union = e_ell_indices(ell, 4) + e_ell_indices(ell2, 4)
-            cross = psi_gram(union, grid=base)
-            rec.add("offset-block-orthogonal", f"l{ell}-l{ell2}", cross.max_violation, 0.0)
+            pick = np.ix_(*[[position[idx] for idx in union]] * 2)
+            cross = report.values[pick][report.expected_zero_mask[pick]]
+            violation = float(np.max(np.abs(cross)))
+            rec.add("offset-block-orthogonal", f"l{ell}-l{ell2}", violation, 0.0)
 
     return rec.records
 
@@ -744,16 +766,15 @@ def _suite_ranges(cfg: VerifyConfig) -> list[VerificationRecord]:
         seq = CoefficientSequence(n=ell, coeffs=coeffs)
         psis = [PsiFunction(HermiteIndex(j, ell)) for j in range(4)]
 
-        def image(pts):
-            total = coeffs[0] * psis[0](pts)
-            for alpha, psi in zip(coeffs[1:], psis[1:]):
-                total = total + alpha * psi(pts)
-            return total
+        # the image on the grid points, evaluated once for every level
+        image = coeffs[0] * psis[0](grid.points)
+        for alpha, psi in zip(coeffs[1:], psis[1:]):
+            image = image + alpha * psi(grid.points)
 
         for n in range(5):
             closed = pn_cauchy_on_coeffs(seq, n)
             upto = max(1, len(closed.coeffs))
-            numeric = project_numeric(image, n, J=upto, grid=grid)
+            numeric = project_numeric(lambda pts, v=image: v, n, J=upto, grid=grid)
             closed_arr = np.zeros(upto + 1, dtype=complex)
             closed_arr[: len(closed.coeffs)] = closed.coeffs
             rec.add("range-route-equality", f"l{ell}-n{n}", numeric.coeffs, closed_arr)

@@ -180,6 +180,21 @@ def test_ranges_inclusions(capsys):
     assert lines[2] == "ell=1: subset_of_next=true contains_next=true"
 
 
+def test_ranges_inclusions_out_writes_every_line(capsys, tmp_path):
+    out = tmp_path / "ranges.txt"
+    argv = [
+        "ranges", "--variant", "r", "--ell", "1", "--level", "2",
+        "--count", "2", "--inclusions", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == (
+        b"(0,2) (1,2)\n"
+        b"ell=0: subset_of_next=true contains_next=false\n"
+        b"ell=1: subset_of_next=true contains_next=true\n"
+    )
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     out = tmp_path / "value.txt"
     assert main(["hermite", "--m", "0", "--n", "0", "--z", "2,3", "--out", str(out)]) == 0
@@ -217,12 +232,24 @@ def test_config_file_settings(capsys, tmp_path):
         (json.dumps({"tolerances": float("nan")}), "tolerances must be a finite float"),
         (json.dumps({"nr": 0}), "nr >= 1"),
         (json.dumps({"ntheta": 0}), "ntheta >= 1"),
+        (json.dumps({"tolerances": -1}), "finite tolerance >= 0"),
+        (json.dumps({"radius_pad": -1}), "finite radius_pad > 0"),
+        (json.dumps({"radius_pad": 0}), "finite radius_pad > 0"),
+        (json.dumps({"kernel_truncation": -4}), "kernel_truncation >= 0"),
         ('{"nr": 48', "cannot be read"),
     ):
         bad.write_text(text)
         assert main(["verify", "ranges", "--config", str(bad)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
+
+    # every suite rejects the config before it runs
+    bad.write_text(json.dumps({"radius_pad": -1, "kernel_truncation": -4}))
+    for suite in ("hermite", "cauchy", "projection", "gram", "ranges", "all"):
+        assert main(["verify", suite, "--config", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "radius_pad > 0" in captured.err
 
     missing = tmp_path / "missing.json"
     assert main(["verify", "ranges", "--config", str(missing)]) == 3
@@ -302,6 +329,51 @@ def test_gram_exit_codes(bound):
     code, out = _exit_code(["gram", "--max-index", str(bound), "--nr", "16", "--ntheta", "16"])
     assert code in (0, 2, 3)
     assert (code == 2) == (bound < 0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(m=_INDICES, n=_INDICES, re=st.floats(), im=st.floats(), numeric=st.booleans())
+def test_cauchy_exit_codes(m, n, re, im, numeric):
+    argv = [
+        "cauchy", "--m", str(m), "--n", str(n), "--z", f"{re!r},{im!r}",
+        "--nr", "8", "--ntheta", "8",
+    ] + (["--numeric"] if numeric else [])
+    code, out = _exit_code(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert "nan" not in out and "inf" not in out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    variant=st.sampled_from(["r", "rtilde"]),
+    ell=st.integers(-3, 12),
+    level=st.integers(-3, 12),
+    count=st.integers(-3, 20),
+    inclusions=st.booleans(),
+)
+def test_ranges_exit_codes(variant, ell, level, count, inclusions):
+    argv = [
+        "ranges", "--variant", variant, "--ell", str(ell), "--level", str(level),
+        "--count", str(count),
+    ] + (["--inclusions"] if inclusions else [])
+    code, out = _exit_code(argv)
+    assert code in (0, 3)
+    assert (code == 3) == (ell < 0 or level < 0 or count < 1)
+    if code == 3:
+        assert out == ""
+
+
+@settings(max_examples=20, deadline=None)
+@given(degree=st.integers(-3, 15))
+def test_svd_exit_codes(degree):
+    code, out = _exit_code(["svd", "--degree", str(degree)])
+    assert code in (0, 3)
+    assert (code == 0) == (0 <= degree <= 12)
+    if code == 0:
+        assert len(out.splitlines()) == (degree + 1) * (degree + 2) // 2
+        assert "nan" not in out and "inf" not in out
 
 
 def test_module_entry_point():

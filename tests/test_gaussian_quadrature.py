@@ -130,6 +130,24 @@ def test_grid_arrays_read_only():
             arr[0] = 0
 
 
+def test_phase_tables_are_cached_and_read_only():
+    assert _phase_table(64) is _phase_table(64)
+    with pytest.raises(ValueError):
+        _phase_table(64)[1] = 0
+    assert build_polar_grid(8, 64, 1.0).phase is _phase_table(64)
+
+
+def test_singular_grid_holds_its_fixed_factors():
+    grid = build_singular_grid(0.3 - 1.7j, 24, 64)
+    pts = grid.points
+    gauss = np.exp(-(pts * pts.conjugate()).real)
+    assert grid.gauss.tobytes() == gauss.tobytes()
+    assert grid.phase_conj.tobytes() == grid.phase.conjugate().tobytes()
+    for arr in (grid.gauss, grid.phase_conj):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 def test_phase_table_exact_symmetry():
     # half-turn antisymmetry is bit-exact, axis values are exact
     for n in (8, 12, 64, 128):

@@ -27,10 +27,12 @@ from polycauchy import (
     hermite_radial_profile,
     hermite_recurrence_eval,
     hermite_row,
+    hermite_table,
     polar_separable_quadrature,
 )
 from polycauchy._ddouble import dd_mul
 from polycauchy.ito_hermite import EXTENSION_CROSSOVER
+from polycauchy.special_fn import factorial, generalized_laguerre
 
 
 def _cmul(a, b):
@@ -139,6 +141,60 @@ def test_hermite_row_matches_eval_bit_for_bit():
                 for m in range(m_max + 1):
                     want = hermite_eval(HermiteIndex(m, n), z)
                     assert np.array_equal(_bits(row[m]), _bits(want)), (m, n, np.shape(z))
+
+
+def _bit_inputs():
+    rng = np.random.default_rng(20261019)
+    return [
+        0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1.5 - 0.3j, -2.0 + 0j,
+        np.array(POINTS[:20]),
+        # above numpy's 256 KiB temporary-elision size
+        3.0 * (rng.standard_normal((96, 256)) + 1j * rng.standard_normal((96, 256))),
+    ]
+
+
+def test_hermite_table_matches_eval_bit_for_bit():
+    for z in _bit_inputs():
+        for m_max, levels in ((0, (0,)), (5, range(6)), (9, range(10)), (2, (7, 0, 3)), (6, (4, 4))):
+            table = hermite_table(m_max, levels, z)
+            assert table.shape == (m_max + 1, len(levels)) + np.shape(z)
+            for m in range(m_max + 1):
+                for j, n in enumerate(levels):
+                    want = hermite_eval(HermiteIndex(m, n), z)
+                    assert np.array_equal(_bits(table[m, j]), _bits(want)), (m, n, np.shape(z))
+    assert hermite_table(3, (), 0.5j).shape == (4, 0)
+    with pytest.raises(ValueError):
+        hermite_table(-1, (0,), 1.0)
+    with pytest.raises(ValueError):
+        hermite_table(2, (1, -1), 1.0)
+
+
+def _row_per_m(m_max, n, z):
+    """hermite_row as it was: one Laguerre climb per m < n, one shared for m >= n."""
+    z_arr = np.asarray(z, dtype=complex)
+    t = (z_arr * z_arr.conjugate()).real
+
+    def confluent(p, d):
+        value = factorial(p) * generalized_laguerre(p, d, t)
+        return -value if p % 2 else value
+
+    out = np.empty((m_max + 1,) + z_arr.shape, dtype=complex)
+    for m in range(min(m_max + 1, n)):
+        np.multiply(z_arr.conjugate() ** (n - m), confluent(m, n - m), out=out[m, ...])
+    if m_max >= n:
+        shared = confluent(n, np.arange(m_max - n + 1).reshape((-1,) + (1,) * t.ndim))
+        for k in range(m_max - n + 1):
+            np.multiply(z_arr**k, shared[k], out=out[n + k, ...])
+    return out
+
+
+def test_hermite_row_equals_its_per_m_form():
+    for z in _bit_inputs():
+        for n in range(9):
+            for m_max in sorted({0, max(n - 1, 0), n, n + 7}):
+                got = hermite_row(m_max, n, z)
+                want = _row_per_m(m_max, n, z)
+                assert np.array_equal(_bits(got), _bits(want)), (m_max, n, np.shape(z))
 
 
 def test_hermite_row_validation():

@@ -74,6 +74,36 @@ def test_kernel_series_matches_closed():
                 assert abs(series - closed) < 1e-8
 
 
+def test_kernel_series_on_point_lists_equals_scalar_calls():
+    # rows built on these seeded points as one array differ from scalar
+    # rows in the last bits, and so would some kernel values
+    rng = np.random.default_rng(20261018)
+    cloud = 1.5 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    z_list = KERNEL_POINTS + tuple(cloud.tolist())
+    w_list = z_list[::-1] + (0.25 - 0.5j,)
+    for n in (0, 2, 4):
+        spec = KernelSpec(n=n, truncation=30)
+        matrix = kernel_series(spec, z_list, w_list)
+        assert matrix.shape == (len(z_list), len(w_list))
+        # the per-index terms at scalar points, as the two-point call sums
+        # them: H_{n,m}(w) is taken as H_{m,n}(conj w)
+        at_z = [[hermite_eval(HermiteIndex(m, n), z) for m in range(31)] for z in z_list]
+        at_w = [
+            [hermite_eval(HermiteIndex(m, n), w.conjugate()) for m in range(31)] for w in w_list
+        ]
+        scale = [math.pi * factorial(m) * factorial(n) for m in range(31)]
+        for i, z in enumerate(z_list):
+            for j, w in enumerate(w_list):
+                want = complex(
+                    kahan_sum(a * b / c for a, b, c in zip(at_z[i], at_w[j], scale))
+                )
+                assert matrix[i, j] == want == kernel_series(spec, z, w)
+        column = kernel_series(spec, 0.7 + 0j, w_list)
+        assert column.shape == (len(w_list),)
+        assert column.tolist() == matrix[1].tolist()
+        assert isinstance(kernel_series(spec, 0.7, -0.2j), complex)
+
+
 def test_kernel_hermitian():
     for n in (0, 2):
         for z in KERNEL_POINTS:

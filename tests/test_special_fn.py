@@ -86,11 +86,28 @@ def test_kummer_array_matches_scalar():
         assert got[i] == kummer_terminating(7, 2, float(ti))
 
 
+def test_kummer_parameter_array_matches_scalar():
+    t = np.array([float(v) for v in T_VALUES])
+    b = np.arange(1, 13)
+    for p in range(13):
+        batch = kummer_terminating(p, b[:, None], t)
+        assert batch.shape == (12, 5)
+        for i, bi in enumerate(b.tolist()):
+            for k, tk in enumerate(t.tolist()):
+                assert batch[i, k] == kummer_terminating(p, bi, tk)
+        # an array b against a scalar t
+        assert kummer_terminating(p, b, 2.5).tolist() == [
+            kummer_terminating(p, bi, 2.5) for bi in b.tolist()
+        ]
+
+
 def test_kummer_validation():
     with pytest.raises(ValueError):
         kummer_terminating(-1, 1, 0.5)
     with pytest.raises(ValueError):
         kummer_terminating(2, 0, 0.5)
+    with pytest.raises(ValueError):
+        kummer_terminating(2, np.array([1, 0]), 0.5)
 
 
 def test_laguerre_equals_kummer():
