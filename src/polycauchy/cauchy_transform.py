@@ -63,12 +63,23 @@ class CauchyGridOptions:
             )
 
 
+# Points per block of a large m >= 1 image: 8192 measured fastest on
+# 2^18 points (unblocked and 65536-point blocks were slower).
+_BLOCK = 8192
+
+
 def cauchy_hermite_closed(idx: HermiteIndex, z):
     """Closed form of the transform on a basis polynomial.
 
     Returns -e^{-|z|^2} H_{m-1,n}(z, zbar), through the polynomial
     evaluator for m >= 1 and the extended function for m = 0.  At
     z = 0 with m = 0 this is the removable-singularity limit 0.
+
+    For m >= 1 an input of more than 8192 points is evaluated in fixed
+    blocks of 8192 points, so each block's temporaries stay in cache;
+    every value equals the unblocked evaluation bit for bit.  The block
+    size is a constant, not an option.  m = 0 is never blocked: the
+    extended function's series stops on a test over its whole array.
 
     Parameters
     ----------
@@ -85,13 +96,26 @@ def cauchy_hermite_closed(idx: HermiteIndex, z):
     if m < 0:
         raise ValueError(f"cauchy_hermite_closed requires m >= 0, got m={m}")
     z_arr = np.asarray(z, dtype=complex)
+    if m == 0 or z_arr.size <= _BLOCK:
+        out = _closed_image(m, n, z_arr)
+        return out if z_arr.ndim else complex(out)
+    flat = z_arr.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        out[block] = _closed_image(m, n, flat[block])
+    return out.reshape(z_arr.shape)
+
+
+def _closed_image(m: int, n: int, z_arr: np.ndarray):
+    """-e^{-|z|^2} H_{m-1,n}(z, zbar) on one array of points, unblocked."""
     gauss = np.exp(-(z_arr * z_arr.conjugate()).real)
+    point = z_arr if z_arr.ndim else complex(z_arr)
     if m == 0:
-        inner = hermite_eval_extended(n, z_arr if z_arr.ndim else complex(z))
+        inner = hermite_eval_extended(n, point)
     else:
-        inner = hermite_eval(HermiteIndex(m - 1, n), z_arr if z_arr.ndim else complex(z))
-    out = -gauss * inner
-    return out if z_arr.ndim else complex(out)
+        inner = hermite_eval(HermiteIndex(m - 1, n), point)
+    return -gauss * inner
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,14 @@ def _laguerre_climb(p: int, d, t, active=None):
     for k in range(1, p):
         if active is not None:
             d, cur, prev = d[: active[k + 1]], cur[: active[k + 1]], prev[: active[k + 1]]
-        prev, cur = cur, ((2 * k + d + 1 - t_arr) * cur - (k + d) * prev) / (k + 1)
+        # a fresh array per iterate (callers keep earlier ones), updated
+        # in place to spare temporaries, in the recurrence's operation
+        # order so every bit is kept
+        nxt = (2 * k + d + 1) - t_arr
+        nxt *= cur
+        nxt -= (k + d) * prev
+        nxt /= k + 1
+        prev, cur = cur, nxt
         yield cur
 
 

@@ -46,6 +46,7 @@ from .ito_hermite import (
 from .poly_bergman import (
     KernelSpec,
     CoefficientSequence,
+    _conjugate_basis,
     kernel_closed,
     kernel_series,
     project_numeric,
@@ -464,19 +465,16 @@ _CAUCHY_POINTS = (0.5 + 0j, 1 + 1j, -2 + 0j, 0.3 - 1.7j, 3j)
 _LINEARITY_WEIGHTS = (0.8 - 0.3j, -1.1 + 0.7j)
 
 
-def _linearity_f(pts):
-    return hermite_eval(HermiteIndex(2, 1), pts) + 0.5j * hermite_eval(
-        HermiteIndex(0, 3), pts
-    )
+def _linearity_sources(h):
+    """f and g of the linearity records from a table h[m, n] = H_{m,n}.
+
+    f = H_{2,1} + 0.5i H_{0,3} and g = H_{1,1} - 1.25 H_{3,0}; table
+    entries equal ``hermite_eval`` bit for bit.
+    """
+    return h[2, 1] + 0.5j * h[0, 3], h[1, 1] - 1.25 * h[3, 0]
 
 
-def _linearity_g(pts):
-    return hermite_eval(HermiteIndex(1, 1), pts) - 1.25 * hermite_eval(
-        HermiteIndex(3, 0), pts
-    )
-
-
-def _linearity_integrand(pts):
+def _linearity_integrand(fv, gv):
     """a f + b g with the array as the left operand of each product.
 
     numpy's complex multiply can round ``scalar * array`` and
@@ -484,7 +482,7 @@ def _linearity_integrand(pts):
     to keep the report bytes independent of how the terms are named.
     """
     a, b = _LINEARITY_WEIGHTS
-    return np.multiply(_linearity_f(pts), a) + np.multiply(_linearity_g(pts), b)
+    return np.multiply(fv, a) + np.multiply(gv, b)
 
 
 def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
@@ -496,14 +494,17 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
     }
 
     # one H_{m,n} table (m, n <= 5) per centre, one stacked quadrature
-    # of H_{0..5,n} per level: a 36-deep stack measured slower
+    # of H_{0..5,n} per level: a 36-deep stack measured slower.  The
+    # linearity sources below are read from the same table.
     numerics = {}
+    linearity = {}
     for z in _CAUCHY_POINTS:
         table = hermite_table(5, range(6), grids[z].points)
         for n in range(6):
             numerics[z, n] = cauchy_singular_quadrature(
                 lambda pts, h=table[:, n]: h, complex(z), grids[z]
             )
+        linearity[z] = _linearity_sources(table)
     for m in range(6):
         for n in range(6):
             idx = HermiteIndex(m, n)
@@ -515,13 +516,16 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
                     cauchy_hermite_closed(idx, z),
                 )
 
-    # linearity of the numeric transform
+    # linearity of the numeric transform, f and g evaluated once per centre
     a, b = _LINEARITY_WEIGHTS
     for z in _CAUCHY_POINTS:
         grid = grids[z]
-        combined = cauchy_singular_quadrature(_linearity_integrand, complex(z), grid)
-        split = a * cauchy_singular_quadrature(_linearity_f, complex(z), grid) + b * (
-            cauchy_singular_quadrature(_linearity_g, complex(z), grid)
+        fv, gv = linearity[z]
+        combined = cauchy_singular_quadrature(
+            lambda pts: _linearity_integrand(fv, gv), complex(z), grid
+        )
+        split = a * cauchy_singular_quadrature(lambda pts: fv, complex(z), grid) + b * (
+            cauchy_singular_quadrature(lambda pts: gv, complex(z), grid)
         )
         rec.add("cauchy-linearity", f"z{z}", combined, split)
 
@@ -554,6 +558,11 @@ def _suite_projection(cfg: VerifyConfig) -> list[VerificationRecord]:
     # h[m, n] = H_{m,n} on the grid points for m, n <= 5; each source
     # below is a precomputed value array on those points
     h = hermite_table(5, range(6), grid.points)
+    # each level's conjugate basis stack is built once, at the largest J
+    # used below (prop-coefficient reaches J = 8 at level 4); entries do
+    # not depend on the stack's height, so later calls slice it
+    for n in range(6):
+        _conjugate_basis(grid, n, 8)
 
     # reproducing property on the basis of each level
     for m in range(6):

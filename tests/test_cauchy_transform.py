@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from polycauchy import cauchy_transform
 from polycauchy import (
     CauchyGridOptions,
     HermiteIndex,
@@ -13,6 +14,9 @@ from polycauchy import (
     cauchy_transform_numeric,
     hermite_eval,
 )
+from polycauchy.cauchy_transform import _BLOCK
+
+BLOCKED_INDICES = ((1, 0), (2, 5), (12, 12), (20, 10))
 
 
 def test_options_defaults_and_validation():
@@ -88,3 +92,60 @@ def test_numeric_honors_custom_resolution():
     )
     assert abs(fine - closed) <= abs(coarse - closed) + 1e-12
     assert abs(fine - closed) <= 1e-8 * (1.0 + abs(closed))
+
+
+def _cloud(count: int, seed: int) -> np.ndarray:
+    """Seeded points with |z| <= 3, holding z = 0 and the signed zeros."""
+    rng = np.random.default_rng(seed)
+    z = 3.0 * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
+    zeros = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+    # at the start, across the first block boundary and at the end
+    for i, zero in enumerate(zeros):
+        z[i] = zero
+        z[min(_BLOCK - 2 + i, count - 1 - i)] = zero
+        z[count - 1 - i] = zero
+    return z
+
+
+def test_blocked_images_equal_unblocked_formula():
+    shapes = [(_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,), (3 * _BLOCK + 17,), (5, _BLOCK // 2 + 3)]
+    for seed, shape in enumerate(shapes):
+        z = _cloud(math.prod(shape), seed).reshape(shape)
+        t = (z * z.conjugate()).real
+        for m, n in BLOCKED_INDICES:
+            got = cauchy_hermite_closed(HermiteIndex(m, n), z)
+            want = -np.exp(-t) * hermite_eval(HermiteIndex(m - 1, n), z)
+            assert got.shape == shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (shape, m, n)
+
+
+def test_closed_image_is_one_public_call(monkeypatch):
+    # blocks go through a private helper, so a wrapper on the public
+    # name (as a tracer installs) sees one call per image; m >= 1 makes
+    # one hermite_eval call per block, m = 0 stays one unblocked call
+    counts = {"closed": 0, "eval": 0, "extended": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    closed = cauchy_transform.cauchy_hermite_closed
+    monkeypatch.setattr(cauchy_transform, "cauchy_hermite_closed", counting("closed", closed))
+    monkeypatch.setattr(
+        cauchy_transform, "hermite_eval", counting("eval", cauchy_transform.hermite_eval)
+    )
+    monkeypatch.setattr(
+        cauchy_transform,
+        "hermite_eval_extended",
+        counting("extended", cauchy_transform.hermite_eval_extended),
+    )
+    z = _cloud(3 * _BLOCK + 17, 7)
+    images = [
+        cauchy_transform.cauchy_hermite_closed(HermiteIndex(m, n), z)
+        for m, n in BLOCKED_INDICES + ((0, 3),)
+    ]
+    assert all(image.shape == z.shape for image in images)
+    assert counts == {"closed": 5, "eval": 4 * 4, "extended": 1}

@@ -4,13 +4,16 @@ import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycauchy import SUITE_NAMES
 from polycauchy.cli import format_complex, format_real, main
 
 
@@ -374,6 +377,118 @@ def test_svd_exit_codes(degree):
     if code == 0:
         assert len(out.splitlines()) == (degree + 1) * (degree + 2) // 2
         assert "nan" not in out and "inf" not in out
+
+
+def _parses_as_count(text):
+    try:
+        return int(text) >= 1
+    except ValueError:
+        return False
+
+
+def _parses_as_tolerance(text):
+    try:
+        value = float(text)
+    except ValueError:
+        return False
+    return math.isfinite(value) and value >= 0
+
+
+_COUNT_TEXT = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(["x", "2.5", ""]))
+_TOLERANCE_TEXT = st.one_of(
+    st.none(), st.floats().map(repr), st.sampled_from(["1e300", "-0.0", "tol", "1e400"])
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@given(
+    suite=st.sampled_from(SUITE_NAMES + ("all", "bogus")),
+    tolerance=_TOLERANCE_TEXT,
+    nr=_COUNT_TEXT,
+    ntheta=_COUNT_TEXT,
+)
+def test_verify_exit_codes(suite, tolerance, nr, ntheta):
+    # small grids keep each run short; most records fail on them
+    argv = ["verify", suite, f"--nr={nr}", f"--ntheta={ntheta}"]
+    if tolerance is not None:
+        argv.append(f"--tolerance={tolerance}")
+    code, out = _exit_code(argv)
+    usage = (
+        suite == "bogus"
+        or not (_parses_as_count(nr) and _parses_as_count(ntheta))
+        or (tolerance is not None and not _parses_as_tolerance(tolerance))
+    )
+    if usage:
+        assert code == 2
+        return
+    # every suite builds a grid, and grids need n_theta >= 4
+    assert (code == 3) == (int(ntheta) < 4)
+    assert code in (0, 1, 3)
+    if code == 0:
+        assert " 0 failed, " in out and "nan" not in out.lower()
+    if code == 1:
+        assert "FAIL " in out
+    if code == 3:
+        assert out == ""
+
+
+_CONFIG_KEYS = ("nr", "ntheta", "radius_pad", "kernel_truncation", "tolerances")
+_CONFIG_VALUES = st.one_of(
+    st.integers(-3, 40),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+def _config_is_valid(data):
+    """The documented config rules, key by key."""
+    for key, value in data.items():
+        if key not in _CONFIG_KEYS:
+            return False
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        if key in ("nr", "ntheta", "kernel_truncation") and not isinstance(value, int):
+            return False
+        if not math.isfinite(value):
+            return False
+    return (
+        data.get("nr", 1) >= 1
+        # grids need n_theta >= 4
+        and data.get("ntheta", 4) >= 4
+        and data.get("radius_pad", 1.0) > 0
+        and data.get("kernel_truncation", 0) >= 0
+        and data.get("tolerances", 0.0) >= 0
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.dictionaries(
+        st.sampled_from(_CONFIG_KEYS + ("unknown",)),
+        _CONFIG_VALUES,
+        max_size=4,
+    )
+)
+def test_config_exit_codes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/cfg.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        code, out = _exit_code(["verify", "hermite", "--config", path])
+    if not _config_is_valid(data):
+        assert code == 3
+        assert out == ""
+        return
+    assert code in (0, 1)
+    if code == 0:
+        assert " 0 failed, " in out and "nan" not in out.lower()
+    else:
+        assert "FAIL " in out
 
 
 def test_module_entry_point():

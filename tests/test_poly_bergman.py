@@ -7,6 +7,7 @@ round-trips for coefficient extraction.
 
 import cmath
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from polycauchy import (
     project_numeric,
     projection_coefficient_closed,
     radial_J_closed,
+    run_suite,
     synthesize,
 )
 from polycauchy import poly_bergman
@@ -232,6 +234,24 @@ def test_project_basis_cache_is_bounded_and_per_grid():
     assert len(poly_bergman._basis_cache) <= poly_bergman._BASIS_CACHE_SIZE
     for g, stack in poly_bergman._basis_cache.values():
         assert not stack.flags.writeable
+
+
+def test_verify_builds_each_level_stack_once(monkeypatch):
+    # a cold projection + ranges pass builds each of the six levels'
+    # grid stack once; no later call grows one
+    builds = []
+    row = poly_bergman.hermite_row
+
+    def counting(m_max, n, z):
+        if np.size(z) > 1:
+            builds.append(n)
+        return row(m_max, n, z)
+
+    monkeypatch.setattr(poly_bergman, "_basis_cache", OrderedDict())
+    monkeypatch.setattr(poly_bergman, "hermite_row", counting)
+    run_suite("projection")
+    run_suite("ranges")
+    assert sorted(builds) == list(range(6))
 
 
 def test_project_rejects_other_beta():

@@ -22,6 +22,7 @@ from polycauchy import (
     kummer_terminating,
     laguerre,
 )
+from polycauchy.special_fn import _laguerre_climb
 
 T_VALUES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(9))
 
@@ -157,6 +158,21 @@ def test_generalized_laguerre_parameter_array_matches_scalar():
         assert scalar_t.tolist() == [generalized_laguerre(p, k, 2.5) for k in range(4)]
     with pytest.raises(ValueError):
         generalized_laguerre(2, np.array([0, -1]), 1.0)
+
+
+def test_laguerre_climb_keeps_every_iterate():
+    # every yielded iterate is its own array: after the climb has ended,
+    # iterate k still equals the degree-k polynomial bit for bit, on the
+    # rows the active counts keep
+    t = np.linspace(0.0, 30.0, 257)
+    d = np.array([5, 2, 7, 0, 3]).reshape(-1, 1)
+    active = [5, 5, 5, 4, 4, 3, 2, 2, 1, 1]
+    iterates = list(_laguerre_climb(len(active) - 1, d, t, active))
+    assert len(iterates) == len(active)
+    for k, (iterate, rows) in enumerate(zip(iterates, active)):
+        assert iterate.shape[0] >= rows
+        want = generalized_laguerre(k, d[:rows], t)
+        assert np.array_equal(iterate[:rows].view(np.int64), want.view(np.int64)), k
 
 
 def test_gauss2f1_unit_symmetry():

@@ -17,6 +17,7 @@ from polycauchy import (
     record_to_row,
     run_suite,
     hermite_eval,
+    hermite_table,
     write_report,
 )
 from polycauchy.gaussian_quadrature import (
@@ -259,10 +260,21 @@ def test_linearity_integrand_has_fixed_operand_order():
     for z in verification._CAUCHY_POINTS:
         grid = build_singular_grid(z, DEFAULT_SINGULAR_RADIAL, DEFAULT_SINGULAR_ANGULAR)
         pts = grid.points
-        want = np.multiply(verification._linearity_f(pts), a) + np.multiply(
-            verification._linearity_g(pts), b
-        )
-        assert verification._linearity_integrand(pts).tobytes() == want.tobytes()
+        fv, gv = verification._linearity_sources(hermite_table(5, range(6), pts))
+        want = np.multiply(fv, a) + np.multiply(gv, b)
+        assert verification._linearity_integrand(fv, gv).tobytes() == want.tobytes()
+
+
+def test_linearity_sources_equal_per_index_evaluation():
+    # f and g read from the per-centre table equal their hermite_eval
+    # forms bit for bit, so the linearity records keep their bytes
+    for z in verification._CAUCHY_POINTS:
+        pts = build_singular_grid(z, DEFAULT_SINGULAR_RADIAL, DEFAULT_SINGULAR_ANGULAR).points
+        f = hermite_eval(HermiteIndex(2, 1), pts) + 0.5j * hermite_eval(HermiteIndex(0, 3), pts)
+        g = hermite_eval(HermiteIndex(1, 1), pts) - 1.25 * hermite_eval(HermiteIndex(3, 0), pts)
+        fv, gv = verification._linearity_sources(hermite_table(5, range(6), pts))
+        assert fv.tobytes() == f.tobytes()
+        assert gv.tobytes() == g.tobytes()
 
 
 def _kummer_fraction(p, b, t):
