@@ -27,12 +27,14 @@ m = 0..M over a block of levels n, with every entry equal to
 :func:`hermite_eval` bit for bit (the two share the code).  One
 Laguerre climb over the array of needed parameters d passes through
 every L_p^{(d)} the block needs, since the climb's iterates are the
-lower degrees; each power z^d and zbar^d is raised once.  Monomials are
-raised per exponent, since a stacked power is not bit-identical.
+lower degrees; each power z^d and zbar^d is raised once.
 :func:`hermite_row` is the one-level case.  Since H_{n,m}(w) =
-H_{m,n}(conj w), a row at conj w also gives the mirrored indices (for a
-scalar w not always to the last bit of ``hermite_eval``, whose
-conjugated scalar takes numpy's scalar power).
+H_{m,n}(conj w), a row at conj w also gives the mirrored indices.
+
+Every evaluator raises z^d and zbar^d through one helper: binary
+powering with whole-array multiplies, on at least one-dimensional
+arrays.  A scalar point is evaluated as a 1-element array, so it equals
+its entry in any array of points bit for bit.
 
 The recurrence route seeds H_{0,0} = 1 and climbs
 
@@ -59,6 +61,7 @@ the weighted Cauchy transform uniform in m.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -88,10 +91,11 @@ __all__ = [
 
 # Base crossover |z|^2 between the ascending series and the closed
 # exponential form of the m = -1 extension.  The closed form subtracts
-# the degree-n Taylor partial sum from e^t, so it loses roughly the
-# first n digits when t is small; the effective threshold grows as
-# max(base, n/2) to keep the subtraction well away from total
-# cancellation (at n = 12, t just above 0.25 it would round to zero).
+# e^{-t} times the degree-n Taylor partial sum of e^t from 1, so it
+# loses roughly the first n digits when t is small; the effective
+# threshold grows as max(base, n/2) to keep the subtraction well away
+# from total cancellation (at n = 12, t just above 0.25 it would round
+# to zero).
 # The series has only positive terms and converges geometrically below
 # the threshold.
 EXTENSION_CROSSOVER = 0.25
@@ -156,12 +160,13 @@ def hermite_eval(idx: HermiteIndex, z):
             f"hermite_eval requires m >= 0; use hermite_eval_extended for m=-1 (got m={m})"
         )
     z_arr = np.asarray(z, dtype=complex)
-    t = (z_arr * z_arr.conjugate()).real
+    points = np.atleast_1d(z_arr)
+    t = (points * points.conjugate()).real
     p = min(m, n)
     # p! first: past its overflow it raises before a p-step climb
     confluent = _signed_factorial(p) * generalized_laguerre(p, abs(m - n), t)
-    out = _monomial(z_arr, m, n) * confluent
-    return out if z_arr.ndim else complex(out)
+    out = _monomial(points, m, n) * confluent
+    return out if z_arr.ndim else complex(out[0])
 
 
 def hermite_table(m_max: int, levels, z) -> np.ndarray:
@@ -173,9 +178,9 @@ def hermite_table(m_max: int, levels, z) -> np.ndarray:
     parameters d passes through all of them, since its iterates are the
     lower degrees, and each d leaves the climb once its highest needed
     p is reached.  Each power z^d (entries m >= n) and zbar^d (entries
-    m < n) is then raised once, per scalar exponent, and multiplies
-    every entry that shares it.  The conjugate of z^d would not do for
-    zbar^d: numpy's power rounds signed zeros its own way.
+    m < n) is then raised once and multiplies every entry that shares
+    it.  The conjugate of z^d would not do for zbar^d: a product's zero
+    imaginary part keeps its sign under conjugation of the factors.
 
     Parameters
     ----------
@@ -197,10 +202,11 @@ def hermite_table(m_max: int, levels, z) -> np.ndarray:
             f"hermite_table requires m_max, n >= 0, got m_max={m_max}, levels={levels}"
         )
     z_arr = np.asarray(z, dtype=complex)
-    t = (z_arr * z_arr.conjugate()).real
-    out = np.empty((m_max + 1, len(levels)) + z_arr.shape, dtype=complex)
+    points = np.atleast_1d(z_arr)
+    t = (points * points.conjugate()).real
+    out = np.empty((m_max + 1, len(levels)) + points.shape, dtype=complex)
     if not levels:
-        return out
+        return out.reshape(out.shape[:2] + z_arr.shape)
     # the (p, d) pairs each entry needs, the degree each parameter d
     # must climb to, and the entries sharing each monomial
     needs = [set() for _ in range(min(m_max, max(levels)) + 1)]
@@ -223,12 +229,12 @@ def hermite_table(m_max: int, levels, z) -> np.ndarray:
         scale = _signed_factorial(p)
         for d in needs[p]:
             confluent[p, d] = scale * laguerre_p[row[d]]
-    zbar = z_arr.conjugate()
+    zbar = points.conjugate()
     for (mirrored, d), entries in by_monomial.items():
-        monomial = zbar**d if mirrored else z_arr**d
+        monomial = _power(zbar if mirrored else points, d)
         for m, j, p in entries:
             np.multiply(monomial, confluent[p, d], out=out[m, j, ...])
-    return out
+    return out.reshape(out.shape[:2] + z_arr.shape)
 
 
 def hermite_row(m_max: int, n: int, z) -> np.ndarray:
@@ -264,13 +270,28 @@ def _signed_factorial(p: int) -> float:
     return -factorial(p) if p % 2 else factorial(p)
 
 
-def _monomial(z_arr: np.ndarray, m: int, n: int):
-    """z^(m-n) for m >= n, else zbar^(n-m), one scalar exponent per call.
+def _power(z: np.ndarray, d: int) -> np.ndarray:
+    """z^d for an integer d >= 0, by left-to-right binary powering.
 
-    A stacked ``z ** d_array`` is not bit-identical: numpy turns a scalar
-    exponent of 2 into ``square``.
+    Whole-array multiplies take the place of numpy's per-element complex
+    ``**`` loop, several times slower, and round no worse.  Callers pass
+    arrays of at least one dimension: a numpy scalar's multiply rounds
+    otherwise, and so does an in-place multiply of a 1-element array,
+    so neither is used and a point equals its entry in any array.
     """
-    return z_arr ** (m - n) if m >= n else z_arr.conjugate() ** (n - m)
+    if d == 0:
+        return np.ones_like(z)
+    out = z.copy()
+    for bit in bin(d)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * z
+    return out
+
+
+def _monomial(points: np.ndarray, m: int, n: int):
+    """z^(m-n) for m >= n, else zbar^(n-m)."""
+    return _power(points, m - n) if m >= n else _power(points.conjugate(), n - m)
 
 
 def hermite_recurrence_eval(idx: HermiteIndex, z):
@@ -297,75 +318,101 @@ def hermite_recurrence_eval(idx: HermiteIndex, z):
     return out if z_arr.ndim else complex(out)
 
 
-def _extended_radial_body(n: int, t: np.ndarray) -> np.ndarray:
-    """Radial body B(t) with H_{-1,n}(z, zbar) = zbar^{n+1} B(|z|^2).
+@functools.lru_cache(maxsize=128)
+def _series_coefficients(n: int) -> tuple:
+    """1/(n+2)_k for k = 0..K(n), the coefficients of the extension's series.
 
-    For t above max(:data:`EXTENSION_CROSSOVER`, n/2) the closed form
-
-        B(t) = -n! t^{-(n+1)} (e^t - sum_{k<=n} t^k/k!)
-
-    is used; at or below it, the all-positive ascending series of
-    -1F1(1; n+2; t)/(n+1) truncated at relative term size 1e-17.
+    K(n) is the smallest K with T^K/(n+2)_K <= 1e-17, where
+    T = max(:data:`EXTENSION_CROSSOVER`, n/2) bounds t wherever the
+    series is used.  The sum is at least its first term 1, so term K is
+    below 1e-17 of the sum at every such point.  Each coefficient is
+    the correctly rounded reciprocal of its exact integer product.
     """
-    out = np.empty_like(t)
+    bound = _extension_threshold(n)
+    rising, coefficients = 1, [1.0]
+    while bound ** (len(coefficients) - 1) / rising > _SERIES_RELATIVE_CUTOFF:
+        rising *= n + 1 + len(coefficients)
+        coefficients.append(1 / rising)
+    return tuple(coefficients)
 
+
+def _extended_parts(n: int, t: np.ndarray, weighted: bool):
+    """Split H_{-1,n}, or e^{-t} H_{-1,n} when ``weighted``, into two factors.
+
+    Returns (series, body), both shaped like t.  Where ``series`` holds
+    (t at or below max(:data:`EXTENSION_CROSSOVER`, n/2)) the value is
+    zbar^{n+1} body, with body -1/(n+1) times the all-positive series
+    sum_k t^k/(n+2)_k of 1F1(1; n+2; t) through term K(n)
+    (:func:`_series_coefficients`), in Horner form, times e^{-t} when
+    weighted.  Elsewhere it is (zbar/t)^{n+1} body, with the closed form
+
+        body = -n! (1 - e^{-t} sum_{k<=n} t^k/k!),  times e^t unless weighted.
+
+    The Poisson terms e^{-t} t^k/k! never exceed 1 and zbar/t is 1/z,
+    so for any finite t no intermediate of the weighted value
+    overflows.  Every step is elementwise and the term counts are fixed,
+    so each value depends on its own point only.
+    """
     series = t <= _extension_threshold(n)
+    body = np.empty_like(t)
     if np.any(series):
         ts = t[series]
-        term = np.ones_like(ts)
-        total = np.zeros_like(ts)
-        comp = np.zeros_like(ts)
-        k = 0
-        while True:
-            y = term - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-            if np.max(term) <= _SERIES_RELATIVE_CUTOFF * np.min(total):
-                break
-            term = term * ts / (n + 2 + k)
-            k += 1
-        out[series] = c_mn(-1, n) * total
+        coefficients = _series_coefficients(n)
+        total = np.full_like(ts, coefficients[-1])
+        for c in coefficients[-2::-1]:
+            total = total * ts + c
+        value = c_mn(-1, n) * total
+        body[series] = value * np.exp(-ts) if weighted else value
 
     closed = ~series
     if np.any(closed):
         tc = t[closed]
         # n! first: past its overflow it raises before an n-step loop
         scale = -factorial(n)
-        partial = np.zeros_like(tc)
-        comp = np.zeros_like(tc)
-        term = np.ones_like(tc)
-        for k in range(n + 1):
+        term = np.exp(-tc)
+        partial, comp = term, 0.0
+        for k in range(1, n + 1):
+            term = term * tc / k
             y = term - comp
             s = partial + y
             comp = (s - partial) - y
             partial = s
-            term = term * tc / (k + 1)
-        body = (np.exp(tc) - partial) / tc ** (n + 1)
-        out[closed] = scale * body
+        value = scale * (1.0 - partial)
+        body[closed] = value if weighted else value * np.exp(tc)
 
-    return out
+    return series, body
 
 
-def hermite_eval_extended(n: int, z):
+def hermite_eval_extended(n: int, z, *, weighted: bool = False):
     """Evaluate the extended function H_{-1,n}(z, zbar).
 
     For t = |z|^2 above max(:data:`EXTENSION_CROSSOVER`, n/2) the
     closed form
 
-        -n! zbar^{n+1} t^{-(n+1)} (e^t - sum_{k<=n} t^k/k!)
+        -n! (zbar/t)^{n+1} (1 - e^{-t} sum_{k<=n} t^k/k!) e^t
 
     is used; at or below it, the ascending series of 1F1(1; n+2; t)
-    truncated at relative term size 1e-17.  H_{-1,n}(0) = 0.
+    through a fixed term count.  H_{-1,n}(0) = 0.  Each value depends
+    on its own point only: a scalar equals its entry in any array.
+
+    With ``weighted`` the result is e^{-|z|^2} H_{-1,n}(z, zbar),
+    formed without e^{|z|^2}: it decays like 1/|z| and stays finite
+    where H_{-1,n} itself overflows, for every z whose |z|^2 is a
+    finite double.
     """
     if n < 0:
         raise ValueError(f"hermite_eval_extended requires n >= 0, got {n}")
     z_arr = np.asarray(z, dtype=complex)
-    scalar = not z_arr.ndim
-    z_flat = np.atleast_1d(z_arr)
-    t = (z_flat * z_flat.conjugate()).real
-    out = z_flat.conjugate() ** (n + 1) * _extended_radial_body(n, t)
-    return complex(out[0]) if scalar else out.reshape(z_arr.shape)
+    points = np.atleast_1d(z_arr)
+    base = points.conjugate()
+    t = (points * base).real
+    series, body = _extended_parts(n, t, weighted)
+    # zbar where the series serves, zbar/t elsewhere, one rounding per part
+    divisor = np.where(series, 1.0, t)
+    np.divide(base.real, divisor, out=base.real)
+    np.divide(base.imag, divisor, out=base.imag)
+    out = _power(base, n + 1) * body
+    return out if z_arr.ndim else complex(out[0])
 
 
 def _dd_half_power(t: np.ndarray, d: int):
@@ -380,7 +427,7 @@ def _dd_half_power(t: np.ndarray, d: int):
     return h, l
 
 
-def hermite_radial_profile(idx: HermiteIndex, t):
+def hermite_radial_profile(idx: HermiteIndex, t, *, weighted: bool = False):
     """Radial factor and angular frequency of H_{m,n} on circles.
 
     On the circle z = sqrt(t) e^{i theta} the polynomial factorises as
@@ -395,11 +442,19 @@ def hermite_radial_profile(idx: HermiteIndex, t):
 
     The extension m = -1 factorises the same way with frequency
     -(n + 1); its profile is returned in plain double (lo = 0).
+
+    With ``weighted`` the profile is that of e^{-t} H_{m,n}: the
+    polynomial profile times e^{-t} in double-double, and for m = -1
+    the weighted form of :func:`hermite_eval_extended`, which stays
+    finite at any t.
     """
     t_arr = np.asarray(t, dtype=float)
     m, n = idx.m, idx.n
     if m == -1:
-        hi = t_arr ** (0.5 * (n + 1)) * _extended_radial_body(n, t_arr)
+        series, body = _extended_parts(n, t_arr, weighted)
+        # the circle values of zbar^{n+1} and (zbar/t)^{n+1}
+        half = 0.5 * (n + 1)
+        hi = t_arr ** np.where(series, half, -half) * body
         return hi, np.zeros_like(hi), m - n
     lh, ll = _generalized_laguerre_dd(min(m, n), abs(m - n), t_arr)
     ph, pl = _dd_half_power(t_arr, abs(m - n))
@@ -408,6 +463,9 @@ def hermite_radial_profile(idx: HermiteIndex, t):
     if min(m, n) % 2:
         scale = -scale
     h, l = dd_mul_scalar(h, l, scale)
+    if weighted:
+        damp = np.exp(-t_arr)
+        h, l = dd_mul(h, l, damp, np.zeros_like(damp))
     return h, l, m - n
 
 

@@ -134,8 +134,7 @@ def kernel_series(spec: KernelSpec, z, w):
     the result is a complex; otherwise it is the array of K_n(z_i, w_j)
     with shape ``np.shape(z) + np.shape(w)``, each entry equal to the
     call on its two points.  One Hermite row is built per point of each
-    list, at the scalar point: rows evaluated on a point array can
-    differ from scalar rows in the last bits.
+    list, at the scalar point.
     """
     n = spec.n
     fn = factorial(n)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._ddouble import dd_mul, dd_mul_scalar
+from ._ddouble import dd_mul_scalar
 from .gaussian_quadrature import PolarGrid, build_polar_grid
 from .ito_hermite import HermiteIndex, _separable_gram, c_mn, hermite_radial_profile
 from .poly_bergman import CoefficientSequence, projection_coefficient_closed
@@ -126,10 +126,14 @@ def pn_cauchy_on_coeffs(seq: CoefficientSequence, n: int) -> CoefficientSequence
 
 
 def _psi_profile(idx: HermiteIndex, grid: PolarGrid):
-    """Double-double radial profile of psi_{m,n} = -e^{-t} H_{m-1,n} on the grid."""
-    h, l, freq = hermite_radial_profile(HermiteIndex(idx.m - 1, idx.n), grid.radial_t)
-    damp = np.exp(-grid.radial_t)
-    h, l = dd_mul(h, l, damp, np.zeros_like(damp))
+    """Double-double radial profile of psi_{m,n} = -e^{-t} H_{m-1,n} on the grid.
+
+    The weighted profile forms the m = 0 image without e^t, so it stays
+    finite on the outermost nodes of large grids.
+    """
+    h, l, freq = hermite_radial_profile(
+        HermiteIndex(idx.m - 1, idx.n), grid.radial_t, weighted=True
+    )
     return dd_mul_scalar(h, l, -1.0) + (freq,)
 
 
@@ -196,7 +200,8 @@ def psi_gram(
     frequency, so the selection rule m - j = n - k is resolved
     exactly.  Polynomial entries expected nonzero are re-derived
     through the radial confluent-series route and the worst relative
-    gap is reported.
+    gap is reported.  An entry or gap that is not finite raises
+    ValueError, so a report never passes on one.
     """
     if grid is None:
         grid = build_polar_grid()
@@ -228,6 +233,16 @@ def psi_gram(
     expected = _psi_pair_radial(poly_idx, place[rows[check]], place[cols[check]], grid)
     gap = np.abs(values[check] - expected) / (1.0 + np.abs(expected))
     radial_worst = float(np.max(gap, initial=0.0))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        e = bad[0]
+        a, b = idx[rows[e]], idx[cols[e]]
+        raise ValueError(
+            f"psi_gram: <psi_({a.m},{a.n}), psi_({b.m},{b.n})> = {values[e]} "
+            "is not a finite double"
+        )
+    if not math.isfinite(radial_worst):
+        raise ValueError(f"psi_gram: radial cross-check gap {radial_worst} is not finite")
     values = values.reshape(size, size)
 
     violation = float(np.max(np.abs(values[mask]))) if mask.any() else 0.0

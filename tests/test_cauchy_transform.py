@@ -13,6 +13,7 @@ from polycauchy import (
     cauchy_hermite_closed,
     cauchy_transform_numeric,
     hermite_eval,
+    hermite_eval_extended,
 )
 from polycauchy.cauchy_transform import _BLOCK
 
@@ -122,13 +123,14 @@ def test_blocked_images_equal_unblocked_formula():
 def test_closed_image_is_one_public_call(monkeypatch):
     # blocks go through a private helper, so a wrapper on the public
     # name (as a tracer installs) sees one call per image; m >= 1 makes
-    # one hermite_eval call per block, m = 0 stays one unblocked call
+    # one hermite_eval call per block, m = 0 one weighted extended call
+    # per block
     counts = {"closed": 0, "eval": 0, "extended": 0}
 
     def counting(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             counts[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return wrapper
 
@@ -148,4 +150,25 @@ def test_closed_image_is_one_public_call(monkeypatch):
         for m, n in BLOCKED_INDICES + ((0, 3),)
     ]
     assert all(image.shape == z.shape for image in images)
-    assert counts == {"closed": 5, "eval": 4 * 4, "extended": 1}
+    assert counts == {"closed": 5, "eval": 4 * 4, "extended": 4}
+
+
+def test_m0_images_depend_on_the_point_alone():
+    # the m = 0 image is blocked like m >= 1: each value equals the
+    # unblocked weighted extension and the scalar image bit for bit
+    z = _cloud(2**16, 11)
+    z[::97] *= 12.0  # past |z| = 26.6, where e^{|z|^2} overflows
+    sample = np.random.default_rng(12).choice(z.size, 512, replace=False)
+    for n in (0, 3, 9):
+        idx = HermiteIndex(0, n)
+        images = cauchy_hermite_closed(idx, z)
+        whole = -hermite_eval_extended(n, z, weighted=True)
+        blocks = np.concatenate(
+            [cauchy_hermite_closed(idx, z[s : s + _BLOCK]) for s in range(0, z.size, _BLOCK)]
+        )
+        assert np.all(np.isfinite(images))
+        assert np.array_equal(images.view(np.int64), whole.view(np.int64)), n
+        assert np.array_equal(images.view(np.int64), blocks.view(np.int64)), n
+        for i in np.concatenate([np.arange(4), sample]):
+            one = np.array([cauchy_hermite_closed(idx, complex(z[i]))])
+            assert np.array_equal(one.view(np.int64), images[i : i + 1].view(np.int64)), (n, z[i])

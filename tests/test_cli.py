@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +83,47 @@ def test_non_finite_result_exit_code(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "not a finite double" in captured.err
+
+
+def test_far_m0_image_is_printed(capsys):
+    # e^{|z|^2} overflows at |z| = 30, the image 2/30^3 does not
+    assert main(["cauchy", "--m", "0", "--n", "2", "--z", "30,0"]) == 0
+    out = capsys.readouterr().out
+    assert out == "0.0000740740740740741\n"
+    assert float(out) == pytest.approx(2.0 / 27000.0, rel=1e-14)
+
+
+def test_gram_on_a_wide_grid_is_finite(capsys):
+    # the outermost node at --nr 200 lies past e^t's range
+    payloads = {}
+    for nr in ("64", "200"):
+        assert main(["gram", "--max-index", "1", "--nr", nr]) == 0
+        text = capsys.readouterr().out
+        assert "NaN" not in text and "Infinity" not in text
+        payloads[nr] = json.loads(text)
+    assert payloads["200"]["pass"] is True
+
+    def entries(payload):
+        return [complex(*v) if isinstance(v, list) else v for row in payload["values"] for v in row]
+
+    for a, b in zip(entries(payloads["64"]), entries(payloads["200"]), strict=True):
+        assert abs(b - a) <= 1e-12 * abs(a)
+
+
+def test_gram_with_a_non_finite_entry_exits_3(capsys, monkeypatch):
+    from polycauchy import range_analysis
+
+    profile = range_analysis._psi_profile
+
+    def broken(idx, grid):
+        h, l, freq = profile(idx, grid)
+        return h * np.nan if idx.m == 0 else h, l, freq
+
+    monkeypatch.setattr(range_analysis, "_psi_profile", broken)
+    assert main(["gram", "--max-index", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a finite double" in captured.err
 
 
 def test_usage_error_exit_code(capsys):

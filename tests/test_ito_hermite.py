@@ -31,7 +31,7 @@ from polycauchy import (
     polar_separable_quadrature,
 )
 from polycauchy._ddouble import dd_mul
-from polycauchy.ito_hermite import EXTENSION_CROSSOVER
+from polycauchy.ito_hermite import EXTENSION_CROSSOVER, _power, _series_coefficients
 from polycauchy.special_fn import factorial, generalized_laguerre
 
 
@@ -179,12 +179,16 @@ def _row_per_m(m_max, n, z):
         return -value if p % 2 else value
 
     out = np.empty((m_max + 1,) + z_arr.shape, dtype=complex)
+    # monomials through the shared power helper, on 1-element arrays for
+    # a scalar point, as every evaluator raises them
+    points = np.atleast_1d(z_arr)
     for m in range(min(m_max + 1, n)):
-        np.multiply(z_arr.conjugate() ** (n - m), confluent(m, n - m), out=out[m, ...])
+        monomial = _power(points.conjugate(), n - m).reshape(z_arr.shape)
+        np.multiply(monomial, confluent(m, n - m), out=out[m, ...])
     if m_max >= n:
         shared = confluent(n, np.arange(m_max - n + 1).reshape((-1,) + (1,) * t.ndim))
         for k in range(m_max - n + 1):
-            np.multiply(z_arr**k, shared[k], out=out[n + k, ...])
+            np.multiply(_power(points, k).reshape(z_arr.shape), shared[k], out=out[n + k, ...])
     return out
 
 
@@ -378,3 +382,106 @@ def test_unit_weight_required():
     grid = build_polar_grid(16, 16, 2.0)
     with pytest.raises(ValueError):
         hermite_gram_matrix([HermiteIndex(0, 0)], grid)
+
+
+SIGNED_ZEROS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+
+
+def test_power_at_signed_zeros():
+    zeros = np.array(SIGNED_ZEROS)
+    assert np.array_equal(_power(zeros, 0), np.ones(4, dtype=complex))
+    for d in range(1, 31):
+        got = _power(zeros, d)
+        assert np.all(got == 0), d
+
+
+def test_power_of_a_point_equals_its_array_entry():
+    rng = np.random.default_rng(20261020)
+    z = 3.0 * (rng.standard_normal(257) + 1j * rng.standard_normal(257))
+    for d in range(31):
+        whole = _power(z, d)
+        for i in range(0, z.size, 16):
+            assert np.array_equal(_bits(_power(z[i : i + 1], d)), _bits(whole[i])), (d, i)
+
+
+def test_mirrored_scalar_evaluation_is_bit_identical():
+    # H_{n,m}(w) = H_{m,n}(conj w); both sides raise their monomial on a
+    # 1-element array, so they agree to the last bit at a scalar too
+    w = 2.5789840705589775 - 2.2188529551938907j
+    a = hermite_eval(HermiteIndex(0, 2), w)
+    assert np.array_equal(_bits(a), _bits(hermite_eval(HermiteIndex(2, 0), w.conjugate())))
+    rng = np.random.default_rng(20261021)
+    points = 3.0 * (rng.standard_normal(200) + 1j * rng.standard_normal(200))
+    for i, w in enumerate(points.tolist()):
+        m, n = i % 7, (3 * i) % 9
+        a = hermite_eval(HermiteIndex(m, n), w)
+        b = hermite_eval(HermiteIndex(n, m), w.conjugate())
+        assert np.array_equal(_bits(a), _bits(b)), (m, n, w)
+
+
+def _extension_cloud(count: int, seed: int) -> np.ndarray:
+    """Seeded points on both sides of every crossover, far points and signed zeros."""
+    rng = np.random.default_rng(seed)
+    radius = np.where(rng.uniform(size=count) < 0.9, 4.0, 40.0)
+    z = radius * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
+    for i, zero in enumerate(SIGNED_ZEROS):
+        z[i] = zero
+        z[8191 + i] = zero
+    return z
+
+
+def test_extension_values_depend_on_the_point_alone():
+    z = _extension_cloud(2**16, 20261022)
+    sample = np.random.default_rng(5).choice(z.size, 1024, replace=False)
+    sample = np.concatenate([np.arange(4), [8191, 8192, 8193, 8194], sample])
+    for n in (0, 1, 3, 8, 16):
+        for weighted in (False, True):
+            with np.errstate(over="ignore", invalid="ignore"):
+                whole = hermite_eval_extended(n, z, weighted=weighted)
+                blocks = np.concatenate(
+                    [
+                        hermite_eval_extended(n, z[s : s + 8192], weighted=weighted)
+                        for s in range(0, z.size, 8192)
+                    ]
+                )
+                assert np.array_equal(_bits(whole), _bits(blocks)), (n, weighted)
+                for i in sample:
+                    one = hermite_eval_extended(n, complex(z[i]), weighted=weighted)
+                    assert np.array_equal(_bits(one), _bits(whole[i])), (n, weighted, z[i])
+
+
+def test_series_term_count_meets_the_cutoff():
+    # K(n) is the smallest K with T^K / (n+2)_K <= 1e-17, T = max(0.25, n/2),
+    # so every point of the series keeps at least the terms that the
+    # cutoff 1e-17 relative to the sum (itself >= 1) asks for
+    for n in range(41):
+        coefficients = _series_coefficients(n)
+        big_k = len(coefficients) - 1
+        bound = Fraction(max(EXTENSION_CROSSOVER, 0.5 * n))
+        rising = math.prod(range(n + 2, n + 2 + big_k))
+        assert bound**big_k / rising <= Fraction(1e-17)
+        assert bound ** (big_k - 1) / (rising // (n + 1 + big_k)) > Fraction(1e-17)
+        for k, c in enumerate(coefficients):
+            assert c == float(Fraction(1, math.prod(range(n + 2, n + 2 + k))))
+
+
+def test_weighted_profiles():
+    t = np.array([0.0, 0.2, 0.3, 1.7, 4.2, 30.0, 700.0, 767.8, 1e4])
+    for n in range(6):
+        hi, lo, freq = hermite_radial_profile(HermiteIndex(-1, n), t, weighted=True)
+        assert freq == -(n + 1) and np.all(lo == 0.0) and np.all(np.isfinite(hi))
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = hermite_radial_profile(HermiteIndex(-1, n), t)[0]
+        small = t <= 30.0
+        want = np.exp(-t[small]) * plain[small]
+        assert np.all(np.abs(hi[small] - want) <= 1e-14 * np.abs(want))
+        # beyond e^t's range the profile tends to -n! t^{-(n+1)/2}
+        assert hi[-1] == pytest.approx(-math.factorial(n) * 1e4 ** (-0.5 * (n + 1)), rel=1e-15)
+    nodes = t[1:-3]
+    for m, n in ((0, 0), (3, 1), (2, 5)):
+        h, l, freq = hermite_radial_profile(HermiteIndex(m, n), nodes)
+        wh, wl, wfreq = hermite_radial_profile(HermiteIndex(m, n), nodes, weighted=True)
+        damp = np.exp(-nodes)
+        want = dd_mul(h, l, damp, np.zeros_like(damp))
+        assert wfreq == freq
+        assert np.array_equal(wh, want[0]) and np.array_equal(wl, want[1])

@@ -77,8 +77,8 @@ def test_kernel_series_matches_closed():
 
 
 def test_kernel_series_on_point_lists_equals_scalar_calls():
-    # rows built on these seeded points as one array differ from scalar
-    # rows in the last bits, and so would some kernel values
+    # on these seeded points a row built on one array once differed from
+    # scalar rows in the last bits; every list entry must equal its call
     rng = np.random.default_rng(20261018)
     cloud = 1.5 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
     z_list = KERNEL_POINTS + tuple(cloud.tolist())

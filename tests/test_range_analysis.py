@@ -162,6 +162,38 @@ def test_psi_gram_matches_pairwise():
     assert report.radial_check_max_rel == worst > 0.0
 
 
+def test_psi_gram_on_wide_grids_is_finite_and_stable():
+    # the outermost Laguerre node at nr = 200 is 767.8, past e^t's range;
+    # the m = 0 profiles never form e^t, so the Gram stays finite and
+    # agrees with nr = 64
+    indices = [HermiteIndex(m, n) for m in range(3) for n in range(3)]
+    coarse = psi_gram(indices, build_polar_grid(64, 64, 1.0)).values
+    for nr in (150, 200):
+        wide = psi_gram(indices, build_polar_grid(nr, 64, 1.0))
+        assert np.all(np.isfinite(wide.values)) and wide.passed
+        nonzero = coarse != 0
+        assert np.array_equal(wide.values != 0, nonzero)
+        gap = np.abs(wide.values[nonzero] - coarse[nonzero]) / np.abs(coarse[nonzero])
+        assert np.max(gap) <= 1e-12, nr
+
+
+def test_psi_gram_refuses_non_finite_values(monkeypatch):
+    from polycauchy import range_analysis
+
+    profile = range_analysis._psi_profile
+
+    def broken(idx, grid):
+        h, l, freq = profile(idx, grid)
+        if idx == HermiteIndex(0, 1):
+            h = h.copy()
+            h[-1] = np.nan
+        return h, l, freq
+
+    monkeypatch.setattr(range_analysis, "_psi_profile", broken)
+    with pytest.raises(ValueError, match=r"psi_\(0,1\).*not a finite double"):
+        psi_gram([(0, 0), (0, 1), (1, 0)])
+
+
 def test_gram_report_consistency_enforced():
     values = np.zeros((1, 1), dtype=complex)
     mask = np.zeros((1, 1), dtype=bool)
