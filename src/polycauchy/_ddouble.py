@@ -87,11 +87,15 @@ def dd_div_scalar(xh, xl, c):
 
 
 def dd_sqrt(xh, xl):
-    """Square root of a nonnegative dd via one Newton refinement."""
+    """Square root of a nonnegative dd via one Newton refinement.
+
+    At x = 0 the residual is 0 as well; the step divides it by 2, not
+    by 2 sqrt(0), so sqrt(0) is (0, 0) rather than 0/0.
+    """
     s = np.sqrt(xh)
     ph, pl = two_prod(s, s)
     dh, dl = dd_add(xh, xl, -ph, -pl)
-    corr = (dh + dl) / (2.0 * s)
+    corr = (dh + dl) / (2.0 * np.where(s == 0, 1.0, s))
     return quick_two_sum(s, corr)
 
 

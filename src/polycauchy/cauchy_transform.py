@@ -27,40 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_quadrature import (
-    DEFAULT_RADIUS_PAD,
-    DEFAULT_SINGULAR_ANGULAR,
-    DEFAULT_SINGULAR_RADIAL,
-    build_singular_grid,
-    cauchy_singular_quadrature,
-)
+from .gaussian_quadrature import SingularGrid, cauchy_singular_quadrature
 from .ito_hermite import HermiteIndex, hermite_eval, hermite_eval_extended
 
 __all__ = [
-    "CauchyGridOptions",
     "PsiFunction",
     "cauchy_hermite_closed",
     "cauchy_transform_numeric",
 ]
-
-
-@dataclass(frozen=True)
-class CauchyGridOptions:
-    """Resolution knobs for the recentred singular quadrature."""
-
-    n_radial: int = DEFAULT_SINGULAR_RADIAL
-    n_theta: int = DEFAULT_SINGULAR_ANGULAR
-    radius_pad: float = DEFAULT_RADIUS_PAD
-
-    def __post_init__(self) -> None:
-        if self.n_radial < 1:
-            raise ValueError(f"CauchyGridOptions requires n_radial >= 1, got {self.n_radial}")
-        if self.n_theta < 4:
-            raise ValueError(f"CauchyGridOptions requires n_theta >= 4, got {self.n_theta}")
-        if self.radius_pad <= 0:
-            raise ValueError(
-                f"CauchyGridOptions requires radius_pad > 0, got {self.radius_pad}"
-            )
 
 
 # Points per block of a large image: 8192 measured fastest on 2^18
@@ -76,11 +50,13 @@ def cauchy_hermite_closed(idx: HermiteIndex, z):
     which never forms e^{|z|^2}, so the m = 0 image stays finite at any
     |z|.  At z = 0 with m = 0 this is the removable-singularity limit 0.
 
-    An input of more than 8192 points is evaluated in fixed blocks of
-    8192 points, so each block's temporaries stay in cache.  Both
-    routes compute each value from its own point alone, so every value
-    equals the unblocked evaluation, and the scalar one, bit for bit.
-    The block size is a constant, not an option.
+    Every input runs through one loop over fixed blocks of 8192 of its
+    flattened points, so each block's temporaries stay in cache; a
+    scalar, or an input of up to 8192 points, is a single block.  Both
+    routes compute each value from its own point alone, so a value does
+    not depend on the block it falls in, and a scalar equals its entry
+    in any array bit for bit.  The block size is a constant, not an
+    option.
 
     Parameters
     ----------
@@ -97,24 +73,20 @@ def cauchy_hermite_closed(idx: HermiteIndex, z):
     if m < 0:
         raise ValueError(f"cauchy_hermite_closed requires m >= 0, got m={m}")
     z_arr = np.asarray(z, dtype=complex)
-    if z_arr.size <= _BLOCK:
-        out = _closed_image(m, n, z_arr)
-        return out if z_arr.ndim else complex(out)
     flat = z_arr.ravel()
     out = np.empty_like(flat)
     for start in range(0, flat.size, _BLOCK):
         block = slice(start, start + _BLOCK)
         out[block] = _closed_image(m, n, flat[block])
-    return out.reshape(z_arr.shape)
+    return out.reshape(z_arr.shape) if z_arr.ndim else complex(out[0])
 
 
-def _closed_image(m: int, n: int, z_arr: np.ndarray):
-    """-e^{-|z|^2} H_{m-1,n}(z, zbar) on one array of points, unblocked."""
-    point = z_arr if z_arr.ndim else complex(z_arr)
+def _closed_image(m: int, n: int, points: np.ndarray) -> np.ndarray:
+    """-e^{-|z|^2} H_{m-1,n}(z, zbar) on one 1-D block of points."""
     if m == 0:
-        return -hermite_eval_extended(n, point, weighted=True)
-    gauss = np.exp(-(z_arr * z_arr.conjugate()).real)
-    return -gauss * hermite_eval(HermiteIndex(m - 1, n), point)
+        return -hermite_eval_extended(n, points, weighted=True)
+    gauss = np.exp(-(points * points.conjugate()).real)
+    return -gauss * hermite_eval(HermiteIndex(m - 1, n), points)
 
 
 @dataclass(frozen=True)
@@ -139,17 +111,12 @@ class PsiFunction:
         return cauchy_hermite_closed(self.index, z)
 
 
-def cauchy_transform_numeric(
-    f, z: complex, opts: CauchyGridOptions | None = None
-) -> complex:
+def cauchy_transform_numeric(f, z: complex, grid: SingularGrid | None = None) -> complex:
     """Evaluate the transform of an arbitrary plane function at z.
 
-    Builds the recentred singular grid prescribed by ``opts`` and
-    delegates to the quadrature; ``f`` must accept complex ndarray
-    input.
+    Delegates to :func:`~.gaussian_quadrature.cauchy_singular_quadrature`.
+    ``grid`` is a singular grid built at z by
+    :func:`~.gaussian_quadrature.build_singular_grid`, or None for the
+    default resolution.  ``f`` must accept complex ndarray input.
     """
-    if opts is None:
-        opts = CauchyGridOptions()
-    z = complex(z)
-    grid = build_singular_grid(z, opts.n_radial, opts.n_theta, opts.radius_pad)
-    return cauchy_singular_quadrature(f, z, grid)
+    return cauchy_singular_quadrature(f, complex(z), grid)

@@ -23,7 +23,6 @@ import sys
 import numpy as np
 
 from .cauchy_transform import (
-    CauchyGridOptions,
     PsiFunction,
     cauchy_hermite_closed,
     cauchy_transform_numeric,
@@ -198,7 +197,9 @@ def _cmd_cauchy(args: argparse.Namespace, cfg: VerifyConfig) -> int:
         _emit(format_complex(closed), args)
         return 0
     numeric = _finite(
-        cauchy_transform_numeric(lambda pts: hermite_eval(idx, pts), args.z, cfg.cauchy_opts()),
+        cauchy_transform_numeric(
+            lambda pts: hermite_eval(idx, pts), args.z, cfg.singular_grid(args.z)
+        ),
         f"numeric {what}",
     )
     lines = [

@@ -32,10 +32,10 @@ accurate.
 
 Angular phase tables are built once per size, read-only, with exact
 reflection symmetry: table[j + N/2] = -table[j] holds bit-for-bit
-(quadrant symmetry too when 4 | N).  Summing e^{i p theta_j} over such
-a table cancels in pairs, so the trapezoid rule annihilates off-pattern
-frequencies to an exact floating-point zero, not merely to rounding
-level.
+(quadrant symmetry too when 4 | N).  The separable rule takes the
+trapezoid sum of e^{i p theta_j} as its exact value, N or 0, so
+off-pattern frequencies vanish to an exact floating-point zero on
+every grid, not merely to rounding level.
 
 A second grid family handles the Cauchy kernel: recentred polar
 coordinates xi = z + rho e^{i theta} absorb the 1/(z - xi) singularity
@@ -376,22 +376,14 @@ def angular_phase_sum(frequency: int, grid: PolarGrid) -> complex:
     """Sum of e^{i p theta_j} over the grid's angular nodes.
 
     The trapezoid rule sums the N-th roots of unity raised to p, which
-    is exactly N for p = 0 (mod N) and exactly 0 otherwise; on an
-    even-N grid those exact values are returned.  Where p has fewer
-    factors of two than N, the zero is also what summing the phase
-    table gives, since its half-turn antisymmetry is bit-exact and the
-    nodes cancel in pairs.  For p a multiple of N's power-of-two part
-    (p = 4 on N = 12, say) the table sum would leave rounding noise,
-    and the selection rules need the exact zero.  Odd N, whose table has no such symmetry, falls back to
-    a compensated sum over the table.
+    is exactly N for p = 0 (mod N) and exactly 0 otherwise; those exact
+    values are returned on every grid.  Summing the phase table would
+    leave rounding noise wherever its half-turn antisymmetry does not
+    cancel the nodes in pairs (odd N, or p = 4 on N = 12), and the
+    selection rules need the exact zero.
     """
     n_full = grid.n_theta
-    p = int(frequency) % n_full
-    if p == 0:
-        return complex(n_full)
-    if n_full % 2 == 0:
-        return 0j
-    return complex(kahan_sum(grid.phase[(p * j) % n_full] for j in range(n_full)))
+    return complex(n_full) if int(frequency) % n_full == 0 else 0j
 
 
 def polar_separable_quadrature(
@@ -405,7 +397,7 @@ def polar_separable_quadrature(
     Applies the same tensor rule as :func:`plane_quadrature` to an
     integrand given in factored form: the angular factor reduces to
     :func:`angular_phase_sum` (an exact zero for off-pattern
-    frequencies on even grids) and the radial factor, supplied as a
+    frequencies) and the radial factor, supplied as a
     double-double pair evaluated at ``grid.radial_t``, is contracted
     with the weights through error-free products.  This path avoids
     re-deriving t = |z|^2 from the rounded grid points, which is what

@@ -397,20 +397,30 @@ def hermite_eval_extended(n: int, z, *, weighted: bool = False):
 
     With ``weighted`` the result is e^{-|z|^2} H_{-1,n}(z, zbar),
     formed without e^{|z|^2}: it decays like 1/|z| and stays finite
-    where H_{-1,n} itself overflows, for every z whose |z|^2 is a
-    finite double.
+    where H_{-1,n} itself overflows, for every finite z.  Past
+    |z| ~ 1.34e154, where |z|^2 overflows, it is the limit
+    -n!/z^{n+1}.
     """
     if n < 0:
         raise ValueError(f"hermite_eval_extended requires n >= 0, got {n}")
     z_arr = np.asarray(z, dtype=complex)
     points = np.atleast_1d(z_arr)
     base = points.conjugate()
-    t = (points * base).real
-    series, body = _extended_parts(n, t, weighted)
+    # |z| past ~1.34e154 makes t inf and its Poisson terms 0 * inf;
+    # those entries are replaced below
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (points * base).real
+        series, body = _extended_parts(n, t, weighted)
     # zbar where the series serves, zbar/t elsewhere, one rounding per part
     divisor = np.where(series, 1.0, t)
     np.divide(base.real, divisor, out=base.real)
     np.divide(base.imag, divisor, out=base.imag)
+    far = np.isinf(t)
+    if far.any():
+        # the limits there: 1/z for zbar/t (complex division scales) and
+        # -n! e^t for the body
+        base[far] = 1.0 / points[far]
+        body[far] = -factorial(n) if weighted else -np.inf
     out = _power(base, n + 1) * body
     return out if z_arr.ndim else complex(out[0])
 

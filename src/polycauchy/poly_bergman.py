@@ -45,7 +45,6 @@ from .special_fn import (
     factorial,
     gamma_ratio,
     gauss2f1_unit,
-    hyp2f1_terminating_unit,
     kahan_sum,
     laguerre,
 )
@@ -133,8 +132,7 @@ def kernel_series(spec: KernelSpec, z, w):
     ``z`` and ``w`` are points or sequences of points.  For two points
     the result is a complex; otherwise it is the array of K_n(z_i, w_j)
     with shape ``np.shape(z) + np.shape(w)``, each entry equal to the
-    call on its two points.  One Hermite row is built per point of each
-    list, at the scalar point.
+    call on its two points.  One Hermite row call serves each list.
     """
     n = spec.n
     fn = factorial(n)
@@ -143,12 +141,9 @@ def kernel_series(spec: KernelSpec, z, w):
     scale = [math.pi * factorial(m) * fn for m in range(spec.truncation + 1)]
     z_arr = np.asarray(z, dtype=complex)
     w_arr = np.asarray(w, dtype=complex)
-    at_z = [hermite_row(spec.truncation, n, v).tolist() for v in z_arr.ravel().tolist()]
-    # H_{n,m}(w) = H_{m,n}(conj w): the series takes the row at conj w
-    at_w = [
-        hermite_row(spec.truncation, n, v.conjugate()).tolist()
-        for v in w_arr.ravel().tolist()
-    ]
+    at_z = hermite_row(spec.truncation, n, z_arr.ravel()).T.tolist()
+    # H_{n,m}(w) = H_{m,n}(conj w): the series takes the rows at conj w
+    at_w = hermite_row(spec.truncation, n, w_arr.ravel().conjugate()).T.tolist()
     values = [
         complex(kahan_sum(a * b / s for a, b, s in zip(row_z, row_w, scale)))
         for row_z in at_z
@@ -283,7 +278,8 @@ def radial_J_closed(m: int, n: int, j: int, k: int) -> float:
         * 2F1(-min(m,n), -min(j-1,k); |k+1-j|+1; 1),
 
     an exact finite sum.  For j = 0 the second lower parameter is +1
-    (the extended factor), still a terminating sum over the first.
+    (the extended factor, min(j-1, k) = -1), still a terminating sum
+    over the first, with the same Pochhammer ratio.
     Cross-checked against radial quadrature in the test suite.
     """
     if m < 0:
@@ -297,10 +293,7 @@ def radial_J_closed(m: int, n: int, j: int, k: int) -> float:
     db = abs(j - 1 - k)
     c = db + 1
     pref = -(c_mn(m, n) * c_mn(j - 1, k)) / (factorial(m) * factorial(n))
-    if pb >= 0:
-        f21 = gauss2f1_unit(pa, pb, float(c))
-    else:
-        f21 = hyp2f1_terminating_unit(pa, 1.0, float(c))
+    f21 = gauss2f1_unit(pa, pb, float(c))
     return pref * factorial(db) / (2.0 ** (pa + pb + db + 1)) * f21
 
 

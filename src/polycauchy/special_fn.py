@@ -31,7 +31,6 @@ __all__ = [
     "gamma_ratio",
     "gauss2f1_unit",
     "generalized_laguerre",
-    "hyp2f1_terminating_unit",
     "kahan_sum",
     "kummer_terminating",
     "laguerre",
@@ -226,38 +225,18 @@ def kummer_terminating(p: int, b, t):
 
 
 def gauss2f1_unit(p: int, q: int, c: float) -> float:
-    """2F1(-p, -q; c; 1) for p, q >= 0 via the Chu-Vandermonde identity.
+    """2F1(-p, -q; c; 1) for p >= 0, q >= -1 via the Chu-Vandermonde identity.
 
-    The closed form is the Pochhammer ratio (c + q)_p / (c)_p.  ``c``
-    must be positive so the denominator never hits a pole.
+    The closed form is the Pochhammer ratio (c + q)_p / (c)_p; at
+    q = -1 it is 2F1(-p, 1; c; 1) = (c - 1)_p / (c)_p, which the
+    identity still gives since the series terminates through -p.
+    ``c`` must be positive so the denominator never hits a pole.
     """
-    if p < 0 or q < 0:
-        raise ValueError(f"gauss2f1_unit requires p, q >= 0, got p={p}, q={q}")
+    if p < 0 or q < -1:
+        raise ValueError(f"gauss2f1_unit requires p >= 0, q >= -1, got p={p}, q={q}")
     if c <= 0:
         raise ValueError(f"gauss2f1_unit requires c > 0, got c={c}")
     value = 1.0
     for i in range(p):
         value *= (c + q + i) / (c + i)
     return value
-
-
-def hyp2f1_terminating_unit(p: int, b: float, c: float) -> float:
-    """2F1(-p, b; c; 1) summed directly over its p + 1 terms.
-
-    Generalises :func:`gauss2f1_unit` to an arbitrary real second
-    parameter; the nonpositive-integer first parameter is what makes the
-    series terminate.
-    """
-    if p < 0:
-        raise ValueError(f"hyp2f1_terminating_unit requires p >= 0, got {p}")
-    if c <= 0:
-        raise ValueError(f"hyp2f1_terminating_unit requires c > 0, got c={c}")
-
-    def terms():
-        term = 1.0
-        yield term
-        for i in range(p):
-            term = term * (i - p) * (b + i) / ((c + i) * (i + 1))
-            yield term
-
-    return float(kahan_sum(terms()))

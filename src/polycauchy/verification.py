@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from .cauchy_transform import (
-    CauchyGridOptions,
     PsiFunction,
     cauchy_hermite_closed,
     cauchy_singular_quadrature,
@@ -32,6 +31,7 @@ from .gaussian_quadrature import (
     DEFAULT_SINGULAR_ANGULAR,
     DEFAULT_SINGULAR_RADIAL,
     PolarGrid,
+    SingularGrid,
     build_polar_grid,
     build_singular_grid,
     inner_product_gaussian,
@@ -153,11 +153,13 @@ class VerifyConfig:
             beta,
         )
 
-    def cauchy_opts(self) -> CauchyGridOptions:
-        return CauchyGridOptions(
-            n_radial=DEFAULT_SINGULAR_RADIAL if self.nr is None else self.nr,
-            n_theta=DEFAULT_SINGULAR_ANGULAR if self.ntheta is None else self.ntheta,
-            radius_pad=self.radius_pad,
+    def singular_grid(self, center: complex, refine: int = 1) -> SingularGrid:
+        """The singular grid at ``center``, at ``refine`` times the resolution."""
+        return build_singular_grid(
+            center,
+            refine * (DEFAULT_SINGULAR_RADIAL if self.nr is None else self.nr),
+            refine * (DEFAULT_SINGULAR_ANGULAR if self.ntheta is None else self.ntheta),
+            self.radius_pad,
         )
 
 
@@ -444,14 +446,14 @@ def _suite_hermite(cfg: VerifyConfig) -> list[VerificationRecord]:
             )
 
     # extended function matches the transform of the antiholomorphic basis
-    opts = cfg.cauchy_opts()
     for n in range(5):
         for r in (0.5, 1.0, 2.0):
             z = r * complex(math.cos(0.7), math.sin(0.7))
             closed = -math.exp(-abs(z) ** 2) * hermite_eval_extended(n, z)
-            grid = build_singular_grid(z, opts.n_radial, opts.n_theta, opts.radius_pad)
             numeric = cauchy_singular_quadrature(
-                lambda pts, nn=n: hermite_eval(HermiteIndex(0, nn), pts), z, grid
+                lambda pts, nn=n: hermite_eval(HermiteIndex(0, nn), pts),
+                z,
+                cfg.singular_grid(z),
             )
             rec.add("extension-transform", f"n{n}-r{r:g}", numeric, closed)
 
@@ -487,11 +489,7 @@ def _linearity_integrand(fv, gv):
 
 def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
     rec = _Recorder(cfg)
-    opts = cfg.cauchy_opts()
-    grids = {
-        z: build_singular_grid(complex(z), opts.n_radial, opts.n_theta, opts.radius_pad)
-        for z in _CAUCHY_POINTS
-    }
+    grids = {z: cfg.singular_grid(z) for z in _CAUCHY_POINTS}
 
     # one H_{m,n} table (m, n <= 5) per centre, one stacked quadrature
     # of H_{0..5,n} per level: a 36-deep stack measured slower.  The
@@ -661,17 +659,12 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
         (None, 1 + 0j),
         (HermiteIndex(1, 1), 1 + 0j),
     )
-    opts = cfg.cauchy_opts()
     for idx, z in refinement_cases:
         f = (lambda pts: np.ones_like(pts)) if idx is None else (
             lambda pts, i=idx: hermite_eval(i, pts)
         )
-        coarse_grid = build_singular_grid(z, opts.n_radial, opts.n_theta, opts.radius_pad)
-        fine_grid = build_singular_grid(
-            z, 2 * opts.n_radial, 2 * opts.n_theta, opts.radius_pad
-        )
-        coarse = cauchy_singular_quadrature(f, z, coarse_grid)
-        fine = cauchy_singular_quadrature(f, z, fine_grid)
+        coarse = cauchy_singular_quadrature(f, z, cfg.singular_grid(z))
+        fine = cauchy_singular_quadrature(f, z, cfg.singular_grid(z, refine=2))
         name = "const" if idx is None else f"m{idx.m}-n{idx.n}"
         rec.add("singular-refinement", f"{name}-z{z}", coarse, fine)
 

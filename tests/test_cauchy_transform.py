@@ -7,10 +7,11 @@ import pytest
 
 from polycauchy import cauchy_transform
 from polycauchy import (
-    CauchyGridOptions,
     HermiteIndex,
     PsiFunction,
+    build_singular_grid,
     cauchy_hermite_closed,
+    cauchy_singular_quadrature,
     cauchy_transform_numeric,
     hermite_eval,
     hermite_eval_extended,
@@ -20,15 +21,31 @@ from polycauchy.cauchy_transform import _BLOCK
 BLOCKED_INDICES = ((1, 0), (2, 5), (12, 12), (20, 10))
 
 
-def test_options_defaults_and_validation():
-    opts = CauchyGridOptions()
-    assert (opts.n_radial, opts.n_theta, opts.radius_pad) == (96, 256, 12.0)
-    with pytest.raises(ValueError):
-        CauchyGridOptions(n_radial=0)
-    with pytest.raises(ValueError):
-        CauchyGridOptions(n_theta=3)
-    with pytest.raises(ValueError):
-        CauchyGridOptions(radius_pad=0.0)
+def test_singular_grid_defaults_and_validation():
+    grid = build_singular_grid(1.0 + 0.5j)
+    assert (grid.radial_rho.size, grid.n_theta) == (96, 256)
+    assert grid.radius == abs(1.0 + 0.5j) + 12.0
+    with pytest.raises(ValueError, match="n_radial"):
+        build_singular_grid(0j, n_radial=0)
+    with pytest.raises(ValueError, match="n_theta"):
+        build_singular_grid(0j, n_theta=3)
+    with pytest.raises(ValueError, match="radius_pad"):
+        build_singular_grid(0j, radius_pad=0.0)
+    f = lambda xi: hermite_eval(HermiteIndex(1, 1), xi)
+    with pytest.raises(ValueError, match="center"):
+        cauchy_transform_numeric(f, 0.5, build_singular_grid(0.25))
+
+
+def test_numeric_delegates_to_the_singular_quadrature():
+    # the default grid and a given one give the quadrature's bits
+    f = lambda xi: hermite_eval(HermiteIndex(2, 1), xi)
+    for z in (0.5, 1.0 + 1.0j):
+        want = cauchy_singular_quadrature(f, z, build_singular_grid(z))
+        assert cauchy_transform_numeric(f, z) == want
+        grid = build_singular_grid(z, 24, 64, 6.0)
+        got = cauchy_transform_numeric(f, z, grid)
+        assert got == cauchy_singular_quadrature(f, z, grid)
+        assert isinstance(got, complex)
 
 
 def test_closed_frozen_values():
@@ -86,10 +103,10 @@ def test_numeric_honors_custom_resolution():
     z = 1.0 + 0.5j
     closed = cauchy_hermite_closed(idx, z)
     coarse = cauchy_transform_numeric(
-        lambda xi: hermite_eval(idx, xi), z, CauchyGridOptions(n_radial=24, n_theta=64)
+        lambda xi: hermite_eval(idx, xi), z, build_singular_grid(z, 24, 64)
     )
     fine = cauchy_transform_numeric(
-        lambda xi: hermite_eval(idx, xi), z, CauchyGridOptions(n_radial=160, n_theta=512)
+        lambda xi: hermite_eval(idx, xi), z, build_singular_grid(z, 160, 512)
     )
     assert abs(fine - closed) <= abs(coarse - closed) + 1e-12
     assert abs(fine - closed) <= 1e-8 * (1.0 + abs(closed))
@@ -172,3 +189,34 @@ def test_m0_images_depend_on_the_point_alone():
         for i in np.concatenate([np.arange(4), sample]):
             one = np.array([cauchy_hermite_closed(idx, complex(z[i]))])
             assert np.array_equal(one.view(np.int64), images[i : i + 1].view(np.int64)), (n, z[i])
+
+
+def test_scalar_images_equal_their_array_entries():
+    # one block path: a scalar is a one-point block, so for m >= 1 as for
+    # m = 0 it equals its entry in any array bit for bit
+    z = _cloud(600, 5)
+    for m, n in BLOCKED_INDICES + ((0, 0), (0, 4), (3, 0)):
+        idx = HermiteIndex(m, n)
+        images = cauchy_hermite_closed(idx, z)
+        scalars = np.array([cauchy_hermite_closed(idx, v) for v in z.tolist()])
+        assert np.array_equal(scalars.view(np.int64), images.view(np.int64)), (m, n)
+        assert isinstance(cauchy_hermite_closed(idx, complex(z[7])), complex)
+    empty = cauchy_hermite_closed(HermiteIndex(1, 1), np.zeros((0, 3), dtype=complex))
+    assert empty.shape == (0, 3)
+
+
+def test_every_input_runs_through_the_block_loop(monkeypatch):
+    # one path: scalars and small inputs are single flat blocks
+    shapes = []
+    image = cauchy_transform._closed_image
+
+    def recording(m, n, points):
+        shapes.append(points.shape)
+        return image(m, n, points)
+
+    monkeypatch.setattr(cauchy_transform, "_closed_image", recording)
+    for m in (0, 2):
+        shapes.clear()
+        for z in (0.5j, np.full((3, 4), 1 + 1j), np.zeros(_BLOCK + 1, dtype=complex)):
+            cauchy_hermite_closed(HermiteIndex(m, 1), z)
+        assert shapes == [(1,), (12,), (_BLOCK,), (1,)]

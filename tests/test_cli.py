@@ -91,6 +91,9 @@ def test_far_m0_image_is_printed(capsys):
     out = capsys.readouterr().out
     assert out == "0.0000740740740740741\n"
     assert float(out) == pytest.approx(2.0 / 27000.0, rel=1e-14)
+    # past |z| ~ 1.34e154, where |z|^2 itself overflows: the image 1/z
+    assert main(["cauchy", "--m", "0", "--n", "0", "--z", "1e160,0"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(1e-160, rel=1e-14, abs=0)
 
 
 def test_gram_on_a_wide_grid_is_finite(capsys):

@@ -169,8 +169,14 @@ def test_angular_phase_sum_exact_selection():
     assert angular_phase_sum(16, g) == complex(16)
     for p in (1, 2, 3, 5, 7, 8, 9, 15, -3, 31):
         assert angular_phase_sum(p, g) == 0j
-    # even grids with an odd factor: p a multiple of N's power-of-two part
-    for n_theta, freqs in ((12, (4, 8, -4)), (96, (32, 64))):
+    # even grids with an odd factor (p a multiple of N's power-of-two
+    # part), and odd grids, where no node pairs cancel
+    for n_theta, freqs in (
+        (12, (4, 8, -4)),
+        (96, (32, 64)),
+        (9, (1, 3, -2, 10)),
+        (15, (5, 6, 14, -1)),
+    ):
         g = build_polar_grid(4, n_theta, 1.0)
         assert angular_phase_sum(n_theta, g) == complex(n_theta)
         for p in freqs:

@@ -11,6 +11,7 @@ transform it closes.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -485,3 +486,17 @@ def test_weighted_profiles():
         want = dd_mul(h, l, damp, np.zeros_like(damp))
         assert wfreq == freq
         assert np.array_equal(wh, want[0]) and np.array_equal(wl, want[1])
+
+
+def test_radial_profile_at_the_origin():
+    # t^{d/2} at t = 0 is 0 for odd d too, with no 0/0 (a NaN and a
+    # RuntimeWarning) in the dd square root of 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in range(7):
+            for n in range(7):
+                idx = HermiteIndex(m, n)
+                hi, lo, _ = hermite_radial_profile(idx, 0.0)
+                assert (hi, lo) == (hermite_eval(idx, 0j).real, 0.0), (m, n)
+        hi, lo, _ = hermite_radial_profile(HermiteIndex(2, 5), np.array([0.0, 1.0]))
+        assert hi.tolist() == [0.0, 11.0] and lo.tolist() == [0.0, 0.0]

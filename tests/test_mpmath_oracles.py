@@ -78,3 +78,37 @@ def test_far_m0_images_are_finite_and_accurate(radius, n):
     assert np.array_equal(-weighted, images)
     for v, image in zip(z.tolist(), images.tolist()):
         assert cauchy_hermite_closed(HermiteIndex(0, n), v) == image
+
+
+@pytest.mark.parametrize("radius", [1e155, 1e160, 1e300])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_m0_images_past_the_overflow_of_t(radius, n):
+    # |z|^2 is inf past |z| ~ 1.34e154; the image is n!/z^{n+1}, which
+    # falls to subnormals (n = 1 at 1e155) or to 0 (n = 2), held to a
+    # few subnormal steps there
+    angles = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False) + 0.3
+    z = np.concatenate([radius * np.exp(1j * angles), [radius + 0j, complex(0.0, -radius)]])
+    images = cauchy_hermite_closed(HermiteIndex(0, n), z)
+    assert np.all(np.isfinite(images))
+    with mpmath.workprec(PRECISION):
+        for v, image in zip(z.tolist(), images.tolist()):
+            want = math.factorial(n) / mpmath.mpc(v.real, v.imag) ** (n + 1)
+            gap = abs(mpmath.mpc(image.real, image.imag) - want)
+            assert gap <= 1e-14 * abs(want) + 8 * 2.0**-1074, (v, n)
+            assert cauchy_hermite_closed(HermiteIndex(0, n), v) == image
+
+
+def test_overflowing_points_leave_their_neighbours_alone():
+    # points whose |z|^2 overflows are handled on their own: a cloud with
+    # such points mixed in equals the cloud alone elsewhere, bit for bit
+    rng = np.random.default_rng(20261024)
+    near = 40.0 * np.sqrt(rng.uniform(size=4096)) * np.exp(2j * np.pi * rng.uniform(size=4096))
+    mixed = near.copy()
+    mixed[::7] = 1e200 * np.exp(1j * np.arange(mixed[::7].size))
+    keep = np.ones(near.size, dtype=bool)
+    keep[::7] = False
+    for n in (0, 1, 4, 12):
+        alone = hermite_eval_extended(n, near, weighted=True)
+        both = hermite_eval_extended(n, mixed, weighted=True)
+        assert np.all(np.isfinite(both))
+        assert np.array_equal(both[keep].view(np.int64), alone[keep].view(np.int64)), n

@@ -77,8 +77,8 @@ def test_kernel_series_matches_closed():
 
 
 def test_kernel_series_on_point_lists_equals_scalar_calls():
-    # on these seeded points a row built on one array once differed from
-    # scalar rows in the last bits; every list entry must equal its call
+    # every list entry must equal its two-point call, and the per-index
+    # terms at scalar points
     rng = np.random.default_rng(20261018)
     cloud = 1.5 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
     z_list = KERNEL_POINTS + tuple(cloud.tolist())
@@ -104,6 +104,22 @@ def test_kernel_series_on_point_lists_equals_scalar_calls():
         assert column.shape == (len(w_list),)
         assert column.tolist() == matrix[1].tolist()
         assert isinstance(kernel_series(spec, 0.7, -0.2j), complex)
+
+
+def test_kernel_series_builds_one_row_per_point_list(monkeypatch):
+    calls = []
+    row = poly_bergman.hermite_row
+
+    def counting(m_max, n, z):
+        calls.append(np.shape(z))
+        return row(m_max, n, z)
+
+    monkeypatch.setattr(poly_bergman, "hermite_row", counting)
+    kernel_series(KernelSpec(n=2, truncation=20), KERNEL_POINTS, KERNEL_POINTS[:3])
+    assert calls == [(len(KERNEL_POINTS),), (3,)]
+    calls.clear()
+    kernel_series(KernelSpec(n=2, truncation=20), 0.5j, 0.2)
+    assert calls == [(1,), (1,)]
 
 
 def test_kernel_hermitian():
@@ -149,6 +165,12 @@ def test_projection_coefficient_matches_radial_integral():
         assert target == HermiteIndex(m, n)
         want = radial_J_closed(m, n, j, k)
         assert coeff == pytest.approx(want, rel=1e-12)
+    # j = 0 takes 2F1(-p, 1; c; 1) as a Pochhammer ratio, which keeps the
+    # digits an alternating sum over its terms would cancel
+    for n in range(1, 25):
+        for k in range(n):
+            coeff, _ = projection_coefficient_closed(n, 0, k)
+            assert radial_J_closed(n - k - 1, n, 0, k) == pytest.approx(coeff, rel=1e-13, abs=0)
 
 
 def test_radial_integral_validation():
@@ -243,7 +265,8 @@ def test_verify_builds_each_level_stack_once(monkeypatch):
     row = poly_bergman.hermite_row
 
     def counting(m_max, n, z):
-        if np.size(z) > 1:
+        # grid points are 2-D; kernel point lists are 1-D
+        if np.ndim(z) == 2:
             builds.append(n)
         return row(m_max, n, z)
 

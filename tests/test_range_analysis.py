@@ -25,7 +25,8 @@ from polycauchy import (
     range_basis_indices,
     truncated_operator_svd,
 )
-from polycauchy._ddouble import dd_mul, dd_mul_scalar
+from polycauchy import ito_hermite
+from polycauchy._ddouble import dd_add, dd_mul, dd_mul_scalar, quick_two_sum, two_prod
 from polycauchy.gaussian_quadrature import (
     PolarGrid,
     build_polar_grid,
@@ -281,3 +282,21 @@ def test_operator_svd_small_degrees():
         truncated_operator_svd(13)
     with pytest.raises(ValueError):
         truncated_operator_svd(-1)
+
+
+def test_psi_gram_unchanged_by_the_zero_square_root(monkeypatch):
+    # the dd square root's guard for t = 0 leaves every value at t > 0
+    # alone: the Gram over m, n <= 8 equals the unguarded step's bits
+    indices = [HermiteIndex(m, n) for m in range(9) for n in range(9)]
+    guarded = psi_gram(indices)
+
+    def unguarded(xh, xl):
+        s = np.sqrt(xh)
+        ph, pl = two_prod(s, s)
+        dh, dl = dd_add(xh, xl, -ph, -pl)
+        return quick_two_sum(s, (dh + dl) / (2.0 * s))
+
+    monkeypatch.setattr(ito_hermite, "dd_sqrt", unguarded)
+    plain = psi_gram(indices)
+    assert np.array_equal(guarded.values.view(np.int64), plain.values.view(np.int64))
+    assert guarded.radial_check_max_rel == plain.radial_check_max_rel

@@ -17,7 +17,6 @@ from polycauchy import (
     gamma_ratio,
     gauss2f1_unit,
     generalized_laguerre,
-    hyp2f1_terminating_unit,
     kahan_sum,
     kummer_terminating,
     laguerre,
@@ -203,11 +202,13 @@ def test_gauss2f1_unit_against_scipy():
                 assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
 
 
-def test_hyp2f1_terminating_generalizes_chu_vandermonde():
-    # with b = -q the direct sum must reproduce the closed product
-    for c in (1.0, 4.0):
-        for p in range(7):
-            for q in range(7):
-                a = hyp2f1_terminating_unit(p, -float(q), c)
-                b = gauss2f1_unit(p, q, c)
-                assert abs(a - b) <= 1e-12 * (1.0 + abs(b))
+def test_gauss2f1_unit_at_q_minus_one_against_scipy():
+    # 2F1(-p, 1; c; 1) = (c-1)_p / (c)_p, the j = 0 case of radial_J_closed
+    for c in (1.0, 1.5, 2.0, 3.5, 7.0, 12.0, 19.0):
+        for p in range(15):
+            want = float(scipy.special.hyp2f1(-p, 1, c, 1.0))
+            got = gauss2f1_unit(p, -1, c)
+            assert abs(got - want) <= 1e-14 * (1.0 + abs(want)), (p, c)
+    assert gauss2f1_unit(3, -1, 1.0) == 0.0
+    with pytest.raises(ValueError):
+        gauss2f1_unit(2, -2, 1.0)
