@@ -406,6 +406,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory; use fewer indices or a coarser grid", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

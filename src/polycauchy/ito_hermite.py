@@ -494,21 +494,25 @@ def hermite_gram_matrix(indices, grid: PolarGrid | None = None) -> np.ndarray:
         raise ValueError(
             f"hermite_gram_matrix requires a grid with beta=1, got beta={grid.beta}"
         )
-    profiles = [hermite_radial_profile(idx, grid.radial_t) for idx in indices]
-    size = len(profiles)
-    rows, cols = np.indices((size, size)).reshape(2, -1)
-    return _separable_gram(profiles, rows, cols, grid).reshape(size, size)
+    return _separable_gram([hermite_radial_profile(i, grid.radial_t) for i in indices], grid)
 
 
-def _separable_gram(profiles, rows, cols, grid: PolarGrid) -> np.ndarray:
-    """Separable-rule inner products of the profile pairs (rows[e], cols[e]).
+def _separable_gram(profiles, grid: PolarGrid) -> np.ndarray:
+    """Separable-rule Gram matrix of the (hi, lo, frequency) profiles.
 
-    ``profiles`` holds (hi, lo, frequency) triples on ``grid.radial_t``;
-    all pairs go through one stacked :func:`polar_separable_quadrature`.
+    The angular sum of a pair vanishes exactly unless its frequency
+    difference is a multiple of ``grid.n_theta``.  Only those pairs,
+    aliased ones included, form a double-double radial product, all in
+    one stacked :func:`polar_separable_quadrature`; every other entry
+    is the rule's exact 0j.
     """
-    shape = (len(profiles), grid.n_radial)
-    hi = np.array([p[0] for p in profiles]).reshape(shape)
-    lo = np.array([p[1] for p in profiles]).reshape(shape)
+    size = len(profiles)
+    hi = np.array([p[0] for p in profiles]).reshape(size, grid.n_radial)
+    lo = np.array([p[1] for p in profiles]).reshape(size, grid.n_radial)
     freq = np.array([p[2] for p in profiles], dtype=int)
+    diff = freq[:, None] - freq[None, :]
+    rows, cols = np.nonzero(diff % grid.n_theta == 0)
     rh, rl = dd_mul(hi[rows], lo[rows], hi[cols], lo[cols])
-    return polar_separable_quadrature(rh, rl, freq[rows] - freq[cols], grid)
+    values = np.zeros((size, size), dtype=complex)
+    values[rows, cols] = polar_separable_quadrature(rh, rl, diff[rows, cols], grid)
+    return values

@@ -54,11 +54,9 @@ __all__ = [
     "KernelSpec",
     "kernel_closed",
     "kernel_series",
-    "kernel_series_tail",
     "project_numeric",
     "projection_coefficient_closed",
     "radial_J_closed",
-    "synthesize",
 ]
 
 
@@ -126,8 +124,7 @@ def kernel_series(spec: KernelSpec, z, w):
 
     Terms are summed in ascending m with compensation.  For
     |z|, |w| <= 2 and M = 60 the factorial decay puts the remainder
-    below 1e-12; see :func:`kernel_series_tail` for a computable
-    bound.
+    below 1e-12.
 
     ``z`` and ``w`` are points or sequences of points.  For two points
     the result is a complex; otherwise it is the array of K_n(z_i, w_j)
@@ -152,30 +149,6 @@ def kernel_series(spec: KernelSpec, z, w):
     if not z_arr.ndim and not w_arr.ndim:
         return values[0]
     return np.array(values, dtype=complex).reshape(z_arr.shape + w_arr.shape)
-
-
-def kernel_series_tail(spec: KernelSpec, z: complex, w: complex) -> float:
-    """Cauchy-Schwarz bound on the series remainder past truncation M.
-
-    The tail is at most sqrt(K_n(z,z) - S_M(z,z)) sqrt(K_n(w,w) -
-    S_M(w,w)), where the diagonal kernel is e^{|z|^2}/pi and S_M is
-    the retained diagonal partial sum; negative roundoff residues are
-    clamped to zero.
-    """
-    z, w = complex(z), complex(w)
-    n = spec.n
-    fn = factorial(n)
-    factorial(spec.truncation)
-
-    def residue(v: complex) -> float:
-        diag = math.exp((v * v.conjugate()).real) / math.pi
-        partial = kahan_sum(
-            abs(h) ** 2 / (math.pi * factorial(m) * fn)
-            for m, h in enumerate(hermite_row(spec.truncation, n, v).tolist())
-        )
-        return max(0.0, diag - float(partial))
-
-    return math.sqrt(residue(z)) * math.sqrt(residue(w))
 
 
 def project_numeric(
@@ -296,10 +269,3 @@ def radial_J_closed(m: int, n: int, j: int, k: int) -> float:
     f21 = gauss2f1_unit(pa, pb, float(c))
     return pref * factorial(db) / (2.0 ** (pa + pb + db + 1)) * f21
 
-
-def synthesize(seq: CoefficientSequence, z) -> complex:
-    """Evaluate sum_j H_{j,n}(z) alpha_j at z."""
-    if not seq.coeffs:
-        return 0j
-    row = hermite_row(len(seq.coeffs) - 1, seq.n, complex(z)).tolist()
-    return complex(kahan_sum(h * a for h, a in zip(row, seq.coeffs)))

@@ -166,14 +166,18 @@ def _psi_pair_radial(indices, rows, cols, grid: PolarGrid) -> np.ndarray:
 class GramReport:
     """Gram matrix of psi functions with its selection-rule verdict.
 
-    expected_zero_mask flags pairs with m - j != n - k; max_violation
-    is the largest magnitude over those entries and passed reflects
-    max_violation < tolerance.  radial_check_max_rel records the worst
-    relative deviation of pattern-nonzero polynomial entries from the
-    independent radial route.
+    ``indices`` is the row and column order of ``values``.
+    expected_zero_mask flags pairs with m - j != n - k; the angular
+    rule integrates only pairs whose frequency difference is a multiple
+    of the grid's n_theta, so those entries are exact zeros unless the
+    grid aliases them.  max_violation is the largest magnitude over the
+    flagged entries and passed reflects max_violation < tolerance.
+    radial_check_max_rel records the worst relative deviation of
+    pattern-nonzero polynomial entries from the independent radial
+    route.
     """
 
-    index_pairs: tuple = field(compare=False)
+    indices: tuple = field(compare=False)
     values: np.ndarray = field(compare=False)
     expected_zero_mask: np.ndarray = field(compare=False)
     max_violation: float
@@ -198,10 +202,14 @@ def psi_gram(
     the beta = 1 grid, whose decay is only 1/|z| times Gaussian.
     Every entry reduces to a real radial profile times one angular
     frequency, so the selection rule m - j = n - k is resolved
-    exactly.  Polynomial entries expected nonzero are re-derived
-    through the radial confluent-series route and the worst relative
-    gap is reported.  An entry or gap that is not finite raises
-    ValueError, so a report never passes on one.
+    exactly: only pairs whose frequency difference is a multiple of
+    the grid's n_theta are integrated, and every other entry is the
+    rule's exact zero.  Polynomial entries expected nonzero are
+    re-derived through the radial confluent-series route and the worst
+    relative gap is reported.  The largest factorial the profiles need
+    is formed first, so an index past its overflow raises
+    OverflowError before any work.  An entry or gap that is not finite
+    raises ValueError, so a report never passes on one.
     """
     if grid is None:
         grid = build_polar_grid()
@@ -211,45 +219,41 @@ def psi_gram(
     for i in idx:
         if i.m < 0:
             raise ValueError(f"psi_gram requires indices with m >= 0, got {i}")
+    # p! first: past its overflow it raises before the profiles are built
+    factorial(max((max(i.m - 1, i.n) for i in idx), default=0))
     grid3 = build_polar_grid(grid.n_radial, grid.n_theta, 3.0)
     poly_idx = [i for i in idx if i.m >= 1]
     poly_profiles = [
         hermite_radial_profile(HermiteIndex(i.m - 1, i.n), grid3.radial_t) for i in poly_idx
     ]
-    psi_profiles = [_psi_profile(i, grid) for i in idx]
 
-    size = len(idx)
     m = np.array([i.m for i in idx], dtype=int)
     n = np.array([i.n for i in idx], dtype=int)
     mask = (m[:, None] - m[None, :]) != (n[:, None] - n[None, :])
-    rows, cols = np.indices((size, size)).reshape(2, -1)
-    poly = (m[rows] >= 1) & (m[cols] >= 1)
-    place = np.cumsum(m >= 1) - 1  # position of each m >= 1 index in poly_idx
-    values = np.empty(size * size, dtype=complex)
-    values[poly] = _separable_gram(poly_profiles, place[rows[poly]], place[cols[poly]], grid3)
-    values[~poly] = _separable_gram(psi_profiles, rows[~poly], cols[~poly], grid)
+    poly = np.ix_(m >= 1, m >= 1)
+    values = _separable_gram([_psi_profile(i, grid) for i in idx], grid)
+    values[poly] = _separable_gram(poly_profiles, grid3)
 
-    check = poly & ~mask.reshape(-1)
-    expected = _psi_pair_radial(poly_idx, place[rows[check]], place[cols[check]], grid)
-    gap = np.abs(values[check] - expected) / (1.0 + np.abs(expected))
+    rows, cols = np.nonzero(~mask[poly])
+    expected = _psi_pair_radial(poly_idx, rows, cols, grid)
+    gap = np.abs(values[poly][rows, cols] - expected) / (1.0 + np.abs(expected))
     radial_worst = float(np.max(gap, initial=0.0))
-    bad = np.flatnonzero(~np.isfinite(values))
+    bad = np.argwhere(~np.isfinite(values))
     if bad.size:
-        e = bad[0]
-        a, b = idx[rows[e]], idx[cols[e]]
+        r, s = bad[0]
+        a, b = idx[r], idx[s]
         raise ValueError(
-            f"psi_gram: <psi_({a.m},{a.n}), psi_({b.m},{b.n})> = {values[e]} "
+            f"psi_gram: <psi_({a.m},{a.n}), psi_({b.m},{b.n})> = {values[r, s]} "
             "is not a finite double"
         )
     if not math.isfinite(radial_worst):
         raise ValueError(f"psi_gram: radial cross-check gap {radial_worst} is not finite")
-    values = values.reshape(size, size)
 
     violation = float(np.max(np.abs(values[mask]))) if mask.any() else 0.0
     values.flags.writeable = False
     mask.flags.writeable = False
     return GramReport(
-        index_pairs=tuple((a, b) for a in idx for b in idx),
+        indices=tuple(idx),
         values=values,
         expected_zero_mask=mask,
         max_violation=violation,

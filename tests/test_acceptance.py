@@ -178,12 +178,9 @@ def test_criterion_6_gram_selection_rule():
     start = time.perf_counter()
     indices = [HermiteIndex(m, n) for m in range(6) for n in range(6)]
     report = psi_gram(indices, tolerance=1e-9)
-    flat = {
-        (a, b): report.values[i // len(indices), i % len(indices)]
-        for i, (a, b) in enumerate(report.index_pairs)
-    }
-    d10 = flat[(HermiteIndex(1, 0), HermiteIndex(1, 0))]
-    d11 = flat[(HermiteIndex(1, 1), HermiteIndex(1, 1))]
+    diagonal = dict(zip(report.indices, np.diagonal(report.values)))
+    d10 = diagonal[HermiteIndex(1, 0)]
+    d11 = diagonal[HermiteIndex(1, 1)]
     anchors = max(
         abs(d10 - math.pi / 3.0) / (math.pi / 3.0),
         abs(d11 - math.pi / 9.0) / (math.pi / 9.0),

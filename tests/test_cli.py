@@ -113,6 +113,19 @@ def test_gram_on_a_wide_grid_is_finite(capsys):
         assert abs(b - a) <= 1e-12 * abs(a)
 
 
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    from polycauchy import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "psi_gram", exhausted)
+    assert main(["gram", "--max-index", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory")
+
+
 def test_gram_with_a_non_finite_entry_exits_3(capsys, monkeypatch):
     from polycauchy import range_analysis
 

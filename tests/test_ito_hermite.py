@@ -30,6 +30,7 @@ from polycauchy import (
     hermite_row,
     hermite_table,
     polar_separable_quadrature,
+    psi_gram,
 )
 from polycauchy._ddouble import dd_mul
 from polycauchy.ito_hermite import EXTENSION_CROSSOVER, _power, _series_coefficients
@@ -365,12 +366,18 @@ def test_inner_product_orthogonality():
 
 
 def test_gram_matrix_matches_pairwise():
-    indices = [HermiteIndex(m, n) for m in range(3) for n in range(3)]
-    g = hermite_gram_matrix(indices)
-    assert g.shape == (9, 9)
-    for i, a in enumerate(indices):
-        for j, b in enumerate(indices):
-            assert g[i, j] == hermite_inner_product(a, b)
+    # on n_theta = 8 the frequency difference 8 of (4,0) and (0,4)
+    # aliases to a nonzero entry, which the Gram must integrate too
+    for size, grid in ((3, None), (5, build_polar_grid(16, 8))):
+        indices = [HermiteIndex(m, n) for m in range(size) for n in range(size)]
+        g = hermite_gram_matrix(indices, grid)
+        assert g.shape == (size * size, size * size)
+        for i, a in enumerate(indices):
+            for j, b in enumerate(indices):
+                assert g[i, j] == hermite_inner_product(a, b, grid)
+    assert g[indices.index(HermiteIndex(4, 0)), indices.index(HermiteIndex(0, 4))] != 0
+    # the psi Gram integrates aliased pairs too, so n_theta = 6 fails its rule
+    assert psi_gram(indices, build_polar_grid(24, 6)).passed is False
 
 
 def test_gram_selection_zero_on_grid_with_odd_factor():

@@ -21,16 +21,15 @@ from polycauchy import (
     build_polar_grid,
     factorial,
     hermite_eval,
+    hermite_row,
     inner_product_gaussian,
     kahan_sum,
     kernel_closed,
     kernel_series,
-    kernel_series_tail,
     project_numeric,
     projection_coefficient_closed,
     radial_J_closed,
     run_suite,
-    synthesize,
 )
 from polycauchy import poly_bergman
 
@@ -131,18 +130,6 @@ def test_kernel_hermitian():
                 assert abs(a - b.conjugate()) <= 1e-13 * (1.0 + abs(a))
 
 
-def test_series_tail_bounds_truncation_error():
-    for n in (0, 2):
-        for z, w in ((0.7 + 0j, -1.2 + 0.5j), (1.9j, -0.3 - 1.1j), (1.5 + 1.0j, 1.5 + 1.0j)):
-            spec = KernelSpec(n=n, truncation=10)
-            tail = kernel_series_tail(spec, z, w)
-            assert tail >= 0.0
-            actual = abs(kernel_closed(n, z, w) - kernel_series(spec, z, w))
-            assert actual <= tail + 1e-15
-            tighter = kernel_series_tail(KernelSpec(n=n, truncation=30), z, w)
-            assert tighter <= tail + 1e-15
-
-
 def test_projection_coefficient_anchor_value():
     coeff, target = projection_coefficient_closed(0, 1, 0)
     assert coeff == pytest.approx(-0.5, rel=1e-15)
@@ -197,22 +184,14 @@ def test_project_validation():
         project_numeric(lambda pts: pts, 0, 0)
 
 
-def test_synthesize_matches_manual_sum():
-    seq = CoefficientSequence(n=1, coeffs=(0.5, -2.0j, 1.0 + 1.0j))
-    for z in (0.3 + 0.4j, -1.1 + 0j):
-        manual = sum(
-            hermite_eval(HermiteIndex(j, 1), z) * a for j, a in enumerate(seq.coeffs)
-        )
-        assert synthesize(seq, z) == pytest.approx(manual, rel=1e-15)
-
-
 def test_project_synthesize_round_trip():
     f = lambda pts: 2.0 * hermite_eval(HermiteIndex(0, 1), pts) - 0.7j * hermite_eval(
         HermiteIndex(2, 1), pts
     )
     seq = project_numeric(f, 1, 3)
     for z in (0.5 + 0.2j, -0.9 + 1.1j):
-        assert abs(synthesize(seq, z) - complex(f(np.asarray(z)))) < 1e-9
+        row = hermite_row(len(seq.coeffs) - 1, seq.n, z)
+        assert abs(np.dot(row, seq.coeffs) - complex(f(np.asarray(z)))) < 1e-9
 
 
 def _project_oracle(f, n, J, grid):
@@ -295,8 +274,6 @@ def test_overflow_raises_before_allocation():
     spec = KernelSpec(n=0, truncation=10**8)
     with pytest.raises(OverflowError, match="factorial"):
         kernel_series(spec, 0.5j, 0.2)
-    with pytest.raises(OverflowError, match="factorial"):
-        kernel_series_tail(spec, 0.5j, 0.2)
 
 
 def test_series_equal_per_index_terms():
@@ -314,12 +291,3 @@ def test_series_equal_per_index_terms():
                     )
                 )
                 assert kernel_series(spec, z, w) == want
-    seq = CoefficientSequence(n=2, coeffs=(0.5, -2.0j, 1.0 + 1.0j, 0.25))
-    for z in KERNEL_POINTS:
-        want = complex(
-            kahan_sum(
-                hermite_eval(HermiteIndex(j, 2), z) * a for j, a in enumerate(seq.coeffs)
-            )
-        )
-        assert synthesize(seq, z) == want
-    assert synthesize(CoefficientSequence(n=1, coeffs=()), 0.5) == 0j

@@ -113,8 +113,10 @@ def test_gram_selection_rule_exact_zeros():
     assert report.max_violation == 0.0
     assert np.all(report.values[report.expected_zero_mask] == 0)
     # pattern pairs differ by equal index offsets
-    for (a, b), masked in zip(report.index_pairs, report.expected_zero_mask.ravel()):
-        assert masked == ((a.m - b.m) != (a.n - b.n))
+    assert report.indices == tuple(HermiteIndex(*i) for i in indices)
+    for r, a in enumerate(report.indices):
+        for s, b in enumerate(report.indices):
+            assert report.expected_zero_mask[r, s] == ((a.m - b.m) != (a.n - b.n))
 
 
 def test_gram_validation():
@@ -122,6 +124,19 @@ def test_gram_validation():
         psi_gram([(-1, 0)])
     with pytest.raises(ValueError):
         psi_gram([(1, 0)], build_polar_grid(8, 8, 3.0))
+
+
+def test_psi_gram_overflow_raises_before_any_profile(monkeypatch):
+    from polycauchy import range_analysis
+
+    def profile(*args, **kwargs):
+        raise AssertionError("a profile was built before the overflow check")
+
+    monkeypatch.setattr(range_analysis, "_psi_profile", profile)
+    monkeypatch.setattr(range_analysis, "hermite_radial_profile", profile)
+    for past in ([(1, 0), (0, 171)], [(172, 0)], [(3, 171)]):
+        with pytest.raises(OverflowError, match=r"factorial\(171\)"):
+            psi_gram(past)
 
 
 def test_psi_gram_matches_pairwise():
@@ -200,7 +215,7 @@ def test_gram_report_consistency_enforced():
     mask = np.zeros((1, 1), dtype=bool)
     with pytest.raises(ValueError):
         GramReport(
-            index_pairs=((HermiteIndex(1, 0), HermiteIndex(1, 0)),),
+            indices=(HermiteIndex(1, 0),),
             values=values,
             expected_zero_mask=mask,
             max_violation=1.0,
