@@ -425,58 +425,57 @@ def hermite_eval_extended(n: int, z, *, weighted: bool = False):
     return out if z_arr.ndim else complex(out[0])
 
 
-def _dd_half_power(t: np.ndarray, d: int):
-    """t^{d/2} as a double-double pair, t an exact double array, d >= 0."""
-    zero = np.zeros_like(t)
-    if d % 2:
-        h, l = dd_sqrt(t, zero)
-    else:
-        h, l = np.ones_like(t), zero
-    for _ in range(d // 2):
-        h, l = dd_mul(h, l, t, zero)
-    return h, l
-
-
-def hermite_radial_profile(idx: HermiteIndex, t, *, weighted: bool = False):
-    """Radial factor and angular frequency of H_{m,n} on circles.
+def hermite_radial_profile(indices, t, *, weighted: bool = False):
+    """Radial factors and angular frequencies of H_{m,n} on circles.
 
     On the circle z = sqrt(t) e^{i theta} the polynomial factorises as
 
         H_{m,n}(z, zbar) = P(t) e^{i (m - n) theta},
         P(t) = (-1)^p p! t^{d/2} L_p^{(d)}(t),
 
-    with p = min(m, n), d = |m - n| and real P.  Returns
-    (hi, lo, m - n) where hi + lo is a double-double evaluation of P
-    at the given points; exactness of the pair matters because Gram
-    entries weight these values by factors up to m! n!.
+    with p = min(m, n), d = |m - n| and real P.  ``indices`` is a
+    sequence of :class:`HermiteIndex` and ``t`` a 1-D array.  Returns
+    (hi, lo, freq): row i of hi + lo, shape (len(indices), t.size), is
+    a double-double evaluation of P for ``indices[i]``, and freq[i] is
+    its m - n.  Exactness of the pair matters because Gram entries
+    weight these values by factors up to m! n!.  One Laguerre climb and
+    one squaring loop for t^{d/2} serve every polynomial row, and each
+    row equals its own one-index call bit for bit.
 
     The extension m = -1 factorises the same way with frequency
-    -(n + 1); its profile is returned in plain double (lo = 0).
+    -(n + 1); its rows are in plain double (lo = 0).
 
-    With ``weighted`` the profile is that of e^{-t} H_{m,n}: the
+    With ``weighted`` the profiles are those of e^{-t} H_{m,n}: the
     polynomial profile times e^{-t} in double-double, and for m = -1
     the weighted form of :func:`hermite_eval_extended`, which stays
     finite at any t.
     """
-    t_arr = np.asarray(t, dtype=float)
-    m, n = idx.m, idx.n
-    if m == -1:
-        series, body = _extended_parts(n, t_arr, weighted)
-        # the circle values of zbar^{n+1} and (zbar/t)^{n+1}
-        half = 0.5 * (n + 1)
-        hi = t_arr ** np.where(series, half, -half) * body
-        return hi, np.zeros_like(hi), m - n
-    lh, ll = _generalized_laguerre_dd(min(m, n), abs(m - n), t_arr)
-    ph, pl = _dd_half_power(t_arr, abs(m - n))
-    h, l = dd_mul(lh, ll, ph, pl)
-    scale = factorial(min(m, n))
-    if min(m, n) % 2:
-        scale = -scale
-    h, l = dd_mul_scalar(h, l, scale)
+    t = np.asarray(t, dtype=float)
+    m, n = np.array([(i.m, i.n) for i in indices], dtype=int).reshape(-1, 2).T
+    poly = m >= 0
+    p, d = np.minimum(m, n)[poly], np.abs(m - n)[poly]
+    # p! first: past its overflow it raises before the climb
+    scale = np.array([_signed_factorial(int(q)) for q in p]).reshape(-1, 1)
+    lh, ll = _generalized_laguerre_dd(p, d, t)
+    # t^{d/2}: sqrt(t) for odd d, then d // 2 dd multiplies by t
+    zero = np.zeros_like(t)
+    rh, rl = dd_sqrt(t, zero)
+    odd = (d % 2 == 1)[:, None]
+    ph, pl = np.where(odd, rh, 1.0), np.where(odd, rl, 0.0)
+    for k in range(d.max(initial=0) // 2):
+        live = d // 2 > k
+        ph[live], pl[live] = dd_mul(ph[live], pl[live], t, zero)
+    h, l = dd_mul_scalar(*dd_mul(lh, ll, ph, pl), scale)
     if weighted:
-        damp = np.exp(-t_arr)
-        h, l = dd_mul(h, l, damp, np.zeros_like(damp))
-    return h, l, m - n
+        h, l = dd_mul(h, l, np.exp(-t), zero)
+    hi, lo = np.empty((m.size, t.size)), np.zeros((m.size, t.size))
+    hi[poly], lo[poly] = h, l
+    for r in np.flatnonzero(~poly):
+        series, body = _extended_parts(int(n[r]), t, weighted)
+        # the circle values of zbar^{n+1} and (zbar/t)^{n+1}
+        half = 0.5 * (n[r] + 1)
+        hi[r] = t ** np.where(series, half, -half) * body
+    return hi, lo, m - n
 
 
 def hermite_gram_matrix(indices, grid: PolarGrid | None = None) -> np.ndarray:
@@ -494,25 +493,25 @@ def hermite_gram_matrix(indices, grid: PolarGrid | None = None) -> np.ndarray:
         raise ValueError(
             f"hermite_gram_matrix requires a grid with beta=1, got beta={grid.beta}"
         )
-    return _separable_gram([hermite_radial_profile(i, grid.radial_t) for i in indices], grid)
+    return _separable_gram(*hermite_radial_profile(indices, grid.radial_t), grid)
 
 
-def _separable_gram(profiles, grid: PolarGrid) -> np.ndarray:
-    """Separable-rule Gram matrix of the (hi, lo, frequency) profiles.
+def _separable_gram(hi, lo, freq, grid: PolarGrid, pairs=None) -> np.ndarray:
+    """Separable-rule Gram matrix of stacked profiles ``hermite_radial_profile`` returns.
 
     The angular sum of a pair vanishes exactly unless its frequency
     difference is a multiple of ``grid.n_theta``.  Only those pairs,
     aliased ones included, form a double-double radial product, all in
     one stacked :func:`polar_separable_quadrature`; every other entry
-    is the rule's exact 0j.
+    is the rule's exact 0j.  A boolean (size, size) ``pairs`` limits
+    the products further: entries outside it are 0j too.
     """
-    size = len(profiles)
-    hi = np.array([p[0] for p in profiles]).reshape(size, grid.n_radial)
-    lo = np.array([p[1] for p in profiles]).reshape(size, grid.n_radial)
-    freq = np.array([p[2] for p in profiles], dtype=int)
     diff = freq[:, None] - freq[None, :]
-    rows, cols = np.nonzero(diff % grid.n_theta == 0)
+    kept = diff % grid.n_theta == 0
+    if pairs is not None:
+        kept &= pairs
+    rows, cols = np.nonzero(kept)
     rh, rl = dd_mul(hi[rows], lo[rows], hi[cols], lo[cols])
-    values = np.zeros((size, size), dtype=complex)
+    values = np.zeros(diff.shape, dtype=complex)
     values[rows, cols] = polar_separable_quadrature(rh, rl, diff[rows, cols], grid)
     return values

@@ -40,11 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian_quadrature import PolarGrid, _reduce_polar, build_polar_grid
-from .ito_hermite import HermiteIndex, c_mn, hermite_row
+from .ito_hermite import HermiteIndex, hermite_row
 from .special_fn import (
     factorial,
     gamma_ratio,
-    gauss2f1_unit,
     kahan_sum,
     laguerre,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "kernel_series",
     "project_numeric",
     "projection_coefficient_closed",
-    "radial_J_closed",
 ]
 
 
@@ -233,39 +231,4 @@ def projection_coefficient_closed(n: int, j: int, k: int):
     coefficient = sign * gamma_ratio(n + j, n + j - k) / (2.0 ** (n + j) * factorial(n))
     return coefficient, HermiteIndex(target_m, n)
 
-
-def radial_J_closed(m: int, n: int, j: int, k: int) -> float:
-    """The radial integral behind the projection coefficient, in closed form.
-
-    For m = n+j-k-1 >= 0 the coefficient of P_n(psi_{j,k}) equals the
-    surviving radial integral
-
-        J = -(c_{m,n} c_{j-1,k} / (m! n!)) *
-            integral_0^inf t^{|j-k-1|} F_a(t) F_b(t) e^{-2t} dt,
-
-    where F_a, F_b are the terminating confluent factors of the two
-    polynomials involved.  The integral collapses by the
-    product-of-confluents formula to
-
-        Gamma(|k+1-j|+1) / 2^{min(m,n) + min(j-1,k) + |k+1-j| + 1}
-        * 2F1(-min(m,n), -min(j-1,k); |k+1-j|+1; 1),
-
-    an exact finite sum.  For j = 0 the second lower parameter is +1
-    (the extended factor, min(j-1, k) = -1), still a terminating sum
-    over the first, with the same Pochhammer ratio.
-    Cross-checked against radial quadrature in the test suite.
-    """
-    if m < 0:
-        raise ValueError(f"radial_J_closed requires m >= 0, got m={m}")
-    if m != n + j - k - 1:
-        raise ValueError(
-            f"radial_J_closed requires m = n+j-k-1; got m={m}, n+j-k-1={n + j - k - 1}"
-        )
-    pa = min(m, n)
-    pb = min(j - 1, k)
-    db = abs(j - 1 - k)
-    c = db + 1
-    pref = -(c_mn(m, n) * c_mn(j - 1, k)) / (factorial(m) * factorial(n))
-    f21 = gauss2f1_unit(pa, pb, float(c))
-    return pref * factorial(db) / (2.0 ** (pa + pb + db + 1)) * f21
 

@@ -125,18 +125,6 @@ def pn_cauchy_on_coeffs(seq: CoefficientSequence, n: int) -> CoefficientSequence
     return CoefficientSequence(n=n, coeffs=tuple(out))
 
 
-def _psi_profile(idx: HermiteIndex, grid: PolarGrid):
-    """Double-double radial profile of psi_{m,n} = -e^{-t} H_{m-1,n} on the grid.
-
-    The weighted profile forms the m = 0 image without e^t, so it stays
-    finite on the outermost nodes of large grids.
-    """
-    h, l, freq = hermite_radial_profile(
-        HermiteIndex(idx.m - 1, idx.n), grid.radial_t, weighted=True
-    )
-    return dd_mul_scalar(h, l, -1.0) + (freq,)
-
-
 def _psi_pair_radial(indices, rows, cols, grid: PolarGrid) -> np.ndarray:
     """Radial route to <psi_a, psi_b> for polynomial pairs (m, j >= 1).
 
@@ -148,10 +136,11 @@ def _psi_pair_radial(indices, rows, cols, grid: PolarGrid) -> np.ndarray:
     """
     grid3 = build_polar_grid(grid.n_radial, grid.n_theta, 3.0)
     t, w = grid3.radial_t, grid3.radial_w
+    p = np.array([min(i.m - 1, i.n) for i in indices], dtype=int)
     d = np.array([abs(i.m - 1 - i.n) for i in indices], dtype=int)
-    factor = np.array(
-        [kummer_terminating(min(i.m - 1, i.n), abs(i.m - 1 - i.n) + 1, t) for i in indices]
-    ).reshape(len(indices), t.size)
+    factor = np.empty((len(indices), t.size))
+    for q in np.unique(p):
+        factor[p == q] = kummer_terminating(int(q), d[p == q, None] + 1, t)
     const = np.array([c_mn(i.m - 1, i.n) for i in indices])
     rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
     exponent = d[rows] + d[cols]
@@ -222,17 +211,22 @@ def psi_gram(
     # p! first: past its overflow it raises before the profiles are built
     factorial(max((max(i.m - 1, i.n) for i in idx), default=0))
     grid3 = build_polar_grid(grid.n_radial, grid.n_theta, 3.0)
-    poly_idx = [i for i in idx if i.m >= 1]
-    poly_profiles = [
-        hermite_radial_profile(HermiteIndex(i.m - 1, i.n), grid3.radial_t) for i in poly_idx
-    ]
-
+    shifted = [HermiteIndex(i.m - 1, i.n) for i in idx]
     m = np.array([i.m for i in idx], dtype=int)
     n = np.array([i.n for i in idx], dtype=int)
     mask = (m[:, None] - m[None, :]) != (n[:, None] - n[None, :])
-    poly = np.ix_(m >= 1, m >= 1)
-    values = _separable_gram([_psi_profile(i, grid) for i in idx], grid)
-    values[poly] = _separable_gram(poly_profiles, grid3)
+    # psi_{m,n} = -e^{-t} H_{m-1,n}; the weighted profiles form the m = 0
+    # images without e^t, so they stay finite on the outermost nodes of
+    # large grids
+    hi, lo, freq = hermite_radial_profile(shifted, grid.radial_t, weighted=True)
+    hi, lo = dd_mul_scalar(hi, lo, -1.0)
+    zero = m == 0
+    values = _separable_gram(hi, lo, freq, grid, zero[:, None] | zero[None, :])
+    poly = np.ix_(~zero, ~zero)
+    poly_idx = [i for i in idx if i.m >= 1]
+    values[poly] = _separable_gram(
+        *hermite_radial_profile([i for i in shifted if i.m >= 0], grid3.radial_t), grid3
+    )
 
     rows, cols = np.nonzero(~mask[poly])
     expected = _psi_pair_radial(poly_idx, rows, cols, grid)

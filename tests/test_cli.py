@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycauchy import SUITE_NAMES
+from polycauchy import SUITE_NAMES, HermiteIndex
 from polycauchy.cli import format_complex, format_real, main
 
 
@@ -129,17 +129,20 @@ def test_out_of_memory_exits_3(capsys, monkeypatch):
 def test_gram_with_a_non_finite_entry_exits_3(capsys, monkeypatch):
     from polycauchy import range_analysis
 
-    profile = range_analysis._psi_profile
+    profile = range_analysis.hermite_radial_profile
 
-    def broken(idx, grid):
-        h, l, freq = profile(idx, grid)
-        return h * np.nan if idx.m == 0 else h, l, freq
+    def broken(indices, t, *, weighted=False):
+        hi, lo, freq = profile(indices, t, weighted=weighted)
+        if weighted:
+            # the beta = 1 row of psi_(0,1) = -e^{-t} H_{-1,1}
+            hi[list(indices).index(HermiteIndex(-1, 1))] = np.nan
+        return hi, lo, freq
 
-    monkeypatch.setattr(range_analysis, "_psi_profile", broken)
+    monkeypatch.setattr(range_analysis, "hermite_radial_profile", broken)
     assert main(["gram", "--max-index", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "not a finite double" in captured.err
+    assert "psi_(0,1)" in captured.err and "not a finite double" in captured.err
 
 
 def test_usage_error_exit_code(capsys):

@@ -32,8 +32,13 @@ from polycauchy import (
     polar_separable_quadrature,
     psi_gram,
 )
-from polycauchy._ddouble import dd_mul
-from polycauchy.ito_hermite import EXTENSION_CROSSOVER, _power, _series_coefficients
+from polycauchy._ddouble import dd_add, dd_div_scalar, dd_mul, dd_mul_scalar, dd_sqrt
+from polycauchy.ito_hermite import (
+    EXTENSION_CROSSOVER,
+    _extended_parts,
+    _power,
+    _series_coefficients,
+)
 from polycauchy.special_fn import factorial, generalized_laguerre
 
 
@@ -320,22 +325,78 @@ def test_extension_closes_transform_of_antiholomorphic_family():
             assert abs(quad - closed) <= 1e-6 * (1.0 + abs(closed))
 
 
+def _profile(idx, t, *, weighted=False):
+    """One index's (hi, lo, freq) from a one-row profile call."""
+    hi, lo, freq = hermite_radial_profile([idx], t, weighted=weighted)
+    return hi[0], lo[0], freq[0]
+
+
 def test_radial_profile_reconstructs_values():
     t = np.array([0.3, 1.7, 4.2])
     theta = 0.9
     phase = complex(math.cos(theta), math.sin(theta))
     z = np.sqrt(t) * phase
-    for m in range(-1, 5):
-        for n in range(5):
-            idx = HermiteIndex(m, n)
-            hi, lo, freq = hermite_radial_profile(idx, t)
-            assert freq == m - n
-            prof = (hi + lo) * phase**freq
-            direct = (
-                hermite_eval_extended(n, z) if m == -1 else hermite_eval(idx, z)
-            )
-            err = np.max(np.abs(prof - direct) / (1.0 + np.abs(direct)))
-            assert err <= 1e-13
+    indices = [HermiteIndex(m, n) for m in range(-1, 5) for n in range(5)]
+    his, los, freqs = hermite_radial_profile(indices, t)
+    assert his.shape == los.shape == (len(indices), t.size)
+    for idx, hi, lo, freq in zip(indices, his, los, freqs):
+        m, n = idx.m, idx.n
+        assert freq == m - n
+        prof = (hi + lo) * phase**freq
+        direct = hermite_eval_extended(n, z) if m == -1 else hermite_eval(idx, z)
+        err = np.max(np.abs(prof - direct) / (1.0 + np.abs(direct)))
+        assert err <= 1e-13
+
+
+def _reference_profile(idx: HermiteIndex, t: np.ndarray, weighted: bool):
+    """The one-index profile: its own dd Laguerre climb, t^{d/2} loop, scale and damp."""
+    m, n = idx.m, idx.n
+    if m == -1:
+        series, body = _extended_parts(n, t, weighted)
+        half = 0.5 * (n + 1)
+        return t ** np.where(series, half, -half) * body, np.zeros_like(t)
+    p, d = min(m, n), abs(m - n)
+    zero = np.zeros_like(t)
+    ph, pl = np.ones_like(t), zero.copy()
+    ch, cl = ph, pl
+    if p > 0:
+        ch, cl = dd_add(float(1 + d), 0.0, -t, zero)
+        for k in range(1, p):
+            ah, al = dd_add(float(2 * k + d + 1), 0.0, -t, zero)
+            th, tl = dd_mul(ah, al, ch, cl)
+            sh, sl = dd_add(th, tl, *dd_mul_scalar(ph, pl, -float(k + d)))
+            nh, nl = dd_div_scalar(sh, sl, float(k + 1))
+            ph, pl, ch, cl = ch, cl, nh, nl
+    h, l = dd_sqrt(t, zero) if d % 2 else (np.ones_like(t), zero)
+    for _ in range(d // 2):
+        h, l = dd_mul(h, l, t, zero)
+    h, l = dd_mul(ch, cl, h, l)
+    h, l = dd_mul_scalar(h, l, -factorial(p) if p % 2 else factorial(p))
+    if weighted:
+        damp = np.exp(-t)
+        h, l = dd_mul(h, l, damp, np.zeros_like(damp))
+    return h, l
+
+
+def test_batched_profiles_equal_the_one_index_recurrence():
+    # one climb over all rows, rows leaving at their own degree, gives
+    # each row the bits of its own recurrence
+    pairs = (
+        (-1, 0), (3, 0), (0, 0), (2, 5), (-1, 7), (1, 1), (5, 2), (0, 9),
+        (7, 3), (4, 4), (30, 12), (12, 30), (6, 11), (-1, 12), (9, 9), (1, 0),
+    )
+    indices = [HermiteIndex(m, n) for m, n in pairs]
+    nodes = (build_polar_grid().radial_t, build_polar_grid(200, 8).radial_t, np.zeros(1))
+    for t in nodes:
+        for weighted in (False, True):
+            # unweighted m = -1 rows overflow to inf past e^t's range
+            with np.errstate(over="ignore"):
+                hi, lo, freq = hermite_radial_profile(indices, t, weighted=weighted)
+                want = [_reference_profile(idx, t, weighted) for idx in indices]
+            assert freq.tolist() == [m - n for m, n in pairs]
+            for r, (wh, wl) in enumerate(want):
+                assert hi[r].tobytes() == wh.tobytes(), (pairs[r], t.size, weighted)
+                assert lo[r].tobytes() == wl.tobytes(), (pairs[r], t.size, weighted)
 
 
 def hermite_inner_product(a: HermiteIndex, b: HermiteIndex, grid=None) -> complex:
@@ -345,8 +406,8 @@ def hermite_inner_product(a: HermiteIndex, b: HermiteIndex, grid=None) -> comple
     the separable rule with frequency f_a - f_b.
     """
     grid = build_polar_grid() if grid is None else grid
-    ah, al, fa = hermite_radial_profile(a, grid.radial_t)
-    bh, bl, fb = hermite_radial_profile(b, grid.radial_t)
+    ah, al, fa = _profile(a, grid.radial_t)
+    bh, bl, fb = _profile(b, grid.radial_t)
     rh, rl = dd_mul(ah, al, bh, bl)
     return polar_separable_quadrature(rh, rl, fa - fb, grid)
 
@@ -476,10 +537,10 @@ def test_series_term_count_meets_the_cutoff():
 def test_weighted_profiles():
     t = np.array([0.0, 0.2, 0.3, 1.7, 4.2, 30.0, 700.0, 767.8, 1e4])
     for n in range(6):
-        hi, lo, freq = hermite_radial_profile(HermiteIndex(-1, n), t, weighted=True)
+        hi, lo, freq = _profile(HermiteIndex(-1, n), t, weighted=True)
         assert freq == -(n + 1) and np.all(lo == 0.0) and np.all(np.isfinite(hi))
         with np.errstate(over="ignore", invalid="ignore"):
-            plain = hermite_radial_profile(HermiteIndex(-1, n), t)[0]
+            plain = _profile(HermiteIndex(-1, n), t)[0]
         small = t <= 30.0
         want = np.exp(-t[small]) * plain[small]
         assert np.all(np.abs(hi[small] - want) <= 1e-14 * np.abs(want))
@@ -487,8 +548,8 @@ def test_weighted_profiles():
         assert hi[-1] == pytest.approx(-math.factorial(n) * 1e4 ** (-0.5 * (n + 1)), rel=1e-15)
     nodes = t[1:-3]
     for m, n in ((0, 0), (3, 1), (2, 5)):
-        h, l, freq = hermite_radial_profile(HermiteIndex(m, n), nodes)
-        wh, wl, wfreq = hermite_radial_profile(HermiteIndex(m, n), nodes, weighted=True)
+        h, l, freq = _profile(HermiteIndex(m, n), nodes)
+        wh, wl, wfreq = _profile(HermiteIndex(m, n), nodes, weighted=True)
         damp = np.exp(-nodes)
         want = dd_mul(h, l, damp, np.zeros_like(damp))
         assert wfreq == freq
@@ -500,10 +561,9 @@ def test_radial_profile_at_the_origin():
     # RuntimeWarning) in the dd square root of 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for m in range(7):
-            for n in range(7):
-                idx = HermiteIndex(m, n)
-                hi, lo, _ = hermite_radial_profile(idx, 0.0)
-                assert (hi, lo) == (hermite_eval(idx, 0j).real, 0.0), (m, n)
-        hi, lo, _ = hermite_radial_profile(HermiteIndex(2, 5), np.array([0.0, 1.0]))
+        indices = [HermiteIndex(m, n) for m in range(7) for n in range(7)]
+        hi, lo, _ = hermite_radial_profile(indices, np.zeros(1))
+        assert hi[:, 0].tolist() == [hermite_eval(i, 0j).real for i in indices]
+        assert not lo.any()
+        hi, lo, _ = _profile(HermiteIndex(2, 5), np.array([0.0, 1.0]))
         assert hi.tolist() == [0.0, 11.0] and lo.tolist() == [0.0, 0.0]

@@ -28,10 +28,11 @@ from polycauchy import (
     kernel_series,
     project_numeric,
     projection_coefficient_closed,
-    radial_J_closed,
     run_suite,
 )
 from polycauchy import poly_bergman
+from polycauchy.ito_hermite import c_mn
+from polycauchy.special_fn import gauss2f1_unit
 
 KERNEL_POINTS = (0j, 0.7 + 0j, -1.2 + 0.5j, 1.9j, -0.3 - 1.1j)
 
@@ -144,27 +145,42 @@ def test_projection_coefficient_vanishing_guard():
         projection_coefficient_closed(-1, 0, 0)
 
 
+def _radial_integral(m: int, n: int, j: int, k: int) -> float:
+    """The radial integral behind the projection coefficient, m = n+j-k-1 >= 0.
+
+    The coefficient of P_n(psi_{j,k}) equals
+
+        J = -(c_{m,n} c_{j-1,k} / (m! n!)) *
+            integral_0^inf t^{|j-k-1|} F_a(t) F_b(t) e^{-2t} dt,
+
+    with F_a, F_b the terminating confluent factors of the two
+    polynomials, and the product-of-confluents formula collapses it to
+
+        Gamma(|k+1-j|+1) / 2^{min(m,n) + min(j-1,k) + |k+1-j| + 1}
+        * 2F1(-min(m,n), -min(j-1,k); |k+1-j|+1; 1).
+
+    For j = 0 the second lower parameter is +1 (min(j-1, k) = -1),
+    still a terminating sum over the first.
+    """
+    pa, pb, db = min(m, n), min(j - 1, k), abs(j - 1 - k)
+    pref = -(c_mn(m, n) * c_mn(j - 1, k)) / (factorial(m) * factorial(n))
+    return pref * factorial(db) / 2.0 ** (pa + pb + db + 1) * gauss2f1_unit(pa, pb, db + 1.0)
+
+
 def test_projection_coefficient_matches_radial_integral():
     cases = ((0, 1, 0), (1, 2, 1), (2, 3, 0), (1, 0, 0), (3, 2, 4), (2, 2, 2))
     for n, j, k in cases:
         m = n + j - k - 1
         coeff, target = projection_coefficient_closed(n, j, k)
         assert target == HermiteIndex(m, n)
-        want = radial_J_closed(m, n, j, k)
+        want = _radial_integral(m, n, j, k)
         assert coeff == pytest.approx(want, rel=1e-12)
     # j = 0 takes 2F1(-p, 1; c; 1) as a Pochhammer ratio, which keeps the
     # digits an alternating sum over its terms would cancel
     for n in range(1, 25):
         for k in range(n):
             coeff, _ = projection_coefficient_closed(n, 0, k)
-            assert radial_J_closed(n - k - 1, n, 0, k) == pytest.approx(coeff, rel=1e-13, abs=0)
-
-
-def test_radial_integral_validation():
-    with pytest.raises(ValueError):
-        radial_J_closed(-1, 0, 0, 0)
-    with pytest.raises(ValueError):
-        radial_J_closed(1, 0, 1, 0)
+            assert _radial_integral(n - k - 1, n, 0, k) == pytest.approx(coeff, rel=1e-13, abs=0)
 
 
 def test_project_reproduces_basis_coefficients():

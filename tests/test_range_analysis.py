@@ -35,7 +35,7 @@ from polycauchy.gaussian_quadrature import (
 )
 from polycauchy.ito_hermite import c_mn, hermite_radial_profile
 from polycauchy.special_fn import kummer_terminating
-from polycauchy.range_analysis import _operator_matrix, _psi_profile
+from polycauchy.range_analysis import _operator_matrix
 
 
 def test_basis_spec_validation():
@@ -132,50 +132,67 @@ def test_psi_gram_overflow_raises_before_any_profile(monkeypatch):
     def profile(*args, **kwargs):
         raise AssertionError("a profile was built before the overflow check")
 
-    monkeypatch.setattr(range_analysis, "_psi_profile", profile)
     monkeypatch.setattr(range_analysis, "hermite_radial_profile", profile)
     for past in ([(1, 0), (0, 171)], [(172, 0)], [(3, 171)]):
         with pytest.raises(OverflowError, match=r"factorial\(171\)"):
             psi_gram(past)
 
 
+def _profile(idx, t, *, weighted=False):
+    """One index's (hi, lo, freq) from a one-row profile call."""
+    hi, lo, freq = hermite_radial_profile([idx], t, weighted=weighted)
+    return hi[0], lo[0], freq[0]
+
+
+def _psi_profile(idx: HermiteIndex, grid: PolarGrid):
+    """Profile of psi_{m,n} = -e^{-t} H_{m-1,n} on a beta = 1 grid."""
+    h, l, freq = _profile(HermiteIndex(idx.m - 1, idx.n), grid.radial_t, weighted=True)
+    return dd_mul_scalar(h, l, -1.0) + (freq,)
+
+
 def test_psi_gram_matches_pairwise():
     # every entry equals its own 1-D separable call, and the radial
-    # cross-check equals the per-pair confluent-series integral
-    indices = [HermiteIndex(m, n) for m in range(4) for n in range(3)]
-    grid = build_polar_grid(32, 16, 1.0)
-    grid3 = build_polar_grid(32, 16, 3.0)
-    report = psi_gram(indices, grid)
-    worst = 0.0
-    for r, a in enumerate(indices):
-        for s, b in enumerate(indices):
-            if a.m >= 1 and b.m >= 1:
-                ah, al, fa = hermite_radial_profile(HermiteIndex(a.m - 1, a.n), grid3.radial_t)
-                bh, bl, fb = hermite_radial_profile(HermiteIndex(b.m - 1, b.n), grid3.radial_t)
-                rh, rl = dd_mul(ah, al, bh, bl)
-                value = polar_separable_quadrature(rh, rl, fa - fb, grid3)
-                if a.m - b.m == a.n - b.n:
-                    da, db = abs(a.m - 1 - a.n), abs(b.m - 1 - b.n)
+    # cross-check equals the per-pair confluent-series integral; on
+    # n_theta = 8 the m = 0 pair (0,4), (4,0) aliases to a nonzero entry
+    cases = ((range(4), range(3), 32, 16), (range(5), range(5), 16, 8))
+    for ms, ns, n_radial, n_theta in cases:
+        indices = [HermiteIndex(m, n) for m in ms for n in ns]
+        grid = build_polar_grid(n_radial, n_theta, 1.0)
+        grid3 = build_polar_grid(n_radial, n_theta, 3.0)
+        report = psi_gram(indices, grid)
+        worst = 0.0
+        for r, a in enumerate(indices):
+            for s, b in enumerate(indices):
+                if a.m >= 1 and b.m >= 1:
+                    ah, al, fa = _profile(HermiteIndex(a.m - 1, a.n), grid3.radial_t)
+                    bh, bl, fb = _profile(HermiteIndex(b.m - 1, b.n), grid3.radial_t)
+                    rh, rl = dd_mul(ah, al, bh, bl)
+                    value = polar_separable_quadrature(rh, rl, fa - fb, grid3)
+                    if a.m - b.m == a.n - b.n:
+                        da, db = abs(a.m - 1 - a.n), abs(b.m - 1 - b.n)
 
-                    def h(t, a=a, b=b, da=da, db=db):
-                        return (
-                            t ** (0.5 * (da + db))
-                            * kummer_terminating(min(a.m - 1, a.n), da + 1, t)
-                            * kummer_terminating(min(b.m - 1, b.n), db + 1, t)
+                        def h(t, a=a, b=b, da=da, db=db):
+                            return (
+                                t ** (0.5 * (da + db))
+                                * kummer_terminating(min(a.m - 1, a.n), da + 1, t)
+                                * kummer_terminating(min(b.m - 1, b.n), db + 1, t)
+                            )
+
+                        expected = (
+                            math.pi * c_mn(a.m - 1, a.n) * c_mn(b.m - 1, b.n)
+                            * integrate_radial_weighted(h, 3.0, grid3)
                         )
-
-                    expected = (
-                        math.pi * c_mn(a.m - 1, a.n) * c_mn(b.m - 1, b.n)
-                        * integrate_radial_weighted(h, 3.0, grid3)
-                    )
-                    worst = max(worst, abs(value - expected) / (1.0 + abs(expected)))
-            else:
-                ah, al, fa = _psi_profile(a, grid)
-                bh, bl, fb = _psi_profile(b, grid)
-                rh, rl = dd_mul(ah, al, bh, bl)
-                value = polar_separable_quadrature(rh, rl, fa - fb, grid)
-            assert report.values[r, s] == value
-    assert report.radial_check_max_rel == worst > 0.0
+                        worst = max(worst, abs(value - expected) / (1.0 + abs(expected)))
+                else:
+                    ah, al, fa = _psi_profile(a, grid)
+                    bh, bl, fb = _psi_profile(b, grid)
+                    rh, rl = dd_mul(ah, al, bh, bl)
+                    value = polar_separable_quadrature(rh, rl, fa - fb, grid)
+                assert report.values[r, s] == value
+        assert report.radial_check_max_rel == worst > 0.0
+    aliased = indices.index(HermiteIndex(0, 4)), indices.index(HermiteIndex(4, 0))
+    assert report.expected_zero_mask[aliased] and report.values[aliased] != 0
+    assert report.values[aliased[::-1]] != 0
 
 
 def test_psi_gram_on_wide_grids_is_finite_and_stable():
@@ -196,16 +213,16 @@ def test_psi_gram_on_wide_grids_is_finite_and_stable():
 def test_psi_gram_refuses_non_finite_values(monkeypatch):
     from polycauchy import range_analysis
 
-    profile = range_analysis._psi_profile
+    profile = range_analysis.hermite_radial_profile
 
-    def broken(idx, grid):
-        h, l, freq = profile(idx, grid)
-        if idx == HermiteIndex(0, 1):
-            h = h.copy()
-            h[-1] = np.nan
-        return h, l, freq
+    def broken(indices, t, *, weighted=False):
+        hi, lo, freq = profile(indices, t, weighted=weighted)
+        if weighted:
+            # the beta = 1 row of psi_(0,1) = -e^{-t} H_{-1,1}
+            hi[list(indices).index(HermiteIndex(-1, 1)), -1] = np.nan
+        return hi, lo, freq
 
-    monkeypatch.setattr(range_analysis, "_psi_profile", broken)
+    monkeypatch.setattr(range_analysis, "hermite_radial_profile", broken)
     with pytest.raises(ValueError, match=r"psi_\(0,1\).*not a finite double"):
         psi_gram([(0, 0), (0, 1), (1, 0)])
 
@@ -252,13 +269,13 @@ def _psi_basis_entry(
     """
     j, k = psi_idx.m, psi_idx.n
     if j >= 1:
-        ah, al, fa = hermite_radial_profile(HermiteIndex(j - 1, k), grid2.radial_t)
-        bh, bl, fb = hermite_radial_profile(basis_idx, grid2.radial_t)
+        ah, al, fa = _profile(HermiteIndex(j - 1, k), grid2.radial_t)
+        bh, bl, fb = _profile(basis_idx, grid2.radial_t)
         rh, rl = dd_mul(ah, al, bh, bl)
         rh, rl = dd_mul_scalar(rh, rl, -1.0)
         return complex(polar_separable_quadrature(rh, rl, fa - fb, grid2)).real
     ah, al, fa = _psi_profile(psi_idx, grid1)
-    bh, bl, fb = hermite_radial_profile(basis_idx, grid1.radial_t)
+    bh, bl, fb = _profile(basis_idx, grid1.radial_t)
     rh, rl = dd_mul(ah, al, bh, bl)
     return complex(polar_separable_quadrature(rh, rl, fa - fb, grid1)).real
 

@@ -203,7 +203,7 @@ def test_gauss2f1_unit_against_scipy():
 
 
 def test_gauss2f1_unit_at_q_minus_one_against_scipy():
-    # 2F1(-p, 1; c; 1) = (c-1)_p / (c)_p, the j = 0 case of radial_J_closed
+    # 2F1(-p, 1; c; 1) = (c-1)_p / (c)_p, the j = 0 case of the projection radial integral
     for c in (1.0, 1.5, 2.0, 3.5, 7.0, 12.0, 19.0):
         for p in range(15):
             want = float(scipy.special.hyp2f1(-p, 1, c, 1.0))
