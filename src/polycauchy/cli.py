@@ -122,6 +122,18 @@ def _json_complex(value: complex) -> float | list[float]:
     return [value.real + 0.0, value.imag + 0.0]
 
 
+def _json_complex_rows(values: np.ndarray) -> list:
+    """Rows of a complex matrix as :func:`_json_complex` writes each entry.
+
+    Reads the real and imaginary parts once each as Python floats, so
+    no entry is converted on its own.
+    """
+    return [
+        [re + 0.0 if im == 0.0 else [re + 0.0, im + 0.0] for re, im in zip(re_row, im_row)]
+        for re_row, im_row in zip(values.real.tolist(), values.imag.tolist())
+    ]
+
+
 # The JSON number type each config key takes; an int also serves as a float.
 _CONFIG_TYPES = {
     "nr": int,
@@ -255,10 +267,7 @@ def _cmd_gram(args: argparse.Namespace, cfg: VerifyConfig) -> int:
             "tolerance": report.tolerance,
             "pass": report.passed,
             "radial_check_max_rel": report.radial_check_max_rel,
-            "values": [
-                [_json_complex(report.values[r, s]) for s in range(len(labels))]
-                for r in range(len(labels))
-            ],
+            "values": _json_complex_rows(report.values),
         }
         _emit(json.dumps(payload, indent=2), args)
     return 0 if report.passed else 1

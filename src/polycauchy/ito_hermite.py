@@ -140,8 +140,19 @@ def c_mn(m: int, n: int) -> float:
     return sign * factorial(max(m, n)) / factorial(abs(m - n))
 
 
-def hermite_eval(idx: HermiteIndex, z):
+def hermite_eval(idx: HermiteIndex, z, *, weighted: bool = False):
     """Evaluate H_{m,n}(z, zbar) through the confluent representation.
+
+    The value is a real radial factor (-1)^p p! L_p^(d)(t), t = |z|^2,
+    times one monomial z^d or zbar^d, p = min(m, n), d = |m - n|: one
+    complex multiply per point, and no monomial to raise when d = 0.
+
+    With ``weighted`` the result is e^{-|z|^2} H_{m,n}(z, zbar), with
+    e^{-t} folded into the real factor before the monomial multiply.
+    This rounds differently from e^{-t} times the unweighted value, by
+    a few units in the last place.  Where e^{-t} underflows to 0 while
+    the Laguerre factor or the monomial overflows, the value is NaN, not
+    the tiny number it approximates.
 
     Parameters
     ----------
@@ -149,6 +160,8 @@ def hermite_eval(idx: HermiteIndex, z):
         Index pair with m >= 0.
     z : complex or ndarray
         Evaluation point(s).
+    weighted : bool
+        Multiply by the Gaussian e^{-|z|^2}.
 
     Returns
     -------
@@ -161,11 +174,25 @@ def hermite_eval(idx: HermiteIndex, z):
         )
     z_arr = np.asarray(z, dtype=complex)
     points = np.atleast_1d(z_arr)
-    t = (points * points.conjugate()).real
-    p = min(m, n)
+    zbar = points.conjugate()
+    # contiguous: the climb reads t once a step
+    t = (points * zbar).real.copy()
+    p, d = min(m, n), abs(m - n)
     # p! first: past its overflow it raises before a p-step climb
-    confluent = _signed_factorial(p) * generalized_laguerre(p, abs(m - n), t)
-    out = _monomial(points, m, n) * confluent
+    scale = _signed_factorial(p)
+    radial = generalized_laguerre(p, d, t)
+    radial *= scale
+    if weighted:
+        gauss = np.negative(t)
+        radial *= np.exp(gauss, out=gauss)
+    if d == 0:
+        # as the product with a monomial of ones rounds: an imaginary
+        # part +0, NaN where the factor is not finite
+        out = radial * (1 + 0j)
+    else:
+        out = _power(points if m > n else zbar, d)
+        # a real factor multiplies in place as it does out of place
+        np.multiply(out, radial, out=out)
     return out if z_arr.ndim else complex(out[0])
 
 
@@ -289,11 +316,6 @@ def _power(z: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _monomial(points: np.ndarray, m: int, n: int):
-    """z^(m-n) for m >= n, else zbar^(n-m)."""
-    return _power(points, m - n) if m >= n else _power(points.conjugate(), n - m)
-
-
 def hermite_recurrence_eval(idx: HermiteIndex, z):
     """Evaluate H_{m,n} by climbing the two-index recurrence from H_{0,0} = 1.
 
@@ -353,32 +375,41 @@ def _extended_parts(n: int, t: np.ndarray, weighted: bool):
     overflows.  Every step is elementwise and the term counts are fixed,
     so each value depends on its own point only.
     """
+    # The closed form runs on every point, then the series overwrites
+    # its few points, gathered and written back by index: the closed
+    # majority is never gathered or scattered, and index arrays are
+    # several times faster than boolean mask indexing.
+    # n! first: past its overflow it raises before an n-step loop
+    scale = -factorial(n)
+    # the compensated sum of the Poisson terms, in place in fixed buffers
+    term = np.negative(t)
+    np.exp(term, out=term)
+    partial, comp = term.copy(), np.zeros_like(t)
+    y, s = np.empty_like(t), np.empty_like(t)
+    for k in range(1, n + 1):
+        term *= t
+        term /= k
+        np.subtract(term, comp, out=y)
+        np.add(partial, y, out=s)
+        np.subtract(s, partial, out=comp)
+        comp -= y
+        partial, s = s, partial
+    body = np.subtract(1.0, partial, out=partial)
+    body *= scale
+    if not weighted:
+        body *= np.exp(t)
+
     series = t <= _extension_threshold(n)
-    body = np.empty_like(t)
-    if np.any(series):
-        ts = t[series]
+    near = np.nonzero(series)
+    if near[0].size:
+        ts = t[near]
         coefficients = _series_coefficients(n)
         total = np.full_like(ts, coefficients[-1])
         for c in coefficients[-2::-1]:
-            total = total * ts + c
+            total *= ts
+            total += c
         value = c_mn(-1, n) * total
-        body[series] = value * np.exp(-ts) if weighted else value
-
-    closed = ~series
-    if np.any(closed):
-        tc = t[closed]
-        # n! first: past its overflow it raises before an n-step loop
-        scale = -factorial(n)
-        term = np.exp(-tc)
-        partial, comp = term, 0.0
-        for k in range(1, n + 1):
-            term = term * tc / k
-            y = term - comp
-            s = partial + y
-            comp = (s - partial) - y
-            partial = s
-        value = scale * (1.0 - partial)
-        body[closed] = value if weighted else value * np.exp(tc)
+        body[near] = value * np.exp(-ts) if weighted else value
 
     return series, body
 
@@ -409,7 +440,7 @@ def hermite_eval_extended(n: int, z, *, weighted: bool = False):
     # |z| past ~1.34e154 makes t inf and its Poisson terms 0 * inf;
     # those entries are replaced below
     with np.errstate(over="ignore", invalid="ignore"):
-        t = (points * base).real
+        t = (points * base).real.copy()
         series, body = _extended_parts(n, t, weighted)
     # zbar where the series serves, zbar/t elsewhere, one rounding per part
     divisor = np.where(series, 1.0, t)

@@ -129,9 +129,34 @@ def generalized_laguerre(p: int, d, t):
     float or ndarray
         L_p^(d)(t), with the broadcast shape of ``d`` and ``t``.
     """
-    for cur in _laguerre_climb(p, d, t):
-        pass
-    return cur if cur.ndim else float(cur)
+    if np.ndim(d) or not np.ndim(t):
+        for cur in _laguerre_climb(p, d, t):
+            pass
+        return cur if cur.ndim else float(cur)
+    _check_laguerre_args(p, d)
+    # a scalar d climbs in the buffers it starts with, rotating prev,
+    # cur and a scratch; every step is _laguerre_climb's, bit for bit
+    t = np.asarray(t, dtype=float)
+    cur = np.ones(t.shape)
+    if p == 0:
+        return cur
+    prev, cur = cur, np.subtract(1.0 + d, t)
+    nxt = np.empty_like(cur)
+    for k in range(1, p):
+        np.subtract(2 * k + d + 1, t, out=nxt)
+        nxt *= cur
+        prev *= k + d
+        nxt -= prev
+        nxt /= k + 1
+        prev, cur, nxt = cur, nxt, prev
+    return cur
+
+
+def _check_laguerre_args(p: int, d) -> None:
+    if p < 0:
+        raise ValueError(f"generalized_laguerre requires p >= 0, got {p}")
+    if np.any(np.asarray(d) < 0) if np.ndim(d) else d < 0:
+        raise ValueError(f"generalized_laguerre requires d >= 0, got {d}")
 
 
 def _laguerre_climb(p: int, d, t, active=None):
@@ -144,10 +169,7 @@ def _laguerre_climb(p: int, d, t, active=None):
     rows of ``d`` iterate k must hold: rows past it leave the climb, so
     no step is spent on a parameter whose needed degree is passed.
     """
-    if p < 0:
-        raise ValueError(f"generalized_laguerre requires p >= 0, got {p}")
-    if np.any(np.asarray(d) < 0):
-        raise ValueError(f"generalized_laguerre requires d >= 0, got {d}")
+    _check_laguerre_args(p, d)
     t_arr = np.asarray(t, dtype=float)
     prev = np.ones(np.broadcast_shapes(np.shape(d), t_arr.shape))
     yield prev

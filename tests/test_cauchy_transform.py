@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from polycauchy import cauchy_transform
+from polycauchy import cauchy_transform, ito_hermite
 from polycauchy import (
     HermiteIndex,
     PsiFunction,
@@ -129,10 +129,9 @@ def test_blocked_images_equal_unblocked_formula():
     shapes = [(_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,), (3 * _BLOCK + 17,), (5, _BLOCK // 2 + 3)]
     for seed, shape in enumerate(shapes):
         z = _cloud(math.prod(shape), seed).reshape(shape)
-        t = (z * z.conjugate()).real
         for m, n in BLOCKED_INDICES:
             got = cauchy_hermite_closed(HermiteIndex(m, n), z)
-            want = -np.exp(-t) * hermite_eval(HermiteIndex(m - 1, n), z)
+            want = -hermite_eval(HermiteIndex(m - 1, n), z, weighted=True)
             assert got.shape == shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (shape, m, n)
 
@@ -189,6 +188,56 @@ def test_m0_images_depend_on_the_point_alone():
         for i in np.concatenate([np.arange(4), sample]):
             one = np.array([cauchy_hermite_closed(idx, complex(z[i]))])
             assert np.array_equal(one.view(np.int64), images[i : i + 1].view(np.int64)), (n, z[i])
+
+
+def _split_extended_parts(n, t, weighted):
+    """The extension's two branches, each on its own gathered points.
+
+    The route of an earlier release, kept as an oracle: the library now
+    evaluates the closed branch on every point and overwrites the series
+    points, and must give the same bits.
+    """
+    series = t <= ito_hermite._extension_threshold(n)
+    body = np.empty_like(t)
+    if np.any(series):
+        ts = t[series]
+        coefficients = ito_hermite._series_coefficients(n)
+        total = np.full_like(ts, coefficients[-1])
+        for c in coefficients[-2::-1]:
+            total = total * ts + c
+        value = ito_hermite.c_mn(-1, n) * total
+        body[series] = value * np.exp(-ts) if weighted else value
+    closed = ~series
+    if np.any(closed):
+        tc = t[closed]
+        scale = -math.factorial(n)
+        term = np.exp(-tc)
+        partial, comp = term, 0.0
+        for k in range(1, n + 1):
+            term = term * tc / k
+            y = term - comp
+            s = partial + y
+            comp = (s - partial) - y
+            partial = s
+        value = scale * (1.0 - partial)
+        body[closed] = value if weighted else value * np.exp(tc)
+    return series, body
+
+
+def test_m0_images_equal_the_split_branch_route(monkeypatch):
+    z = _cloud(3 * _BLOCK + 17, 13)
+    z[::11] *= 0.05  # more points on the series branch
+    z[5:13] = [1e-200, -1e-200j, complex(-0.0, 1e-200), 1e160, -1e160j, 30.0, 1e200 + 1e200j, 0.5]
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = {n: cauchy_hermite_closed(HermiteIndex(0, n), z) for n in (0, 1, 3, 9, 20)}
+        unweighted = {n: hermite_eval_extended(n, z[:4096]) for n in (0, 3, 9)}
+        monkeypatch.setattr(ito_hermite, "_extended_parts", _split_extended_parts)
+        for n, image in images.items():
+            want = cauchy_hermite_closed(HermiteIndex(0, n), z)
+            assert np.array_equal(image.view(np.int64), want.view(np.int64)), n
+        for n, values in unweighted.items():
+            want = hermite_eval_extended(n, z[:4096])
+            assert np.array_equal(values.view(np.int64), want.view(np.int64)), n
 
 
 def test_scalar_images_equal_their_array_entries():

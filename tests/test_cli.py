@@ -96,6 +96,19 @@ def test_far_m0_image_is_printed(capsys):
     assert float(capsys.readouterr().out) == pytest.approx(1e-160, rel=1e-14, abs=0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_far_m1_image_underflows_to_zero(capsys):
+    # e^{-|z|^2} underflows to 0 inside the real radial factor, and the
+    # monomial zbar is finite: the image, far below the smallest double,
+    # prints as 0
+    assert main(["cauchy", "--m", "12", "--n", "12", "--z", "1e14,0"]) == 0
+    assert float(capsys.readouterr().out) == 0.0
+    # where the monomial z^2 overflows too, 0 * inf forms no value: a
+    # named error, never a printed nan
+    assert main(["cauchy", "--m", "3", "--n", "0", "--z", "1e160,0"]) == 3
+    assert "not a finite double" in capsys.readouterr().err
+
+
 def test_gram_on_a_wide_grid_is_finite(capsys):
     # the outermost node at --nr 200 lies past e^t's range
     payloads = {}
@@ -224,6 +237,21 @@ def test_gram_outputs(capsys, tmp_path):
     assert rows[0] == ["psi", "(0,0)", "(0,1)", "(1,0)", "(1,1)"]
     assert rows[1][0] == "(0,0)"
     assert abs(float(rows[1][1]) - 0.903779885384002) < 1e-12
+
+
+def test_gram_rows_write_each_entry_as_json_complex():
+    from polycauchy.cli import _json_complex, _json_complex_rows
+
+    values = np.array(
+        [
+            [1.5, -0.0, complex(-0.0, -0.0), complex(2.0, -0.0)],
+            [complex(0.0, 3.0), complex(-1.0, 1e-300), complex(np.nan, 0.0), complex(1.0, np.nan)],
+        ]
+    )
+    want = [[_json_complex(v) for v in row] for row in values]
+    got = _json_complex_rows(values)
+    assert json.dumps(got) == json.dumps(want)
+    assert got[0][:3] == [1.5, 0.0, 0.0] and math.copysign(1.0, got[0][1]) == 1.0
 
 
 def test_svd_output(capsys):

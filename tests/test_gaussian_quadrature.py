@@ -140,12 +140,11 @@ def test_phase_tables_are_cached_and_read_only():
 def test_singular_grid_holds_its_fixed_factors():
     grid = build_singular_grid(0.3 - 1.7j, 24, 64)
     pts = grid.points
-    gauss = np.exp(-(pts * pts.conjugate()).real)
-    assert grid.gauss.tobytes() == gauss.tobytes()
-    assert grid.phase_conj.tobytes() == grid.phase.conjugate().tobytes()
-    for arr in (grid.gauss, grid.phase_conj):
-        with pytest.raises(ValueError):
-            arr[0] = 0
+    weight = np.exp(-(pts * pts.conjugate()).real) * grid.phase.conjugate()
+    assert grid.weight.dtype == complex and grid.weight.shape == pts.shape
+    assert grid.weight.tobytes() == weight.tobytes()
+    with pytest.raises(ValueError):
+        grid.weight[0, 0] = 0
 
 
 def test_phase_table_exact_symmetry():

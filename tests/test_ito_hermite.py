@@ -279,6 +279,25 @@ def test_extended_frozen_values():
         hermite_eval_extended(-1, 1.0)
 
 
+def test_weighted_eval_scalar_equals_its_array_entry():
+    # the weighted form folds e^{-t} into the real radial factor; each
+    # value still depends on its own point alone
+    rng = np.random.default_rng(20261019)
+    z = 5.0 * np.sqrt(rng.uniform(size=300)) * np.exp(2j * np.pi * rng.uniform(size=300))
+    z[:8] = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+             1e-200, -1e-200j, 27.0, 1e14]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, n in ((0, 0), (1, 0), (0, 3), (2, 5), (6, 2), (11, 12), (19, 10)):
+            idx = HermiteIndex(m, n)
+            values = hermite_eval(idx, z, weighted=True)
+            grid = hermite_eval(idx, z.reshape(20, 15), weighted=True)
+            assert np.array_equal(grid.ravel().view(np.int64), values.view(np.int64)), (m, n)
+            for i, v in enumerate(z.tolist()):
+                one = np.array([hermite_eval(idx, v, weighted=True)])
+                assert np.array_equal(one.view(np.int64), values[i : i + 1].view(np.int64)), (m, n, v)
+            assert isinstance(hermite_eval(idx, complex(z[9]), weighted=True), complex)
+
+
 def test_extended_array_matches_scalar():
     z = np.array(POINTS)
     for n in (0, 2, 5):

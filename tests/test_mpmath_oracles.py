@@ -1,4 +1,4 @@
-"""Monomials and far-field m = 0 images against mpmath at 120 bits."""
+"""Monomials, weighted polynomials and far-field m = 0 images against mpmath."""
 
 import math
 
@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from polycauchy import HermiteIndex, cauchy_hermite_closed, hermite_eval_extended
+from polycauchy import HermiteIndex, cauchy_hermite_closed, hermite_eval, hermite_eval_extended
 from polycauchy.ito_hermite import _power
 
 PRECISION = 120
@@ -52,6 +52,42 @@ def test_power_rounds_no_worse_than_numpy():
             assert np.max(errors) <= d * 2.0**-52, d
         with mpmath.workprec(PRECISION):
             powers = [p * e for p, e in zip(powers, exact)]
+
+
+def _weighted_hermite_reference(m: int, n: int, z: complex):
+    """e^{-t} H_{m,n}(z, zbar) by the explicit double sum at 400 bits.
+
+    sum_k (-1)^k k! C(m,k) C(n,k) z^{m-k} zbar^{n-k} cancels many digits
+    at large |z|; 400 bits leave far more than a double's worth.
+    """
+    with mpmath.workprec(400):
+        w = mpmath.mpc(z.real, z.imag)
+        total = mpmath.fsum(
+            (-1) ** k * math.factorial(k) * math.comb(m, k) * math.comb(n, k)
+            * w ** (m - k) * mpmath.conj(w) ** (n - k)
+            for k in range(min(m, n) + 1)
+        )
+        value = mpmath.exp(-(w.real**2 + w.imag**2)) * total
+    return _split(value)
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (1, 0), (0, 4), (2, 5), (7, 2), (3, 9), (11, 12), (19, 10)])
+def test_weighted_hermite_eval_against_mpmath(m, n):
+    # e^{-|z|^2} folded into the real radial factor, out to |z| = 26.5,
+    # where e^{-t} is near the bottom of the double range.  e^{-t} turns
+    # the rounding of t into a relative error of about t ulp, so each
+    # point is held to (t + 64) ulp; the route that multiplies e^{-t}
+    # into the unweighted value is held to the same bound
+    rng = np.random.default_rng(20261018)
+    z = 26.5 * np.sqrt(rng.uniform(size=160)) * np.exp(2j * np.pi * rng.uniform(size=160))
+    z[:4] = [26.5, 26.5j, -26.5, 18.7 - 18.7j]
+    t = (z * z.conjugate()).real
+    reference = [_weighted_hermite_reference(m, n, v) for v in z.tolist()]
+    bound = (t + 64.0) * 2.0**-52
+    got = hermite_eval(HermiteIndex(m, n), z, weighted=True)
+    assert np.all(_relative_errors(got, reference) <= bound)
+    unfolded = np.exp(-t) * hermite_eval(HermiteIndex(m, n), z)
+    assert np.all(_relative_errors(unfolded, reference) <= bound)
 
 
 def _psi_reference(n: int, z: complex):

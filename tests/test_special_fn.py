@@ -159,6 +159,28 @@ def test_generalized_laguerre_parameter_array_matches_scalar():
         generalized_laguerre(2, np.array([0, -1]), 1.0)
 
 
+def test_buffered_laguerre_equals_the_climb():
+    # a scalar d climbs in rotating buffers; its value is the last
+    # iterate of the generator climb bit for bit, for t of any rank
+    rng = np.random.default_rng(20261018)
+    points = (
+        np.float64(7.25),
+        rng.uniform(0.0, 60.0, size=301),
+        rng.uniform(0.0, 900.0, size=(7, 13)),
+        np.array([0.0, -0.0, 1e-300, 700.0, 1e300]),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in points:
+            for p in (0, 1, 2, 5, 12, 31):
+                for d in (0, 1, 4, 210, np.int64(3)):
+                    got = generalized_laguerre(p, d, t)
+                    *_, want = _laguerre_climb(p, d, t)
+                    assert np.shape(got) == np.shape(t)
+                    assert np.array_equal(
+                        np.asarray(got).view(np.int64), np.asarray(want).view(np.int64)
+                    ), (p, d, np.shape(t))
+
+
 def test_laguerre_climb_keeps_every_iterate():
     # every yielded iterate is its own array: after the climb has ended,
     # iterate k still equals the degree-k polynomial bit for bit, on the
