@@ -115,11 +115,16 @@ def _finite(value: complex, what: str) -> complex:
     return value
 
 
+def _json_parts(re: float, im: float) -> float | list[float]:
+    """A complex number for JSON: a bare real when im is 0, else [re, im]."""
+    if im == 0.0:
+        return re + 0.0
+    return [re + 0.0, im + 0.0]
+
+
 def _json_complex(value: complex) -> float | list[float]:
     value = complex(value)
-    if value.imag == 0.0:
-        return value.real + 0.0
-    return [value.real + 0.0, value.imag + 0.0]
+    return _json_parts(value.real, value.imag)
 
 
 def _json_complex_rows(values: np.ndarray) -> list:
@@ -129,7 +134,7 @@ def _json_complex_rows(values: np.ndarray) -> list:
     no entry is converted on its own.
     """
     return [
-        [re + 0.0 if im == 0.0 else [re + 0.0, im + 0.0] for re, im in zip(re_row, im_row)]
+        [_json_parts(re, im) for re, im in zip(re_row, im_row)]
         for re_row, im_row in zip(values.real.tolist(), values.imag.tolist())
     ]
 

@@ -145,7 +145,7 @@ def hermite_eval(idx: HermiteIndex, z, *, weighted: bool = False):
 
     The value is a real radial factor (-1)^p p! L_p^(d)(t), t = |z|^2,
     times one monomial z^d or zbar^d, p = min(m, n), d = |m - n|: one
-    complex multiply per point, and no monomial to raise when d = 0.
+    complex multiply per point.
 
     With ``weighted`` the result is e^{-|z|^2} H_{m,n}(z, zbar), with
     e^{-t} folded into the real factor before the monomial multiply.
@@ -185,14 +185,9 @@ def hermite_eval(idx: HermiteIndex, z, *, weighted: bool = False):
     if weighted:
         gauss = np.negative(t)
         radial *= np.exp(gauss, out=gauss)
-    if d == 0:
-        # as the product with a monomial of ones rounds: an imaginary
-        # part +0, NaN where the factor is not finite
-        out = radial * (1 + 0j)
-    else:
-        out = _power(points if m > n else zbar, d)
-        # a real factor multiplies in place as it does out of place
-        np.multiply(out, radial, out=out)
+    out = _power(points if m > n else zbar, d)
+    # a real factor multiplies in place as it does out of place
+    np.multiply(out, radial, out=out)
     return out if z_arr.ndim else complex(out[0])
 
 
@@ -358,6 +353,44 @@ def _series_coefficients(n: int) -> tuple:
     return tuple(coefficients)
 
 
+def _closed_body(n: int, t: np.ndarray, weighted: bool) -> np.ndarray:
+    """-n! (1 - e^{-t} sum_{k<=n} t^k/k!), times e^t unless weighted.
+
+    The Poisson terms are summed with Kahan compensation, in place in
+    fixed buffers.
+    """
+    # n! first: past its overflow it raises before an n-step loop
+    scale = -factorial(n)
+    term = np.negative(t)
+    np.exp(term, out=term)
+    partial, comp = term.copy(), np.zeros_like(t)
+    y, s = np.empty_like(t), np.empty_like(t)
+    for k in range(1, n + 1):
+        term *= t
+        term /= k
+        np.subtract(term, comp, out=y)
+        np.add(partial, y, out=s)
+        np.subtract(s, partial, out=comp)
+        comp -= y
+        partial, s = s, partial
+    body = np.subtract(1.0, partial, out=partial)
+    body *= scale
+    if not weighted:
+        body *= np.exp(t)
+    return body
+
+
+def _series_body(n: int, t: np.ndarray, weighted: bool) -> np.ndarray:
+    """-1/(n+1) sum_k t^k/(n+2)_k through term K(n), times e^{-t} when weighted."""
+    coefficients = _series_coefficients(n)
+    total = np.full_like(t, coefficients[-1])
+    for c in coefficients[-2::-1]:
+        total *= t
+        total += c
+    value = c_mn(-1, n) * total
+    return value * np.exp(-t) if weighted else value
+
+
 def _extended_parts(n: int, t: np.ndarray, weighted: bool):
     """Split H_{-1,n}, or e^{-t} H_{-1,n} when ``weighted``, into two factors.
 
@@ -375,42 +408,13 @@ def _extended_parts(n: int, t: np.ndarray, weighted: bool):
     overflows.  Every step is elementwise and the term counts are fixed,
     so each value depends on its own point only.
     """
-    # The closed form runs on every point, then the series overwrites
-    # its few points, gathered and written back by index: the closed
-    # majority is never gathered or scattered, and index arrays are
-    # several times faster than boolean mask indexing.
-    # n! first: past its overflow it raises before an n-step loop
-    scale = -factorial(n)
-    # the compensated sum of the Poisson terms, in place in fixed buffers
-    term = np.negative(t)
-    np.exp(term, out=term)
-    partial, comp = term.copy(), np.zeros_like(t)
-    y, s = np.empty_like(t), np.empty_like(t)
-    for k in range(1, n + 1):
-        term *= t
-        term /= k
-        np.subtract(term, comp, out=y)
-        np.add(partial, y, out=s)
-        np.subtract(s, partial, out=comp)
-        comp -= y
-        partial, s = s, partial
-    body = np.subtract(1.0, partial, out=partial)
-    body *= scale
-    if not weighted:
-        body *= np.exp(t)
-
+    # each branch runs on its own points only, gathered and written back
+    # by index, so a point never pays for the other branch's loop
     series = t <= _extension_threshold(n)
-    near = np.nonzero(series)
-    if near[0].size:
-        ts = t[near]
-        coefficients = _series_coefficients(n)
-        total = np.full_like(ts, coefficients[-1])
-        for c in coefficients[-2::-1]:
-            total *= ts
-            total += c
-        value = c_mn(-1, n) * total
-        body[near] = value * np.exp(-ts) if weighted else value
-
+    body = np.empty_like(t)
+    for part, branch in ((np.nonzero(~series), _closed_body), (np.nonzero(series), _series_body)):
+        if part[0].size:
+            body[part] = branch(n, t[part], weighted)
     return series, body
 
 

@@ -129,27 +129,23 @@ def generalized_laguerre(p: int, d, t):
     float or ndarray
         L_p^(d)(t), with the broadcast shape of ``d`` and ``t``.
     """
-    if np.ndim(d) or not np.ndim(t):
-        for cur in _laguerre_climb(p, d, t):
-            pass
-        return cur if cur.ndim else float(cur)
     _check_laguerre_args(p, d)
-    # a scalar d climbs in the buffers it starts with, rotating prev,
-    # cur and a scratch; every step is _laguerre_climb's, bit for bit
+    # one climb in the buffers it starts with, rotating prev, cur and a
+    # scratch; every step is _laguerre_climb's, bit for bit
     t = np.asarray(t, dtype=float)
-    cur = np.ones(t.shape)
-    if p == 0:
-        return cur
-    prev, cur = cur, np.subtract(1.0 + d, t)
-    nxt = np.empty_like(cur)
-    for k in range(1, p):
-        np.subtract(2 * k + d + 1, t, out=nxt)
-        nxt *= cur
-        prev *= k + d
-        nxt -= prev
-        nxt /= k + 1
-        prev, cur, nxt = cur, nxt, prev
-    return cur
+    shape = np.broadcast(d, t).shape
+    cur = np.ones(shape)
+    if p > 0:
+        prev, cur = cur, np.subtract(1.0 + d, t, out=np.empty(shape))
+        nxt = np.empty(shape)
+        for k in range(1, p):
+            np.subtract(2 * k + d + 1, t, out=nxt)
+            nxt *= cur
+            prev *= k + d
+            nxt -= prev
+            nxt /= k + 1
+            prev, cur, nxt = cur, nxt, prev
+    return cur if cur.ndim else float(cur)
 
 
 def _check_laguerre_args(p: int, d) -> None:

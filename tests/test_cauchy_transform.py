@@ -193,9 +193,9 @@ def test_m0_images_depend_on_the_point_alone():
 def _split_extended_parts(n, t, weighted):
     """The extension's two branches, each on its own gathered points.
 
-    The route of an earlier release, kept as an oracle: the library now
-    evaluates the closed branch on every point and overwrites the series
-    points, and must give the same bits.
+    The route of an earlier release, kept as an oracle: the library
+    now runs each branch's loop in place in fixed buffers, and must
+    give the same bits.
     """
     series = t <= ito_hermite._extension_threshold(n)
     body = np.empty_like(t)

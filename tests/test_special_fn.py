@@ -160,8 +160,9 @@ def test_generalized_laguerre_parameter_array_matches_scalar():
 
 
 def test_buffered_laguerre_equals_the_climb():
-    # a scalar d climbs in rotating buffers; its value is the last
-    # iterate of the generator climb bit for bit, for t of any rank
+    # generalized_laguerre climbs in rotating buffers; its value is the
+    # last iterate of the generator climb bit for bit, for t of any rank
+    # and a scalar or array d
     rng = np.random.default_rng(20261018)
     points = (
         np.float64(7.25),
@@ -171,11 +172,12 @@ def test_buffered_laguerre_equals_the_climb():
     )
     with np.errstate(over="ignore", invalid="ignore"):
         for t in points:
+            column = np.array([0, 2, 7, 210]).reshape((4,) + (1,) * np.ndim(t))
             for p in (0, 1, 2, 5, 12, 31):
-                for d in (0, 1, 4, 210, np.int64(3)):
+                for d in (0, 1, 4, 210, np.int64(3), column):
                     got = generalized_laguerre(p, d, t)
                     *_, want = _laguerre_climb(p, d, t)
-                    assert np.shape(got) == np.shape(t)
+                    assert np.shape(got) == np.broadcast_shapes(np.shape(d), np.shape(t))
                     assert np.array_equal(
                         np.asarray(got).view(np.int64), np.asarray(want).view(np.int64)
                     ), (p, d, np.shape(t))
