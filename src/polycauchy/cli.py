@@ -32,7 +32,6 @@ from .ito_hermite import (
     HermiteIndex,
     hermite_eval,
     hermite_eval_extended,
-    hermite_recurrence_eval,
 )
 from .poly_bergman import project_numeric
 from .range_analysis import (
@@ -198,8 +197,6 @@ def _emit(text: str, args: argparse.Namespace) -> None:
 def _cmd_hermite(args: argparse.Namespace, cfg: VerifyConfig) -> int:
     if args.m == -1:
         value = hermite_eval_extended(args.n, args.z)
-    elif args.recurrence:
-        value = hermite_recurrence_eval(HermiteIndex(args.m, args.n), args.z)
     else:
         value = hermite_eval(HermiteIndex(args.m, args.n), args.z)
     _emit(format_complex(_finite(value, f"H_{{{args.m},{args.n}}}{args.z}")), args)
@@ -346,9 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="holomorphic index (>= -1)")
     p.add_argument("--n", type=int, required=True, help="antiholomorphic index")
     p.add_argument("--z", type=_parse_complex, required=True, help="point RE,IM")
-    p.add_argument(
-        "--recurrence", action="store_true", help="use the lattice recurrence route"
-    )
     _add_common(p)
 
     p = commands.add_parser("cauchy", help="transform of one basis polynomial")

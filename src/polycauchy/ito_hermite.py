@@ -1,7 +1,7 @@
 """Complex Hermite polynomials H_{m,n}(z, zbar) and their m = -1 extension.
 
-Two independent evaluation routes are provided.  The closed route uses
-the terminating confluent representation
+The polynomials are evaluated through the terminating confluent
+representation
 
 .. math::
 
@@ -24,10 +24,12 @@ series cancels digits.
 
 The table evaluator :func:`hermite_table` returns H_{m,n} for
 m = 0..M over a block of levels n, with every entry equal to
-:func:`hermite_eval` bit for bit (the two share the code).  One
-Laguerre climb over the array of needed parameters d passes through
-every L_p^{(d)} the block needs, since the climb's iterates are the
-lower degrees; each power z^d and zbar^d is raised once.
+:func:`hermite_eval` bit for bit.  The two share three pieces: the
+Laguerre climb ``special_fn._laguerre_climb``, the powering helper
+:func:`_power` and the signed factorial :func:`_signed_factorial`.
+One climb over the array of needed parameters d passes through every
+L_p^{(d)} the block needs, since the climb's iterates are the lower
+degrees; each power z^d and zbar^d is raised once.
 :func:`hermite_row` is the one-level case.  Since H_{n,m}(w) =
 H_{m,n}(conj w), a row at conj w also gives the mirrored indices.
 
@@ -35,13 +37,6 @@ Every evaluator raises z^d and zbar^d through one helper: binary
 powering with whole-array multiplies, on at least one-dimensional
 arrays.  A scalar point is evaluated as a 1-element array, so it equals
 its entry in any array of points bit for bit.
-
-The recurrence route seeds H_{0,0} = 1 and climbs
-
-.. math::
-
-    H_{m+1,n} = z H_{m,n} - n H_{m,n-1}, \\qquad
-    H_{m,n+1} = \\bar z H_{m,n} - m H_{m-1,n}.
 
 Convention: the power of z rides on the first index, so H_{1,0} = z and
 H_{0,1} = zbar.  The mirrored convention (conjugate of this one) also
@@ -84,7 +79,6 @@ __all__ = [
     "hermite_eval_extended",
     "hermite_gram_matrix",
     "hermite_radial_profile",
-    "hermite_recurrence_eval",
     "hermite_row",
     "hermite_table",
 ]
@@ -249,6 +243,7 @@ def hermite_table(m_max: int, levels, z) -> np.ndarray:
     confluent = {}
     for p, laguerre_p in enumerate(_laguerre_climb(len(needs) - 1, d_arr, t, active)):
         scale = _signed_factorial(p)
+        # the product copies the row out of the climb's reused buffer
         for d in needs[p]:
             confluent[p, d] = scale * laguerre_p[row[d]]
     zbar = points.conjugate()
@@ -309,30 +304,6 @@ def _power(z: np.ndarray, d: int) -> np.ndarray:
         if bit == "1":
             out = out * z
     return out
-
-
-def hermite_recurrence_eval(idx: HermiteIndex, z):
-    """Evaluate H_{m,n} by climbing the two-index recurrence from H_{0,0} = 1.
-
-    Independent of :func:`hermite_eval`; the two routes agreeing is a
-    standing consistency check.
-    """
-    m, n = idx.m, idx.n
-    if m < 0:
-        raise ValueError(f"hermite_recurrence_eval requires m >= 0, got m={m}")
-    z_arr = np.asarray(z, dtype=complex)
-    zbar = z_arr.conjugate()
-    # Row i holds H_{i,j} for j = 0..n; advance i with the m-raising rule.
-    row = [np.ones_like(z_arr)]
-    for j in range(n):
-        row.append(zbar * row[j])
-    for _ in range(m):
-        new_row = [z_arr * row[0]]
-        for j in range(1, n + 1):
-            new_row.append(z_arr * row[j] - j * row[j - 1])
-        row = new_row
-    out = row[n]
-    return out if z_arr.ndim else complex(out)
 
 
 @functools.lru_cache(maxsize=128)

@@ -129,22 +129,8 @@ def generalized_laguerre(p: int, d, t):
     float or ndarray
         L_p^(d)(t), with the broadcast shape of ``d`` and ``t``.
     """
-    _check_laguerre_args(p, d)
-    # one climb in the buffers it starts with, rotating prev, cur and a
-    # scratch; every step is _laguerre_climb's, bit for bit
-    t = np.asarray(t, dtype=float)
-    shape = np.broadcast(d, t).shape
-    cur = np.ones(shape)
-    if p > 0:
-        prev, cur = cur, np.subtract(1.0 + d, t, out=np.empty(shape))
-        nxt = np.empty(shape)
-        for k in range(1, p):
-            np.subtract(2 * k + d + 1, t, out=nxt)
-            nxt *= cur
-            prev *= k + d
-            nxt -= prev
-            nxt /= k + 1
-            prev, cur, nxt = cur, nxt, prev
+    for cur in _laguerre_climb(p, d, t):
+        pass
     return cur if cur.ndim else float(cur)
 
 
@@ -158,32 +144,36 @@ def _check_laguerre_args(p: int, d) -> None:
 def _laguerre_climb(p: int, d, t, active=None):
     """Yield L_0^(d)(t), ..., L_p^(d)(t), the iterates of one recurrence climb.
 
-    Iterate k equals ``generalized_laguerre(k, d, t)`` bit for bit (that
-    function returns the climb's last iterate), as an ndarray or numpy
-    scalar of the broadcast shape of ``d`` and ``t``.  For an array
-    ``d``, ``active[k]`` (nonincreasing in k) may give how many leading
-    rows of ``d`` iterate k must hold: rows past it leave the climb, so
-    no step is spent on a parameter whose needed degree is passed.
+    Each iterate is an ndarray of the broadcast shape of ``d`` and
+    ``t`` (0-d for scalars); :func:`generalized_laguerre` returns the
+    last one.  The climb runs in three rotating buffers, so an iterate
+    is overwritten two steps after it is yielded: callers copy what they
+    keep.  For an array ``d``, ``active[k]`` (nonincreasing in k) may
+    give how many leading rows of ``d`` iterate k must hold: rows past
+    it leave the climb, so no step is spent on a parameter whose needed
+    degree is passed.
     """
     _check_laguerre_args(p, d)
-    t_arr = np.asarray(t, dtype=float)
-    prev = np.ones(np.broadcast_shapes(np.shape(d), t_arr.shape))
-    yield prev
+    t = np.asarray(t, dtype=float)
+    shape = np.broadcast(d, t).shape
+    cur = np.ones(shape)
+    yield cur
     if p == 0:
         return
-    cur = (1.0 + d) - t_arr
+    prev, cur = cur, np.subtract(1.0 + d, t, out=np.empty(shape))
     yield cur
+    nxt = np.empty(shape)
     for k in range(1, p):
-        if active is not None:
-            d, cur, prev = d[: active[k + 1]], cur[: active[k + 1]], prev[: active[k + 1]]
-        # a fresh array per iterate (callers keep earlier ones), updated
-        # in place to spare temporaries, in the recurrence's operation
-        # order so every bit is kept
-        nxt = (2 * k + d + 1) - t_arr
+        if active is not None and active[k + 1] < len(cur):
+            rows = active[k + 1]
+            d, prev, cur, nxt = d[:rows], prev[:rows], cur[:rows], nxt[:rows]
+        # in place, in the recurrence's operation order, which fixes every bit
+        np.subtract(2 * k + d + 1, t, out=nxt)
         nxt *= cur
-        nxt -= (k + d) * prev
+        prev *= k + d
+        nxt -= prev
         nxt /= k + 1
-        prev, cur = cur, nxt
+        prev, cur, nxt = cur, nxt, prev
         yield cur
 
 

@@ -344,9 +344,12 @@ def _exact_rank(polys: list[dict]) -> int:
     return rank
 
 
-def _span_rank(spec: RangeBasisSpec) -> int:
-    """Exact rank of the integer coefficient vectors of the spec's basis."""
-    table = _hermite_integer_coefficients(max(spec.n + spec.ell - 1, spec.n))
+def _span_rank(spec: RangeBasisSpec, table: dict) -> int:
+    """Exact rank of the integer coefficient vectors of the spec's basis.
+
+    ``table`` is :func:`_hermite_integer_coefficients` of a max_index
+    of at least max(n + ell - 1, n).
+    """
     return _exact_rank([table[i.m, i.n] for i in range_basis_indices(spec)])
 
 
@@ -720,6 +723,7 @@ def _suite_ranges(cfg: VerifyConfig) -> list[VerificationRecord]:
 
     # closure dimensions of the conjugate-side spans: the exact rank of
     # the integer coefficient vectors of each listed basis
+    table = _hermite_integer_coefficients(10)
     for n in range(11):
         for ell in range(11):
             if not 0 < n + ell <= 10:
@@ -727,10 +731,11 @@ def _suite_ranges(cfg: VerifyConfig) -> list[VerificationRecord]:
             rec.add(
                 "rtilde-dimension",
                 f"n{n}-l{ell}",
-                _span_rank(RangeBasisSpec(VARIANT_R_TILDE, ell, n)),
+                _span_rank(RangeBasisSpec(VARIANT_R_TILDE, ell, n), table),
                 n + ell,
             )
-    rec.add("rtilde-dimension", "n0-l0", _span_rank(RangeBasisSpec(VARIANT_R_TILDE, 0, 0)), 0)
+    empty = RangeBasisSpec(VARIANT_R_TILDE, 0, 0)
+    rec.add("rtilde-dimension", "n0-l0", _span_rank(empty, table), 0)
 
     # projected-transform support stays inside the range index set
     rng = np.random.default_rng(20260816)

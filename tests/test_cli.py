@@ -5,9 +5,11 @@ import csv
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycauchy import SUITE_NAMES, HermiteIndex
-from polycauchy.cli import format_complex, format_real, main
+from polycauchy.cli import _build_parser, format_complex, format_real, main
 
 
 def test_format_real():
@@ -54,9 +56,28 @@ def test_extended_evaluation(capsys):
     assert capsys.readouterr().out == "-1.71828182845905\n"
 
 
-def test_recurrence_flag(capsys):
-    assert main(["hermite", "--m", "2", "--n", "1", "--z", "2,0", "--recurrence"]) == 0
-    assert capsys.readouterr().out == "4.00000000000000\n"
+def test_recurrence_flag_is_a_usage_error(capsys):
+    # the lattice-recurrence route is gone; its flag is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main(["hermite", "--m", "2", "--n", "1", "--z", "2,0", "--recurrence"])
+    assert exc.value.code == 2
+    assert "--recurrence" in capsys.readouterr().err
+
+
+def test_readme_examples(capsys):
+    # every ``polycauchy ...`` line of the README parses, and each one
+    # whose comment states its printed value prints exactly that
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    examples = [line.partition("#") for line in lines if line.startswith("polycauchy ")]
+    assert sum(bool(value.strip()) for _, _, value in examples) >= 4
+    parser = _build_parser()
+    for command, _, value in examples:
+        argv = shlex.split(command)[1:]
+        parser.parse_args(argv)
+        if value.strip():
+            assert main(argv) == 0, argv
+            assert capsys.readouterr().out == value.strip() + "\n", argv
 
 
 def test_cauchy_numeric_report(capsys):
