@@ -33,15 +33,12 @@ were 5.80 (8192), 5.49 (12288) and 5.87 (24576).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gaussian_quadrature import SingularGrid, cauchy_singular_quadrature
 from .ito_hermite import HermiteIndex, hermite_eval, hermite_eval_extended
 
 __all__ = [
-    "PsiFunction",
     "cauchy_hermite_closed",
     "cauchy_transform_numeric",
 ]
@@ -103,28 +100,6 @@ def _closed_image(m: int, n: int, points: np.ndarray) -> np.ndarray:
     parts = image.view(float)
     np.negative(parts, out=parts)
     return image
-
-
-@dataclass(frozen=True)
-class PsiFunction:
-    """The image psi_{m,n} of a basis polynomial under the transform.
-
-    Callable: z maps to -e^{-|z|^2} H_{m-1,n}(z, zbar).  Always
-    evaluates through the closed form; downstream Gram and projection
-    computations rely on it being cheap and accurate.  Decays like
-    e^{-|z|^2} times a polynomial for m >= 1 and like 1/|z| for m = 0.
-    """
-
-    index: HermiteIndex
-
-    def __post_init__(self) -> None:
-        if self.index.m < 0:
-            raise ValueError(
-                f"PsiFunction requires index with m >= 0, got m={self.index.m}"
-            )
-
-    def __call__(self, z):
-        return cauchy_hermite_closed(self.index, z)
 
 
 def cauchy_transform_numeric(f, z: complex, grid: SingularGrid | None = None) -> complex:

@@ -23,7 +23,6 @@ import sys
 import numpy as np
 
 from .cauchy_transform import (
-    PsiFunction,
     cauchy_hermite_closed,
     cauchy_transform_numeric,
 )
@@ -149,8 +148,12 @@ _CONFIG_TYPES = {
 
 
 def _load_config(args: argparse.Namespace) -> VerifyConfig:
-    """Merge the optional JSON config file with flag overrides."""
-    data: dict = {}
+    """Merge the optional JSON config file with flag overrides.
+
+    VerifyConfig receives only the settings the file or the flags set,
+    so every default lives in VerifyConfig alone.
+    """
+    settings: dict = {}
     if getattr(args, "config", None):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -172,16 +175,13 @@ def _load_config(args: argparse.Namespace) -> VerifyConfig:
                     f"config file {args.config}: {key} must be a finite "
                     f"{kind.__name__}, got {value!r}"
                 )
-    nr = getattr(args, "nr", None)
-    ntheta = getattr(args, "ntheta", None)
-    tolerance = getattr(args, "tolerance", None)
-    return VerifyConfig(
-        nr=nr if nr is not None else data.get("nr"),
-        ntheta=ntheta if ntheta is not None else data.get("ntheta"),
-        radius_pad=float(data.get("radius_pad", 12.0)),
-        kernel_truncation=int(data.get("kernel_truncation", 60)),
-        tolerance=tolerance if tolerance is not None else data.get("tolerances"),
-    )
+            # the key "tolerances" sets the field "tolerance"
+            settings["tolerance" if key == "tolerances" else key] = kind(value)
+    for name in ("nr", "ntheta", "tolerance"):
+        value = getattr(args, name, None)
+        if value is not None:
+            settings[name] = value
+    return VerifyConfig(**settings)
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -226,16 +226,13 @@ def _cmd_cauchy(args: argparse.Namespace, cfg: VerifyConfig) -> int:
 
 
 def _cmd_project(args: argparse.Namespace, cfg: VerifyConfig) -> int:
-    kind, m, k = args.source[0], int(args.source[1]), int(args.source[2])
-    if kind == "hermite":
-        idx = HermiteIndex(m, k)
-        source = lambda pts: hermite_eval(idx, pts)
-    elif kind == "psi":
-        source = PsiFunction(HermiteIndex(m, k))
-    else:
+    kind, m, k = args.source
+    if kind not in ("hermite", "psi"):
         raise ValueError(f"project source must be 'hermite' or 'psi', got {kind!r}")
+    idx = HermiteIndex(m, k)
+    evaluate = hermite_eval if kind == "hermite" else cauchy_hermite_closed
     grid = cfg.polar_grid(1.0)
-    seq = project_numeric(source, args.level, args.jmax, grid=grid)
+    seq = project_numeric(lambda pts: evaluate(idx, pts), args.level, args.jmax, grid=grid)
     table = {
         "level": seq.n,
         "source": [kind, m, k],
@@ -325,11 +322,24 @@ _DISPATCH = {
 }
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+class _SourceAction(argparse.Action):
+    """--source KIND M N: the kind as given, M and N as integers."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        kind, m, n = values
+        try:
+            setattr(namespace, self.dest, (kind, int(m), int(n)))
+        except ValueError:
+            raise argparse.ArgumentError(
+                self, f"M and N must be integers, got {m!r} {n!r}"
+            ) from None
+
+
+def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
+    """The settings of the commands that build a grid."""
     sub.add_argument("--config", help="flat JSON settings file")
     sub.add_argument("--nr", type=_grid_count, help="radial node count override")
     sub.add_argument("--ntheta", type=_grid_count, help="angular node count override")
-    sub.add_argument("--out", help="write output to this path instead of stdout")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -343,7 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="holomorphic index (>= -1)")
     p.add_argument("--n", type=int, required=True, help="antiholomorphic index")
     p.add_argument("--z", type=_parse_complex, required=True, help="point RE,IM")
-    _add_common(p)
 
     p = commands.add_parser("cauchy", help="transform of one basis polynomial")
     p.add_argument("--m", type=int, required=True)
@@ -354,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the singular quadrature and print the difference",
     )
-    _add_common(p)
+    _add_grid_flags(p)
 
     p = commands.add_parser("project", help="level projection coefficients")
     p.add_argument("--level", type=int, required=True, help="target level n")
@@ -363,15 +372,16 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs=3,
         metavar=("KIND", "M", "N"),
         required=True,
+        action=_SourceAction,
         help="'hermite M N' or 'psi M N'",
     )
     p.add_argument("--jmax", type=int, required=True, help="highest coefficient index")
-    _add_common(p)
+    _add_grid_flags(p)
 
     p = commands.add_parser("gram", help="transform-image Gram matrix")
     p.add_argument("--max-index", type=_max_index, required=True, help="indices run 0..K")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(p)
+    _add_grid_flags(p)
 
     p = commands.add_parser("ranges", help="range-space basis indices")
     p.add_argument("--variant", choices=("r", "rtilde"), required=True)
@@ -383,11 +393,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also report computed index-set inclusions between consecutive spans",
     )
-    _add_common(p)
 
     p = commands.add_parser("svd", help="singular values of the truncated operator")
     p.add_argument("--degree", type=int, required=True, help="total-degree cutoff")
-    _add_common(p)
 
     p = commands.add_parser("verify", help="run a verification suite")
     p.add_argument(
@@ -400,8 +408,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tolerance", type=_tolerance, help="override every record tolerance"
     )
-    _add_common(p)
+    _add_grid_flags(p)
 
+    for sub in commands.choices.values():
+        sub.add_argument("--out", help="write output to this path instead of stdout")
     return parser
 
 

@@ -214,9 +214,9 @@ class PolarGrid:
     """Tensor grid for integrals against e^{-beta |z|^2} dx dy.
 
     radial_t, radial_w: Gauss-Laguerre nodes/weights in t = |z|^2,
-    already rescaled for the weight e^{-beta t}.  phase holds the
-    angular unit phases with exact half-turn antisymmetry for even
-    n_theta.  Immutable after construction; arrays are read-only.
+    already rescaled for the weight e^{-beta t}.  points are
+    sqrt(t) times the angular unit phases of :func:`_phase_table`.
+    Immutable after construction; arrays are read-only.
     """
 
     beta: float
@@ -224,7 +224,6 @@ class PolarGrid:
     radial_w: np.ndarray
     n_theta: int
     points: np.ndarray = field(init=False, repr=False, compare=False)
-    phase: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.beta <= 0:
@@ -238,7 +237,6 @@ class PolarGrid:
         for arr in (self.radial_t, self.radial_w, pts):
             arr.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "phase", phase)
 
     @property
     def n_radial(self) -> int:
@@ -257,7 +255,7 @@ def build_polar_grid(
     keyed on (int, int, float), so ``build_polar_grid()`` and
     ``build_polar_grid(64, 128, 1)`` return the same grid.
     """
-    return _polar_grid_cached(operator.index(n_radial), int(n_theta), float(beta))
+    return _polar_grid_cached(operator.index(n_radial), operator.index(n_theta), float(beta))
 
 
 @lru_cache(maxsize=32)
@@ -304,7 +302,6 @@ class SingularGrid:
     radial_w: np.ndarray
     n_theta: int
     points: np.ndarray = field(init=False, repr=False, compare=False)
-    phase: np.ndarray = field(init=False, repr=False, compare=False)
     weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -318,7 +315,6 @@ class SingularGrid:
         for arr in (self.radial_rho, self.radial_w, pts, weight):
             arr.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "phase", phase)
         object.__setattr__(self, "weight", weight)
 
 
@@ -343,7 +339,7 @@ def build_singular_grid(
         radius=radius,
         radial_rho=rho,
         radial_w=rho_w,
-        n_theta=int(n_theta),
+        n_theta=operator.index(n_theta),
     )
 
 

@@ -29,9 +29,9 @@ Laguerre climb ``special_fn._laguerre_climb``, the powering helper
 :func:`_power` and the signed factorial :func:`_signed_factorial`.
 One climb over the array of needed parameters d passes through every
 L_p^{(d)} the block needs, since the climb's iterates are the lower
-degrees; each power z^d and zbar^d is raised once.
-:func:`hermite_row` is the one-level case.  Since H_{n,m}(w) =
-H_{m,n}(conj w), a row at conj w also gives the mirrored indices.
+degrees; each power z^d and zbar^d is raised once.  Since H_{n,m}(w) =
+H_{m,n}(conj w), a one-level table at conj w also gives the mirrored
+indices.
 
 Every evaluator raises z^d and zbar^d through one helper: binary
 powering with whole-array multiplies, on at least one-dimensional
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ddouble import dd_mul, dd_mul_scalar, dd_sqrt
-from .gaussian_quadrature import PolarGrid, build_polar_grid, polar_separable_quadrature
+from .gaussian_quadrature import PolarGrid, polar_separable_quadrature
 from .special_fn import (
     _generalized_laguerre_dd,
     _laguerre_climb,
@@ -77,9 +77,7 @@ __all__ = [
     "c_mn",
     "hermite_eval",
     "hermite_eval_extended",
-    "hermite_gram_matrix",
     "hermite_radial_profile",
-    "hermite_row",
     "hermite_table",
 ]
 
@@ -252,31 +250,6 @@ def hermite_table(m_max: int, levels, z) -> np.ndarray:
         for m, j, p in entries:
             np.multiply(monomial, confluent[p, d], out=out[m, j, ...])
     return out.reshape(out.shape[:2] + z_arr.shape)
-
-
-def hermite_row(m_max: int, n: int, z) -> np.ndarray:
-    """H_{m,n}(z, zbar) for m = 0..m_max, stacked on a new leading axis.
-
-    The one-level case of :func:`hermite_table`: entry m equals
-    ``hermite_eval(HermiteIndex(m, n), z)`` bit for bit.
-
-    Parameters
-    ----------
-    m_max : int
-        Highest first index, m_max >= 0.
-    n : int
-        Second index, n >= 0.
-    z : complex or ndarray
-        Evaluation point(s).
-
-    Returns
-    -------
-    ndarray
-        Shape ``(m_max + 1,) + np.shape(z)``.
-    """
-    if m_max < 0 or n < 0:
-        raise ValueError(f"hermite_row requires m_max, n >= 0, got m_max={m_max}, n={n}")
-    return hermite_table(m_max, (n,), z)[:, 0]
 
 
 def _signed_factorial(p: int) -> float:
@@ -482,24 +455,6 @@ def hermite_radial_profile(indices, t, *, weighted: bool = False):
         half = 0.5 * (n[r] + 1)
         hi[r] = t ** np.where(series, half, -half) * body
     return hi, lo, m - n
-
-
-def hermite_gram_matrix(indices, grid: PolarGrid | None = None) -> np.ndarray:
-    """Gram matrix of basis polynomials on a beta = 1 grid.
-
-    ``indices`` is a sequence of :class:`HermiteIndex`; entry (i, j)
-    is <H_{indices[i]}, H_{indices[j]}> against e^{-|z|^2} dx dy by the
-    separable grid rule: the real radial profiles (computed once per
-    index) multiply in double-double on the grid's exact radial nodes,
-    and the angular sum vanishes exactly unless the frequencies match.
-    """
-    if grid is None:
-        grid = build_polar_grid()
-    if grid.beta != 1.0:
-        raise ValueError(
-            f"hermite_gram_matrix requires a grid with beta=1, got beta={grid.beta}"
-        )
-    return _separable_gram(*hermite_radial_profile(indices, grid.radial_t), grid)
 
 
 def _separable_gram(hi, lo, freq, grid: PolarGrid, pairs=None) -> np.ndarray:

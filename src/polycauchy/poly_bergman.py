@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian_quadrature import PolarGrid, _reduce_polar, build_polar_grid
-from .ito_hermite import HermiteIndex, hermite_row
+from .ito_hermite import HermiteIndex, hermite_table
 from .special_fn import (
     factorial,
     gamma_ratio,
@@ -73,17 +73,6 @@ class CoefficientSequence:
         if self.n < 0:
             raise ValueError(f"CoefficientSequence requires n >= 0, got n={self.n}")
         object.__setattr__(self, "coeffs", tuple(complex(a) for a in self.coeffs))
-
-    @property
-    def norm_sq(self) -> float:
-        """Squared ambient norm sum_j pi j! n! |alpha_j|^2."""
-        fn = factorial(self.n)
-        return float(
-            kahan_sum(
-                math.pi * factorial(j) * fn * (a.real * a.real + a.imag * a.imag)
-                for j, a in enumerate(self.coeffs)
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -127,7 +116,7 @@ def kernel_series(spec: KernelSpec, z, w):
     ``z`` and ``w`` are points or sequences of points.  For two points
     the result is a complex; otherwise it is the array of K_n(z_i, w_j)
     with shape ``np.shape(z) + np.shape(w)``, each entry equal to the
-    call on its two points.  One Hermite row call serves each list.
+    call on its two points.  One one-level Hermite table serves each list.
     """
     n = spec.n
     fn = factorial(n)
@@ -136,9 +125,9 @@ def kernel_series(spec: KernelSpec, z, w):
     scale = [math.pi * factorial(m) * fn for m in range(spec.truncation + 1)]
     z_arr = np.asarray(z, dtype=complex)
     w_arr = np.asarray(w, dtype=complex)
-    at_z = hermite_row(spec.truncation, n, z_arr.ravel()).T.tolist()
+    at_z = hermite_table(spec.truncation, (n,), z_arr.ravel())[:, 0].T.tolist()
     # H_{n,m}(w) = H_{m,n}(conj w): the series takes the rows at conj w
-    at_w = hermite_row(spec.truncation, n, w_arr.ravel().conjugate()).T.tolist()
+    at_w = hermite_table(spec.truncation, (n,), w_arr.ravel().conjugate())[:, 0].T.tolist()
     values = [
         complex(kahan_sum(a * b / s for a, b, s in zip(row_z, row_w, scale)))
         for row_z in at_z
@@ -197,7 +186,7 @@ def _conjugate_basis(grid: PolarGrid, n: int, J: int) -> np.ndarray:
     key = (id(grid), n)
     entry = _basis_cache.get(key)
     if entry is None or entry[1].shape[0] <= J:
-        stack = hermite_row(J, n, grid.points).conjugate()
+        stack = hermite_table(J, (n,), grid.points)[:, 0].conjugate()
         stack.flags.writeable = False
         entry = (grid, stack)
     _basis_cache[key] = entry

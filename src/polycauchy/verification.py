@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from .cauchy_transform import (
-    PsiFunction,
     cauchy_hermite_closed,
     cauchy_singular_quadrature,
 )
@@ -601,7 +600,7 @@ def _suite_projection(cfg: VerifyConfig) -> list[VerificationRecord]:
     # vanishing projection is judged by its largest coefficient.  Each
     # psi_{j,k} is evaluated on the grid once, for every level.
     psi = {
-        (j, k): PsiFunction(HermiteIndex(j, k))(grid.points)
+        (j, k): cauchy_hermite_closed(HermiteIndex(j, k), grid.points)
         for j in range(5)
         for k in range(5)
     }
@@ -771,12 +770,12 @@ def _suite_ranges(cfg: VerifyConfig) -> list[VerificationRecord]:
             for a, b in zip(rng.uniform(-1, 1, size=4), rng.uniform(-1, 1, size=4))
         )
         seq = CoefficientSequence(n=ell, coeffs=coeffs)
-        psis = [PsiFunction(HermiteIndex(j, ell)) for j in range(4)]
+        psis = [cauchy_hermite_closed(HermiteIndex(j, ell), grid.points) for j in range(4)]
 
         # the image on the grid points, evaluated once for every level
-        image = coeffs[0] * psis[0](grid.points)
+        image = coeffs[0] * psis[0]
         for alpha, psi in zip(coeffs[1:], psis[1:]):
-            image = image + alpha * psi(grid.points)
+            image = image + alpha * psi
 
         for n in range(5):
             closed = pn_cauchy_on_coeffs(seq, n)

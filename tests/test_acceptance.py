@@ -13,15 +13,15 @@ import numpy as np
 from polycauchy import (
     CoefficientSequence,
     HermiteIndex,
-    PsiFunction,
     VARIANT_R,
     VARIANT_R_TILDE,
     RangeBasisSpec,
+    build_polar_grid,
     build_singular_grid,
     cauchy_hermite_closed,
     cauchy_singular_quadrature,
     hermite_eval,
-    hermite_gram_matrix,
+    hermite_radial_profile,
     kernel_closed,
     kernel_series,
     KernelSpec,
@@ -34,6 +34,7 @@ from polycauchy import (
     truncated_operator_svd,
     write_report,
 )
+from polycauchy.ito_hermite import _separable_gram
 
 CAUCHY_POINTS = (0.5 + 0j, 1.0 + 1.0j, -2.0 + 0j, 0.3 - 1.7j, 3.0j)
 KERNEL_POINTS = (0j, 0.7 + 0j, -1.2 + 0.5j, 1.9j, -0.3 - 1.1j)
@@ -49,7 +50,8 @@ def _report(number: int, label: str, ok: bool, detail: str) -> None:
 def test_criterion_1_orthonormality():
     start = time.perf_counter()
     indices = [HermiteIndex(m, n) for m in range(7) for n in range(7)]
-    g = hermite_gram_matrix(indices)
+    grid = build_polar_grid()
+    g = _separable_gram(*hermite_radial_profile(indices, grid.radial_t), grid)
     want = np.zeros_like(g)
     for i, idx in enumerate(indices):
         want[i, i] = math.pi * math.factorial(idx.m) * math.factorial(idx.n)
@@ -92,7 +94,7 @@ def test_criterion_3_projection_coefficient_formula():
         for j in range(5):
             for k in range(5):
                 coefficient, target = projection_coefficient_closed(n, j, k)
-                psi = PsiFunction(HermiteIndex(j, k))
+                psi = lambda pts, i=HermiteIndex(j, k): cauchy_hermite_closed(i, pts)
                 upto = 1 if target is None else max(1, target.m + 1)
                 coeffs = np.asarray(project_numeric(psi, n, upto).coeffs)
                 oracle = (
@@ -105,7 +107,9 @@ def test_criterion_3_projection_coefficient_formula():
     coefficient, _ = projection_coefficient_closed(0, 1, 0)
     flipped = -coefficient
     oracle = complex(
-        project_numeric(PsiFunction(HermiteIndex(1, 0)), 0, 1).coeffs[0]
+        project_numeric(
+            lambda pts: cauchy_hermite_closed(HermiteIndex(1, 0), pts), 0, 1
+        ).coeffs[0]
     )
     sign_gap = abs(flipped - oracle)
     elapsed = time.perf_counter() - start

@@ -8,7 +8,6 @@ import pytest
 from polycauchy import cauchy_transform, ito_hermite
 from polycauchy import (
     HermiteIndex,
-    PsiFunction,
     build_singular_grid,
     cauchy_hermite_closed,
     cauchy_singular_quadrature,
@@ -62,17 +61,6 @@ def test_closed_frozen_values():
 def test_closed_rejects_negative_m():
     with pytest.raises(ValueError):
         cauchy_hermite_closed(HermiteIndex(-1, 0), 1.0)
-
-
-def test_psi_function_wraps_closed_form():
-    psi = PsiFunction(HermiteIndex(2, 1))
-    pts = np.array([0.4 + 0.1j, -1.2j, 2.0 + 0j])
-    vals = psi(pts)
-    for i, z in enumerate(pts):
-        assert vals[i] == cauchy_hermite_closed(HermiteIndex(2, 1), complex(z))
-    assert psi(1.0 + 1.0j) == cauchy_hermite_closed(HermiteIndex(2, 1), 1.0 + 1.0j)
-    with pytest.raises(ValueError):
-        PsiFunction(HermiteIndex(-1, 2))
 
 
 def test_numeric_matches_closed_on_basis():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycauchy import SUITE_NAMES, HermiteIndex
+from polycauchy import SUITE_NAMES, HermiteIndex, VerifyConfig, cli
 from polycauchy.cli import _build_parser, format_complex, format_real, main
 
 
@@ -195,6 +195,47 @@ def test_usage_error_exit_code(capsys):
             main(["gram", "--max-index", bound])
         assert exc.value.code == 2
         assert "nonnegative index" in capsys.readouterr().err
+    for m, k in (("a", "0"), ("1.5", "0"), ("1", "x")):
+        with pytest.raises(SystemExit) as exc:
+            main(["project", "--level", "0", "--source", "psi", m, k, "--jmax", "2"])
+        assert exc.value.code == 2
+        assert "must be integers" in capsys.readouterr().err
+
+
+_COMMAND_ARGS = {
+    "hermite": ["--m", "1", "--n", "1", "--z", "1,1"],
+    "cauchy": ["--m", "1", "--n", "0", "--z", "0,0"],
+    "project": ["--level", "0", "--source", "psi", "1", "0", "--jmax", "2"],
+    "gram": ["--max-index", "1"],
+    "ranges": ["--variant", "r", "--ell", "1", "--level", "2"],
+    "svd": ["--degree", "4"],
+    "verify": ["ranges"],
+}
+_GRID_COMMANDS = ("cauchy", "project", "gram", "verify")
+
+
+def test_grid_flags_only_on_grid_commands(capsys):
+    # --config, --nr and --ntheta exist only where a grid is built;
+    # --out is on every command
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    assert set(commands.choices) == set(_COMMAND_ARGS)
+    grid_flags = {"--config", "--nr", "--ntheta"}
+    for name, sub in commands.choices.items():
+        flags = {flag for action in sub._actions for flag in action.option_strings}
+        assert "--out" in flags
+        assert flags & grid_flags == (grid_flags if name in _GRID_COMMANDS else set()), name
+    for name, args in _COMMAND_ARGS.items():
+        argv = [name] + args
+        if name in _GRID_COMMANDS:
+            parsed = parser.parse_args(argv + ["--nr", "8", "--ntheta", "8", "--config", "f"])
+            assert (parsed.nr, parsed.ntheta, parsed.config) == (8, 8, "f")
+            continue
+        for flag in (["--nr", "8"], ["--ntheta", "8"], ["--config", "f"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + flag)
+            assert exc.value.code == 2
+            assert flag[0] in capsys.readouterr().err
 
 
 def test_verify_pass_and_fail_codes(capsys):
@@ -323,6 +364,24 @@ def test_verify_report_determinism(capsys, tmp_path):
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_config_passes_only_the_settings_given(tmp_path, monkeypatch):
+    # every default lives in VerifyConfig: the loader passes only what
+    # the file or the flags set, and a flag overrides the file
+    seen = []
+    monkeypatch.setattr(cli, "VerifyConfig", lambda **kw: seen.append(kw) or VerifyConfig(**kw))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"radius_pad": 6, "tolerances": 1, "nr": 48}))
+    parser = _build_parser()
+    for argv in (
+        ["verify", "ranges"],
+        ["verify", "ranges", "--config", str(cfg), "--nr", "16"],
+        ["svd", "--degree", "4"],
+    ):
+        cli._load_config(parser.parse_args(argv))
+    assert seen == [{}, {"radius_pad": 6.0, "tolerance": 1.0, "nr": 16}, {}]
+    assert isinstance(seen[1]["radius_pad"], float)
 
 
 def test_config_file_settings(capsys, tmp_path):

@@ -125,7 +125,7 @@ def test_build_polar_grid_validation():
 
 def test_grid_arrays_read_only():
     g = build_polar_grid(4, 8, 1.0)
-    for arr in (g.radial_t, g.radial_w, g.points, g.phase):
+    for arr in (g.radial_t, g.radial_w, g.points):
         with pytest.raises(ValueError):
             arr[0] = 0
 
@@ -134,13 +134,16 @@ def test_phase_tables_are_cached_and_read_only():
     assert _phase_table(64) is _phase_table(64)
     with pytest.raises(ValueError):
         _phase_table(64)[1] = 0
-    assert build_polar_grid(8, 64, 1.0).phase is _phase_table(64)
+    # grid points are sqrt(t) times the cached table
+    g = build_polar_grid(8, 64, 1.0)
+    want = np.sqrt(g.radial_t)[:, None] * _phase_table(64)[None, :]
+    assert g.points.tobytes() == want.tobytes()
 
 
 def test_singular_grid_holds_its_fixed_factors():
     grid = build_singular_grid(0.3 - 1.7j, 24, 64)
     pts = grid.points
-    weight = np.exp(-(pts * pts.conjugate()).real) * grid.phase.conjugate()
+    weight = np.exp(-(pts * pts.conjugate()).real) * _phase_table(64).conjugate()
     assert grid.weight.dtype == complex and grid.weight.shape == pts.shape
     assert grid.weight.tobytes() == weight.tobytes()
     with pytest.raises(ValueError):
@@ -188,7 +191,7 @@ def test_polar_separable_matches_generic():
     radial = np.exp(-0.5 * g.radial_t) * (1.0 + g.radial_t)
     for p in (0, 1, 4):
         sep = polar_separable_quadrature(radial, np.zeros_like(radial), p, g)
-        values = radial[:, None] * g.phase[None, :] ** p
+        values = radial[:, None] * _phase_table(g.n_theta)[None, :] ** p
         gen = plane_quadrature(values, g)
         assert abs(sep - gen) <= 1e-13 * (1.0 + abs(gen))
 
@@ -225,6 +228,17 @@ def test_polar_grids_are_cached():
     assert build_polar_grid(64, 128, 1.0) is default
     assert build_polar_grid(64, 128, 1) is default
     assert build_polar_grid(n_theta=128, beta=1) is default
+    assert build_polar_grid(np.int64(64), np.int32(128), 1) is default
+
+
+def test_grid_counts_are_integers():
+    # a float count is refused, not truncated to a coarser rule
+    for n_radial, n_theta in ((8.0, 12), (8, 12.7), (8, 12.0)):
+        with pytest.raises(TypeError):
+            build_polar_grid(n_radial, n_theta)
+        with pytest.raises(TypeError):
+            build_singular_grid(0.5, n_radial, n_theta)
+    assert build_singular_grid(0.5, np.int64(16), np.int64(12)).n_theta == 12
 
 
 def test_inner_product_examples():

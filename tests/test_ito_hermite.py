@@ -24,9 +24,7 @@ from polycauchy import (
     cauchy_singular_quadrature,
     hermite_eval,
     hermite_eval_extended,
-    hermite_gram_matrix,
     hermite_radial_profile,
-    hermite_row,
     hermite_table,
     polar_separable_quadrature,
     psi_gram,
@@ -36,6 +34,7 @@ from polycauchy.ito_hermite import (
     EXTENSION_CROSSOVER,
     _extended_parts,
     _power,
+    _separable_gram,
     _series_coefficients,
 )
 from polycauchy.special_fn import factorial, generalized_laguerre
@@ -141,25 +140,6 @@ def _bits(value) -> np.ndarray:
     return np.atleast_1d(np.asarray(value, dtype=complex)).view(np.uint64)
 
 
-def test_hermite_row_matches_eval_bit_for_bit():
-    rng = np.random.default_rng(20261018)
-    inputs = [
-        0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1.5 - 0.3j, -2.0 + 0j,
-        np.array(POINTS[:20]),
-        3.0 * (rng.standard_normal((64, 128)) + 1j * rng.standard_normal((64, 128))),
-        # above numpy's 256 KiB temporary-elision size
-        3.0 * (rng.standard_normal((96, 256)) + 1j * rng.standard_normal((96, 256))),
-    ]
-    for z in inputs:
-        for n in range(9):
-            for m_max in sorted({0, max(n - 1, 0), n, n + 1, n + 7}):
-                row = hermite_row(m_max, n, z)
-                assert row.shape == (m_max + 1,) + np.shape(z)
-                for m in range(m_max + 1):
-                    want = hermite_eval(HermiteIndex(m, n), z)
-                    assert np.array_equal(_bits(row[m]), _bits(want)), (m, n, np.shape(z))
-
-
 def _bit_inputs():
     rng = np.random.default_rng(20261019)
     return [
@@ -171,8 +151,16 @@ def _bit_inputs():
 
 
 def test_hermite_table_matches_eval_bit_for_bit():
-    for z in _bit_inputs():
-        for m_max, levels in ((0, (0,)), (5, range(6)), (9, range(10)), (2, (7, 0, 3)), (6, (4, 4))):
+    rng = np.random.default_rng(20261018)
+    # a grid-shaped block below numpy's 256 KiB temporary-elision size
+    block = 3.0 * (rng.standard_normal((64, 128)) + 1j * rng.standard_normal((64, 128)))
+    cases = [(0, (0,)), (5, range(6)), (9, range(10)), (2, (7, 0, 3)), (6, (4, 4))]
+    # one-level tables, the form the kernel series and projections use
+    cases += [
+        (m_max, (n,)) for n in range(9) for m_max in sorted({0, max(n - 1, 0), n, n + 1, n + 7})
+    ]
+    for z in _bit_inputs() + [block]:
+        for m_max, levels in cases:
             table = hermite_table(m_max, levels, z)
             assert table.shape == (m_max + 1, len(levels)) + np.shape(z)
             for m in range(m_max + 1):
@@ -187,7 +175,7 @@ def test_hermite_table_matches_eval_bit_for_bit():
 
 
 def _row_per_m(m_max, n, z):
-    """hermite_row as it was: one Laguerre climb per m < n, one shared for m >= n."""
+    """A one-level table per m: one Laguerre climb per m < n, one shared for m >= n."""
     z_arr = np.asarray(z, dtype=complex)
     t = (z_arr * z_arr.conjugate()).real
 
@@ -209,20 +197,13 @@ def _row_per_m(m_max, n, z):
     return out
 
 
-def test_hermite_row_equals_its_per_m_form():
+def test_one_level_table_equals_its_per_m_form():
     for z in _bit_inputs():
         for n in range(9):
             for m_max in sorted({0, max(n - 1, 0), n, n + 7}):
-                got = hermite_row(m_max, n, z)
+                got = hermite_table(m_max, (n,), z)[:, 0]
                 want = _row_per_m(m_max, n, z)
                 assert np.array_equal(_bits(got), _bits(want)), (m_max, n, np.shape(z))
-
-
-def test_hermite_row_validation():
-    with pytest.raises(ValueError):
-        hermite_row(-1, 0, 1.0)
-    with pytest.raises(ValueError):
-        hermite_row(2, -1, 1.0)
 
 
 def test_conjugate_symmetry():
@@ -421,8 +402,14 @@ def test_batched_profiles_equal_the_one_index_recurrence():
                 assert lo[r].tobytes() == wl.tobytes(), (pairs[r], t.size, weighted)
 
 
+def _hermite_gram(indices, grid=None) -> np.ndarray:
+    """Gram matrix of basis polynomials on a beta = 1 grid: one batched profile call."""
+    grid = build_polar_grid() if grid is None else grid
+    return _separable_gram(*hermite_radial_profile(indices, grid.radial_t), grid)
+
+
 def hermite_inner_product(a: HermiteIndex, b: HermiteIndex, grid=None) -> complex:
-    """Per-pair oracle of hermite_gram_matrix: <H_a, H_b> on a beta = 1 grid.
+    """Per-pair oracle of :func:`_hermite_gram`: <H_a, H_b> on a beta = 1 grid.
 
     One radial product of the two real profiles in double-double, then
     the separable rule with frequency f_a - f_b.
@@ -453,7 +440,7 @@ def test_gram_matrix_matches_pairwise():
     # aliases to a nonzero entry, which the Gram must integrate too
     for size, grid in ((3, None), (5, build_polar_grid(16, 8))):
         indices = [HermiteIndex(m, n) for m in range(size) for n in range(size)]
-        g = hermite_gram_matrix(indices, grid)
+        g = _hermite_gram(indices, grid)
         assert g.shape == (size * size, size * size)
         for i, a in enumerate(indices):
             for j, b in enumerate(indices):
@@ -465,14 +452,14 @@ def test_gram_matrix_matches_pairwise():
 
 def test_gram_selection_zero_on_grid_with_odd_factor():
     # frequency difference 4 on n_theta = 12 is off-pattern: an exact zero
-    g = hermite_gram_matrix([HermiteIndex(4, 0), HermiteIndex(0, 0)], build_polar_grid(16, 12))
+    g = _hermite_gram([HermiteIndex(4, 0), HermiteIndex(0, 0)], build_polar_grid(16, 12))
     assert g[0, 1] == 0j and g[1, 0] == 0j
 
 
 def test_unit_weight_required():
     grid = build_polar_grid(16, 16, 2.0)
-    with pytest.raises(ValueError):
-        hermite_gram_matrix([HermiteIndex(0, 0)], grid)
+    with pytest.raises(ValueError, match="beta=1"):
+        psi_gram([HermiteIndex(0, 0)], grid)
 
 
 SIGNED_ZEROS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))

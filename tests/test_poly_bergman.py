@@ -17,11 +17,11 @@ from polycauchy import (
     HermiteIndex,
     KernelSpec,
     PolarGrid,
-    PsiFunction,
     build_polar_grid,
+    cauchy_hermite_closed,
     factorial,
     hermite_eval,
-    hermite_row,
+    hermite_table,
     inner_product_gaussian,
     kahan_sum,
     kernel_closed,
@@ -39,9 +39,8 @@ KERNEL_POINTS = (0j, 0.7 + 0j, -1.2 + 0.5j, 1.9j, -0.3 - 1.1j)
 
 def test_coefficient_sequence_norm():
     seq = CoefficientSequence(n=1, coeffs=(1.0, 2.0j))
-    assert seq.norm_sq == pytest.approx(5.0 * math.pi, rel=1e-15)
     assert seq.coeffs == (1.0 + 0j, 2.0j)
-    assert CoefficientSequence(n=0, coeffs=()).norm_sq == 0.0
+    assert CoefficientSequence(n=0, coeffs=()).coeffs == ()
     with pytest.raises(ValueError):
         CoefficientSequence(n=-1, coeffs=(1.0,))
 
@@ -108,13 +107,13 @@ def test_kernel_series_on_point_lists_equals_scalar_calls():
 
 def test_kernel_series_builds_one_row_per_point_list(monkeypatch):
     calls = []
-    row = poly_bergman.hermite_row
+    table = poly_bergman.hermite_table
 
-    def counting(m_max, n, z):
+    def counting(m_max, levels, z):
         calls.append(np.shape(z))
-        return row(m_max, n, z)
+        return table(m_max, levels, z)
 
-    monkeypatch.setattr(poly_bergman, "hermite_row", counting)
+    monkeypatch.setattr(poly_bergman, "hermite_table", counting)
     kernel_series(KernelSpec(n=2, truncation=20), KERNEL_POINTS, KERNEL_POINTS[:3])
     assert calls == [(len(KERNEL_POINTS),), (3,)]
     calls.clear()
@@ -206,7 +205,7 @@ def test_project_synthesize_round_trip():
     )
     seq = project_numeric(f, 1, 3)
     for z in (0.5 + 0.2j, -0.9 + 1.1j):
-        row = hermite_row(len(seq.coeffs) - 1, seq.n, z)
+        row = hermite_table(len(seq.coeffs) - 1, (seq.n,), z)[:, 0]
         assert abs(np.dot(row, seq.coeffs) - complex(f(np.asarray(z)))) < 1e-9
 
 
@@ -222,8 +221,8 @@ def _project_oracle(f, n, J, grid):
 def test_project_numeric_equals_per_coefficient_quadrature():
     sources = (
         lambda pts: hermite_eval(HermiteIndex(3, 1), pts),
-        PsiFunction(HermiteIndex(2, 1)),
-        PsiFunction(HermiteIndex(0, 2)),
+        lambda pts: cauchy_hermite_closed(HermiteIndex(2, 1), pts),
+        lambda pts: cauchy_hermite_closed(HermiteIndex(0, 2), pts),
     )
     for grid in (build_polar_grid(), build_polar_grid(16, 12)):
         for f in sources:
@@ -243,7 +242,7 @@ def test_project_basis_cache_is_bounded_and_per_grid():
         radial_w=np.array(grid.radial_w),
         n_theta=8,
     )
-    f = PsiFunction(HermiteIndex(1, 0))
+    f = lambda pts: cauchy_hermite_closed(HermiteIndex(1, 0), pts)
     for g in (grid, other, grid):
         assert project_numeric(f, 0, 3, grid=g).coeffs == _project_oracle(f, 0, 3, g)
     for n in range(3 * poly_bergman._BASIS_CACHE_SIZE):
@@ -257,16 +256,16 @@ def test_verify_builds_each_level_stack_once(monkeypatch):
     # a cold projection + ranges pass builds each of the six levels'
     # grid stack once; no later call grows one
     builds = []
-    row = poly_bergman.hermite_row
+    table = poly_bergman.hermite_table
 
-    def counting(m_max, n, z):
+    def counting(m_max, levels, z):
         # grid points are 2-D; kernel point lists are 1-D
         if np.ndim(z) == 2:
-            builds.append(n)
-        return row(m_max, n, z)
+            builds.extend(levels)
+        return table(m_max, levels, z)
 
     monkeypatch.setattr(poly_bergman, "_basis_cache", OrderedDict())
-    monkeypatch.setattr(poly_bergman, "hermite_row", counting)
+    monkeypatch.setattr(poly_bergman, "hermite_table", counting)
     run_suite("projection")
     run_suite("ranges")
     assert sorted(builds) == list(range(6))
