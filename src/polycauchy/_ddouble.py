@@ -6,9 +6,11 @@ primitives below follow the classical Dekker/Knuth constructions and
 work elementwise on floats and numpy arrays alike (no FMA assumed).
 
 Used where plain doubles measurably fail: polishing Gauss-Laguerre
-nodes and weights to the last ulp, and evaluating radial Hermite
-profiles whose products feed absolute-tolerance orthonormality checks
-at magnitudes around 1e6.
+nodes and weights to the last ulp, evaluating radial Hermite profiles
+so that each is correctly rounded once to double before the Gram
+matmuls, and the terminating confluent series of the Gram's radial
+cross-check.  :func:`dd_weighted_sum` serves the per-pair separable
+rule, which is kept as the oracle of one Gram entry.
 """
 
 from __future__ import annotations

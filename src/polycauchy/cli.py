@@ -125,6 +125,22 @@ def _json_complex(value: complex) -> float | list[float]:
     return _json_parts(value.real, value.imag)
 
 
+def _json_by_rows(payload: dict) -> str:
+    """A flat mapping as JSON, each list value written one element per line.
+
+    Loads to the same object as ``json.dumps(payload, indent=2)``; a
+    matrix takes one line per row instead of one per entry.
+    """
+    fields = []
+    for key, value in payload.items():
+        if isinstance(value, list) and value:
+            text = "[\n" + ",\n".join(f"    {json.dumps(row)}" for row in value) + "\n  ]"
+        else:
+            text = json.dumps(value)
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}"
+
+
 def _json_complex_rows(values: np.ndarray) -> list:
     """Rows of a complex matrix as :func:`_json_complex` writes each entry.
 
@@ -227,8 +243,6 @@ def _cmd_cauchy(args: argparse.Namespace, cfg: VerifyConfig) -> int:
 
 def _cmd_project(args: argparse.Namespace, cfg: VerifyConfig) -> int:
     kind, m, k = args.source
-    if kind not in ("hermite", "psi"):
-        raise ValueError(f"project source must be 'hermite' or 'psi', got {kind!r}")
     idx = HermiteIndex(m, k)
     evaluate = hermite_eval if kind == "hermite" else cauchy_hermite_closed
     grid = cfg.polar_grid(1.0)
@@ -268,7 +282,7 @@ def _cmd_gram(args: argparse.Namespace, cfg: VerifyConfig) -> int:
             "radial_check_max_rel": report.radial_check_max_rel,
             "values": _json_complex_rows(report.values),
         }
-        _emit(json.dumps(payload, indent=2), args)
+        _emit(_json_by_rows(payload), args)
     return 0 if report.passed else 1
 
 
@@ -323,10 +337,14 @@ _DISPATCH = {
 
 
 class _SourceAction(argparse.Action):
-    """--source KIND M N: the kind as given, M and N as integers."""
+    """--source KIND M N: KIND 'hermite' or 'psi', M and N as integers."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         kind, m, n = values
+        if kind not in ("hermite", "psi"):
+            raise argparse.ArgumentError(
+                self, f"KIND must be 'hermite' or 'psi', got {kind!r}"
+            )
         try:
             setattr(namespace, self.dest, (kind, int(m), int(n)))
         except ValueError:

@@ -401,6 +401,12 @@ def polar_separable_quadrature(
     The radial pair has shape (n_radial,) with an integer frequency,
     giving a complex, or (E, n_radial) with E frequencies, giving E
     values that each equal the 1-D call on their row.
+
+    This is the per-pair route, correct to a final rounding of the
+    double-double sum.  The Gram matrices do not call it: they contract
+    whole frequency classes in one matmul each
+    (``ito_hermite._separable_gram``), and it serves as the oracle of
+    one such entry.
     """
     radial_hi = np.asarray(radial_hi, dtype=float)
     radial_lo = np.asarray(radial_lo, dtype=float)

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ddouble import dd_mul, dd_mul_scalar, dd_sqrt
-from .gaussian_quadrature import PolarGrid, polar_separable_quadrature
+from .gaussian_quadrature import PolarGrid
 from .special_fn import (
     _generalized_laguerre_dd,
     _laguerre_climb,
@@ -416,10 +416,12 @@ def hermite_radial_profile(indices, t, *, weighted: bool = False):
     sequence of :class:`HermiteIndex` and ``t`` a 1-D array.  Returns
     (hi, lo, freq): row i of hi + lo, shape (len(indices), t.size), is
     a double-double evaluation of P for ``indices[i]``, and freq[i] is
-    its m - n.  Exactness of the pair matters because Gram entries
-    weight these values by factors up to m! n!.  One Laguerre climb and
-    one squaring loop for t^{d/2} serve every polynomial row, and each
-    row equals its own one-index call bit for bit.
+    its m - n.  The pair lets a caller round P once: hi + lo is the
+    correctly rounded profile that the Gram matmuls read, where a
+    plain-double recurrence would be a few units in the last place off
+    and the psi Gram's radial cross-check would see that.  One Laguerre
+    climb and one squaring loop for t^{d/2} serve every polynomial row,
+    and each row equals its own one-index call bit for bit.
 
     The extension m = -1 factorises the same way with frequency
     -(n + 1); its rows are in plain double (lo = 0).
@@ -461,18 +463,45 @@ def _separable_gram(hi, lo, freq, grid: PolarGrid, pairs=None) -> np.ndarray:
     """Separable-rule Gram matrix of stacked profiles ``hermite_radial_profile`` returns.
 
     The angular sum of a pair vanishes exactly unless its frequency
-    difference is a multiple of ``grid.n_theta``.  Only those pairs,
-    aliased ones included, form a double-double radial product, all in
-    one stacked :func:`polar_separable_quadrature`; every other entry
-    is the rule's exact 0j.  A boolean (size, size) ``pairs`` limits
-    the products further: entries outside it are 0j too.
+    difference is a multiple of ``grid.n_theta``, where it is exactly
+    n_theta.  Rows are therefore grouped by their frequency modulo
+    n_theta, aliased pairs of a coarse grid included, and each class
+    is one real matmul (P * w) @ P.T over the radial nodes, with the
+    profile P = hi + lo rounded once to double and the weights on the
+    left factor only.  That block is scaled by the angular constant
+    n_theta * (pi / n_theta) and its upper triangle mirrored into the
+    lower, so the Gram is exactly symmetric.  Every entry outside the
+    classes is the rule's exact 0j.  A boolean (size, size) ``pairs``
+    limits the entries further: those outside it are 0j too, and a
+    class row with no pair in it is left out of the matmul.  The
+    summation order of each entry is BLAS's for the given shapes; the
+    ``verify all`` report is byte-identical with one and with two
+    OpenBLAS threads.
+    ``gaussian_quadrature.polar_separable_quadrature`` is the per-pair
+    double-double oracle of one entry.
     """
-    diff = freq[:, None] - freq[None, :]
-    kept = diff % grid.n_theta == 0
+    profile = np.asarray(hi, dtype=float) + lo
+    residue = np.asarray(freq) % grid.n_theta
+    size = residue.size
+    rows = np.arange(size)
     if pairs is not None:
-        kept &= pairs
-    rows, cols = np.nonzero(kept)
-    rh, rl = dd_mul(hi[rows], lo[rows], hi[cols], lo[cols])
-    values = np.zeros(diff.shape, dtype=complex)
-    values[rows, cols] = polar_separable_quadrature(rh, rl, diff[rows, cols], grid)
+        wanted = pairs & (residue[:, None] == residue[None, :])
+        rows = rows[wanted.any(axis=0) | wanted.any(axis=1)]
+    # classes as contiguous runs; the stable sort keeps each class in index order
+    rows = rows[np.argsort(residue[rows], kind="stable")]
+    starts = np.flatnonzero(np.diff(residue[rows], prepend=-1)).tolist() + [rows.size]
+    p = profile[rows]
+    weighted = p * grid.radial_w
+    block = np.zeros((rows.size, rows.size))
+    for s, e in zip(starts[:-1], starts[1:]):
+        product = weighted[s:e] @ p[s:e].T
+        # mirror the upper triangle, so the block is exactly symmetric
+        for i in range(1, e - s):
+            product[i, :i] = product[:i, i]
+        block[s:e, s:e] = product
+    block *= grid.n_theta * (np.pi / grid.n_theta)
+    values = np.zeros((size, size), dtype=complex)
+    values.real[np.ix_(rows, rows)] = block
+    if pairs is not None:
+        values[~pairs] = 0j
     return values

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._ddouble import dd_mul_scalar
 from .gaussian_quadrature import PolarGrid, build_polar_grid
 from .ito_hermite import HermiteIndex, _separable_gram, c_mn, hermite_radial_profile
 from .poly_bergman import CoefficientSequence, projection_coefficient_closed
@@ -138,9 +137,7 @@ def _psi_pair_radial(indices, rows, cols, grid: PolarGrid) -> np.ndarray:
     t, w = grid3.radial_t, grid3.radial_w
     p = np.array([min(i.m - 1, i.n) for i in indices], dtype=int)
     d = np.array([abs(i.m - 1 - i.n) for i in indices], dtype=int)
-    factor = np.empty((len(indices), t.size))
-    for q in np.unique(p):
-        factor[p == q] = kummer_terminating(int(q), d[p == q, None] + 1, t)
+    factor = kummer_terminating(p[:, None], d[:, None] + 1, t)
     const = np.array([c_mn(i.m - 1, i.n) for i in indices])
     rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
     exponent = d[rows] + d[cols]
@@ -192,9 +189,12 @@ def psi_gram(
     Every entry reduces to a real radial profile times one angular
     frequency, so the selection rule m - j = n - k is resolved
     exactly: only pairs whose frequency difference is a multiple of
-    the grid's n_theta are integrated, and every other entry is the
-    rule's exact zero.  Polynomial entries expected nonzero are
-    re-derived through the radial confluent-series route and the worst
+    the grid's n_theta are integrated, one real matmul per frequency
+    class modulo n_theta, and every other entry is the rule's exact
+    zero.  The beta = 1 profiles are built only for rows in the class
+    of an m = 0 row.  The matrix is exactly symmetric.  Polynomial
+    entries expected nonzero are re-derived through the radial
+    confluent-series route (one batched series climb) and the worst
     relative gap is reported.  The largest factorial the profiles need
     is formed first, so an index past its overflow raises
     OverflowError before any work.  An entry or gap that is not finite
@@ -215,13 +215,20 @@ def psi_gram(
     m = np.array([i.m for i in idx], dtype=int)
     n = np.array([i.n for i in idx], dtype=int)
     mask = (m[:, None] - m[None, :]) != (n[:, None] - n[None, :])
-    # psi_{m,n} = -e^{-t} H_{m-1,n}; the weighted profiles form the m = 0
-    # images without e^t, so they stay finite on the outermost nodes of
-    # large grids
-    hi, lo, freq = hermite_radial_profile(shifted, grid.radial_t, weighted=True)
-    hi, lo = dd_mul_scalar(hi, lo, -1.0)
+    values = np.zeros(mask.shape, dtype=complex)
+    # pairs with an m = 0 member meet only rows of its frequency class
     zero = m == 0
-    values = _separable_gram(hi, lo, freq, grid, zero[:, None] | zero[None, :])
+    residue = (m - 1 - n) % grid.n_theta
+    near = np.isin(residue, residue[zero])
+    if near.any():
+        # psi_{m,n} = -e^{-t} H_{m-1,n}; the sign cancels in every product.
+        # The weighted profiles form the m = 0 images without e^t, so they
+        # stay finite on the outermost nodes of large grids
+        profiles = hermite_radial_profile(
+            [i for i, keep in zip(shifted, near) if keep], grid.radial_t, weighted=True
+        )
+        pairs = zero[near][:, None] | zero[near][None, :]
+        values[np.ix_(near, near)] = _separable_gram(*profiles, grid, pairs)
     poly = np.ix_(~zero, ~zero)
     poly_idx = [i for i in idx if i.m >= 1]
     values[poly] = _separable_gram(
@@ -230,7 +237,8 @@ def psi_gram(
 
     rows, cols = np.nonzero(~mask[poly])
     expected = _psi_pair_radial(poly_idx, rows, cols, grid)
-    gap = np.abs(values[poly][rows, cols] - expected) / (1.0 + np.abs(expected))
+    at = np.flatnonzero(~zero)
+    gap = np.abs(values[at[rows], at[cols]] - expected) / (1.0 + np.abs(expected))
     radial_worst = float(np.max(gap, initial=0.0))
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
@@ -243,7 +251,7 @@ def psi_gram(
     if not math.isfinite(radial_worst):
         raise ValueError(f"psi_gram: radial cross-check gap {radial_worst} is not finite")
 
-    violation = float(np.max(np.abs(values[mask]))) if mask.any() else 0.0
+    violation = float(np.max(np.abs(values), where=mask, initial=0.0))
     values.flags.writeable = False
     mask.flags.writeable = False
     return GramReport(

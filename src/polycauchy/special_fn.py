@@ -182,9 +182,8 @@ def _generalized_laguerre_dd(p, d, t):
 
     ``p`` and ``d`` are integer sequences, one (degree, parameter) pair
     per row.  Returns (hi, lo), each of shape (len(p), t.size).  Used
-    where pointwise errors of a few ulp would accumulate past an
-    absolute tolerance after weighting by large factorial
-    normalisations.
+    for the radial profiles, so each rounds once to double where a
+    plain-double climb would be a few ulp off.
 
     One recurrence climb serves every row.  Rows run in order of
     descending degree, so a row whose degree is reached drops off the
@@ -218,36 +217,50 @@ def _generalized_laguerre_dd(p, d, t):
     return out_hi, out_lo
 
 
-def kummer_terminating(p: int, b, t):
+def kummer_terminating(p, b, t):
     """Terminating confluent series 1F1(-p; b; t).
 
     Exactly ``p + 1`` terms are carried in double-double precision,
     term ratio and running sum alike; the alternating cancellation for
     large t therefore costs no double-precision digits.  ``b`` must be
-    a positive integer so no denominator can vanish; an integer array
-    ``b`` broadcasts against ``t`` and sums every series at once, each
-    entry equal to the scalar-``b`` call bit for bit.  Accepts scalar
-    or ndarray ``t``; the result is a float when both are scalars.
+    a positive integer so no denominator can vanish.  Integer arrays
+    ``p`` and ``b`` broadcast against each other and against ``t``, and
+    every series is summed in one climb: entries run in order of
+    descending degree, and an entry leaves the climb once its degree is
+    reached.  Every step is elementwise, so each entry equals the
+    scalar call bit for bit.  Accepts scalar or ndarray ``t``; the
+    result is a float when all three are scalars.
     """
-    if p < 0:
+    p_arr = np.asarray(p)
+    if p_arr.dtype.kind not in "iu":
+        raise TypeError(f"kummer_terminating requires integer p, got {p!r}")
+    if (p_arr < 0).any():
         raise ValueError(f"kummer_terminating requires p >= 0, got {p}")
     b_arr = np.asarray(b)
     if (b_arr < 1).any():
         raise ValueError(f"kummer_terminating requires integer b >= 1, got {b}")
-    # a scalar b stays a Python int, so its step divisors are Python floats
-    b_num = b_arr if b_arr.ndim else int(b_arr)
     t_arr = np.asarray(t, dtype=float)
-    zero = np.zeros_like(t_arr)
-    term_h = np.ones(np.broadcast(b_arr, t_arr).shape)
-    term_l = np.zeros_like(term_h)
-    sum_h, sum_l = term_h, term_l
-    for k in range(p):
+    shape = np.broadcast_shapes(p_arr.shape, b_arr.shape, t_arr.shape)
+    degree = np.broadcast_to(p_arr, shape).ravel()
+    # deepest entries first, so each step drops the finished ones from the end
+    order = np.argsort(-degree, kind="stable")
+    degree = degree[order]
+    b_flat = np.broadcast_to(b_arr, shape).ravel()[order]
+    t_flat = np.broadcast_to(t_arr, shape).ravel()[order]
+    zero = np.zeros_like(t_flat)
+    term_h, term_l = np.ones(degree.size), np.zeros(degree.size)
+    sum_h, sum_l = term_h.copy(), term_l.copy()
+    for k in range(int(degree.max(initial=0))):
+        live = np.count_nonzero(degree > k)
+        term_h, term_l = term_h[:live], term_l[:live]
         # (k - p) and (b + k)(k + 1) are exact small integers
-        term_h, term_l = dd_mul(term_h, term_l, t_arr, zero)
-        term_h, term_l = dd_mul_scalar(term_h, term_l, float(k - p))
-        term_h, term_l = dd_div_scalar(term_h, term_l, (b_num + k) * float(k + 1))
-        sum_h, sum_l = dd_add(sum_h, sum_l, term_h, term_l)
-    out = sum_h + sum_l
+        term_h, term_l = dd_mul(term_h, term_l, t_flat[:live], zero[:live])
+        term_h, term_l = dd_mul_scalar(term_h, term_l, (k - degree[:live]).astype(float))
+        term_h, term_l = dd_div_scalar(term_h, term_l, (b_flat[:live] + k) * float(k + 1))
+        sum_h[:live], sum_l[:live] = dd_add(sum_h[:live], sum_l[:live], term_h, term_l)
+    out = np.empty(degree.size)
+    out[order] = sum_h + sum_l
+    out = out.reshape(shape)
     return out if out.ndim else float(out)
 
 

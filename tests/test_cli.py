@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycauchy import SUITE_NAMES, HermiteIndex, VerifyConfig, cli
+from polycauchy import SUITE_NAMES, HermiteIndex, VerifyConfig, cli, psi_gram
 from polycauchy.cli import _build_parser, format_complex, format_real, main
 
 
@@ -279,9 +279,13 @@ def test_project_overflowing_jmax_fails_at_once(capsys):
 
 
 def test_project_rejects_unknown_source(capsys):
-    argv = ["project", "--level", "0", "--source", "basis", "1", "0", "--jmax", "1"]
-    assert main(argv) == 3
-    capsys.readouterr()
+    # a usage error found at parse time, before any config is read
+    argv = ["project", "--level", "0", "--source", "basis", "1", "0", "--jmax", "1",
+            "--config", "/nonexistent/config.json"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "KIND must be 'hermite' or 'psi', got 'basis'" in capsys.readouterr().err
 
 
 def test_gram_outputs(capsys, tmp_path):
@@ -299,6 +303,31 @@ def test_gram_outputs(capsys, tmp_path):
     assert rows[0] == ["psi", "(0,0)", "(0,1)", "(1,0)", "(1,1)"]
     assert rows[1][0] == "(0,0)"
     assert abs(float(rows[1][1]) - 0.903779885384002) < 1e-12
+
+
+def test_gram_json_writes_one_matrix_row_per_line(tmp_path):
+    from polycauchy.cli import _json_by_rows, _json_complex_rows
+
+    out = tmp_path / "gram.json"
+    assert main(["gram", "--max-index", "2", "--out", str(out)]) == 0
+    text = out.read_text()
+    indices = [HermiteIndex(m, n) for m in range(3) for n in range(3)]
+    report = psi_gram(indices)
+    payload = {
+        "indices": [[i.m, i.n] for i in indices],
+        "max_violation": report.max_violation,
+        "tolerance": report.tolerance,
+        "pass": report.passed,
+        "radial_check_max_rel": report.radial_check_max_rel,
+        "values": _json_complex_rows(report.values),
+    }
+    # the same object as the indented dump, one line per index and per row
+    assert json.loads(text) == json.loads(json.dumps(payload, indent=2))
+    assert len(text.splitlines()) == 2 * len(indices) + 10
+    assert text.splitlines()[-3] == "    " + json.dumps(payload["values"][-1])
+    odd = {"empty": [], "rows": [[1.0, [2.0, float("nan")]], [-0.0]], "flag": False, "x": None}
+    got, want = json.loads(_json_by_rows(odd)), json.loads(json.dumps(odd, indent=2))
+    assert json.dumps(got) == json.dumps(want)
 
 
 def test_gram_rows_write_each_entry_as_json_complex():

@@ -435,17 +435,54 @@ def test_inner_product_orthogonality():
                     assert abs(got - want) < 1e-9
 
 
-def test_gram_matrix_matches_pairwise():
-    # on n_theta = 8 the frequency difference 8 of (4,0) and (0,4)
-    # aliases to a nonzero entry, which the Gram must integrate too
-    for size, grid in ((3, None), (5, build_polar_grid(16, 8))):
+def _exact_rule_gram(indices, n_theta: int) -> np.ndarray:
+    """What the separable rule integrates, in exact arithmetic, over pi.
+
+    On circles H_{m,n} = P(t) e^{i (m - n) theta}, where P(t) is the sum
+    of (-1)^k k! C(m,k) C(n,k) t^{(m + n)/2 - k}.  The angular rule keeps
+    a pair when its frequency difference is a multiple of n_theta, and
+    Gauss-Laguerre integrates the polynomial P_a P_b e^{-t} exactly, with
+    moments s!.  Kept pairs on an even n_theta have integer powers s.
+    """
+    def terms(i):
+        return [
+            ((-1) ** k * math.factorial(k) * math.comb(i.m, k) * math.comb(i.n, k), i.m + i.n - 2 * k)
+            for k in range(min(i.m, i.n) + 1)
+        ]
+
+    out = np.zeros((len(indices), len(indices)), dtype=object)
+    for r, a in enumerate(indices):
+        for s, b in enumerate(indices):
+            if (a.m - a.n - b.m + b.n) % n_theta == 0:
+                out[r, s] = sum(
+                    c * c2 * math.factorial((e + e2) // 2)
+                    for c, e in terms(a)
+                    for c2, e2 in terms(b)
+                )
+    return out
+
+
+def test_gram_matrix_matches_exact_rule():
+    # Each kept entry is one 64-node (or 16-node) sum of P_a w P_b, so
+    # its error is bounded by a few eps times S = pi sum_k w_k |P_a P_b|
+    # (1.7 eps S measured at m, n <= 6); the bound is 8 eps S.  On
+    # n_theta = 8 the frequency difference 8 of (4,0) and (0,4) aliases
+    # to a nonzero entry, which the Gram must integrate too.
+    for size, grid in ((7, build_polar_grid()), (5, build_polar_grid(16, 8))):
         indices = [HermiteIndex(m, n) for m in range(size) for n in range(size)]
-        g = _hermite_gram(indices, grid)
+        hi, lo, freq = hermite_radial_profile(indices, grid.radial_t)
+        g = _separable_gram(hi, lo, freq, grid)
         assert g.shape == (size * size, size * size)
-        for i, a in enumerate(indices):
-            for j, b in enumerate(indices):
-                assert g[i, j] == hermite_inner_product(a, b, grid)
-    assert g[indices.index(HermiteIndex(4, 0)), indices.index(HermiteIndex(0, 4))] != 0
+        assert np.array_equal(g, g.T)
+        exact = _exact_rule_gram(indices, grid.n_theta)
+        kept = (freq[:, None] - freq[None, :]) % grid.n_theta == 0
+        assert np.all(g[~kept] == 0j)
+        profile = np.abs(hi + lo)
+        bound = 8 * np.finfo(float).eps * math.pi * (profile * grid.radial_w) @ profile.T
+        want = math.pi * exact[kept].astype(float)
+        assert np.all(np.abs(g[kept] - want) <= bound[kept])
+    aliased = indices.index(HermiteIndex(4, 0)), indices.index(HermiteIndex(0, 4))
+    assert g[aliased] == g[aliased[::-1]] != 0
     # the psi Gram integrates aliased pairs too, so n_theta = 6 fails its rule
     assert psi_gram(indices, build_polar_grid(24, 6)).passed is False
 

@@ -7,6 +7,7 @@ matrix behind the truncated spectrum.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from polycauchy.gaussian_quadrature import (
 from polycauchy.ito_hermite import c_mn, hermite_radial_profile
 from polycauchy.special_fn import kummer_terminating
 from polycauchy.range_analysis import _operator_matrix
+from polycauchy.verification import _hermite_integer_coefficients
 
 
 def test_basis_spec_validation():
@@ -150,49 +152,100 @@ def _psi_profile(idx: HermiteIndex, grid: PolarGrid):
     return dd_mul_scalar(h, l, -1.0) + (freq,)
 
 
-def test_psi_gram_matches_pairwise():
-    # every entry equals its own 1-D separable call, and the radial
-    # cross-check equals the per-pair confluent-series integral; on
-    # n_theta = 8 the m = 0 pair (0,4), (4,0) aliases to a nonzero entry
+# pi to 50 digits, so pi times an exact rational rounds once
+_PI = Fraction("3.14159265358979323846264338327950288419716939937510")
+
+
+def _exact_psi_entry(a: HermiteIndex, b: HermiteIndex, table: dict) -> float:
+    """<psi_a, psi_b> for m, j >= 1, correctly rounded from exact arithmetic.
+
+    The entry is the integral of H_{m-1,n} conj(H_{j-1,k}) e^{-3|z|^2};
+    each matched monomial z^s zbar^s contributes pi s!/3^{s+1}.
+    """
+    total = Fraction(0)
+    for (x, y), c in table[a.m - 1, a.n].items():
+        for (u, v), c2 in table[b.m - 1, b.n].items():
+            # z^x zbar^y conj(z^u zbar^v) = z^{x+v} zbar^{y+u}
+            if x + v == y + u:
+                total += Fraction(c * c2 * math.factorial(x + v), 3 ** (x + v + 1))
+    return float(_PI * total)
+
+
+def test_psi_gram_matches_exact_rational_gram():
+    # every pattern-nonzero m, j >= 1 entry at K = 8 against the exact
+    # Gram.  Each is one 64-node sum of P_a w P_b on correctly rounded
+    # profiles: its error is a few eps times S = pi sum_k w_k |P_a P_b|,
+    # and S/|entry| is at most 6.9 here, so 6.4e-16 relative was
+    # measured; the bound is 4e-15 (18 eps).
+    K = 8
+    indices = [HermiteIndex(m, n) for m in range(K + 1) for n in range(K + 1)]
+    report = psi_gram(indices)
+    values = report.values
+    assert np.array_equal(values, values.T)
+    # on 128 angles no pair aliases: off the pattern is the exact zero
+    assert np.all(values[report.expected_zero_mask] == 0j) and report.max_violation == 0.0
+    table = _hermite_integer_coefficients(K)
+    worst = 0.0
+    for r, a in enumerate(indices):
+        for s, b in enumerate(indices):
+            if a.m >= 1 and b.m >= 1 and not report.expected_zero_mask[r, s]:
+                want = _exact_psi_entry(a, b, table)
+                worst = max(worst, abs(values[r, s] - want) / abs(want))
+    assert worst <= 4e-15
+    # the m = 0 entries have no exact route: hold them against the
+    # per-pair double-double rule, within the same 8 eps S model
+    grid = build_polar_grid()
+    eps = np.finfo(float).eps
+    for r, a in enumerate(indices):
+        for s, b in enumerate(indices[: r + 1]):
+            if (a.m == 0 or b.m == 0) and not report.expected_zero_mask[r, s]:
+                ah, al, fa = _psi_profile(a, grid)
+                bh, bl, fb = _psi_profile(b, grid)
+                rh, rl = dd_mul(ah, al, bh, bl)
+                want = polar_separable_quadrature(rh, rl, fa - fb, grid)
+                scale = math.pi * np.sum(grid.radial_w * np.abs((ah + al) * (bh + bl)))
+                assert abs(values[r, s] - want) <= 8 * eps * scale, (a, b)
+
+
+def test_psi_gram_keeps_its_residue_classes():
+    # entries off the frequency classes mod n_theta are the rule's exact
+    # zeros, the Gram is exactly symmetric, and the radial cross-check
+    # equals the per-pair confluent-series integral; on n_theta = 8 the
+    # m = 0 pair (0,4), (4,0) aliases to a nonzero entry
     cases = ((range(4), range(3), 32, 16), (range(5), range(5), 16, 8))
     for ms, ns, n_radial, n_theta in cases:
         indices = [HermiteIndex(m, n) for m in ms for n in ns]
         grid = build_polar_grid(n_radial, n_theta, 1.0)
         grid3 = build_polar_grid(n_radial, n_theta, 3.0)
         report = psi_gram(indices, grid)
+        assert np.array_equal(report.values, report.values.T)
+        freq = np.array([i.m - 1 - i.n for i in indices])
+        kept = (freq[:, None] - freq[None, :]) % n_theta == 0
+        assert np.all(report.values[~kept] == 0j)
+        assert np.all(report.values[kept] != 0j)
         worst = 0.0
         for r, a in enumerate(indices):
             for s, b in enumerate(indices):
-                if a.m >= 1 and b.m >= 1:
-                    ah, al, fa = _profile(HermiteIndex(a.m - 1, a.n), grid3.radial_t)
-                    bh, bl, fb = _profile(HermiteIndex(b.m - 1, b.n), grid3.radial_t)
-                    rh, rl = dd_mul(ah, al, bh, bl)
-                    value = polar_separable_quadrature(rh, rl, fa - fb, grid3)
-                    if a.m - b.m == a.n - b.n:
-                        da, db = abs(a.m - 1 - a.n), abs(b.m - 1 - b.n)
+                if a.m >= 1 and b.m >= 1 and a.m - b.m == a.n - b.n:
+                    da, db = abs(a.m - 1 - a.n), abs(b.m - 1 - b.n)
 
-                        def h(t, a=a, b=b, da=da, db=db):
-                            return (
-                                t ** (0.5 * (da + db))
-                                * kummer_terminating(min(a.m - 1, a.n), da + 1, t)
-                                * kummer_terminating(min(b.m - 1, b.n), db + 1, t)
-                            )
-
-                        expected = (
-                            math.pi * c_mn(a.m - 1, a.n) * c_mn(b.m - 1, b.n)
-                            * integrate_radial_weighted(h, 3.0, grid3)
+                    def h(t, a=a, b=b, da=da, db=db):
+                        return (
+                            t ** (0.5 * (da + db))
+                            * kummer_terminating(min(a.m - 1, a.n), da + 1, t)
+                            * kummer_terminating(min(b.m - 1, b.n), db + 1, t)
                         )
-                        worst = max(worst, abs(value - expected) / (1.0 + abs(expected)))
-                else:
-                    ah, al, fa = _psi_profile(a, grid)
-                    bh, bl, fb = _psi_profile(b, grid)
-                    rh, rl = dd_mul(ah, al, bh, bl)
-                    value = polar_separable_quadrature(rh, rl, fa - fb, grid)
-                assert report.values[r, s] == value
+
+                    expected = (
+                        math.pi * c_mn(a.m - 1, a.n) * c_mn(b.m - 1, b.n)
+                        * integrate_radial_weighted(h, 3.0, grid3)
+                    )
+                    gap = abs(report.values[r, s] - expected) / (1.0 + abs(expected))
+                    worst = max(worst, gap)
         assert report.radial_check_max_rel == worst > 0.0
     aliased = indices.index(HermiteIndex(0, 4)), indices.index(HermiteIndex(4, 0))
     assert report.expected_zero_mask[aliased] and report.values[aliased] != 0
-    assert report.values[aliased[::-1]] != 0
+    assert report.values[aliased[::-1]] == report.values[aliased]
 
 
 def test_psi_gram_on_wide_grids_is_finite_and_stable():

@@ -102,6 +102,24 @@ def test_kummer_parameter_array_matches_scalar():
         ]
 
 
+def test_kummer_degree_array_matches_scalar():
+    # one climb over rows of mixed degree, each leaving at its own
+    # degree, equals the per-degree calls bit for bit
+    t = np.array([float(v) for v in T_VALUES] + [17.5, 42.0])
+    p = np.array([3, 0, 7, 1, 7, 12, 2])
+    b = np.array([1, 4, 2, 9, 5, 1, 3])
+    batch = kummer_terminating(p[:, None], b[:, None], t)
+    assert batch.shape == (7, t.size)
+    for i in range(p.size):
+        assert batch[i].tobytes() == kummer_terminating(int(p[i]), int(b[i]), t).tobytes()
+    # p broadcasts against b, and against a scalar t
+    grid = kummer_terminating(p[:, None], b[None, :], 2.5)
+    for i, j in np.ndindex(grid.shape):
+        assert grid[i, j] == kummer_terminating(int(p[i]), int(b[j]), 2.5)
+    assert kummer_terminating(np.int64(4), 3, 1.5) == kummer_terminating(4, 3, 1.5)
+    assert isinstance(kummer_terminating(np.int64(4), 3, 1.5), float)
+
+
 def test_kummer_validation():
     with pytest.raises(ValueError):
         kummer_terminating(-1, 1, 0.5)
@@ -109,6 +127,10 @@ def test_kummer_validation():
         kummer_terminating(2, 0, 0.5)
     with pytest.raises(ValueError):
         kummer_terminating(2, np.array([1, 0]), 0.5)
+    with pytest.raises(ValueError):
+        kummer_terminating(np.array([2, -1]), 1, 0.5)
+    with pytest.raises(TypeError):
+        kummer_terminating(2.5, 1, 0.5)
 
 
 def test_laguerre_equals_kummer():
