@@ -6,11 +6,10 @@ primitives below follow the classical Dekker/Knuth constructions and
 work elementwise on floats and numpy arrays alike (no FMA assumed).
 
 Used where plain doubles measurably fail: polishing Gauss-Laguerre
-nodes and weights to the last ulp, evaluating radial Hermite profiles
-so that each is correctly rounded once to double before the Gram
-matmuls, and the terminating confluent series of the Gram's radial
-cross-check.  :func:`dd_weighted_sum` serves the per-pair separable
-rule, which is kept as the oracle of one Gram entry.
+nodes and weights to the last ulp, and the terminating confluent
+series of the psi Gram's radial cross-check.  :func:`dd_weighted_sum`
+serves the per-pair separable rule, which is kept as the oracle of one
+Gram entry.
 """
 
 from __future__ import annotations
@@ -86,19 +85,6 @@ def dd_div_scalar(xh, xl, c):
     rl = xl - pl
     q2 = (rh + rl) / c
     return quick_two_sum(q1, q2)
-
-
-def dd_sqrt(xh, xl):
-    """Square root of a nonnegative dd via one Newton refinement.
-
-    At x = 0 the residual is 0 as well; the step divides it by 2, not
-    by 2 sqrt(0), so sqrt(0) is (0, 0) rather than 0/0.
-    """
-    s = np.sqrt(xh)
-    ph, pl = two_prod(s, s)
-    dh, dl = dd_add(xh, xl, -ph, -pl)
-    corr = (dh + dl) / (2.0 * np.where(s == 0, 1.0, s))
-    return quick_two_sum(s, corr)
 
 
 def dd_weighted_sum(hi, lo, w):

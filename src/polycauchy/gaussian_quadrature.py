@@ -404,9 +404,10 @@ def polar_separable_quadrature(
 
     This is the per-pair route, correct to a final rounding of the
     double-double sum.  The Gram matrices do not call it: they contract
-    whole frequency classes in one matmul each
+    whole frequency classes of plain-double profiles in one matmul each
     (``ito_hermite._separable_gram``), and it serves as the oracle of
-    one such entry.
+    one such entry, with the exact product of the two profiles
+    (``_ddouble.two_prod``) as its radial pair.
     """
     radial_hi = np.asarray(radial_hi, dtype=float)
     radial_lo = np.asarray(radial_lo, dtype=float)

@@ -62,14 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ddouble import dd_mul, dd_mul_scalar, dd_sqrt
 from .gaussian_quadrature import PolarGrid
-from .special_fn import (
-    _generalized_laguerre_dd,
-    _laguerre_climb,
-    factorial,
-    generalized_laguerre,
-)
+from .special_fn import _laguerre_climb, factorial, generalized_laguerre
 
 __all__ = [
     "EXTENSION_CROSSOVER",
@@ -414,52 +408,50 @@ def hermite_radial_profile(indices, t, *, weighted: bool = False):
 
     with p = min(m, n), d = |m - n| and real P.  ``indices`` is a
     sequence of :class:`HermiteIndex` and ``t`` a 1-D array.  Returns
-    (hi, lo, freq): row i of hi + lo, shape (len(indices), t.size), is
-    a double-double evaluation of P for ``indices[i]``, and freq[i] is
-    its m - n.  The pair lets a caller round P once: hi + lo is the
-    correctly rounded profile that the Gram matmuls read, where a
-    plain-double recurrence would be a few units in the last place off
-    and the psi Gram's radial cross-check would see that.  One Laguerre
-    climb and one squaring loop for t^{d/2} serve every polynomial row,
-    and each row equals its own one-index call bit for bit.
+    (profile, freq): row i of profile, shape (len(indices), t.size), is
+    P for ``indices[i]`` in plain double, and freq[i] is its m - n.
+    One Laguerre climb serves every polynomial row, deepest rows first,
+    each leaving the climb at its own degree as in :func:`hermite_table`;
+    each t^{d/2} is raised once per distinct d.  Every step is
+    elementwise, so each row equals its own one-index call bit for bit.
 
     The extension m = -1 factorises the same way with frequency
-    -(n + 1); its rows are in plain double (lo = 0).
+    -(n + 1).
 
     With ``weighted`` the profiles are those of e^{-t} H_{m,n}: the
-    polynomial profile times e^{-t} in double-double, and for m = -1
-    the weighted form of :func:`hermite_eval_extended`, which stays
-    finite at any t.
+    polynomial profile times e^{-t}, and for m = -1 the weighted form
+    of :func:`hermite_eval_extended`, which stays finite at any t.
     """
     t = np.asarray(t, dtype=float)
     m, n = np.array([(i.m, i.n) for i in indices], dtype=int).reshape(-1, 2).T
-    poly = m >= 0
+    poly = np.flatnonzero(m >= 0)
     p, d = np.minimum(m, n)[poly], np.abs(m - n)[poly]
     # p! first: past its overflow it raises before the climb
     scale = np.array([_signed_factorial(int(q)) for q in p]).reshape(-1, 1)
-    lh, ll = _generalized_laguerre_dd(p, d, t)
-    # t^{d/2}: sqrt(t) for odd d, then d // 2 dd multiplies by t
-    zero = np.zeros_like(t)
-    rh, rl = dd_sqrt(t, zero)
-    odd = (d % 2 == 1)[:, None]
-    ph, pl = np.where(odd, rh, 1.0), np.where(odd, rl, 0.0)
-    for k in range(d.max(initial=0) // 2):
-        live = d // 2 > k
-        ph[live], pl[live] = dd_mul(ph[live], pl[live], t, zero)
-    h, l = dd_mul_scalar(*dd_mul(lh, ll, ph, pl), scale)
+    # deepest rows first: the rows of degree k are the run active[k + 1]:active[k]
+    order = np.argsort(-p, kind="stable")
+    depth = int(p.max(initial=0))
+    active = [np.count_nonzero(p >= k) for k in range(depth + 2)]
+    laguerre = np.empty((p.size, t.size))
+    for k, laguerre_k in enumerate(_laguerre_climb(depth, d[order, None], t, active)):
+        run = slice(active[k + 1], active[k])
+        laguerre[order[run]] = laguerre_k[run]
+    radial = laguerre * scale
+    for e in np.unique(d).tolist():
+        radial[d == e] *= t ** (0.5 * e)
     if weighted:
-        h, l = dd_mul(h, l, np.exp(-t), zero)
-    hi, lo = np.empty((m.size, t.size)), np.zeros((m.size, t.size))
-    hi[poly], lo[poly] = h, l
-    for r in np.flatnonzero(~poly):
+        radial *= np.exp(-t)
+    profile = np.empty((m.size, t.size))
+    profile[poly] = radial
+    for r in np.flatnonzero(m < 0):
         series, body = _extended_parts(int(n[r]), t, weighted)
         # the circle values of zbar^{n+1} and (zbar/t)^{n+1}
         half = 0.5 * (n[r] + 1)
-        hi[r] = t ** np.where(series, half, -half) * body
-    return hi, lo, m - n
+        profile[r] = t ** np.where(series, half, -half) * body
+    return profile, m - n
 
 
-def _separable_gram(hi, lo, freq, grid: PolarGrid, pairs=None) -> np.ndarray:
+def _separable_gram(profile, freq, grid: PolarGrid, pairs=None) -> np.ndarray:
     """Separable-rule Gram matrix of stacked profiles ``hermite_radial_profile`` returns.
 
     The angular sum of a pair vanishes exactly unless its frequency
@@ -467,20 +459,19 @@ def _separable_gram(hi, lo, freq, grid: PolarGrid, pairs=None) -> np.ndarray:
     n_theta.  Rows are therefore grouped by their frequency modulo
     n_theta, aliased pairs of a coarse grid included, and each class
     is one real matmul (P * w) @ P.T over the radial nodes, with the
-    profile P = hi + lo rounded once to double and the weights on the
-    left factor only.  That block is scaled by the angular constant
-    n_theta * (pi / n_theta) and its upper triangle mirrored into the
-    lower, so the Gram is exactly symmetric.  Every entry outside the
-    classes is the rule's exact 0j.  A boolean (size, size) ``pairs``
-    limits the entries further: those outside it are 0j too, and a
-    class row with no pair in it is left out of the matmul.  The
-    summation order of each entry is BLAS's for the given shapes; the
-    ``verify all`` report is byte-identical with one and with two
-    OpenBLAS threads.
+    weights on the left factor only.  That block is scaled by the
+    angular constant n_theta * (pi / n_theta) and its upper triangle
+    mirrored into the lower, so the Gram is exactly symmetric.  Every
+    entry outside the classes is the rule's exact 0j.  A boolean
+    (size, size) ``pairs`` limits the entries further: those outside it
+    are 0j too, and a class row with no pair in it is left out of the
+    matmul.  The summation order of each entry is BLAS's for the given
+    shapes; the ``verify all`` report is byte-identical with one and
+    with two OpenBLAS threads.
     ``gaussian_quadrature.polar_separable_quadrature`` is the per-pair
     double-double oracle of one entry.
     """
-    profile = np.asarray(hi, dtype=float) + lo
+    profile = np.asarray(profile, dtype=float)
     residue = np.asarray(freq) % grid.n_theta
     size = residue.size
     rows = np.arange(size)

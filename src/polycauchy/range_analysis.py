@@ -3,7 +3,8 @@
 Three views of the same operator family live here.  Index-set bases
 describe the spaces P_n(C(A^2_ell)) and their finite-dimensional
 complements; the psi-Gram computations expose the orthogonality
-selection rule <psi_{m,n}, psi_{j,k}> = 0 unless m - j = n - k; and a
+selection rule <psi_{m,n}, psi_{j,k}> = 0 unless m - j = n - k, with
+the polynomial entries from their exact closed form; and a
 truncated matrix of the transform against the normalized basis,
 assembled entry by entry from the closed projection coefficients and
 handed to LAPACK, yields singular values for compactness experiments.
@@ -153,14 +154,15 @@ class GramReport:
     """Gram matrix of psi functions with its selection-rule verdict.
 
     ``indices`` is the row and column order of ``values``.
-    expected_zero_mask flags pairs with m - j != n - k; the angular
-    rule integrates only pairs whose frequency difference is a multiple
-    of the grid's n_theta, so those entries are exact zeros unless the
-    grid aliases them.  max_violation is the largest magnitude over the
-    flagged entries and passed reflects max_violation < tolerance.
-    radial_check_max_rel records the worst relative deviation of
-    pattern-nonzero polynomial entries from the independent radial
-    route.
+    expected_zero_mask flags pairs with m - j != n - k.  Those entries
+    are exact zeros: the closed form gives them for polynomial pairs,
+    and for pairs with an m = 0 member the angular rule integrates only
+    pairs whose frequency difference is a multiple of the grid's
+    n_theta, so only a grid that aliases them makes them nonzero.
+    max_violation is the largest magnitude over the flagged entries and
+    passed reflects max_violation < tolerance.  radial_check_max_rel
+    records the worst relative deviation of pattern-nonzero polynomial
+    entries from the independent radial route.
     """
 
     indices: tuple = field(compare=False)
@@ -176,29 +178,78 @@ class GramReport:
             raise ValueError("GramReport passed flag contradicts max_violation")
 
 
+def _psi_polynomial_gram(indices) -> np.ndarray:
+    """<psi_a, psi_b> for indices with m >= 1, each rounded from its exact value.
+
+    With a = m - 1, b = n for the first index and c = j - 1, e = k for
+    the second, the entry is zero unless delta = a - b = c - e, and then
+
+        pi (-1)^{a+c} b! e! 2^{a+c} / 3^{a+e+1}
+            * sum_{q = max(0, delta)}^{min(a, c)} C(a,q) C(c,q) q! / (4^q (q - delta)!),
+
+    from sum H_{a,b} u^a v^b / (a! b!) = e^{uz + v zbar - uv} and the
+    Gaussian integral of e^{Az + B zbar - 3|z|^2}, which is
+    (pi/3) e^{AB/3}.  Every term has the sign (-1)^{a+c}, so nothing
+    cancels.  Each selection-rule class (one delta, largest a kappa) is
+    one exact object-dtype matmul (C * W) @ C.T of the binomials
+    against the integer weights W(q) = 4^{kappa-q} q! (kappa-delta)! /
+    (q-delta)!.  Each entry is then pi / (den / num), the quotient of
+    two Python integers, which rounds once, so pi/3 and pi/9 come out
+    exactly.  The matrix is exactly symmetric.  An entry past the double
+    range is inf.
+    """
+    a = np.array([i.m - 1 for i in indices], dtype=int)
+    b = np.array([i.n for i in indices], dtype=int)
+    deltas = a - b
+    out = np.zeros((a.size, a.size))
+    for delta in np.unique(deltas).tolist():
+        rows = np.flatnonzero(deltas == delta)
+        ar, br = a[rows].tolist(), b[rows].tolist()
+        kappa = max(ar)
+        qs = range(max(0, delta), kappa + 1)
+        binomials = np.array([[math.comb(x, q) for q in qs] for x in ar], dtype=object)
+        top = math.factorial(kappa - delta)
+        weights = np.array(
+            [(math.factorial(q) << 2 * (kappa - q)) * top // math.factorial(q - delta) for q in qs],
+            dtype=object,
+        )
+        sums = (binomials * weights) @ binomials.T
+        # num = b! e! S and den = 2^{2 kappa - a - c} 3^{a+e+1} (kappa - delta)!, exact
+        fact = np.array([math.factorial(y) for y in br], dtype=object)
+        num = np.multiply.outer(fact, fact) * sums
+        left = np.array([3 ** (x + 1) * top << kappa - x for x in ar], dtype=object)
+        right = np.array([3**y << kappa - x for x, y in zip(ar, br)], dtype=object)
+        ratio = (np.multiply.outer(left, right) / num).astype(float)
+        sign = np.where((a[rows, None] + a[rows]) % 2, -1.0, 1.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            out[np.ix_(rows, rows)] = sign * (math.pi / ratio)
+    return out
+
+
 def psi_gram(
     indices, grid: PolarGrid | None = None, tolerance: float = 1e-9
 ) -> GramReport:
     """Gram matrix <psi_a, psi_b> over the ambient Gaussian space.
 
-    Pairs with both first indices >= 1 integrate two polynomial
-    factors against the effective weight e^{-3|z|^2} on a beta = 3
-    grid (the two Gaussian envelopes join the ambient weight); pairs
-    involving the extended m = 0 function keep the full integrand on
-    the beta = 1 grid, whose decay is only 1/|z| times Gaussian.
-    Every entry reduces to a real radial profile times one angular
-    frequency, so the selection rule m - j = n - k is resolved
-    exactly: only pairs whose frequency difference is a multiple of
-    the grid's n_theta are integrated, one real matmul per frequency
-    class modulo n_theta, and every other entry is the rule's exact
-    zero.  The beta = 1 profiles are built only for rows in the class
-    of an m = 0 row.  The matrix is exactly symmetric.  Polynomial
-    entries expected nonzero are re-derived through the radial
-    confluent-series route (one batched series climb) and the worst
-    relative gap is reported.  The largest factorial the profiles need
-    is formed first, so an index past its overflow raises
-    OverflowError before any work.  An entry or gap that is not finite
-    raises ValueError, so a report never passes on one.
+    Pairs with both first indices >= 1 come from their exact closed
+    form (:func:`_psi_polynomial_gram`), within one rounding of pi
+    times a rational, whatever the grid.  Pairs involving the extended
+    m = 0 function are integrated on the beta = 1 grid, whose decay is
+    only 1/|z| times Gaussian: every such entry reduces to a real radial
+    profile times one angular frequency, so only pairs whose frequency
+    difference is a multiple of the grid's n_theta are integrated, one
+    real matmul per frequency class modulo n_theta, and every other
+    entry is the rule's exact zero.  The beta = 1 profiles are built
+    only for rows in the class of an m = 0 row.  The matrix is exactly
+    symmetric.  Polynomial entries expected nonzero are re-derived
+    through the radial confluent-series route on beta = 3 nodes (one
+    batched series climb), an independent check, and the worst relative
+    gap is reported.  That rule is exact for a pair only while
+    (m - 1 + n + j - 1 + k) / 2 <= 2 n_radial - 1, so the gap also shows
+    an n_radial too small for the indices.  The largest factorial the profiles need is formed first, so
+    an index past its overflow raises OverflowError before any work.
+    An entry or gap that is not finite raises ValueError, so a report
+    never passes on one.
     """
     if grid is None:
         grid = build_polar_grid()
@@ -210,8 +261,6 @@ def psi_gram(
             raise ValueError(f"psi_gram requires indices with m >= 0, got {i}")
     # p! first: past its overflow it raises before the profiles are built
     factorial(max((max(i.m - 1, i.n) for i in idx), default=0))
-    grid3 = build_polar_grid(grid.n_radial, grid.n_theta, 3.0)
-    shifted = [HermiteIndex(i.m - 1, i.n) for i in idx]
     m = np.array([i.m for i in idx], dtype=int)
     n = np.array([i.n for i in idx], dtype=int)
     mask = (m[:, None] - m[None, :]) != (n[:, None] - n[None, :])
@@ -224,22 +273,16 @@ def psi_gram(
         # psi_{m,n} = -e^{-t} H_{m-1,n}; the sign cancels in every product.
         # The weighted profiles form the m = 0 images without e^t, so they
         # stay finite on the outermost nodes of large grids
-        profiles = hermite_radial_profile(
-            [i for i, keep in zip(shifted, near) if keep], grid.radial_t, weighted=True
+        profile, freq = hermite_radial_profile(
+            [HermiteIndex(i.m - 1, i.n) for i, keep in zip(idx, near) if keep],
+            grid.radial_t,
+            weighted=True,
         )
         pairs = zero[near][:, None] | zero[near][None, :]
-        values[np.ix_(near, near)] = _separable_gram(*profiles, grid, pairs)
+        values[np.ix_(near, near)] = _separable_gram(profile, freq, grid, pairs)
     poly = np.ix_(~zero, ~zero)
     poly_idx = [i for i in idx if i.m >= 1]
-    values[poly] = _separable_gram(
-        *hermite_radial_profile([i for i in shifted if i.m >= 0], grid3.radial_t), grid3
-    )
-
-    rows, cols = np.nonzero(~mask[poly])
-    expected = _psi_pair_radial(poly_idx, rows, cols, grid)
-    at = np.flatnonzero(~zero)
-    gap = np.abs(values[at[rows], at[cols]] - expected) / (1.0 + np.abs(expected))
-    radial_worst = float(np.max(gap, initial=0.0))
+    values.real[poly] = _psi_polynomial_gram(poly_idx)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         r, s = bad[0]
@@ -248,6 +291,12 @@ def psi_gram(
             f"psi_gram: <psi_({a.m},{a.n}), psi_({b.m},{b.n})> = {values[r, s]} "
             "is not a finite double"
         )
+
+    rows, cols = np.nonzero(~mask[poly])
+    expected = _psi_pair_radial(poly_idx, rows, cols, grid)
+    at = np.flatnonzero(~zero)
+    gap = np.abs(values[at[rows], at[cols]] - expected) / (1.0 + np.abs(expected))
+    radial_worst = float(np.max(gap, initial=0.0))
     if not math.isfinite(radial_worst):
         raise ValueError(f"psi_gram: radial cross-check gap {radial_worst} is not finite")
 

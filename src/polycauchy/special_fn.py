@@ -177,46 +177,6 @@ def _laguerre_climb(p: int, d, t, active=None):
         yield cur
 
 
-def _generalized_laguerre_dd(p, d, t):
-    """L_{p_i}^(d_i)(t) in double-double for each row i, t an exact 1-D double array.
-
-    ``p`` and ``d`` are integer sequences, one (degree, parameter) pair
-    per row.  Returns (hi, lo), each of shape (len(p), t.size).  Used
-    for the radial profiles, so each rounds once to double where a
-    plain-double climb would be a few ulp off.
-
-    One recurrence climb serves every row.  Rows run in order of
-    descending degree, so a row whose degree is reached drops off the
-    end of the active block and keeps its last iterate.  Every step is
-    elementwise with exact small-integer coefficients, so each row
-    equals its own one-row climb bit for bit.
-    """
-    p = np.asarray(p, dtype=int)
-    t = np.asarray(t, dtype=float)
-    order = np.argsort(-p, kind="stable")
-    d = np.asarray(d, dtype=float)[order, None]
-    live = np.count_nonzero(p >= 1)
-    hi, lo = np.ones((p.size, t.size)), np.zeros((p.size, t.size))
-    zero = np.zeros_like(t)
-    ph, pl = hi[:live].copy(), lo[:live].copy()
-    ch, cl = dd_add(1.0 + d[:live], 0.0, -t, zero)
-    for k in range(1, int(p.max(initial=0))):
-        # rows of degree k leave the climb with L_k
-        keep = np.count_nonzero(p > k)
-        hi[keep:live], lo[keep:live] = ch[keep:], cl[keep:]
-        live = keep
-        d, ph, pl, ch, cl = d[:live], ph[:live], pl[:live], ch[:live], cl[:live]
-        ah, al = dd_add((2 * k + 1) + d, 0.0, -t, zero)
-        th, tl = dd_mul(ah, al, ch, cl)
-        sh, sl = dd_add(th, tl, *dd_mul_scalar(ph, pl, -(k + d)))
-        nh, nl = dd_div_scalar(sh, sl, float(k + 1))
-        ph, pl, ch, cl = ch, cl, nh, nl
-    hi[:live], lo[:live] = ch, cl
-    out_hi, out_lo = np.empty_like(hi), np.empty_like(lo)
-    out_hi[order], out_lo[order] = hi, lo
-    return out_hi, out_lo
-
-
 def kummer_terminating(p, b, t):
     """Terminating confluent series 1F1(-p; b; t).
 

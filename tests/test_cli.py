@@ -166,17 +166,43 @@ def test_gram_with_a_non_finite_entry_exits_3(capsys, monkeypatch):
     profile = range_analysis.hermite_radial_profile
 
     def broken(indices, t, *, weighted=False):
-        hi, lo, freq = profile(indices, t, weighted=weighted)
+        values, freq = profile(indices, t, weighted=weighted)
         if weighted:
             # the beta = 1 row of psi_(0,1) = -e^{-t} H_{-1,1}
-            hi[list(indices).index(HermiteIndex(-1, 1))] = np.nan
-        return hi, lo, freq
+            values[list(indices).index(HermiteIndex(-1, 1))] = np.nan
+        return values, freq
 
     monkeypatch.setattr(range_analysis, "hermite_radial_profile", broken)
     assert main(["gram", "--max-index", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "psi_(0,1)" in captured.err and "not a finite double" in captured.err
+
+
+def test_gram_overflow_exits_3(capsys, monkeypatch):
+    # past the double range a closed-form entry is inf, refused with the
+    # pair named; a Gram reaching (110, 110) itself would not fit in memory
+    def overflowing(indices, grid):
+        return psi_gram([(1, 0), (110, 110)], grid)
+
+    monkeypatch.setattr(cli, "psi_gram", overflowing)
+    assert main(["gram", "--max-index", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "psi_(110,110)" in captured.err and "not a finite double" in captured.err
+
+
+def test_gram_cross_check_sees_an_under_resolved_radial_rule(capsys):
+    # K = 3 integrands reach degree 2K - 1 = 5 in t: 3 nodes integrate
+    # them exactly and 2 do not.  The closed-form Gram does not read the
+    # nodes, so the cross-check's gap shows the difference; the exit code
+    # stays 0, since only the selection rule decides it
+    gaps = {}
+    for nr in ("2", "3"):
+        assert main(["gram", "--max-index", "3", "--nr", nr]) == 0
+        gaps[nr] = json.loads(capsys.readouterr().out)["radial_check_max_rel"]
+    assert gaps["2"] > 1e-3
+    assert gaps["3"] < 1e-15
 
 
 def test_usage_error_exit_code(capsys):

@@ -14,7 +14,6 @@ from polycauchy._ddouble import (
     dd_div,
     dd_mul,
     dd_mul_scalar,
-    dd_sqrt,
     dd_weighted_sum,
     two_prod,
     two_sum,
@@ -76,14 +75,6 @@ def test_dd_div_matches_fraction():
         want = as_fraction(xh, xl) / as_fraction(yh, yl)
         if want != 0:
             assert abs(as_fraction(qh, ql) - want) <= abs(want) * Fraction(1, 10**29)
-
-
-def test_dd_sqrt_squares_back():
-    for a, _ in SAMPLES:
-        x = abs(a) + 1.0
-        sh, sl = dd_sqrt(x, 0.0)
-        sq = as_fraction(*dd_mul(sh, sl, sh, sl))
-        assert abs(sq - Fraction(x)) <= Fraction(x) * Fraction(1, 10**29)
 
 
 def test_dd_mul_scalar_exact_small_ints():

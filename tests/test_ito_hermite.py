@@ -14,6 +14,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,10 +30,9 @@ from polycauchy import (
     polar_separable_quadrature,
     psi_gram,
 )
-from polycauchy._ddouble import dd_add, dd_div_scalar, dd_mul, dd_mul_scalar, dd_sqrt
+from polycauchy._ddouble import two_prod
 from polycauchy.ito_hermite import (
     EXTENSION_CROSSOVER,
-    _extended_parts,
     _power,
     _separable_gram,
     _series_coefficients,
@@ -329,9 +329,9 @@ def test_extension_closes_transform_of_antiholomorphic_family():
 
 
 def _profile(idx, t, *, weighted=False):
-    """One index's (hi, lo, freq) from a one-row profile call."""
-    hi, lo, freq = hermite_radial_profile([idx], t, weighted=weighted)
-    return hi[0], lo[0], freq[0]
+    """One index's (profile, freq) from a one-row profile call."""
+    profile, freq = hermite_radial_profile([idx], t, weighted=weighted)
+    return profile[0], freq[0]
 
 
 def test_radial_profile_reconstructs_values():
@@ -340,50 +340,20 @@ def test_radial_profile_reconstructs_values():
     phase = complex(math.cos(theta), math.sin(theta))
     z = np.sqrt(t) * phase
     indices = [HermiteIndex(m, n) for m in range(-1, 5) for n in range(5)]
-    his, los, freqs = hermite_radial_profile(indices, t)
-    assert his.shape == los.shape == (len(indices), t.size)
-    for idx, hi, lo, freq in zip(indices, his, los, freqs):
+    profiles, freqs = hermite_radial_profile(indices, t)
+    assert profiles.shape == (len(indices), t.size)
+    for idx, profile, freq in zip(indices, profiles, freqs):
         m, n = idx.m, idx.n
         assert freq == m - n
-        prof = (hi + lo) * phase**freq
+        prof = profile * phase**freq
         direct = hermite_eval_extended(n, z) if m == -1 else hermite_eval(idx, z)
         err = np.max(np.abs(prof - direct) / (1.0 + np.abs(direct)))
         assert err <= 1e-13
 
 
-def _reference_profile(idx: HermiteIndex, t: np.ndarray, weighted: bool):
-    """The one-index profile: its own dd Laguerre climb, t^{d/2} loop, scale and damp."""
-    m, n = idx.m, idx.n
-    if m == -1:
-        series, body = _extended_parts(n, t, weighted)
-        half = 0.5 * (n + 1)
-        return t ** np.where(series, half, -half) * body, np.zeros_like(t)
-    p, d = min(m, n), abs(m - n)
-    zero = np.zeros_like(t)
-    ph, pl = np.ones_like(t), zero.copy()
-    ch, cl = ph, pl
-    if p > 0:
-        ch, cl = dd_add(float(1 + d), 0.0, -t, zero)
-        for k in range(1, p):
-            ah, al = dd_add(float(2 * k + d + 1), 0.0, -t, zero)
-            th, tl = dd_mul(ah, al, ch, cl)
-            sh, sl = dd_add(th, tl, *dd_mul_scalar(ph, pl, -float(k + d)))
-            nh, nl = dd_div_scalar(sh, sl, float(k + 1))
-            ph, pl, ch, cl = ch, cl, nh, nl
-    h, l = dd_sqrt(t, zero) if d % 2 else (np.ones_like(t), zero)
-    for _ in range(d // 2):
-        h, l = dd_mul(h, l, t, zero)
-    h, l = dd_mul(ch, cl, h, l)
-    h, l = dd_mul_scalar(h, l, -factorial(p) if p % 2 else factorial(p))
-    if weighted:
-        damp = np.exp(-t)
-        h, l = dd_mul(h, l, damp, np.zeros_like(damp))
-    return h, l
-
-
 def test_batched_profiles_equal_the_one_index_recurrence():
     # one climb over all rows, rows leaving at their own degree, gives
-    # each row the bits of its own recurrence
+    # each row the bits of its own one-index call
     pairs = (
         (-1, 0), (3, 0), (0, 0), (2, 5), (-1, 7), (1, 1), (5, 2), (0, 9),
         (7, 3), (4, 4), (30, 12), (12, 30), (6, 11), (-1, 12), (9, 9), (1, 0),
@@ -394,12 +364,36 @@ def test_batched_profiles_equal_the_one_index_recurrence():
         for weighted in (False, True):
             # unweighted m = -1 rows overflow to inf past e^t's range
             with np.errstate(over="ignore"):
-                hi, lo, freq = hermite_radial_profile(indices, t, weighted=weighted)
-                want = [_reference_profile(idx, t, weighted) for idx in indices]
+                profiles, freq = hermite_radial_profile(indices, t, weighted=weighted)
+                want = [_profile(idx, t, weighted=weighted) for idx in indices]
             assert freq.tolist() == [m - n for m, n in pairs]
-            for r, (wh, wl) in enumerate(want):
-                assert hi[r].tobytes() == wh.tobytes(), (pairs[r], t.size, weighted)
-                assert lo[r].tobytes() == wl.tobytes(), (pairs[r], t.size, weighted)
+            for r, (row, row_freq) in enumerate(want):
+                assert profiles[r].tobytes() == row.tobytes(), (pairs[r], t.size, weighted)
+                assert freq[r] == row_freq
+
+
+def test_radial_profiles_against_mpmath():
+    # P = (-1)^p p! t^{d/2} L_p^(d)(t) against a 30-digit reference.  The
+    # climb's error scales with the magnitudes of the Laguerre terms, as
+    # in test_generalized_laguerre_against_mpmath, so each row is held to
+    # 1e-14 of p! t^{d/2} sum_k C(p+d, p-k) t^k / k!
+    indices = [HermiteIndex(m, n) for m in range(13) for n in range(13)]
+    indices += [HermiteIndex(30, 12), HermiteIndex(12, 30), HermiteIndex(40, 45)]
+    t = np.concatenate([build_polar_grid(16, 8).radial_t, [0.0, 0.37, 7.25, 60.0]])
+    for weighted in (False, True):
+        profiles, _ = hermite_radial_profile(indices, t, weighted=weighted)
+        with mpmath.workdps(30):
+            for idx, row in zip(indices, profiles):
+                p, d = min(idx.m, idx.n), abs(idx.m - idx.n)
+                for x, value in zip(t.tolist(), row.tolist()):
+                    damp = mpmath.exp(-x) if weighted else 1
+                    power = mpmath.mpf(x) ** (mpmath.mpf(d) / 2)
+                    want = (-1) ** p * mpmath.factorial(p) * power * mpmath.laguerre(p, d, x)
+                    scale = math.fsum(
+                        math.comb(p + d, p - k) * x**k / math.factorial(k) for k in range(p + 1)
+                    )
+                    bound = 1e-14 * math.factorial(p) * float(power * damp) * scale
+                    assert abs(value - float(want * damp)) <= bound, (idx, x, weighted)
 
 
 def _hermite_gram(indices, grid=None) -> np.ndarray:
@@ -415,9 +409,9 @@ def hermite_inner_product(a: HermiteIndex, b: HermiteIndex, grid=None) -> comple
     the separable rule with frequency f_a - f_b.
     """
     grid = build_polar_grid() if grid is None else grid
-    ah, al, fa = _profile(a, grid.radial_t)
-    bh, bl, fb = _profile(b, grid.radial_t)
-    rh, rl = dd_mul(ah, al, bh, bl)
+    pa, fa = _profile(a, grid.radial_t)
+    pb, fb = _profile(b, grid.radial_t)
+    rh, rl = two_prod(pa, pb)
     return polar_separable_quadrature(rh, rl, fa - fb, grid)
 
 
@@ -470,14 +464,14 @@ def test_gram_matrix_matches_exact_rule():
     # to a nonzero entry, which the Gram must integrate too.
     for size, grid in ((7, build_polar_grid()), (5, build_polar_grid(16, 8))):
         indices = [HermiteIndex(m, n) for m in range(size) for n in range(size)]
-        hi, lo, freq = hermite_radial_profile(indices, grid.radial_t)
-        g = _separable_gram(hi, lo, freq, grid)
+        profile, freq = hermite_radial_profile(indices, grid.radial_t)
+        g = _separable_gram(profile, freq, grid)
         assert g.shape == (size * size, size * size)
         assert np.array_equal(g, g.T)
         exact = _exact_rule_gram(indices, grid.n_theta)
         kept = (freq[:, None] - freq[None, :]) % grid.n_theta == 0
         assert np.all(g[~kept] == 0j)
-        profile = np.abs(hi + lo)
+        profile = np.abs(profile)
         bound = 8 * np.finfo(float).eps * math.pi * (profile * grid.radial_w) @ profile.T
         want = math.pi * exact[kept].astype(float)
         assert np.all(np.abs(g[kept] - want) <= bound[kept])
@@ -583,8 +577,8 @@ def test_series_term_count_meets_the_cutoff():
 def test_weighted_profiles():
     t = np.array([0.0, 0.2, 0.3, 1.7, 4.2, 30.0, 700.0, 767.8, 1e4])
     for n in range(6):
-        hi, lo, freq = _profile(HermiteIndex(-1, n), t, weighted=True)
-        assert freq == -(n + 1) and np.all(lo == 0.0) and np.all(np.isfinite(hi))
+        hi, freq = _profile(HermiteIndex(-1, n), t, weighted=True)
+        assert freq == -(n + 1) and np.all(np.isfinite(hi))
         with np.errstate(over="ignore", invalid="ignore"):
             plain = _profile(HermiteIndex(-1, n), t)[0]
         small = t <= 30.0
@@ -594,22 +588,19 @@ def test_weighted_profiles():
         assert hi[-1] == pytest.approx(-math.factorial(n) * 1e4 ** (-0.5 * (n + 1)), rel=1e-15)
     nodes = t[1:-3]
     for m, n in ((0, 0), (3, 1), (2, 5)):
-        h, l, freq = _profile(HermiteIndex(m, n), nodes)
-        wh, wl, wfreq = _profile(HermiteIndex(m, n), nodes, weighted=True)
-        damp = np.exp(-nodes)
-        want = dd_mul(h, l, damp, np.zeros_like(damp))
+        h, freq = _profile(HermiteIndex(m, n), nodes)
+        wh, wfreq = _profile(HermiteIndex(m, n), nodes, weighted=True)
+        # the polynomial profile times e^{-t}, one product per node
         assert wfreq == freq
-        assert np.array_equal(wh, want[0]) and np.array_equal(wl, want[1])
+        assert np.array_equal(wh, h * np.exp(-nodes))
 
 
 def test_radial_profile_at_the_origin():
-    # t^{d/2} at t = 0 is 0 for odd d too, with no 0/0 (a NaN and a
-    # RuntimeWarning) in the dd square root of 0
+    # t^{d/2} at t = 0 is 0 for odd d too, with no NaN or RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         indices = [HermiteIndex(m, n) for m in range(7) for n in range(7)]
-        hi, lo, _ = hermite_radial_profile(indices, np.zeros(1))
-        assert hi[:, 0].tolist() == [hermite_eval(i, 0j).real for i in indices]
-        assert not lo.any()
-        hi, lo, _ = _profile(HermiteIndex(2, 5), np.array([0.0, 1.0]))
-        assert hi.tolist() == [0.0, 11.0] and lo.tolist() == [0.0, 0.0]
+        profile, _ = hermite_radial_profile(indices, np.zeros(1))
+        assert profile[:, 0].tolist() == [hermite_eval(i, 0j).real for i in indices]
+        profile, _ = _profile(HermiteIndex(2, 5), np.array([0.0, 1.0]))
+        assert profile.tolist() == [0.0, 11.0]

@@ -26,8 +26,7 @@ from polycauchy import (
     range_basis_indices,
     truncated_operator_svd,
 )
-from polycauchy import ito_hermite
-from polycauchy._ddouble import dd_add, dd_mul, dd_mul_scalar, quick_two_sum, two_prod
+from polycauchy._ddouble import two_prod
 from polycauchy.gaussian_quadrature import (
     PolarGrid,
     build_polar_grid,
@@ -141,15 +140,15 @@ def test_psi_gram_overflow_raises_before_any_profile(monkeypatch):
 
 
 def _profile(idx, t, *, weighted=False):
-    """One index's (hi, lo, freq) from a one-row profile call."""
-    hi, lo, freq = hermite_radial_profile([idx], t, weighted=weighted)
-    return hi[0], lo[0], freq[0]
+    """One index's (profile, freq) from a one-row profile call."""
+    profile, freq = hermite_radial_profile([idx], t, weighted=weighted)
+    return profile[0], freq[0]
 
 
 def _psi_profile(idx: HermiteIndex, grid: PolarGrid):
     """Profile of psi_{m,n} = -e^{-t} H_{m-1,n} on a beta = 1 grid."""
-    h, l, freq = _profile(HermiteIndex(idx.m - 1, idx.n), grid.radial_t, weighted=True)
-    return dd_mul_scalar(h, l, -1.0) + (freq,)
+    profile, freq = _profile(HermiteIndex(idx.m - 1, idx.n), grid.radial_t, weighted=True)
+    return -profile, freq
 
 
 # pi to 50 digits, so pi times an exact rational rounds once
@@ -172,39 +171,61 @@ def _exact_psi_entry(a: HermiteIndex, b: HermiteIndex, table: dict) -> float:
 
 
 def test_psi_gram_matches_exact_rational_gram():
-    # every pattern-nonzero m, j >= 1 entry at K = 8 against the exact
-    # Gram.  Each is one 64-node sum of P_a w P_b on correctly rounded
-    # profiles: its error is a few eps times S = pi sum_k w_k |P_a P_b|,
-    # and S/|entry| is at most 6.9 here, so 6.4e-16 relative was
-    # measured; the bound is 4e-15 (18 eps).
-    K = 8
-    indices = [HermiteIndex(m, n) for m in range(K + 1) for n in range(K + 1)]
-    report = psi_gram(indices)
-    values = report.values
-    assert np.array_equal(values, values.T)
-    # on 128 angles no pair aliases: off the pattern is the exact zero
-    assert np.all(values[report.expected_zero_mask] == 0j) and report.max_violation == 0.0
-    table = _hermite_integer_coefficients(K)
-    worst = 0.0
-    for r, a in enumerate(indices):
-        for s, b in enumerate(indices):
-            if a.m >= 1 and b.m >= 1 and not report.expected_zero_mask[r, s]:
-                want = _exact_psi_entry(a, b, table)
-                worst = max(worst, abs(values[r, s] - want) / abs(want))
-    assert worst <= 4e-15
+    # every pattern-nonzero m, j >= 1 entry at K = 8 and 16 is within one
+    # ulp of the correctly rounded exact Gram: the closed form rounds the
+    # exact rational once, then divides pi by it.  The anchors pi/3 and
+    # pi/9 come out exactly.
+    for K in (8, 16):
+        indices = [HermiteIndex(m, n) for m in range(K + 1) for n in range(K + 1)]
+        report = psi_gram(indices)
+        values = report.values
+        assert np.array_equal(values, values.T)
+        # on 128 angles no pair aliases: off the pattern is the exact zero
+        assert np.all(values[report.expected_zero_mask] == 0j) and report.max_violation == 0.0
+        for idx, anchor in (((1, 0), math.pi / 3), ((2, 0), math.pi / 9)):
+            at = indices.index(HermiteIndex(*idx))
+            assert values[at, at] == anchor
+        table = _hermite_integer_coefficients(K)
+        for r, a in enumerate(indices):
+            for s, b in enumerate(indices[: r + 1]):
+                if a.m >= 1 and b.m >= 1 and not report.expected_zero_mask[r, s]:
+                    want = _exact_psi_entry(a, b, table)
+                    assert values[r, s].imag == 0.0
+                    assert abs(values[r, s].real - want) <= np.spacing(abs(want)), (a, b)
     # the m = 0 entries have no exact route: hold them against the
-    # per-pair double-double rule, within the same 8 eps S model
+    # per-pair double-double rule on the exact profile products.  Each is
+    # one 64-node sum of P_a w P_b, so its error is a few eps times
+    # S = pi sum_k w_k |P_a P_b|; the bound is 8 eps S.
     grid = build_polar_grid()
     eps = np.finfo(float).eps
     for r, a in enumerate(indices):
         for s, b in enumerate(indices[: r + 1]):
             if (a.m == 0 or b.m == 0) and not report.expected_zero_mask[r, s]:
-                ah, al, fa = _psi_profile(a, grid)
-                bh, bl, fb = _psi_profile(b, grid)
-                rh, rl = dd_mul(ah, al, bh, bl)
+                pa, fa = _psi_profile(a, grid)
+                pb, fb = _psi_profile(b, grid)
+                rh, rl = two_prod(pa, pb)
                 want = polar_separable_quadrature(rh, rl, fa - fb, grid)
-                scale = math.pi * np.sum(grid.radial_w * np.abs((ah + al) * (bh + bl)))
+                scale = math.pi * np.sum(grid.radial_w * np.abs(pa * pb))
                 assert abs(values[r, s] - want) <= 8 * eps * scale, (a, b)
+
+
+def test_psi_polynomial_block_does_not_depend_on_the_grid():
+    # the m, j >= 1 block is the closed form on every grid, bit for bit
+    indices = [HermiteIndex(m, n) for m in range(6) for n in range(6)]
+    poly = np.ix_(*[[i.m >= 1 for i in indices]] * 2)
+    blocks = [
+        psi_gram(indices, build_polar_grid(nr, nt)).values[poly]
+        for nr, nt in ((64, 128), (8, 16), (2, 8))
+    ]
+    for block in blocks[1:]:
+        assert block.tobytes() == blocks[0].tobytes()
+
+
+def test_psi_gram_overflow_is_a_named_error():
+    # past the double range an entry is inf, refused with the pair named
+    for indices in ([(110, 110)], [(1, 0), (110, 110)]):
+        with pytest.raises(ValueError, match=r"psi_\(110,110\).*not a finite double"):
+            psi_gram(indices)
 
 
 def test_psi_gram_keeps_its_residue_classes():
@@ -269,11 +290,11 @@ def test_psi_gram_refuses_non_finite_values(monkeypatch):
     profile = range_analysis.hermite_radial_profile
 
     def broken(indices, t, *, weighted=False):
-        hi, lo, freq = profile(indices, t, weighted=weighted)
+        values, freq = profile(indices, t, weighted=weighted)
         if weighted:
             # the beta = 1 row of psi_(0,1) = -e^{-t} H_{-1,1}
-            hi[list(indices).index(HermiteIndex(-1, 1)), -1] = np.nan
-        return hi, lo, freq
+            values[list(indices).index(HermiteIndex(-1, 1)), -1] = np.nan
+        return values, freq
 
     monkeypatch.setattr(range_analysis, "hermite_radial_profile", broken)
     with pytest.raises(ValueError, match=r"psi_\(0,1\).*not a finite double"):
@@ -322,14 +343,13 @@ def _psi_basis_entry(
     """
     j, k = psi_idx.m, psi_idx.n
     if j >= 1:
-        ah, al, fa = _profile(HermiteIndex(j - 1, k), grid2.radial_t)
-        bh, bl, fb = _profile(basis_idx, grid2.radial_t)
-        rh, rl = dd_mul(ah, al, bh, bl)
-        rh, rl = dd_mul_scalar(rh, rl, -1.0)
+        pa, fa = _profile(HermiteIndex(j - 1, k), grid2.radial_t)
+        pb, fb = _profile(basis_idx, grid2.radial_t)
+        rh, rl = two_prod(-pa, pb)
         return complex(polar_separable_quadrature(rh, rl, fa - fb, grid2)).real
-    ah, al, fa = _psi_profile(psi_idx, grid1)
-    bh, bl, fb = _profile(basis_idx, grid1.radial_t)
-    rh, rl = dd_mul(ah, al, bh, bl)
+    pa, fa = _psi_profile(psi_idx, grid1)
+    pb, fb = _profile(basis_idx, grid1.radial_t)
+    rh, rl = two_prod(pa, pb)
     return complex(polar_separable_quadrature(rh, rl, fa - fb, grid1)).real
 
 
@@ -367,21 +387,3 @@ def test_operator_svd_small_degrees():
         truncated_operator_svd(13)
     with pytest.raises(ValueError):
         truncated_operator_svd(-1)
-
-
-def test_psi_gram_unchanged_by_the_zero_square_root(monkeypatch):
-    # the dd square root's guard for t = 0 leaves every value at t > 0
-    # alone: the Gram over m, n <= 8 equals the unguarded step's bits
-    indices = [HermiteIndex(m, n) for m in range(9) for n in range(9)]
-    guarded = psi_gram(indices)
-
-    def unguarded(xh, xl):
-        s = np.sqrt(xh)
-        ph, pl = two_prod(s, s)
-        dh, dl = dd_add(xh, xl, -ph, -pl)
-        return quick_two_sum(s, (dh + dl) / (2.0 * s))
-
-    monkeypatch.setattr(ito_hermite, "dd_sqrt", unguarded)
-    plain = psi_gram(indices)
-    assert np.array_equal(guarded.values.view(np.int64), plain.values.view(np.int64))
-    assert guarded.radial_check_max_rel == plain.radial_check_max_rel
