@@ -113,44 +113,32 @@ def _finite(value: complex, what: str) -> complex:
     return value
 
 
-def _json_parts(re: float, im: float) -> float | list[float]:
-    """A complex number for JSON: a bare real when im is 0, else [re, im]."""
-    if im == 0.0:
-        return re + 0.0
-    return [re + 0.0, im + 0.0]
-
-
 def _json_complex(value: complex) -> float | list[float]:
+    """A complex number for JSON: a bare real when im is 0, else [re, im]."""
     value = complex(value)
-    return _json_parts(value.real, value.imag)
+    re, im = value.real + 0.0, value.imag + 0.0
+    if im == 0.0:
+        return re
+    return [re, im]
 
 
 def _json_by_rows(payload: dict) -> str:
-    """A flat mapping as JSON, each list value written one element per line.
+    """A flat mapping as JSON, each array value written one row per line.
 
-    Loads to the same object as ``json.dumps(payload, indent=2)``; a
-    matrix takes one line per row instead of one per entry.
+    Loads to the same object as ``json.dumps(payload, indent=2)`` with
+    each array as its nested list; a matrix takes one line per row
+    instead of one per entry.  ``row + 0`` turns -0.0 into 0.0 and
+    leaves integer rows integers.
     """
     fields = []
     for key, value in payload.items():
-        if isinstance(value, list) and value:
-            text = "[\n" + ",\n".join(f"    {json.dumps(row)}" for row in value) + "\n  ]"
+        if isinstance(value, np.ndarray):
+            rows = (f"    {json.dumps((row + 0).tolist())}" for row in value)
+            text = "[\n" + ",\n".join(rows) + "\n  ]"
         else:
             text = json.dumps(value)
         fields.append(f"  {json.dumps(key)}: {text}")
     return "{\n" + ",\n".join(fields) + "\n}"
-
-
-def _json_complex_rows(values: np.ndarray) -> list:
-    """Rows of a complex matrix as :func:`_json_complex` writes each entry.
-
-    Reads the real and imaginary parts once each as Python floats, so
-    no entry is converted on its own.
-    """
-    return [
-        [_json_parts(re, im) for re, im in zip(re_row, im_row)]
-        for re_row, im_row in zip(values.real.tolist(), values.imag.tolist())
-    ]
 
 
 # The JSON number type each config key takes; an int also serves as a float.
@@ -268,19 +256,17 @@ def _cmd_gram(args: argparse.Namespace, cfg: VerifyConfig) -> int:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["psi"] + labels)
-        for r, label in enumerate(labels):
-            writer.writerow(
-                [label] + [format_complex(report.values[r, s]) for s in range(len(labels))]
-            )
+        for label, row in zip(labels, report.values):
+            writer.writerow([label] + [format_real(x) for x in row.tolist()])
         _emit(buf.getvalue(), args)
     else:
         payload = {
-            "indices": [[i.m, i.n] for i in indices],
+            "indices": np.array([[i.m, i.n] for i in indices]),
             "max_violation": report.max_violation,
             "tolerance": report.tolerance,
             "pass": report.passed,
             "radial_check_max_rel": report.radial_check_max_rel,
-            "values": _json_complex_rows(report.values),
+            "values": report.values,
         }
         _emit(_json_by_rows(payload), args)
     return 0 if report.passed else 1

@@ -451,7 +451,7 @@ def hermite_radial_profile(indices, t, *, weighted: bool = False):
     return profile, m - n
 
 
-def _separable_gram(profile, freq, grid: PolarGrid, pairs=None) -> np.ndarray:
+def _separable_gram(profile, freq, grid: PolarGrid) -> np.ndarray:
     """Separable-rule Gram matrix of stacked profiles ``hermite_radial_profile`` returns.
 
     The angular sum of a pair vanishes exactly unless its frequency
@@ -459,40 +459,29 @@ def _separable_gram(profile, freq, grid: PolarGrid, pairs=None) -> np.ndarray:
     n_theta.  Rows are therefore grouped by their frequency modulo
     n_theta, aliased pairs of a coarse grid included, and each class
     is one real matmul (P * w) @ P.T over the radial nodes, with the
-    weights on the left factor only.  That block is scaled by the
-    angular constant n_theta * (pi / n_theta) and its upper triangle
-    mirrored into the lower, so the Gram is exactly symmetric.  Every
-    entry outside the classes is the rule's exact 0j.  A boolean
-    (size, size) ``pairs`` limits the entries further: those outside it
-    are 0j too, and a class row with no pair in it is left out of the
-    matmul.  The summation order of each entry is BLAS's for the given
-    shapes; the ``verify all`` report is byte-identical with one and
-    with two OpenBLAS threads.
+    weights on the left factor only.  That block has its upper triangle
+    mirrored into the lower, so the Gram is exactly symmetric, and is
+    scaled by the angular constant n_theta * (pi / n_theta).  The
+    result is a real float64 matrix, and every entry outside the
+    classes is the rule's exact 0.0.  The summation order of each entry
+    is BLAS's for the given shapes; the ``verify all`` report is
+    byte-identical with one and with two OpenBLAS threads.
     ``gaussian_quadrature.polar_separable_quadrature`` is the per-pair
     double-double oracle of one entry.
     """
     profile = np.asarray(profile, dtype=float)
     residue = np.asarray(freq) % grid.n_theta
-    size = residue.size
-    rows = np.arange(size)
-    if pairs is not None:
-        wanted = pairs & (residue[:, None] == residue[None, :])
-        rows = rows[wanted.any(axis=0) | wanted.any(axis=1)]
     # classes as contiguous runs; the stable sort keeps each class in index order
-    rows = rows[np.argsort(residue[rows], kind="stable")]
+    rows = np.argsort(residue, kind="stable")
     starts = np.flatnonzero(np.diff(residue[rows], prepend=-1)).tolist() + [rows.size]
     p = profile[rows]
     weighted = p * grid.radial_w
-    block = np.zeros((rows.size, rows.size))
+    angular = grid.n_theta * (np.pi / grid.n_theta)
+    values = np.zeros((rows.size, rows.size))
     for s, e in zip(starts[:-1], starts[1:]):
         product = weighted[s:e] @ p[s:e].T
         # mirror the upper triangle, so the block is exactly symmetric
         for i in range(1, e - s):
             product[i, :i] = product[:i, i]
-        block[s:e, s:e] = product
-    block *= grid.n_theta * (np.pi / grid.n_theta)
-    values = np.zeros((size, size), dtype=complex)
-    values.real[np.ix_(rows, rows)] = block
-    if pairs is not None:
-        values[~pairs] = 0j
+        values[np.ix_(rows[s:e], rows[s:e])] = product * angular
     return values

@@ -153,9 +153,10 @@ def _psi_pair_radial(indices, rows, cols, grid: PolarGrid) -> np.ndarray:
 class GramReport:
     """Gram matrix of psi functions with its selection-rule verdict.
 
-    ``indices`` is the row and column order of ``values``.
+    ``indices`` is the row and column order of ``values``, a read-only,
+    exactly symmetric float64 matrix.
     expected_zero_mask flags pairs with m - j != n - k.  Those entries
-    are exact zeros: the closed form gives them for polynomial pairs,
+    are exact zeros (0.0): the closed form gives them for polynomial pairs,
     and for pairs with an m = 0 member the angular rule integrates only
     pairs whose frequency difference is a multiple of the grid's
     n_theta, so only a grid that aliases them makes them nonzero.
@@ -179,7 +180,10 @@ class GramReport:
 
 
 def _psi_polynomial_gram(indices) -> np.ndarray:
-    """<psi_a, psi_b> for indices with m >= 1, each rounded from its exact value.
+    """The N x N psi Gram with every entry of two m >= 1 indices filled.
+
+    Each such entry is rounded from its exact value; the rows and
+    columns of m = 0 indices are left 0.0.
 
     With a = m - 1, b = n for the first index and c = j - 1, e = k for
     the second, the entry is zero unless delta = a - b = c - e, and then
@@ -201,9 +205,10 @@ def _psi_polynomial_gram(indices) -> np.ndarray:
     a = np.array([i.m - 1 for i in indices], dtype=int)
     b = np.array([i.n for i in indices], dtype=int)
     deltas = a - b
+    poly = np.flatnonzero(a >= 0)
     out = np.zeros((a.size, a.size))
-    for delta in np.unique(deltas).tolist():
-        rows = np.flatnonzero(deltas == delta)
+    for delta in np.unique(deltas[poly]).tolist():
+        rows = poly[deltas[poly] == delta]
         ar, br = a[rows].tolist(), b[rows].tolist()
         kappa = max(ar)
         qs = range(max(0, delta), kappa + 1)
@@ -231,23 +236,27 @@ def psi_gram(
 ) -> GramReport:
     """Gram matrix <psi_a, psi_b> over the ambient Gaussian space.
 
-    Pairs with both first indices >= 1 come from their exact closed
-    form (:func:`_psi_polynomial_gram`), within one rounding of pi
-    times a rational, whatever the grid.  Pairs involving the extended
-    m = 0 function are integrated on the beta = 1 grid, whose decay is
-    only 1/|z| times Gaussian: every such entry reduces to a real radial
-    profile times one angular frequency, so only pairs whose frequency
-    difference is a multiple of the grid's n_theta are integrated, one
-    real matmul per frequency class modulo n_theta, and every other
-    entry is the rule's exact zero.  The beta = 1 profiles are built
-    only for rows in the class of an m = 0 row.  The matrix is exactly
-    symmetric.  Polynomial entries expected nonzero are re-derived
-    through the radial confluent-series route on beta = 3 nodes (one
-    batched series climb), an independent check, and the worst relative
-    gap is reported.  That rule is exact for a pair only while
+    Every entry is real, and the Gram is one float64 N x N matrix,
+    filled in place.  Pairs with both first indices >= 1 come from their
+    exact closed form (:func:`_psi_polynomial_gram`), within one
+    rounding of pi times a rational, whatever the grid.  Pairs involving
+    the extended m = 0 function are integrated on the beta = 1 grid,
+    whose decay is only 1/|z| times Gaussian: every such entry reduces
+    to a real radial profile times one angular frequency, so only pairs
+    whose frequency difference is a multiple of the grid's n_theta are
+    integrated, one real matmul per frequency class modulo n_theta
+    (:func:`ito_hermite._separable_gram`), and every other entry is the
+    rule's exact zero.  The beta = 1 profiles are built only for rows in
+    the class of an m = 0 row, and only the rows and columns of m = 0
+    indices are written from them.  The matrix is exactly symmetric.
+    Polynomial entries expected nonzero are re-derived through the
+    radial confluent-series route on beta = 3 nodes (one batched series
+    climb), an independent check, and the worst relative gap is
+    reported.  That rule is exact for a pair only while
     (m - 1 + n + j - 1 + k) / 2 <= 2 n_radial - 1, so the gap also shows
-    an n_radial too small for the indices.  The largest factorial the profiles need is formed first, so
-    an index past its overflow raises OverflowError before any work.
+    an n_radial too small for the indices.  The largest factorial the
+    profiles need is formed first, so an index past its overflow raises
+    OverflowError before any work.
     An entry or gap that is not finite raises ValueError, so a report
     never passes on one.
     """
@@ -264,7 +273,7 @@ def psi_gram(
     m = np.array([i.m for i in idx], dtype=int)
     n = np.array([i.n for i in idx], dtype=int)
     mask = (m[:, None] - m[None, :]) != (n[:, None] - n[None, :])
-    values = np.zeros(mask.shape, dtype=complex)
+    values = _psi_polynomial_gram(idx)
     # pairs with an m = 0 member meet only rows of its frequency class
     zero = m == 0
     residue = (m - 1 - n) % grid.n_theta
@@ -278,11 +287,9 @@ def psi_gram(
             grid.radial_t,
             weighted=True,
         )
-        pairs = zero[near][:, None] | zero[near][None, :]
-        values[np.ix_(near, near)] = _separable_gram(profile, freq, grid, pairs)
-    poly = np.ix_(~zero, ~zero)
-    poly_idx = [i for i in idx if i.m >= 1]
-    values.real[poly] = _psi_polynomial_gram(poly_idx)
+        block = _separable_gram(profile, freq, grid)
+        values[np.ix_(zero, near)] = block[zero[near]]
+        values[np.ix_(near, zero)] = block[:, zero[near]]
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         r, s = bad[0]
@@ -292,15 +299,17 @@ def psi_gram(
             "is not a finite double"
         )
 
-    rows, cols = np.nonzero(~mask[poly])
-    expected = _psi_pair_radial(poly_idx, rows, cols, grid)
+    rows, cols = np.nonzero(~mask[np.ix_(~zero, ~zero)])
+    expected = _psi_pair_radial([i for i in idx if i.m >= 1], rows, cols, grid)
     at = np.flatnonzero(~zero)
     gap = np.abs(values[at[rows], at[cols]] - expected) / (1.0 + np.abs(expected))
     radial_worst = float(np.max(gap, initial=0.0))
     if not math.isfinite(radial_worst):
         raise ValueError(f"psi_gram: radial cross-check gap {radial_worst} is not finite")
 
-    violation = float(np.max(np.abs(values), where=mask, initial=0.0))
+    # the largest |entry| over the mask with no N x N temporary; + 0.0 drops a -0.0
+    largest = np.max(values, where=mask, initial=0.0)
+    violation = float(max(largest, -np.min(values, where=mask, initial=0.0))) + 0.0
     values.flags.writeable = False
     mask.flags.writeable = False
     return GramReport(

@@ -534,11 +534,11 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
     # block Gram equals each single-index Gram bit for bit.
     base = cfg.polar_grid(1.0)
     block = [HermiteIndex(m, n) for m in range(5) for n in range(5)]
-    diagonal = np.diagonal(psi_gram(block, grid=base).values).real
+    diagonal = np.diagonal(psi_gram(block, grid=base).values)
     radial = _psi_diagonal_radial([idx for idx in block if idx.m >= 1], base)
     fine = build_polar_grid(min(2 * base.n_radial, 160), 2 * base.n_theta, 1.0)
     # block[:5] holds the m = 0 indices
-    refined_diagonal = np.diagonal(psi_gram(block[:5], grid=fine).values).real
+    refined_diagonal = np.diagonal(psi_gram(block[:5], grid=fine).values)
     for i, idx in enumerate(block):
         suffix = f"m{idx.m}-n{idx.n}"
         if idx.m >= 1:
@@ -676,9 +676,7 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
     rec.add("gram-selection-rule-max", "", report.max_violation, 0.0)
     rec.add("gram-radial-crosscheck-max", "", report.radial_check_max_rel, 0.0)
 
-    diag = {
-        idx: report.values[i, i].real for i, idx in enumerate(indices)
-    }
+    diag = dict(zip(indices, np.diagonal(report.values)))
     radial = _psi_diagonal_radial([i for i in indices if i.m >= 1], base)
     for m in range(1, 6):
         for n in range(6):

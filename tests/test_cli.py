@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -332,8 +333,6 @@ def test_gram_outputs(capsys, tmp_path):
 
 
 def test_gram_json_writes_one_matrix_row_per_line(tmp_path):
-    from polycauchy.cli import _json_by_rows, _json_complex_rows
-
     out = tmp_path / "gram.json"
     assert main(["gram", "--max-index", "2", "--out", str(out)]) == 0
     text = out.read_text()
@@ -345,30 +344,48 @@ def test_gram_json_writes_one_matrix_row_per_line(tmp_path):
         "tolerance": report.tolerance,
         "pass": report.passed,
         "radial_check_max_rel": report.radial_check_max_rel,
-        "values": _json_complex_rows(report.values),
+        "values": (report.values + 0.0).tolist(),
     }
     # the same object as the indented dump, one line per index and per row
     assert json.loads(text) == json.loads(json.dumps(payload, indent=2))
     assert len(text.splitlines()) == 2 * len(indices) + 10
     assert text.splitlines()[-3] == "    " + json.dumps(payload["values"][-1])
-    odd = {"empty": [], "rows": [[1.0, [2.0, float("nan")]], [-0.0]], "flag": False, "x": None}
-    got, want = json.loads(_json_by_rows(odd)), json.loads(json.dumps(odd, indent=2))
-    assert json.dumps(got) == json.dumps(want)
 
 
-def test_gram_rows_write_each_entry_as_json_complex():
-    from polycauchy.cli import _json_complex, _json_complex_rows
+def test_gram_rows_write_each_real_entry_as_json():
+    from polycauchy.cli import _json_by_rows
 
-    values = np.array(
-        [
-            [1.5, -0.0, complex(-0.0, -0.0), complex(2.0, -0.0)],
-            [complex(0.0, 3.0), complex(-1.0, 1e-300), complex(np.nan, 0.0), complex(1.0, np.nan)],
-        ]
-    )
-    want = [[_json_complex(v) for v in row] for row in values]
-    got = _json_complex_rows(values)
-    assert json.dumps(got) == json.dumps(want)
-    assert got[0][:3] == [1.5, 0.0, 0.0] and math.copysign(1.0, got[0][1]) == 1.0
+    values = np.array([[1.5, -0.0, 1e-300, -2.0], [np.nan, 0.0, -1e-300, 3.0]])
+    indices = np.array([[0, 0], [1, 2]])
+    payload = {"indices": indices, "values": values, "empty": [], "flag": False, "x": None}
+    text = _json_by_rows(payload)
+    lines = text.splitlines()
+    # one line per row; -0.0 is written as 0.0 and the indices stay integers
+    assert lines[1:5] == ['  "indices": [', "    [0, 0],", "    [1, 2]", "  ],"]
+    assert lines[6:8] == ["    [1.5, 0.0, 1e-300, -2.0],", "    [NaN, 0.0, -1e-300, 3.0]"]
+    got = json.loads(text)
+    want = dict(payload, indices=indices.tolist(), values=(values + 0.0).tolist())
+    assert json.dumps(got) == json.dumps(json.loads(json.dumps(want, indent=2)))
+    assert math.copysign(1.0, got["values"][0][1]) == 1.0 and got["values"][0][2] == 1e-300
+
+
+def test_gram_output_bytes_are_pinned(tmp_path):
+    # md5 of the JSON and CSV of two grids, the second aliasing (exit 1).
+    # The m = 0 entries are BLAS matmuls: a BLAS that sums a class in
+    # another order can move their last bits and the JSON digest.
+    pinned = {
+        ("--max-index", "8"): (
+            0, "b3ad4027fddecf510a9a3474ddb29952", "c0cea37af9b4a6eac3c97652106af5e2"
+        ),
+        ("--max-index", "6", "--ntheta", "8"): (
+            1, "2e9da0250718bc9bbd281a492bc26312", "5eeb10d2a0c725c25f414af802e30e6d"
+        ),
+    }
+    for flags, (code, json_md5, csv_md5) in pinned.items():
+        for fmt, want in (("json", json_md5), ("csv", csv_md5)):
+            out = tmp_path / f"gram.{fmt}"
+            assert main(["gram", *flags, "--format", fmt, "--out", str(out)]) == code
+            assert hashlib.md5(out.read_bytes()).hexdigest() == want, (flags, fmt)
 
 
 def test_svd_output(capsys):

@@ -9,6 +9,7 @@ matrix behind the truncated spectrum.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -33,7 +34,7 @@ from polycauchy.gaussian_quadrature import (
     integrate_radial_weighted,
     polar_separable_quadrature,
 )
-from polycauchy.ito_hermite import c_mn, hermite_radial_profile
+from polycauchy.ito_hermite import _separable_gram, c_mn, hermite_radial_profile
 from polycauchy.special_fn import kummer_terminating
 from polycauchy.range_analysis import _operator_matrix
 from polycauchy.verification import _hermite_integer_coefficients
@@ -190,8 +191,7 @@ def test_psi_gram_matches_exact_rational_gram():
             for s, b in enumerate(indices[: r + 1]):
                 if a.m >= 1 and b.m >= 1 and not report.expected_zero_mask[r, s]:
                     want = _exact_psi_entry(a, b, table)
-                    assert values[r, s].imag == 0.0
-                    assert abs(values[r, s].real - want) <= np.spacing(abs(want)), (a, b)
+                    assert abs(values[r, s] - want) <= np.spacing(abs(want)), (a, b)
     # the m = 0 entries have no exact route: hold them against the
     # per-pair double-double rule on the exact profile products.  Each is
     # one 64-node sum of P_a w P_b, so its error is a few eps times
@@ -207,6 +207,67 @@ def test_psi_gram_matches_exact_rational_gram():
                 want = polar_separable_quadrature(rh, rl, fa - fb, grid)
                 scale = math.pi * np.sum(grid.radial_w * np.abs(pa * pb))
                 assert abs(values[r, s] - want) <= 8 * eps * scale, (a, b)
+
+
+def _psi_radial_mp(m: int, n: int, t):
+    """Radial factor of psi_{m,n} = -e^{-t} H_{m-1,n} in mpmath.
+
+    H_{a,b} = sum_k (-1)^k k! C(a,k) C(b,k) z^{a-k} zbar^{b-k} for m >= 1,
+    and H_{-1,n} = -zbar^{n+1} 1F1(1; n+2; t) / (n+1); the angular
+    factor e^{i(m-1-n) theta} is left out.
+    """
+    root = mpmath.sqrt(t)
+    if m == 0:
+        h = -(root ** (n + 1)) * mpmath.hyp1f1(1, n + 2, t) / (n + 1)
+    else:
+        a, b = m - 1, n
+        h = sum(
+            (-1) ** k * math.factorial(k) * math.comb(a, k) * math.comb(b, k)
+            * root ** (a + b - 2 * k)
+            for k in range(min(a, b) + 1)
+        )
+    return -mpmath.exp(-t) * h
+
+
+def test_psi_gram_m0_entries_against_mpmath():
+    # the entries with an m = 0 member have no exact route: hold a few
+    # against a 30-digit quadrature of pi * integral f_a f_b e^{-t} dt of
+    # the radial factors.  (0,0) x (0,0) is pi log(4/3).  The worst gap
+    # measured is 2.5e-16 relative, on (0,2) x (0,2); the bound is 1e-15.
+    pairs = (((0, 0), (0, 0)), ((0, 2), (0, 2)), ((0, 1), (2, 3)), ((0, 3), (1, 4)))
+    indices = sorted({i for pair in pairs for i in pair})
+    report = psi_gram(indices)
+    at = {index: r for r, index in enumerate(indices)}
+    with mpmath.workdps(30):
+        log_ratio = mpmath.pi * mpmath.log(mpmath.mpf(4) / 3)
+        for a, b in pairs:
+            want = mpmath.pi * mpmath.quad(
+                lambda t: _psi_radial_mp(*a, t) * _psi_radial_mp(*b, t) * mpmath.exp(-t),
+                [0, mpmath.inf],
+            )
+            if a == b == (0, 0):
+                assert abs(want - log_ratio) < 1e-25
+            got = report.values[at[a], at[b]]
+            assert abs(got - want) <= 1e-15 * abs(want), (a, b)
+
+
+def test_psi_gram_values_are_one_read_only_real_matrix():
+    # one float64 matrix, exactly symmetric and read-only, whose m = 0
+    # rows and columns are the separable Gram of every row, aliased
+    # classes of n_theta = 8 included
+    indices = [HermiteIndex(m, n) for m in range(5) for n in range(5)]
+    for grid in (build_polar_grid(), build_polar_grid(16, 8, 1.0)):
+        values = psi_gram(indices, grid).values
+        assert values.dtype == np.float64 and not values.flags.writeable
+        assert np.array_equal(values, values.T)
+        with pytest.raises(ValueError):
+            values[0, 0] = 0.0
+        profile, freq = hermite_radial_profile(
+            [HermiteIndex(i.m - 1, i.n) for i in indices], grid.radial_t, weighted=True
+        )
+        separable = _separable_gram(profile, freq, grid)
+        zero = [i.m == 0 for i in indices]
+        assert values[zero].tobytes() == separable[zero].tobytes()
 
 
 def test_psi_polynomial_block_does_not_depend_on_the_grid():
