@@ -233,7 +233,7 @@ def _cmd_project(args: argparse.Namespace, cfg: VerifyConfig) -> int:
     kind, m, k = args.source
     idx = HermiteIndex(m, k)
     evaluate = hermite_eval if kind == "hermite" else cauchy_hermite_closed
-    grid = cfg.polar_grid(1.0)
+    grid = cfg.polar_grid()
     seq = project_numeric(lambda pts: evaluate(idx, pts), args.level, args.jmax, grid=grid)
     table = {
         "level": seq.n,
@@ -250,7 +250,7 @@ def _cmd_gram(args: argparse.Namespace, cfg: VerifyConfig) -> int:
         for m in range(args.max_index + 1)
         for n in range(args.max_index + 1)
     ]
-    report = psi_gram(indices, grid=cfg.polar_grid(1.0))
+    report = psi_gram(indices, grid=cfg.polar_grid())
     labels = [f"({i.m},{i.n})" for i in indices]
     if args.format == "csv":
         buf = io.StringIO()

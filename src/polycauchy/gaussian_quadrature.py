@@ -30,9 +30,9 @@ log space.  Beyond roughly N_r = 186 the smallest true weights drop
 below the double precision range and underflow to zero; nodes stay
 accurate.
 
-Angular phase tables are built once per size, read-only, with exact
-reflection symmetry: table[j + N/2] = -table[j] holds bit-for-bit
-(quadrant symmetry too when 4 | N).  The separable rule takes the
+Angular phase tables are built once per size, read-only, from one
+libm cos/sin pair per entry, so they do not follow numpy's SIMD tier.
+No check reads a symmetry of the table: the separable rule takes the
 trapezoid sum of e^{i p theta_j} as its exact value, N or 0, so
 off-pattern frequencies vanish to an exact floating-point zero on
 every grid, not merely to rounding level.
@@ -48,13 +48,15 @@ in theta.  R = |z| + radius_pad puts the Gaussian tail below 1e-60 for
 the default pad of 12.
 
 Every reduction runs in a fixed order, so repeated runs produce
-identical bits.  Only the separable rule (double-double) and radial
-integrals (Kahan) are compensated; point-value integrands take numpy
-sums, whose rounding sits far below the quadrature error.
+identical bits.  Only the per-pair separable rule (double-double, the
+oracle of one Gram entry) and radial integrals (Kahan) are
+compensated; point-value integrands take numpy sums, whose rounding
+sits far below the quadrature error.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass, field
@@ -170,41 +172,14 @@ def gauss_laguerre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=32)
 def _phase_table(n: int) -> np.ndarray:
-    """Unit phases e^{2 pi i j / n}, j = 0..n-1, with exact symmetry; read-only.
+    """Unit phases e^{2 pi i j / n}, j = 0..n-1; cached and read-only.
 
-    For even n the table satisfies table[j + n/2] == -table[j]
-    bit-for-bit, and for 4 | n additionally table[j + n/4] == i*table[j]
-    up to real/imaginary swap; axis entries are exact (1, i, -1, -i).
-    The exact antisymmetry is what lets angular sums of off-pattern
-    frequencies cancel to a true zero.
+    Each entry is one libm cos/sin pair, so the table does not depend
+    on numpy's SIMD tier, whose vector kernels round differently per
+    CPU.  No check reads a symmetry of the table: the separable rule
+    takes its angular sums from their exact values.
     """
-    table = np.empty(n, dtype=complex)
-    if n % 4 == 0:
-        q = n // 4
-        table[0] = 1.0
-        table[q] = 1j
-        table[2 * q] = -1.0
-        table[3 * q] = -1j
-        for j in range(1, q):
-            theta = 2.0 * math.pi * j / n
-            c, s = math.cos(theta), math.sin(theta)
-            table[j] = complex(c, s)
-            table[2 * q - j] = complex(-c, s)
-            table[2 * q + j] = complex(-c, -s)
-            table[4 * q - j] = complex(c, -s)
-    elif n % 2 == 0:
-        h = n // 2
-        table[0] = 1.0
-        table[h] = -1.0
-        for j in range(1, h):
-            theta = 2.0 * math.pi * j / n
-            table[j] = complex(math.cos(theta), math.sin(theta))
-            table[h + j] = -table[j]
-    else:
-        table[0] = 1.0
-        for j in range(1, n):
-            theta = 2.0 * math.pi * j / n
-            table[j] = complex(math.cos(theta), math.sin(theta))
+    table = np.array([cmath.rect(1.0, 2.0 * math.pi * j / n) for j in range(n)])
     table.flags.writeable = False
     return table
 
@@ -215,7 +190,7 @@ class PolarGrid:
 
     radial_t, radial_w: Gauss-Laguerre nodes/weights in t = |z|^2,
     already rescaled for the weight e^{-beta t}.  points are
-    sqrt(t) times the angular unit phases of :func:`_phase_table`.
+    sqrt(t) times the libm unit phases of :func:`_phase_table`.
     Immutable after construction; arrays are read-only.
     """
 
@@ -372,8 +347,7 @@ def angular_phase_sum(frequency: int, grid: PolarGrid) -> complex:
     The trapezoid rule sums the N-th roots of unity raised to p, which
     is exactly N for p = 0 (mod N) and exactly 0 otherwise; those exact
     values are returned on every grid.  Summing the phase table would
-    leave rounding noise wherever its half-turn antisymmetry does not
-    cancel the nodes in pairs (odd N, or p = 4 on N = 12), and the
+    leave rounding noise (up to 7.6e-13 over p on N = 128), and the
     selection rules need the exact zero.
     """
     n_full = grid.n_theta
@@ -383,24 +357,20 @@ def angular_phase_sum(frequency: int, grid: PolarGrid) -> complex:
 def polar_separable_quadrature(
     radial_hi: np.ndarray,
     radial_lo: np.ndarray,
-    frequency,
+    frequency: int,
     grid: PolarGrid,
-) -> complex | np.ndarray:
+) -> complex:
     """Grid quadrature of a separable integrand R(|z|^2) e^{i p theta}.
 
     Applies the same tensor rule as :func:`plane_quadrature` to an
     integrand given in factored form: the angular factor reduces to
     :func:`angular_phase_sum` (an exact zero for off-pattern
-    frequencies) and the radial factor, supplied as a
-    double-double pair evaluated at ``grid.radial_t``, is contracted
-    with the weights through error-free products.  This path avoids
-    re-deriving t = |z|^2 from the rounded grid points, which is what
-    limits the generic path to a few units in the last place times the
-    integrand's radial log-derivative.
-
-    The radial pair has shape (n_radial,) with an integer frequency,
-    giving a complex, or (E, n_radial) with E frequencies, giving E
-    values that each equal the 1-D call on their row.
+    frequencies) and the radial factor, supplied as a double-double
+    pair of shape (n_radial,) evaluated at ``grid.radial_t``, is
+    contracted with the weights through error-free products.  This
+    path avoids re-deriving t = |z|^2 from the rounded grid points,
+    which is what limits the generic path to a few units in the last
+    place times the integrand's radial log-derivative.
 
     This is the per-pair route, correct to a final rounding of the
     double-double sum.  The Gram matrices do not call it: they contract
@@ -411,21 +381,15 @@ def polar_separable_quadrature(
     """
     radial_hi = np.asarray(radial_hi, dtype=float)
     radial_lo = np.asarray(radial_lo, dtype=float)
-    frequency = np.asarray(frequency)
-    if not radial_hi.shape == radial_lo.shape == frequency.shape + grid.radial_t.shape:
+    if not radial_hi.shape == radial_lo.shape == grid.radial_t.shape:
         raise ValueError(
             f"radial profile shape {radial_hi.shape}/{radial_lo.shape} does not match "
-            f"{frequency.shape} frequencies on grid nodes {grid.radial_t.shape}"
+            f"grid nodes {grid.radial_t.shape}"
         )
-    distinct, which = np.unique(frequency, return_inverse=True)
-    phase = np.array([angular_phase_sum(p, grid) for p in distinct], dtype=complex)
-    a = phase[which.reshape(frequency.shape)]
-    out = np.zeros(frequency.shape, dtype=complex)
-    live = a != 0
-    if live.any():
-        s = dd_weighted_sum(radial_hi[live], radial_lo[live], grid.radial_w)
-        out[live] = a[live] * (np.pi / grid.n_theta) * s
-    return complex(out) if out.ndim == 0 else out
+    phase = angular_phase_sum(frequency, grid)
+    if phase == 0:
+        return 0j
+    return phase * (np.pi / grid.n_theta) * dd_weighted_sum(radial_hi, radial_lo, grid.radial_w)
 
 
 def inner_product_gaussian(f, g, grid: PolarGrid | None = None) -> complex:

@@ -45,6 +45,9 @@ __all__ = [
 VARIANT_R = "R"
 VARIANT_R_TILDE = "R-tilde"
 
+_GRAM_TOLERANCE = 1e-9  # largest selection-rule violation a psi Gram passes with
+_PAIR_CHUNK = 8192  # cross-check pairs per term block (8192 x 64 nodes is 4 MB)
+
 
 @dataclass(frozen=True)
 class RangeBasisSpec:
@@ -132,7 +135,9 @@ def _psi_pair_radial(indices, rows, cols, grid: PolarGrid) -> np.ndarray:
     with F the terminating confluent factors; an independent check on
     the grid value (series evaluation against recurrence evaluation).
     Returns one value per pair (indices[rows[e]], indices[cols[e]]),
-    Kahan-summed over ascending beta = 3 nodes.
+    Kahan-summed over ascending beta = 3 nodes.  The pairs x nodes terms
+    are formed _PAIR_CHUNK pairs at a time; every step is elementwise
+    per pair, so the chunking moves no bit.
     """
     grid3 = build_polar_grid(grid.n_radial, grid.n_theta, 3.0)
     t, w = grid3.radial_t, grid3.radial_w
@@ -141,12 +146,13 @@ def _psi_pair_radial(indices, rows, cols, grid: PolarGrid) -> np.ndarray:
     factor = kummer_terminating(p[:, None], d[:, None] + 1, t)
     const = np.array([c_mn(i.m - 1, i.n) for i in indices])
     rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
-    exponent = d[rows] + d[cols]
-    terms = np.empty((rows.size, t.size))
-    for e in np.unique(exponent):
-        pick = exponent == e
-        terms[pick] = t ** (0.5 * int(e)) * factor[rows[pick]] * factor[cols[pick]] * w
-    return math.pi * const[rows] * const[cols] * kahan_sum(terms.T)
+    power = np.array([t ** (0.5 * e) for e in range(2 * int(d.max(initial=0)) + 1)])
+    sums = np.empty(rows.size)
+    for s in range(0, rows.size, _PAIR_CHUNK):
+        r, c = rows[s : s + _PAIR_CHUNK], cols[s : s + _PAIR_CHUNK]
+        terms = power[d[r] + d[c]] * factor[r] * factor[c] * w
+        sums[s : s + _PAIR_CHUNK] = kahan_sum(terms.T)
+    return math.pi * const[rows] * const[cols] * sums
 
 
 @dataclass(frozen=True)
@@ -231,9 +237,7 @@ def _psi_polynomial_gram(indices) -> np.ndarray:
     return out
 
 
-def psi_gram(
-    indices, grid: PolarGrid | None = None, tolerance: float = 1e-9
-) -> GramReport:
+def psi_gram(indices, grid: PolarGrid | None = None) -> GramReport:
     """Gram matrix <psi_a, psi_b> over the ambient Gaussian space.
 
     Every entry is real, and the Gram is one float64 N x N matrix,
@@ -272,7 +276,8 @@ def psi_gram(
     factorial(max((max(i.m - 1, i.n) for i in idx), default=0))
     m = np.array([i.m for i in idx], dtype=int)
     n = np.array([i.n for i in idx], dtype=int)
-    mask = (m[:, None] - m[None, :]) != (n[:, None] - n[None, :])
+    # m - j != n - k, as m - n != j - k: one N x N bool, no N x N integers
+    mask = (m - n)[:, None] != (m - n)[None, :]
     values = _psi_polynomial_gram(idx)
     # pairs with an m = 0 member meet only rows of its frequency class
     zero = m == 0
@@ -290,6 +295,7 @@ def psi_gram(
         block = _separable_gram(profile, freq, grid)
         values[np.ix_(zero, near)] = block[zero[near]]
         values[np.ix_(near, zero)] = block[:, zero[near]]
+        del block  # about a quarter of the N x N matrix at K = 63
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         r, s = bad[0]
@@ -317,8 +323,8 @@ def psi_gram(
         values=values,
         expected_zero_mask=mask,
         max_violation=violation,
-        tolerance=float(tolerance),
-        passed=violation < tolerance,
+        tolerance=_GRAM_TOLERANCE,
+        passed=violation < _GRAM_TOLERANCE,
         radial_check_max_rel=radial_worst,
     )
 

@@ -9,9 +9,11 @@ Everything here is elementary and terminating: Laguerre polynomials
 
 the Gauss sum :math:`{}_2F_1(-p, -q; c; 1)` evaluated through the
 Chu-Vandermonde identity, and exact ratios of Gamma values at integer
-arguments.  All series are summed in ascending index order with
-compensated accumulation (Kahan or double-double) so results are
-bit-reproducible from run to run.
+arguments.  Every sum and recurrence runs in a fixed, ascending
+order, so results are bit-reproducible from run to run.  The
+confluent series carries its terms and sum in double-double and
+:func:`kahan_sum` gives callers a Kahan sum; the Laguerre recurrence
+and the Chu-Vandermonde product run in plain doubles.
 
 Terminating sums always use exactly ``p + 1`` terms; there is no early
 exit, which keeps evaluation deterministic and makes term-count

@@ -145,11 +145,11 @@ class VerifyConfig:
                 f"got {self.kernel_truncation}"
             )
 
-    def polar_grid(self, beta: float = 1.0) -> PolarGrid:
+    def polar_grid(self) -> PolarGrid:
+        """The beta = 1 polar grid at the configured resolution."""
         return build_polar_grid(
             DEFAULT_RADIAL_NODES if self.nr is None else self.nr,
             DEFAULT_ANGULAR_NODES if self.ntheta is None else self.ntheta,
-            beta,
         )
 
     def singular_grid(self, center: complex, refine: int = 1) -> SingularGrid:
@@ -530,9 +530,12 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
         rec.add("cauchy-linearity", f"z{z}", combined, split)
 
     # transform images stay square-integrable: diagonal radial route.
-    # Gram entries are computed pair by pair, so the diagonal of one
-    # block Gram equals each single-index Gram bit for bit.
-    base = cfg.polar_grid(1.0)
+    # The m >= 1 diagonal is the closed form entry by entry, whatever the
+    # block.  The m = 0 diagonal is a BLAS sum over its frequency class,
+    # so its last bits follow the block: (0,0) reads 0.9037798853840014
+    # here and ...18 as a one-index Gram, far inside the 1e-8 relative
+    # tolerance of the refined-grid record.
+    base = cfg.polar_grid()
     block = [HermiteIndex(m, n) for m in range(5) for n in range(5)]
     diagonal = np.diagonal(psi_gram(block, grid=base).values)
     radial = _psi_diagonal_radial([idx for idx in block if idx.m >= 1], base)
@@ -554,7 +557,7 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
 
 def _suite_projection(cfg: VerifyConfig) -> list[VerificationRecord]:
     rec = _Recorder(cfg)
-    grid = cfg.polar_grid(1.0)
+    grid = cfg.polar_grid()
     # h[m, n] = H_{m,n} on the grid points for m, n <= 5; each source
     # below is a precomputed value array on those points
     h = hermite_table(5, range(6), grid.points)
@@ -631,7 +634,7 @@ def _suite_projection(cfg: VerifyConfig) -> list[VerificationRecord]:
 
 def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
     rec = _Recorder(cfg)
-    base = cfg.polar_grid(1.0)
+    base = cfg.polar_grid()
 
     # radial moment exactness at two weights
     for n_radial, beta in ((base.n_radial, 1.0), (24, 3.0)):
@@ -696,9 +699,11 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
     )
 
     # diagonal-offset families are mutually orthogonal.  Their indices lie
-    # in the block above, and Gram entries are computed pair by pair, so
-    # the masked entries of each union's Gram are read from that report
-    # in the union's order: the maximum equals psi_gram(union).max_violation.
+    # in the block above.  A masked entry is the closed form's exact zero
+    # (m, j >= 1) or, on a grid that does not alias its frequencies, the
+    # rule's exact zero (an m = 0 member), in any block, so the masked
+    # entries of each union's Gram are read from that report in the
+    # union's order: the maximum equals psi_gram(union).max_violation.
     offsets = (-2, -1, 0, 1, 2)
     position = {idx: i for i, idx in enumerate(indices)}
     for i, ell in enumerate(offsets):
@@ -760,7 +765,7 @@ def _suite_ranges(cfg: VerifyConfig) -> list[VerificationRecord]:
         rec.add("range-support", f"case{case:02d}", violations, 0)
 
     # coefficient route equals the quadrature route
-    grid = cfg.polar_grid(1.0)
+    grid = cfg.polar_grid()
     rng = np.random.default_rng(20260817)
     for ell in range(5):
         coeffs = tuple(

@@ -181,7 +181,7 @@ def test_criterion_5_complement_dimensions_and_support():
 def test_criterion_6_gram_selection_rule():
     start = time.perf_counter()
     indices = [HermiteIndex(m, n) for m in range(6) for n in range(6)]
-    report = psi_gram(indices, tolerance=1e-9)
+    report = psi_gram(indices)
     diagonal = dict(zip(report.indices, np.diagonal(report.values)))
     d10 = diagonal[HermiteIndex(1, 0)]
     d11 = diagonal[HermiteIndex(1, 1)]

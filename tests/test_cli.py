@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import platform
 import shlex
 import subprocess
 import sys
@@ -369,23 +371,59 @@ def test_gram_rows_write_each_real_entry_as_json():
     assert math.copysign(1.0, got["values"][0][1]) == 1.0 and got["values"][0][2] == 1e-300
 
 
+def _baseline_dispatch_env() -> dict:
+    """The environment with numpy and OpenBLAS held to their baseline kernels.
+
+    numpy's float64 exp and power round differently per SIMD tier, and
+    OpenBLAS picks its matmul kernel per CPU.  Every dispatched numpy
+    feature the host supports (or the environment already turns off) is
+    disabled and OpenBLAS runs its Prescott kernel, so the bytes depend
+    on the numpy and OpenBLAS builds but not on the CPU.
+    """
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    env = dict(os.environ)
+    already = set(env.get("NPY_DISABLE_CPU_FEATURES", "").replace(",", " ").split())
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(
+        f for f in __cpu_dispatch__ if __cpu_features__.get(f) or f in already
+    )
+    env["OPENBLAS_CORETYPE"] = "Prescott"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="the digests are pinned to the x86-64 baseline kernels of numpy and OpenBLAS",
+)
 def test_gram_output_bytes_are_pinned(tmp_path):
-    # md5 of the JSON and CSV of two grids, the second aliasing (exit 1).
-    # The m = 0 entries are BLAS matmuls: a BLAS that sums a class in
-    # another order can move their last bits and the JSON digest.
+    # md5 of the JSON and CSV of two grids, the second aliasing (exit 1),
+    # written by the CLI under the baseline dispatch
+    env = _baseline_dispatch_env()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    builds = f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}"
     pinned = {
         ("--max-index", "8"): (
-            0, "b3ad4027fddecf510a9a3474ddb29952", "c0cea37af9b4a6eac3c97652106af5e2"
+            0, "974148bc7fbb39788fc40015276a09fa", "b7475cc8d23c875f288191fff6a7388a"
         ),
         ("--max-index", "6", "--ntheta", "8"): (
-            1, "2e9da0250718bc9bbd281a492bc26312", "5eeb10d2a0c725c25f414af802e30e6d"
+            1, "ab3b93af02c4356df156dbdfc715a2d1", "962a4552ef9d8435a601e5dc914c3b0c"
         ),
     }
     for flags, (code, json_md5, csv_md5) in pinned.items():
         for fmt, want in (("json", json_md5), ("csv", csv_md5)):
             out = tmp_path / f"gram.{fmt}"
-            assert main(["gram", *flags, "--format", fmt, "--out", str(out)]) == code
-            assert hashlib.md5(out.read_bytes()).hexdigest() == want, (flags, fmt)
+            argv = ["gram", *flags, "--format", fmt, "--out", str(out)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "polycauchy", *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == code, proc.stderr
+            got = hashlib.md5(out.read_bytes()).hexdigest()
+            assert got == want, (flags, fmt, builds)
 
 
 def test_svd_output(capsys):

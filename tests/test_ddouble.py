@@ -109,15 +109,3 @@ def test_dd_weighted_sum_cancellation():
     w = np.ones(4)
     got = dd_weighted_sum(hi, lo, w)
     assert got == 1.0 + 1e-8
-
-
-def test_dd_weighted_sum_stacked_rows_match_1d():
-    # a leading entry axis runs every row through the 1-D operation sequence
-    hi = RNG.uniform(-1, 1, (5, 40)) * np.logspace(-6, 6, 40)
-    lo = hi * 1e-17
-    w = RNG.uniform(0, 1, 40)
-    got = dd_weighted_sum(hi, lo, w)
-    assert got.shape == (5,)
-    for row in range(5):
-        assert got[row] == dd_weighted_sum(hi[row], lo[row], w)
-    assert dd_weighted_sum(hi[:0], lo[:0], w).shape == (0,)

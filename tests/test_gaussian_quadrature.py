@@ -150,21 +150,6 @@ def test_singular_grid_holds_its_fixed_factors():
         grid.weight[0, 0] = 0
 
 
-def test_phase_table_exact_symmetry():
-    # half-turn antisymmetry is bit-exact, axis values are exact
-    for n in (8, 12, 64, 128):
-        table = _phase_table(n)
-        assert np.all(table[n // 2 :] == -table[: n // 2])
-        assert table[0] == 1.0 + 0j
-        if n % 4 == 0:
-            q = n // 4
-            assert table[q] == 1j
-            assert table[2 * q] == -1.0 + 0j
-            assert table[3 * q] == -1j
-    table = _phase_table(10)
-    assert np.all(table[5:] == -table[:5])
-
-
 def test_angular_phase_sum_exact_selection():
     g = build_polar_grid(4, 16, 1.0)
     assert angular_phase_sum(0, g) == complex(16)
@@ -194,21 +179,6 @@ def test_polar_separable_matches_generic():
         values = radial[:, None] * _phase_table(g.n_theta)[None, :] ** p
         gen = plane_quadrature(values, g)
         assert abs(sep - gen) <= 1e-13 * (1.0 + abs(gen))
-
-
-def test_polar_separable_stacked_matches_1d():
-    # stacked rows with mixed frequencies equal their 1-D calls bit for bit
-    for n_theta in (16, 15):
-        g = build_polar_grid(24, n_theta, 1.0)
-        hi = np.stack([np.exp(-k * g.radial_t) * (1.0 + g.radial_t) ** k for k in range(6)])
-        lo = hi * 1e-17
-        freq = np.array([0, 3, 0, n_theta, -1, 2])
-        got = polar_separable_quadrature(hi, lo, freq, g)
-        assert got.shape == (6,)
-        for row in range(6):
-            assert got[row] == polar_separable_quadrature(hi[row], lo[row], int(freq[row]), g)
-    with pytest.raises(ValueError):
-        polar_separable_quadrature(hi, lo, freq[:5], g)
 
 
 def test_reduce_polar_accepts_stacked_values():

@@ -389,7 +389,7 @@ def test_angular_blocks_mutually_orthogonal():
     union = []
     for ell in range(-2, 3):
         union.extend(e_ell_indices(ell, 2))
-    report = psi_gram(union, tolerance=1e-9)
+    report = psi_gram(union)
     assert report.passed
 
 
