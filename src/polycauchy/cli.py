@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import csv
-import io
 import json
 import math
 import sys
+from collections.abc import Iterator
+from typing import TextIO
 
 import numpy as np
 
@@ -45,6 +47,7 @@ from .range_analysis import (
 from .verification import (
     SUITE_NAMES,
     VerifyConfig,
+    _json_complex,
     run_suite,
     write_report,
 )
@@ -113,32 +116,26 @@ def _finite(value: complex, what: str) -> complex:
     return value
 
 
-def _json_complex(value: complex) -> float | list[float]:
-    """A complex number for JSON: a bare real when im is 0, else [re, im]."""
-    value = complex(value)
-    re, im = value.real + 0.0, value.imag + 0.0
-    if im == 0.0:
-        return re
-    return [re, im]
+def _json_by_rows(payload: dict) -> Iterator[str]:
+    """A flat mapping as JSON text in pieces, each array one row per line.
 
-
-def _json_by_rows(payload: dict) -> str:
-    """A flat mapping as JSON, each array value written one row per line.
-
-    Loads to the same object as ``json.dumps(payload, indent=2)`` with
-    each array as its nested list; a matrix takes one line per row
-    instead of one per entry.  ``row + 0`` turns -0.0 into 0.0 and
-    leaves integer rows integers.
+    The joined pieces load to the same object as ``json.dumps(payload,
+    indent=2)`` with each array as its nested list; a matrix takes one
+    line per row instead of one per entry.  ``row + 0`` turns -0.0 into
+    0.0 and leaves integer rows integers.
     """
-    fields = []
+    sep = "{"
     for key, value in payload.items():
+        yield f"{sep}\n  {json.dumps(key)}: "
         if isinstance(value, np.ndarray):
-            rows = (f"    {json.dumps((row + 0).tolist())}" for row in value)
-            text = "[\n" + ",\n".join(rows) + "\n  ]"
+            yield "["
+            for r, row in enumerate(value):
+                yield f"{',' if r else ''}\n    {json.dumps((row + 0).tolist())}"
+            yield "\n  ]"
         else:
-            text = json.dumps(value)
-        fields.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(fields) + "\n}"
+            yield json.dumps(value)
+        sep = ","
+    yield "\n}\n"
 
 
 # The JSON number type each config key takes; an int also serves as a float.
@@ -188,14 +185,17 @@ def _load_config(args: argparse.Namespace) -> VerifyConfig:
     return VerifyConfig(**settings)
 
 
+def _output(args: argparse.Namespace) -> contextlib.AbstractContextManager[TextIO]:
+    """stdout, or the --out file when given."""
+    if args.out:
+        return open(args.out, "w", encoding="utf-8", newline="\n")
+    return contextlib.nullcontext(sys.stdout)
+
+
 def _emit(text: str, args: argparse.Namespace) -> None:
-    """Print, or write to --out when given."""
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    """Write one text and its final newline to the output."""
+    with _output(args) as fh:
+        fh.write(text + "\n")
 
 
 def _cmd_hermite(args: argparse.Namespace, cfg: VerifyConfig) -> int:
@@ -252,23 +252,22 @@ def _cmd_gram(args: argparse.Namespace, cfg: VerifyConfig) -> int:
     ]
     report = psi_gram(indices, grid=cfg.polar_grid())
     labels = [f"({i.m},{i.n})" for i in indices]
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["psi"] + labels)
-        for label, row in zip(labels, report.values):
-            writer.writerow([label] + [format_real(x) for x in row.tolist()])
-        _emit(buf.getvalue(), args)
-    else:
-        payload = {
-            "indices": np.array([[i.m, i.n] for i in indices]),
-            "max_violation": report.max_violation,
-            "tolerance": report.tolerance,
-            "pass": report.passed,
-            "radial_check_max_rel": report.radial_check_max_rel,
-            "values": report.values,
-        }
-        _emit(_json_by_rows(payload), args)
+    with _output(args) as fh:
+        if args.format == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["psi"] + labels)
+            for label, row in zip(labels, report.values):
+                writer.writerow([label] + [format_real(x) for x in row.tolist()])
+        else:
+            payload = {
+                "indices": np.array([[i.m, i.n] for i in indices]),
+                "max_violation": report.max_violation,
+                "tolerance": report.tolerance,
+                "pass": report.passed,
+                "radial_check_max_rel": report.radial_check_max_rel,
+                "values": report.values,
+            }
+            fh.writelines(_json_by_rows(payload))
     return 0 if report.passed else 1
 
 

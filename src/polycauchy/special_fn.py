@@ -56,20 +56,16 @@ def kahan_sum(terms):
 
 
 def factorial(n: int) -> float:
-    """n! as a float, exact (single rounding) for n <= 20.
+    """n! as a float, correctly rounded: one conversion of the exact integer.
 
-    Small arguments go through exact integer products; larger ones fall
-    back to ``exp(lgamma(n + 1))``.  Indices used by this package stay
-    far below the crossover.
+    170! is the largest factorial a double holds; a larger n raises
+    ``OverflowError`` before the integer is formed.
     """
     if n < 0:
         raise ValueError(f"factorial requires n >= 0, got {n}")
-    if n <= 20:
-        return float(math.factorial(n))
-    try:
-        return math.exp(math.lgamma(n + 1.0))
-    except OverflowError:
-        raise OverflowError(f"factorial({n}) overflows a double") from None
+    if n > 170:
+        raise OverflowError(f"factorial({n}) overflows a double")
+    return float(math.factorial(n))
 
 
 def gamma_ratio(a: int, b: int) -> float:

@@ -831,18 +831,18 @@ def run_suite(
     return _SUITE_BUILDERS[suite](config)
 
 
-def _complex_json(value: complex) -> float | list[float]:
-    if value.imag == 0.0:
-        return value.real + 0.0
-    return [value.real, value.imag]
+def _json_complex(value: complex) -> float | list[float]:
+    """A complex for JSON: a bare real when im is 0, else [re, im]; -0.0 as 0.0."""
+    value = complex(value) + 0j
+    return value.real if value.imag == 0.0 else [value.real, value.imag]
 
 
 def record_to_row(record: VerificationRecord) -> dict:
     """JSON-ready mapping with a stable key order."""
     return {
         "test_id": record.test_id,
-        "lhs": _complex_json(record.lhs),
-        "rhs": _complex_json(record.rhs),
+        "lhs": _json_complex(record.lhs),
+        "rhs": _json_complex(record.rhs),
         "abs_err": record.abs_err,
         "tolerance": record.tolerance,
         "pass": record.passed,

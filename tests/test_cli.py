@@ -360,7 +360,7 @@ def test_gram_rows_write_each_real_entry_as_json():
     values = np.array([[1.5, -0.0, 1e-300, -2.0], [np.nan, 0.0, -1e-300, 3.0]])
     indices = np.array([[0, 0], [1, 2]])
     payload = {"indices": indices, "values": values, "empty": [], "flag": False, "x": None}
-    text = _json_by_rows(payload)
+    text = "".join(_json_by_rows(payload))
     lines = text.splitlines()
     # one line per row; -0.0 is written as 0.0 and the indices stay integers
     assert lines[1:5] == ['  "indices": [', "    [0, 0],", "    [1, 2]", "  ],"]
@@ -464,6 +464,27 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert main(["hermite", "--m", "0", "--n", "0", "--z", "2,3", "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_text() == "1.00000000000000\n"
+
+
+def test_stdout_equals_the_out_file(capsys, tmp_path):
+    # every command but verify, whose --out names the report, prints the
+    # bytes it writes to --out
+    commands = [
+        ["hermite", "--m", "2", "--n", "1", "--z", "0.5,1"],
+        ["cauchy", "--m", "1", "--n", "2", "--z", "0.5,1", "--numeric"],
+        ["project", "--level", "1", "--source", "psi", "1", "1", "--jmax", "2"],
+        ["gram", "--max-index", "1"],
+        ["gram", "--max-index", "1", "--format", "csv"],
+        ["ranges", "--variant", "r", "--ell", "1", "--level", "2", "--inclusions"],
+        ["svd", "--degree", "2"],
+    ]
+    for argv in commands:
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "out.txt"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode(), argv
 
 
 def test_verify_report_determinism(capsys, tmp_path):

@@ -52,8 +52,11 @@ def test_kahan_sum_complex():
 
 
 def test_factorial_exact():
-    for n in range(21):
+    # correctly rounded up to the largest factorial a double holds
+    for n in range(171):
         assert factorial(n) == float(math.factorial(n))
+    with pytest.raises(OverflowError, match=r"factorial\(171\) overflows a double"):
+        factorial(171)
     with pytest.raises(ValueError):
         factorial(-1)
 

@@ -242,6 +242,16 @@ def test_ids_provenance_and_tolerances_are_pinned(all_records):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ID_TABLE
 
 
+def test_radial_moments_measure_the_quadrature(all_records):
+    # the rule is exact for t^k up to its top degree, so each gap is the
+    # quadrature's own rounding, not that of the k! / beta^(k+1) it is
+    # checked against
+    worst = max(
+        r.abs_err / r.tolerance for r in all_records if r.test_id.startswith("radial-moment-")
+    )
+    assert worst <= 2e-3
+
+
 def test_worst_entry_rule():
     nan = math.nan
     assert _worst_entry(np.array([1.0, 3.0, nan, 3.0, nan])) == 2
