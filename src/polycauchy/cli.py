@@ -422,8 +422,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args)
-        return _DISPATCH[args.command](args, cfg)
+        # a non-finite result is reported by name (_finite, the gram and
+        # verify checks), so numpy's floating-point warnings stay silent
+        with np.errstate(all="ignore"):
+            cfg = _load_config(args)
+            return _DISPATCH[args.command](args, cfg)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

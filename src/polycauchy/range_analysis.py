@@ -6,8 +6,9 @@ complements; the psi-Gram computations expose the orthogonality
 selection rule <psi_{m,n}, psi_{j,k}> = 0 unless m - j = n - k, with
 the polynomial entries from their exact closed form; and a
 truncated matrix of the transform against the normalized basis,
-assembled entry by entry from the closed projection coefficients and
-handed to LAPACK, yields singular values for compactness experiments.
+scattered in one numpy pass from the closed projection coefficients
+(exact in every intermediate up to the degree cap 12) and handed to
+LAPACK, yields singular values for compactness experiments.
 
 The R-basis index sets are determined by a single threshold: the span
 of {P_n C H_{j,ell}: j} is spanned by H_{m,n} for m >= max(0,
@@ -20,6 +21,7 @@ asserted from expectations.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -345,23 +347,36 @@ def e_ell_indices(ell: int, count: int) -> list[HermiteIndex]:
 def _operator_matrix(max_total_degree: int) -> np.ndarray:
     """Real matrix of <C H_{j,k}, H_{m,n}> / (pi sqrt(m! n! j! k!)).
 
-    Rows and columns run over {(m, n): m+n <= max_total_degree} ordered
-    by (m+n, m).  Column (j, k) meets level n only at the target of the
+    Rows and columns run over {(m, n): m+n <= D} ordered by (m+n, m).
+    Column (j, k) meets level n only at the target m = n+j-k-1 of the
     closed projection coefficient, where <C H_{j,k}, H_{m,n}> = pi m! n!
-    * coefficient; every other entry is zero.
+    * coefficient; every other entry is zero.  The targets of all
+    columns at all levels n = 0..D are one (D+1) x N grid, and the kept
+    ones (m >= 0, m+n <= D) are scattered into the matrix at once, at
+    row (m+n)(m+n+1)/2 + m, each entry
+
+        sqrt(m! n! / (j! k!)) * ((-1)^{n+k+1} ((m+k)!/m!) / (2^{n+j} n!)),
+
+    where (m+k)!/m! = Gamma(n+j)/Gamma(n+j-k), the closed coefficient's
+    Gamma ratio.  A kept entry has m+n <= D and j+k <= D, so
+    m+k = n+j-1 < D: for D <= 12 every factorial, m! n!, j! k!, the
+    falling factorial and 2^{n+j} n! is an integer below 2^53, exact in
+    double.  Each entry is then the same sequence of correctly rounded
+    operations as :func:`~polycauchy.poly_bergman.projection_coefficient_closed`
+    times the norm ratio, and rounds to the same bits.
     """
-    degrees = range(max_total_degree + 1)
-    basis = [HermiteIndex(m, d - m) for d in degrees for m in range(d + 1)]
-    row_of = {idx: r for r, idx in enumerate(basis)}
-    matrix = np.zeros((len(basis), len(basis)))
-    for s, col in enumerate(basis):
-        col_norm = factorial(col.m) * factorial(col.n)
-        for n in degrees:
-            coefficient, target = projection_coefficient_closed(n, col.m, col.n)
-            r = row_of.get(target)
-            if r is not None:
-                row_norm = factorial(target.m) * factorial(n)
-                matrix[r, s] = math.sqrt(row_norm / col_norm) * coefficient
+    degree, j = np.tril_indices(max_total_degree + 1)
+    k = degree - j
+    f = np.cumprod(np.maximum(np.arange(max_total_degree + 1), 1), dtype=float)
+    n = np.arange(max_total_degree + 1)[:, None]
+    m = n + j - k - 1
+    level, col = np.nonzero((m >= 0) & (m + n <= max_total_degree))
+    n, m, j, k = level, m[level, col], j[col], k[col]
+    sign = np.where((n + k + 1) % 2, -1.0, 1.0)
+    coefficient = sign * (f[m + k] / f[m]) / np.ldexp(f[n], n + j)
+    matrix = np.zeros((degree.size, degree.size))
+    rows = (m + n) * (m + n + 1) // 2 + m
+    matrix[rows, col] = np.sqrt(f[m] * f[n] / (f[j] * f[k])) * coefficient
     return matrix
 
 
@@ -369,11 +384,15 @@ def truncated_operator_svd(max_total_degree: int) -> list[float]:
     """Singular values of the transform cut to total degree <= D.
 
     The normalized operator matrix over the basis {(m, n): m+n <= D}
-    is assembled from the closed projection coefficients and its
-    singular values come from LAPACK (``numpy.linalg.svd``).  Values
-    come out descending; growing D extends the matrix, so leading
-    values are nondecreasing in D.
+    is scattered from the closed projection coefficients in one numpy
+    pass (:func:`_operator_matrix`, exact in every intermediate for
+    D <= 12, the cap) and its singular values come from LAPACK
+    (``numpy.linalg.svd``).  D is taken through ``operator.index``, so
+    a float degree raises TypeError.  Values come out descending;
+    growing D extends the matrix, so leading values are nondecreasing
+    in D.
     """
+    max_total_degree = operator.index(max_total_degree)
     if not 0 <= max_total_degree <= 12:
         raise ValueError(
             f"truncated_operator_svd requires 0 <= max_total_degree <= 12, "

@@ -98,7 +98,6 @@ def test_domain_error_exit_code(capsys):
     assert err.startswith("error:")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_result_exit_code(capsys):
     # zbar**(n-m) overflows: a named error, never a printed nan
     for command in ("hermite", "cauchy"):
@@ -120,7 +119,6 @@ def test_far_m0_image_is_printed(capsys):
     assert float(capsys.readouterr().out) == pytest.approx(1e-160, rel=1e-14, abs=0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_far_m1_image_underflows_to_zero(capsys):
     # e^{-|z|^2} underflows to 0 inside the real radial factor, and the
     # monomial zbar is finite: the image, far below the smallest double,
@@ -131,6 +129,29 @@ def test_far_m1_image_underflows_to_zero(capsys):
     # named error, never a printed nan
     assert main(["cauchy", "--m", "3", "--n", "0", "--z", "1e160,0"]) == 3
     assert "not a finite double" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cauchy", "--m", "3", "--n", "0", "--z", "1e160,0"],
+        ["cauchy", "--m", "12", "--n", "12", "--z", "1e15,0"],
+        ["svd", "--degree", "13"],
+    ],
+)
+def test_exit_3_prints_only_its_error_line(argv):
+    # numpy's overflow and invalid-value warnings on the way to a
+    # non-finite result are not printed ahead of the named error
+    proc = subprocess.run(
+        [sys.executable, "-m", "polycauchy", *argv],
+        capture_output=True,
+        text=True,
+        env=_package_env(),
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error:")
 
 
 def test_gram_on_a_wide_grid_is_finite(capsys):
@@ -371,6 +392,14 @@ def test_gram_rows_write_each_real_entry_as_json():
     assert math.copysign(1.0, got["values"][0][1]) == 1.0 and got["values"][0][2] == 1e-300
 
 
+def _package_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 def _baseline_dispatch_env() -> dict:
     """The environment with numpy and OpenBLAS held to their baseline kernels.
 
@@ -382,14 +411,12 @@ def _baseline_dispatch_env() -> dict:
     """
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-    env = dict(os.environ)
+    env = _package_env()
     already = set(env.get("NPY_DISABLE_CPU_FEATURES", "").replace(",", " ").split())
     env["NPY_DISABLE_CPU_FEATURES"] = " ".join(
         f for f in __cpu_dispatch__ if __cpu_features__.get(f) or f in already
     )
     env["OPENBLAS_CORETYPE"] = "Prescott"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return env
 
 
@@ -576,7 +603,6 @@ def test_bad_out_paths_exit_3(capsys, tmp_path):
 _INDICES = st.one_of(st.integers(-3, 400), st.sampled_from([10**6, 10**18, 10**30]))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(m=_INDICES, n=_INDICES, re=st.floats(), im=st.floats())
 def test_hermite_exit_codes(m, n, re, im):
@@ -606,7 +632,6 @@ def _exit_code(argv):
     return code, out.getvalue()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=120, deadline=None)
 @given(
     kind=st.sampled_from(["hermite", "psi"]),
@@ -634,7 +659,6 @@ def test_gram_exit_codes(bound):
     assert (code == 2) == (bound < 0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(m=_INDICES, n=_INDICES, re=st.floats(), im=st.floats(), numeric=st.booleans())
 def test_cauchy_exit_codes(m, n, re, im, numeric):
@@ -700,7 +724,6 @@ _TOLERANCE_TEXT = st.one_of(
 )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=30, deadline=None)
 @given(
     suite=st.sampled_from(SUITE_NAMES + ("all", "bogus")),
@@ -765,7 +788,6 @@ def _config_is_valid(data):
     )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=30, deadline=None)
 @given(
     data=st.dictionaries(

@@ -1,9 +1,10 @@
 """Range bases, psi-Gram selection rule, and truncated singular values.
 
 Oracles: exact index-set combinatorics, closed Gaussian integrals
-(pi/3, pi/9, pi ln(4/3)) for Gram diagonals, and double-double polar
+(pi/3, pi/9, pi ln(4/3)) for Gram diagonals, double-double polar
 quadrature of every <psi_{j,k}, H_{m,n}> for the closed operator
-matrix behind the truncated spectrum.
+matrix behind the truncated spectrum, and a per-entry build of that
+matrix which the library's scatter matches bit for bit.
 """
 
 import math
@@ -36,6 +37,7 @@ from polycauchy.gaussian_quadrature import (
 )
 from polycauchy.ito_hermite import _separable_gram, c_mn, hermite_radial_profile
 from polycauchy.special_fn import kummer_terminating
+from polycauchy.poly_bergman import projection_coefficient_closed
 from polycauchy.range_analysis import _operator_matrix
 from polycauchy.verification import _hermite_integer_coefficients
 
@@ -448,3 +450,38 @@ def test_operator_svd_small_degrees():
         truncated_operator_svd(13)
     with pytest.raises(ValueError):
         truncated_operator_svd(-1)
+    # the degree goes through operator.index, as build_polar_grid's counts do
+    for degree in (3.0, 12.5):
+        with pytest.raises(TypeError):
+            truncated_operator_svd(degree)
+    assert truncated_operator_svd(np.int64(2)) == truncated_operator_svd(2)
+
+
+def _per_entry_operator_matrix(degree):
+    # one projection_coefficient_closed per (row, column) pair, with the
+    # norm ratio as one int / int of Python-integer factorials
+    basis = sorted(
+        ((m, n) for m in range(degree + 1) for n in range(degree + 1 - m)),
+        key=lambda i: (i[0] + i[1], i[0]),
+    )
+    f = math.factorial
+    matrix = np.zeros((len(basis), len(basis)))
+    for r, (m, n) in enumerate(basis):
+        for s, (j, k) in enumerate(basis):
+            coefficient, target = projection_coefficient_closed(n, j, k)
+            if target is not None and target.m == m:
+                matrix[r, s] = math.sqrt(f(m) * f(n) / (f(j) * f(k))) * coefficient
+    return matrix
+
+
+@pytest.mark.parametrize("degree", range(13))
+def test_operator_matrix_equals_the_per_entry_build_bit_for_bit(degree):
+    # the scatter keeps every intermediate exact for D <= 12, so each
+    # entry rounds as the per-entry build does and the spectrum is the
+    # same LAPACK call on the same bits
+    want = _per_entry_operator_matrix(degree)
+    got = _operator_matrix(degree)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    svd = np.linalg.svd(want, compute_uv=False)
+    assert np.array_equal(np.array(truncated_operator_svd(degree)), svd)
