@@ -12,10 +12,12 @@ row of :data:`CHECK_FAMILIES`.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -324,8 +326,13 @@ def _hermite_integer_coefficients(max_index: int) -> dict:
 
 
 def _exact_rank(polys: list[dict]) -> int:
-    """Rank over the rationals of polynomials given as {(a, b): c} maps."""
-    rows = [{key: Fraction(c) for key, c in poly.items() if c} for poly in polys]
+    """Rank over the rationals of polynomials given as {(a, b): c} maps.
+
+    Gaussian elimination in integers: each row is scaled by the pivot's
+    leading coefficient before the pivot's multiple is subtracted, which
+    clears that key exactly and leaves the span's rank unchanged.
+    """
+    rows = [{key: c for key, c in poly.items() if c} for poly in polys]
     rank = 0
     while rows:
         pivot = rows.pop()
@@ -333,13 +340,13 @@ def _exact_rank(polys: list[dict]) -> int:
             continue
         rank += 1
         key, lead = next(iter(pivot.items()))
-        for row in rows:
-            factor = row.get(key, 0) / lead
+        for i, row in enumerate(rows):
+            factor = row.get(key, 0)
             if factor:
+                scaled = {k: lead * c for k, c in row.items()}
                 for k, c in pivot.items():
-                    row[k] = row.get(k, 0) - factor * c
-                    if not row[k]:
-                        del row[k]
+                    scaled[k] = scaled.get(k, 0) - factor * c
+                rows[i] = {k: c for k, c in scaled.items() if c}
     return rank
 
 
@@ -375,10 +382,12 @@ def _suite_hermite(cfg: VerifyConfig) -> list[VerificationRecord]:
     t_values = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(9))
     t = np.array([float(v) for v in t_values])
 
-    # confluent factor against exact rational sums, every b of one p at once
+    # confluent factor against exact rational sums: every (p, b, t) in
+    # one climb, and every n of the Laguerre check in another.  Array-p
+    # entries equal the scalar calls bit for bit (kummer_terminating).
     b_values = np.arange(1, 13)
-    for p in range(13):
-        batch = kummer_terminating(p, b_values[:, None], t)
+    kummer = kummer_terminating(np.arange(13)[:, None, None], b_values[:, None], t)
+    for p, batch in enumerate(kummer):
         for b, row in zip(b_values.tolist(), batch):
             rec.add(
                 "kummer-rational",
@@ -387,8 +396,9 @@ def _suite_hermite(cfg: VerifyConfig) -> list[VerificationRecord]:
                 [_kummer_exact(p, b, v) for v in t_values],
             )
 
+    confluent = kummer_terminating(np.arange(11)[:, None], 1, t)
     for n in range(11):
-        rec.add("laguerre-kummer", f"n{n}", laguerre(n, t), kummer_terminating(n, 1, t))
+        rec.add("laguerre-kummer", f"n{n}", laguerre(n, t), confluent[n])
 
     for c in (1.0, 2.5, 6.0):
         for p in range(9):
@@ -447,17 +457,21 @@ def _suite_hermite(cfg: VerifyConfig) -> list[VerificationRecord]:
                 terms=(first, second, target),
             )
 
-    # extended function matches the transform of the antiholomorphic basis
+    # extended function matches the transform of the antiholomorphic basis:
+    # one singular grid per radius and one stacked quadrature of H_{0,0..4}
+    # on it.  Table entries equal hermite_eval, and stacked entries the
+    # one-integrand calls, bit for bit.
+    centres = {r: r * complex(math.cos(0.7), math.sin(0.7)) for r in (0.5, 1.0, 2.0)}
+    numerics = {
+        r: cauchy_singular_quadrature(
+            lambda pts: hermite_table(0, range(5), pts)[0], z, cfg.singular_grid(z)
+        )
+        for r, z in centres.items()
+    }
     for n in range(5):
-        for r in (0.5, 1.0, 2.0):
-            z = r * complex(math.cos(0.7), math.sin(0.7))
+        for r, z in centres.items():
             closed = -math.exp(-abs(z) ** 2) * hermite_eval_extended(n, z)
-            numeric = cauchy_singular_quadrature(
-                lambda pts, nn=n: hermite_eval(HermiteIndex(0, nn), pts),
-                z,
-                cfg.singular_grid(z),
-            )
-            rec.add("extension-transform", f"n{n}-r{r:g}", numeric, closed)
+            rec.add("extension-transform", f"n{n}-r{r:g}", numerics[r][n], closed)
 
     return rec.records
 
@@ -505,15 +519,18 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
                 lambda pts, h=table[:, n]: h, complex(z), grids[z]
             )
         linearity[z] = _linearity_sources(table)
+    # each closed image is evaluated once on the array of the centres; a
+    # scalar image equals its array entry bit for bit
+    centres = np.array(_CAUCHY_POINTS)
     for m in range(6):
         for n in range(6):
-            idx = HermiteIndex(m, n)
-            for z in _CAUCHY_POINTS:
+            closed = cauchy_hermite_closed(HermiteIndex(m, n), centres)
+            for z, image in zip(_CAUCHY_POINTS, closed.tolist()):
                 rec.add(
                     "cauchy-closed-vs-numeric",
                     f"m{m}-n{n}-z{z}",
                     numerics[z, n][m],
-                    cauchy_hermite_closed(idx, z),
+                    image,
                 )
 
     # linearity of the numeric transform, f and g evaluated once per centre
@@ -647,11 +664,13 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
                 factorial(k) / beta ** (k + 1),
             )
 
-    # angular exactness of monomial inner products
+    # angular exactness of monomial inner products; each power is the same
+    # numpy call as pts**e inside the integrand, raised once for every pair
+    powers = [base.points**e for e in range(11)]
     for a in range(11):
         for b in range(a + 1, 11):
             value = inner_product_gaussian(
-                lambda pts, e=a: pts**e, lambda pts, e=b: pts**e, base
+                lambda pts, v=powers[a]: v, lambda pts, v=powers[b]: v, base
             )
             normalized = value / (
                 math.pi * math.sqrt(factorial(a) * factorial(b))
@@ -850,36 +869,62 @@ def record_to_row(record: VerificationRecord) -> dict:
     }
 
 
+def _float_json(value: float) -> str:
+    """A float as json.dumps prints it: repr, or NaN / Infinity / -Infinity."""
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+
+
+def _complex_json(value: complex) -> str:
+    """json.dumps of :func:`_json_complex` of ``value``."""
+    value = complex(value) + 0j
+    if value.imag == 0.0:
+        return _float_json(value.real)
+    return f"[{_float_json(value.real)}, {_float_json(value.imag)}]"
+
+
+def _number_texts(value) -> tuple[str, str]:
+    """abs_err or tolerance as json.dumps and as repr print it."""
+    if type(value) is float:
+        return _float_json(value), float.__repr__(value)
+    return json.dumps(value), repr(value)
+
+
 def write_report(records: list[VerificationRecord], path: str) -> str:
     """Write records as JSON lines plus a CSV summary next to them.
 
     Returns the CSV path: ``path`` with its extension replaced by
-    ``.csv``.  Output bytes depend only on the records.
+    ``.csv``.  Output bytes depend only on the records.  Each record's
+    texts are formed once and shared by both files: a JSON line is
+    ``json.dumps(record_to_row(record))``, and a CSV row holds the same
+    lhs and rhs JSON and the ``repr`` of abs_err and tolerance.
     """
     csv_path = path.rsplit(".", 1)[0] + ".csv" if "." in path.rsplit("/", 1)[-1] else path + ".csv"
     if csv_path == path:
         raise ValueError(
             f"report path {path} is where its CSV summary goes; use another extension"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_row(record)) + "\n")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["test_id", "lhs", "rhs", "abs_err", "tolerance", "pass", "provenance"]
+    lines = []
+    rows = [["test_id", "lhs", "rhs", "abs_err", "tolerance", "pass", "provenance"]]
+    for record in records:
+        lhs, rhs = _complex_json(record.lhs), _complex_json(record.rhs)
+        err_json, err_repr = _number_texts(record.abs_err)
+        tol_json, tol_repr = _number_texts(record.tolerance)
+        verdict = "true" if record.passed else "false"
+        lines.append(
+            f'{{"test_id": {encode_basestring_ascii(record.test_id)}, "lhs": {lhs}, '
+            f'"rhs": {rhs}, "abs_err": {err_json}, "tolerance": {tol_json}, '
+            f'"pass": {verdict}, '
+            f'"provenance": {encode_basestring_ascii(record.provenance)}}}\n'
         )
-        for record in records:
-            row = record_to_row(record)
-            writer.writerow(
-                [
-                    row["test_id"],
-                    json.dumps(row["lhs"]),
-                    json.dumps(row["rhs"]),
-                    repr(record.abs_err),
-                    repr(record.tolerance),
-                    "true" if record.passed else "false",
-                    record.provenance,
-                ]
-            )
+        rows.append(
+            [record.test_id, lhs, rhs, err_repr, tol_repr, verdict, record.provenance]
+        )
+    summary = io.StringIO()
+    csv.writer(summary, lineterminator="\n").writerows(rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(lines))
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(summary.getvalue())
     return csv_path

@@ -453,6 +453,29 @@ def test_gram_output_bytes_are_pinned(tmp_path):
             assert got == want, (flags, fmt, builds)
 
 
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="the digests are pinned to the x86-64 baseline kernels of numpy and OpenBLAS",
+)
+def test_verify_all_report_bytes_are_pinned(tmp_path):
+    # md5 of the verify all JSONL and CSV written under the baseline dispatch
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    builds = f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}"
+    out = tmp_path / "report.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "polycauchy", "verify", "all", "--out", str(out)],
+        env=_baseline_dispatch_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for path, want in (
+        (out, "712292789e42203f9872e9890a7b16a1"),
+        (out.with_suffix(".csv"), "e861da3b907344e435f4d54bab9b454c"),
+    ):
+        assert hashlib.md5(path.read_bytes()).hexdigest() == want, (path.name, builds)
+
+
 def test_svd_output(capsys):
     assert main(["svd", "--degree", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -1,9 +1,12 @@
 """Verification suites: record integrity, coverage, and report determinism."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,13 @@ from polycauchy.gaussian_quadrature import (
     build_polar_grid,
     build_singular_grid,
 )
-from polycauchy.range_analysis import e_ell_indices, psi_gram
+from polycauchy.range_analysis import (
+    VARIANT_R_TILDE,
+    RangeBasisSpec,
+    e_ell_indices,
+    psi_gram,
+    range_basis_indices,
+)
 from polycauchy.verification import (
     CHECK_FAMILIES,
     RELATIVE,
@@ -125,11 +134,10 @@ def test_nan_gap_fails_its_record(monkeypatch):
     real = verification.kummer_terminating
 
     def poisoned(p, b, t):
-        # the suite sums every b of one p in one call: NaN at b = 2, t = 1
+        # the suite sums every (p, b, t) in one call: NaN at p = 3, b = 2, t = 1
         out = real(p, b, t)
-        if p == 3:
-            out = np.where((np.asarray(b) == 2) & (np.asarray(t) == 1.0), math.nan, out)
-        return out
+        mask = (np.asarray(p) == 3) & (np.asarray(b) == 2) & (np.asarray(t) == 1.0)
+        return np.where(mask, math.nan, out)
 
     monkeypatch.setattr(verification, "kummer_terminating", poisoned)
     records = {r.test_id: r for r in run_suite("hermite")}
@@ -168,6 +176,55 @@ def test_report_bytes_deterministic(tmp_path):
         assert parsed["pass"] is True
 
 
+def _per_record_report(records):
+    """The JSONL and CSV texts formatted record by record through record_to_row."""
+    lines = "".join(json.dumps(record_to_row(r)) + "\n" for r in records)
+    summary = io.StringIO()
+    writer = csv.writer(summary, lineterminator="\n")
+    writer.writerow(["test_id", "lhs", "rhs", "abs_err", "tolerance", "pass", "provenance"])
+    for r in records:
+        row = record_to_row(r)
+        writer.writerow(
+            [
+                row["test_id"],
+                json.dumps(row["lhs"]),
+                json.dumps(row["rhs"]),
+                repr(r.abs_err),
+                repr(r.tolerance),
+                "true" if r.passed else "false",
+                r.provenance,
+            ]
+        )
+    return lines, summary.getvalue()
+
+
+def _hand_built_records():
+    nan, inf = math.nan, math.inf
+    cases = (
+        ("nan-gap", complex(nan, 0.0), 1 + 0j, nan, 1e-12, False),
+        ("inf-gap", complex(inf, -inf), 0j, inf, 1e-6, False),
+        ("minus-inf-gap", 2 + 0j, complex(nan, 1.5), -inf, 0.0, True),
+        ("negative-zeros", complex(-0.0, -0.0), complex(1.25, -0.0), 0.0, 0.0, True),
+        ("negative-zero-parts", complex(-0.0, 3.0), complex(-2.0, -0.0), 5.0, 1.0, False),
+        ('comma, and "quote"', 1e-300 + 1e300j, -5e-324 + 0j, 1e300, 1e-300, False),
+        ("non-ascii-é–id", 0.1 + 0.2j, 0.30000000000000004 + 0j, 0, 0, True),
+    )
+    return [
+        VerificationRecord(tid, lhs, rhs, err, tol, passed, "closed-form")
+        for tid, lhs, rhs, err, tol, passed in cases
+    ]
+
+
+def test_write_report_equals_the_per_record_formatting(all_records, tmp_path):
+    records = list(all_records) + _hand_built_records()
+    assert len(all_records) == 1540
+    path = tmp_path / "report.jsonl"
+    csv_path = write_report(records, str(path))
+    lines, summary = _per_record_report(records)
+    assert path.read_bytes() == lines.encode("utf-8")
+    assert Path(csv_path).read_bytes() == summary.encode("utf-8")
+
+
 def test_hermite_integer_coefficients_match_evaluation():
     # the exact table behind the polyanalytic-order oracle is H_{m,n} itself
     table = _hermite_integer_coefficients(6)
@@ -192,6 +249,59 @@ def test_exact_rank_sees_dependent_sets():
     assert _exact_rank(level + [combo]) == 5
     assert _exact_rank([table[1, 3], table[4, 3], combo, table[0, 0]]) == 3
     assert _exact_rank([]) == 0
+
+
+def _fraction_rank(polys):
+    """Rank by Gaussian elimination in Fractions, the integer rank's oracle."""
+    rows = [{key: Fraction(c) for key, c in poly.items() if c} for poly in polys]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        if not pivot:
+            continue
+        rank += 1
+        key, lead = next(iter(pivot.items()))
+        for row in rows:
+            factor = row.get(key, 0) / lead
+            if factor:
+                for k, c in pivot.items():
+                    row[k] = row.get(k, 0) - factor * c
+                    if not row[k]:
+                        del row[k]
+    return rank
+
+
+def _random_row_sets(seed, count):
+    """Integer row sets with zero rows, duplicates and dependent rows."""
+    rng = np.random.default_rng(seed)
+    keys = [(a, b) for a in range(4) for b in range(4)]
+    for _ in range(count):
+        width = int(rng.integers(1, len(keys) + 1))
+        picked = [keys[i] for i in rng.choice(len(keys), size=width, replace=False)]
+        rows = []
+        for _ in range(int(rng.integers(0, 9))):
+            values = rng.integers(-4, 5, size=width) * (rng.random(width) < 0.6)
+            rows.append({k: int(v) for k, v in zip(picked, values)})
+        if rows:
+            rows.append(dict(rows[int(rng.integers(len(rows)))]))
+            rows.append({k: 0 for k in picked})
+            a, b = (rows[int(i)] for i in rng.integers(len(rows), size=2))
+            x, y = (int(v) for v in rng.integers(-3, 4, size=2))
+            rows.append({k: x * a.get(k, 0) + y * b.get(k, 0) for k in set(a) | set(b)})
+        order = rng.permutation(len(rows))
+        yield [rows[i] for i in order]
+
+
+def test_integer_rank_equals_the_fraction_elimination():
+    for rows in _random_row_sets(20261019, 300):
+        assert _exact_rank(rows) == _fraction_rank(rows), rows
+    # every rtilde-dimension basis of the ranges suite
+    table = _hermite_integer_coefficients(10)
+    specs = [(n, ell) for n in range(11) for ell in range(11) if 0 < n + ell <= 10]
+    for n, ell in specs + [(0, 0)]:
+        spec = RangeBasisSpec(VARIANT_R_TILDE, ell, n)
+        polys = [table[i.m, i.n] for i in range_basis_indices(spec)]
+        assert _exact_rank(polys) == _fraction_rank(polys) == n + ell, (n, ell)
 
 
 def test_rtilde_dimension_records_use_the_rank_oracle(monkeypatch):
