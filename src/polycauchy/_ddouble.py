@@ -5,12 +5,12 @@ A double-double value is an unevaluated pair (hi, lo) with
 primitives below follow the classical Dekker/Knuth constructions and
 work elementwise on floats and numpy arrays alike (no FMA assumed).
 
-Used where plain doubles measurably fail: polishing Gauss-Laguerre
-nodes and weights to the last ulp (a plain-double Newton moves nodes by
-up to 942 ulp at n = 128), and the terminating confluent series of the
-psi Gram's radial cross-check (plain-double Laguerre values raise its
-K = 8 gap from 4.2e-16 to about 1e-15).  The 1-D :func:`dd_weighted_sum`
-serves the per-pair separable rule, the oracle of one Gram entry.
+Used only where a measured number needs it, stated at each site: the
+Laguerre recurrence behind the Gauss-Laguerre nodes and weights (the
+Newton correction itself is one plain double division), and the
+confluent series of the psi Gram's radial cross-check, whose Kahan sum
+is the library's only compensated sum.  :func:`dd_weighted_sum` serves
+the per-pair separable rule, the oracle of one Gram entry.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ def dd_add(xh, xl, yh, yl):
     return quick_two_sum(sh, sl)
 
 
-def dd_neg(xh, xl):
-    return -xh, -xl
-
-
 def dd_mul(xh, xl, yh, yl):
     ph, pl = two_prod(xh, yh)
     pl = pl + (xh * yl + xl * yh)
@@ -74,7 +70,8 @@ def dd_mul_scalar(xh, xl, c):
 
 def dd_div(xh, xl, yh, yl):
     q1 = xh / yh
-    rh, rl = dd_add(xh, xl, *dd_neg(*dd_mul(yh, yl, q1, np.zeros_like(q1) if isinstance(q1, np.ndarray) else 0.0)))
+    ph, pl = dd_mul(yh, yl, q1, 0.0)
+    rh, rl = dd_add(xh, xl, -ph, -pl)
     q2 = (rh + rl) / yh
     return quick_two_sum(q1, q2)
 

@@ -57,6 +57,7 @@ the weighted Cauchy transform uniform in m.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -78,12 +79,13 @@ __all__ = [
 # Base crossover |z|^2 between the ascending series and the closed
 # exponential form of the m = -1 extension.  The closed form subtracts
 # e^{-t} times the degree-n Taylor partial sum of e^t from 1, so it
-# loses roughly the first n digits when t is small; the effective
-# threshold grows as max(base, n/2) to keep the subtraction well away
-# from total cancellation (at n = 12, t just above 0.25 it would round
-# to zero).
-# The series has only positive terms and converges geometrically below
-# the threshold.
+# loses digits when t is small; the effective threshold grows as
+# max(base, n/2) (at n = 12, t just above 0.25 the difference would
+# round to zero).  Just above n/2 the difference is still small (2.5e-7
+# at n = 63), and against 40-digit mpmath the body's relative error
+# there reaches 4e-14 at n = 12, 1e-12 at n = 24, 3e-11 at n = 40 and
+# 5e-9 at n = 63.  The series has only positive terms and converges
+# geometrically below the threshold.
 EXTENSION_CROSSOVER = 0.25
 
 _SERIES_RELATIVE_CUTOFF = 1e-17
@@ -115,7 +117,8 @@ def c_mn(m: int, n: int) -> float:
     """Normalisation constant c_{m,n} = (-1)^min(m,n) max(m,n)!/|m-n|!.
 
     Extended to m = -1, where it reduces to -n!/(n+1)! = -1/(n+1), the
-    prefactor of the extended function.
+    prefactor of the extended function.  One correctly rounded quotient
+    of exact integers: it overflows only where the value does.
     """
     if m < -1:
         raise ValueError(f"c_mn requires m >= -1, got m={m}")
@@ -123,7 +126,7 @@ def c_mn(m: int, n: int) -> float:
         raise ValueError(f"c_mn requires n >= 0, got n={n}")
     p = min(m, n)
     sign = -1.0 if p % 2 else 1.0
-    return sign * factorial(max(m, n)) / factorial(abs(m - n))
+    return sign * (math.factorial(max(m, n)) / math.factorial(abs(m - n)))
 
 
 def hermite_eval(idx: HermiteIndex, z, *, weighted: bool = False):
@@ -294,23 +297,17 @@ def _series_coefficients(n: int) -> tuple:
 def _closed_body(n: int, t: np.ndarray, weighted: bool) -> np.ndarray:
     """-n! (1 - e^{-t} sum_{k<=n} t^k/k!), times e^t unless weighted.
 
-    The Poisson terms are summed with Kahan compensation, in place in
-    fixed buffers.
+    The Poisson terms are summed in plain double, in place.
     """
     # n! first: past its overflow it raises before an n-step loop
     scale = -factorial(n)
     term = np.negative(t)
     np.exp(term, out=term)
-    partial, comp = term.copy(), np.zeros_like(t)
-    y, s = np.empty_like(t), np.empty_like(t)
+    partial = term.copy()
     for k in range(1, n + 1):
         term *= t
         term /= k
-        np.subtract(term, comp, out=y)
-        np.add(partial, y, out=s)
-        np.subtract(s, partial, out=comp)
-        comp -= y
-        partial, s = s, partial
+        partial += term
     body = np.subtract(1.0, partial, out=partial)
     body *= scale
     if not weighted:

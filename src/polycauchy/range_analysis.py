@@ -137,9 +137,10 @@ def _psi_pair_radial(indices, rows, cols, grid: PolarGrid) -> np.ndarray:
     with F the terminating confluent factors; an independent check on
     the grid value (series evaluation against recurrence evaluation).
     Returns one value per pair (indices[rows[e]], indices[cols[e]]),
-    Kahan-summed over ascending beta = 3 nodes.  The pairs x nodes terms
-    are formed _PAIR_CHUNK pairs at a time; every step is elementwise
-    per pair, so the chunking moves no bit.
+    Kahan-summed over ascending beta = 3 nodes (with ``np.sum`` the K = 8
+    gap goes from 4.2298e-16 to 8.4597e-16, halving spectrum headroom).
+    The pairs x nodes terms are formed _PAIR_CHUNK pairs at a time;
+    every step is elementwise per pair, so the chunking moves no bit.
     """
     grid3 = build_polar_grid(grid.n_radial, grid.n_theta, 3.0)
     t, w = grid3.radial_t, grid3.radial_w

@@ -200,13 +200,10 @@ def _split_extended_parts(n, t, weighted):
         tc = t[closed]
         scale = -math.factorial(n)
         term = np.exp(-tc)
-        partial, comp = term, 0.0
+        partial = term
         for k in range(1, n + 1):
             term = term * tc / k
-            y = term - comp
-            s = partial + y
-            comp = (s - partial) - y
-            partial = s
+            partial = partial + term
         value = scale * (1.0 - partial)
         body[closed] = value if weighted else value * np.exp(tc)
     return series, body

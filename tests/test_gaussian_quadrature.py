@@ -7,6 +7,7 @@ node/weight source.
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -57,24 +58,77 @@ def test_nodes_against_numpy_constructor():
         assert np.all(w > 0)
 
 
-def test_node_digests_are_pinned():
+def _laguerre_signs(n: int, points) -> list[int]:
+    """Sign of L_n at each rational point, from exact integers."""
+    # n! L_n(x) = sum_k (-1)^k C(n, k) n!/k! x^k, by Horner in num/den
+    coefficients = [
+        (-1) ** k * math.comb(n, k) * (math.factorial(n) // math.factorial(k))
+        for k in range(n + 1)
+    ]
+    signs = []
+    for point in points:
+        num, den = point.numerator, point.denominator
+        acc, den_power = 0, 1
+        for c in reversed(coefficients):
+            acc = acc * num + c * den_power
+            den_power *= den
+        signs.append((acc > 0) - (acc < 0))
+    return signs
+
+
+def test_nodes_are_correctly_rounded_roots():
+    # L_n changes sign between the ends of each node's rounding interval,
+    # so the root is within half an ulp: the double-double recurrence is
+    # what gets there (in plain double it leaves nodes 942 ulp off at
+    # n = 128)
+    for n in (24, 64, 128, 200):
+        x, _ = gauss_laguerre_nodes(n)
+        ends = [
+            (Fraction(v) + Fraction(math.nextafter(v, toward))) / 2
+            for v in x.tolist()
+            for toward in (0.0, math.inf)
+        ]
+        signs = _laguerre_signs(n, ends)
+        assert all(lo * hi <= 0 for lo, hi in zip(signs[::2], signs[1::2])), n
+
+
+_NODE_DIGESTS = {
     # sha256 of the little-endian float64 nodes and weights
-    pins = {
-        24: ("c25654dc4fbf63fe7f09b1cc6bf6483b2278a11a3fc8109e6760394141a8d767",
-             "c79146804c2ee396e1399732a2375738eb41df5fa2120c28640d961220a6c94c"),
-        64: ("c8bc55baa12766094fa17c2b9af11a5e90ae86dfd104b854442e5b7284c9cc7e",
-             "4120103efdfb8578bd094c55d2c6c1563a4bfcc6de3eef886dab1558349864d9"),
-        128: ("6729fdb5b28deac0050fbf6f8ebedfdbfc8bbe4e57e1616c92f2072aa474cc5a",
-              "d2518cb0215f49302485dc4faab2644d6bfcca972473518444eaab585d421a12"),
-        200: ("8f932434f7a82871cb025e38d70d45e1252871a1cf86b498271170e397655fdb",
-              "9b93cbe16dbe2192c9a7cd3843d3df32031d74296f4a4080d0ddf2c96b0ac1c4"),
-    }
-    for n, want in pins.items():
-        got = tuple(
-            hashlib.sha256(np.asarray(a, dtype="<f8").tobytes()).hexdigest()
-            for a in gauss_laguerre_nodes(n)
-        )
-        assert got == want, n
+    24: ("c25654dc4fbf63fe7f09b1cc6bf6483b2278a11a3fc8109e6760394141a8d767",
+         "c79146804c2ee396e1399732a2375738eb41df5fa2120c28640d961220a6c94c"),
+    64: ("c8bc55baa12766094fa17c2b9af11a5e90ae86dfd104b854442e5b7284c9cc7e",
+         "4120103efdfb8578bd094c55d2c6c1563a4bfcc6de3eef886dab1558349864d9"),
+    128: ("6729fdb5b28deac0050fbf6f8ebedfdbfc8bbe4e57e1616c92f2072aa474cc5a",
+          "d2518cb0215f49302485dc4faab2644d6bfcca972473518444eaab585d421a12"),
+    200: ("8f932434f7a82871cb025e38d70d45e1252871a1cf86b498271170e397655fdb",
+          "9b93cbe16dbe2192c9a7cd3843d3df32031d74296f4a4080d0ddf2c96b0ac1c4"),
+}
+
+
+def _node_digests(n: int) -> tuple[str, str]:
+    return tuple(
+        hashlib.sha256(np.asarray(a, dtype="<f8").tobytes()).hexdigest()
+        for a in gauss_laguerre_nodes(n)
+    )
+
+
+def test_node_digests_are_pinned():
+    for n, want in _NODE_DIGESTS.items():
+        assert _node_digests(n) == want, n
+
+
+def test_node_digests_hold_from_perturbed_guesses(monkeypatch):
+    # the second Newton step makes the rule independent of its guesses:
+    # with one step, rules change bits when the guesses move by 1e-11
+    good = gaussian_quadrature._laguerre_guesses
+    rng = np.random.default_rng(20261020)
+
+    def perturbed(n):
+        return good(n) * (1.0 + 1e-8 * rng.uniform(-1.0, 1.0, n))
+
+    monkeypatch.setattr(gaussian_quadrature, "_laguerre_guesses", perturbed)
+    for n, want in _NODE_DIGESTS.items():
+        assert _node_digests(n) == want, n
 
 
 def test_newton_non_convergence_raises(monkeypatch):

@@ -103,6 +103,24 @@ def test_c_mn_frozen_values():
         c_mn(0, -1)
 
 
+def test_c_mn_is_the_correctly_rounded_ratio():
+    # one rounding of the exact ratio max(m,n)!/|m-n|!, which a product
+    # of rounded factorials misses from max(m, n) = 23 on
+    def exact(m, n):
+        sign = -1 if min(m, n) % 2 else 1
+        return float(sign * Fraction(math.factorial(max(m, n)), math.factorial(abs(m - n))))
+
+    for m in range(-1, 60):
+        for n in range(60):
+            assert c_mn(m, n) == exact(m, n), (m, n)
+    for n in range(60, 400):
+        assert c_mn(-1, n) == exact(-1, n), n
+    assert c_mn(3, 200) == -7880400.0
+    assert c_mn(171, 1) == -171.0
+    with pytest.raises(OverflowError):
+        c_mn(1000, 800)
+
+
 def test_eval_examples():
     assert hermite_eval(HermiteIndex(0, 0), 2.3 - 0.4j) == 1.0 + 0j
     assert hermite_eval(HermiteIndex(1, 1), 1.0 + 1.0j) == pytest.approx(1.0 + 0j, abs=1e-14)

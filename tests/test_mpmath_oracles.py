@@ -116,6 +116,16 @@ def test_far_m0_images_are_finite_and_accurate(radius, n):
         assert cauchy_hermite_closed(HermiteIndex(0, n), v) == image
 
 
+def test_m0_image_at_level_170_is_finite_and_accurate():
+    # (n + 1)! overflows at n = 170, but the series branch's prefactor
+    # -1/(n + 1) and the image itself (about 2.9e75 at z = 3) do not
+    z = 3.0 * np.exp(1j * np.array([0.0, 0.4, 2.0]))
+    reference = [_split(_psi_reference(170, v)) for v in z.tolist()]
+    images = cauchy_hermite_closed(HermiteIndex(0, 170), z)
+    assert np.all(np.isfinite(images))
+    assert _worst_relative_error(images, reference) <= 1e-14
+
+
 @pytest.mark.parametrize("radius", [1e155, 1e160, 1e300])
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_m0_images_past_the_overflow_of_t(radius, n):
