@@ -133,17 +133,16 @@ def gauss_laguerre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for the weight e^{-x} on [0, inf), ascending.
 
     All nodes are found at once: Golub-Welsch eigenvalues are the
-    starting guesses, and two Newton steps, each a plain double
-    correction p/p' from the double-double three-term recurrence, make
-    each stored node the correctly rounded root.  With one step the
-    weights of 85 of the rules n = 1..200 change bits when the guesses
-    move by 1e-11 relative; with two, none change up to 1e-8.  A final
-    double-double evaluation gives the weights w = 1/(x L_n'(x)^2) (a
-    plain quotient moves 11316 of the 20100 weights for n <= 200);
-    entries too large for that path are formed in log space and entries
-    below the double-precision floor underflow to 0.  The same
-    evaluation gives each node's residual Newton step, and a ValueError
-    names n and the node index if one exceeds 2^-50 relative to its node.
+    starting guesses, and two Newton steps p/p' (plain double division
+    of the double-double recurrence) make each stored node the correctly
+    rounded root; with one step 85 of the rules n = 1..200 change bits
+    when the guesses move by 1e-11 relative, with two none up to 1e-8.
+    A final double-double evaluation gives w = 1/(x L_n'(x)^2) (a plain
+    quotient moves 11316 of the 20100 weights for n <= 200); entries too
+    large for that path are formed in log space and entries below the
+    double-precision floor underflow to 0.  The same evaluation gives
+    each node's residual Newton step, and a ValueError names n and the
+    node index if one exceeds 2^-50 relative to its node.
     """
     if n < 1:
         raise ValueError(f"gauss_laguerre_nodes requires n >= 1, got {n}")

@@ -104,17 +104,15 @@ def kernel_closed(n: int, z: complex, w: complex) -> complex:
 def kernel_series(spec: KernelSpec, z, w):
     """Series form sum_{m<=M} H_{m,n}(z) H_{n,m}(w) / (pi m! n!).
 
-    Terms are summed in ascending m.  For
-    |z|, |w| <= 2 and M = 60 the factorial decay puts the remainder
-    below 1e-12.
+    Terms are summed in ascending m.  For |z|, |w| <= 2 and M = 60 the
+    factorial decay puts the remainder below 1e-12.
 
     ``z`` and ``w`` are points or sequences of points.  For two points
     the result is a complex; otherwise it is the array of K_n(z_i, w_j)
     with shape ``np.shape(z) + np.shape(w)``, each entry equal to the
     call on its two points.  One one-level Hermite table serves each
-    list.  Each term is a real-arithmetic outer product of the rows,
-    rounded as Python's a * b / s, added on its own: numpy's complex
-    multiply and pairwise sum round one pair otherwise than a list.
+    list; each term is a real outer product of the rows, rounded as
+    Python's a * b / s, since numpy's complex multiply rounds otherwise.
     """
     n = spec.n
     fn = factorial(n)

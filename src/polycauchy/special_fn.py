@@ -180,15 +180,15 @@ def kummer_terminating(p, b, t):
 
     Exactly ``p + 1`` terms are carried in double-double precision,
     term ratio and running sum alike; the alternating cancellation for
-    large t therefore costs no double-precision digits: in plain double
-    the psi Gram's K = 24 radial gap goes from 4.37e-14 to 2.3e-11.
-    ``b`` must be a positive integer so no denominator can vanish.  Integer arrays
-    ``p`` and ``b`` broadcast against each other and against ``t``, and
-    every series is summed in one climb: entries run in order of
-    descending degree, and an entry leaves the climb once its degree is
-    reached.  Every step is elementwise, so each entry equals the
-    scalar call bit for bit.  Accepts scalar or ndarray ``t``; the
-    result is a float when all three are scalars.
+    large t therefore costs no double-precision digits (in plain double
+    the psi Gram's K = 24 radial gap goes from 4.37e-14 to 2.3e-11).
+    ``b`` must be a positive integer so no denominator can vanish.
+    Integer arrays ``p`` and ``b`` broadcast against each other and
+    against ``t``, and every series is summed in one climb: entries run
+    in order of descending degree, and an entry leaves the climb once
+    its degree is reached.  Every step is elementwise, so each entry
+    equals the scalar call bit for bit.  Accepts scalar or ndarray
+    ``t``; the result is a float when all three are scalars.
     """
     p_arr = np.asarray(p)
     if p_arr.dtype.kind not in "iu":

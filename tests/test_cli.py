@@ -125,6 +125,12 @@ def test_m0_image_past_the_factorial_range_is_printed(capsys):
     assert float(capsys.readouterr().out) == pytest.approx(2.9472794011759e75, rel=1e-13)
 
 
+def test_m0_image_at_a_huge_level_fails_at_once():
+    # the series prefactor -1/(n+1) forms no factorial of n, and the
+    # series coefficients overflow a double: exit 3 without an n-step loop
+    assert main(["cauchy", "--m", "0", "--n", "100000000", "--z", "3,0"]) == 3
+
+
 def test_far_m1_image_underflows_to_zero(capsys):
     # e^{-|z|^2} underflows to 0 inside the real radial factor, and the
     # monomial zbar is finite: the image, far below the smallest double,

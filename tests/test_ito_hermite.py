@@ -119,6 +119,12 @@ def test_c_mn_is_the_correctly_rounded_ratio():
     assert c_mn(171, 1) == -171.0
     with pytest.raises(OverflowError):
         c_mn(1000, 800)
+    # min(m, n) factors at most: no factorial of 1e9 is ever formed
+    assert c_mn(-1, 10**9) == -1 / (10**9 + 1)
+    assert c_mn(10**9, 2) == 999999999000000000.0
+    for m, n in ((10**9, 10**9 - 1), (10**9, 170)):
+        with pytest.raises(OverflowError):
+            c_mn(m, n)
 
 
 def test_eval_examples():
