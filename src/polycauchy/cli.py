@@ -310,17 +310,6 @@ def _cmd_verify(args: argparse.Namespace, cfg: VerifyConfig) -> int:
     return 0 if not failures else 1
 
 
-_DISPATCH = {
-    "hermite": _cmd_hermite,
-    "cauchy": _cmd_cauchy,
-    "project": _cmd_project,
-    "gram": _cmd_gram,
-    "ranges": _cmd_ranges,
-    "svd": _cmd_svd,
-    "verify": _cmd_verify,
-}
-
-
 class _SourceAction(argparse.Action):
     """--source KIND M N: KIND 'hermite' or 'psi', M and N as integers."""
 
@@ -353,11 +342,13 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("hermite", help="evaluate one basis polynomial")
+    p.set_defaults(run=_cmd_hermite)
     p.add_argument("--m", type=int, required=True, help="holomorphic index (>= -1)")
     p.add_argument("--n", type=int, required=True, help="antiholomorphic index")
     p.add_argument("--z", type=_parse_complex, required=True, help="point RE,IM")
 
     p = commands.add_parser("cauchy", help="transform of one basis polynomial")
+    p.set_defaults(run=_cmd_cauchy)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--z", type=_parse_complex, required=True, help="point RE,IM")
@@ -369,6 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
 
     p = commands.add_parser("project", help="level projection coefficients")
+    p.set_defaults(run=_cmd_project)
     p.add_argument("--level", type=int, required=True, help="target level n")
     p.add_argument(
         "--source",
@@ -382,11 +374,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
 
     p = commands.add_parser("gram", help="transform-image Gram matrix")
+    p.set_defaults(run=_cmd_gram)
     p.add_argument("--max-index", type=_max_index, required=True, help="indices run 0..K")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_grid_flags(p)
 
     p = commands.add_parser("ranges", help="range-space basis indices")
+    p.set_defaults(run=_cmd_ranges)
     p.add_argument("--variant", choices=("r", "rtilde"), required=True)
     p.add_argument("--ell", type=int, required=True, help="source level offset")
     p.add_argument("--level", type=int, required=True, help="target level n")
@@ -398,9 +392,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = commands.add_parser("svd", help="singular values of the truncated operator")
+    p.set_defaults(run=_cmd_svd)
     p.add_argument("--degree", type=int, required=True, help="total-degree cutoff")
 
     p = commands.add_parser("verify", help="run a verification suite")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument(
         "suite",
         nargs="?",
@@ -426,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
         # verify checks), so numpy's floating-point warnings stay silent
         with np.errstate(all="ignore"):
             cfg = _load_config(args)
-            return _DISPATCH[args.command](args, cfg)
+            return args.run(args, cfg)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -187,21 +187,23 @@ def _phase_table(n: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarGrid:
     """Tensor grid for integrals against e^{-beta |z|^2} dx dy.
 
     radial_t, radial_w: Gauss-Laguerre nodes/weights in t = |z|^2,
     already rescaled for the weight e^{-beta t}.  points are
     sqrt(t) times the libm unit phases of :func:`_phase_table`.
-    Immutable after construction; arrays are read-only.
+    Immutable after construction; arrays are read-only.  Grids compare
+    and hash by identity; :func:`build_polar_grid` returns one cached
+    instance per resolution.
     """
 
     beta: float
     radial_t: np.ndarray
     radial_w: np.ndarray
     n_theta: int
-    points: np.ndarray = field(init=False, repr=False, compare=False)
+    points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.beta <= 0:
@@ -264,14 +266,15 @@ def _standard_legendre_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingularGrid:
     """Recentred polar grid absorbing the Cauchy singularity at ``center``.
 
     Besides the points it holds ``weight`` = e^{-|xi|^2} e^{-i theta}
     at each point, the fixed factor of every integrand
     :func:`cauchy_singular_quadrature` reduces on it, so an integrand
-    costs one complex multiply per point.
+    costs one complex multiply per point.  Grids compare and hash by
+    identity.
     """
 
     center: complex
@@ -279,8 +282,8 @@ class SingularGrid:
     radial_rho: np.ndarray
     radial_w: np.ndarray
     n_theta: int
-    points: np.ndarray = field(init=False, repr=False, compare=False)
-    weight: np.ndarray = field(init=False, repr=False, compare=False)
+    points: np.ndarray = field(init=False, repr=False)
+    weight: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.radius <= 0:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .gaussian_quadrature import PolarGrid, _reduce_polar, build_polar_grid
 from .ito_hermite import HermiteIndex, hermite_table
-from .special_fn import factorial, gamma_ratio, laguerre
+from .special_fn import factorial, laguerre
 
 __all__ = [
     "CoefficientSequence",
@@ -176,20 +176,19 @@ def _conjugate_basis(grid: PolarGrid, n: int, J: int) -> np.ndarray:
     """conj(H_{j,n}) on the grid points for j = 0..J, read-only.
 
     Kept for the last :data:`_BASIS_CACHE_SIZE` (grid, level) pairs.
-    Keys hold the grid's id and the entry holds the grid, so the id
-    cannot be reused by another grid while its entry lives.
+    Grids compare and hash by identity, and the key holds the grid, so
+    a grid with other nodes never shares an entry.
     """
-    key = (id(grid), n)
-    entry = _basis_cache.get(key)
-    if entry is None or entry[1].shape[0] <= J:
+    key = (grid, n)
+    stack = _basis_cache.get(key)
+    if stack is None or stack.shape[0] <= J:
         stack = hermite_table(J, (n,), grid.points)[:, 0].conjugate()
         stack.flags.writeable = False
-        entry = (grid, stack)
-    _basis_cache[key] = entry
+    _basis_cache[key] = stack
     _basis_cache.move_to_end(key)
     while len(_basis_cache) > _BASIS_CACHE_SIZE:
         _basis_cache.popitem(last=False)
-    return entry[1][: J + 1]
+    return stack[: J + 1]
 
 
 def projection_coefficient_closed(n: int, j: int, k: int):
@@ -213,7 +212,8 @@ def projection_coefficient_closed(n: int, j: int, k: int):
     if target_m < 0:
         return 0.0, None
     sign = -1.0 if (n + k + 1) % 2 else 1.0
-    coefficient = sign * gamma_ratio(n + j, n + j - k) / (2.0 ** (n + j) * factorial(n))
+    # Gamma(n+j)/Gamma(n+j-k) = (n+j-1)!/(n+j-1-k)!, an exact integer rounded once
+    coefficient = sign * float(math.perm(n + j - 1, k)) / (2.0 ** (n + j) * factorial(n))
     return coefficient, HermiteIndex(target_m, n)
 
 

@@ -8,12 +8,12 @@ Everything here is elementary and terminating: Laguerre polynomials
     {}_1F_1(-p; b; t) = \\sum_{k=0}^{p} \\frac{(-p)_k}{(b)_k} \\frac{t^k}{k!},
 
 the Gauss sum :math:`{}_2F_1(-p, -q; c; 1)` evaluated through the
-Chu-Vandermonde identity, and exact ratios of Gamma values at integer
-arguments.  Every sum and recurrence runs in a fixed, ascending
-order, so results are bit-reproducible from run to run.  The
-confluent series carries its terms and sum in double-double;
-:func:`kahan_sum` serves the psi Gram's radial cross-check only; the
-Laguerre recurrence and the Chu-Vandermonde product run in plain doubles.
+Chu-Vandermonde identity, and correctly rounded factorials.  Every sum
+and recurrence runs in a fixed, ascending order, so results are
+bit-reproducible from run to run.  The confluent series carries its
+terms and sum in double-double; :func:`kahan_sum` serves the psi
+Gram's radial cross-check only; the Laguerre recurrence and the
+Chu-Vandermonde product run in plain doubles.
 
 Terminating sums always use exactly ``p + 1`` terms; there is no early
 exit, which keeps evaluation deterministic and makes term-count
@@ -30,7 +30,6 @@ from ._ddouble import dd_add, dd_div_scalar, dd_mul_scalar
 
 __all__ = [
     "factorial",
-    "gamma_ratio",
     "gauss2f1_unit",
     "generalized_laguerre",
     "kahan_sum",
@@ -66,22 +65,6 @@ def factorial(n: int) -> float:
     if n > 170:
         raise OverflowError(f"factorial({n}) overflows a double")
     return float(math.factorial(n))
-
-
-def gamma_ratio(a: int, b: int) -> float:
-    """Gamma(a)/Gamma(b) for integer a, b >= 1 via exact integer products.
-
-    The shorter product is cancelled symbolically: the ratio is either
-    ``b * (b+1) * ... * (a-1)`` or its reciprocal, evaluated in exact
-    integer arithmetic before a single conversion to float.
-    """
-    if a < 1 or b < 1:
-        raise ValueError(f"gamma_ratio requires integer a, b >= 1, got a={a}, b={b}")
-    if a == b:
-        return 1.0
-    if a > b:
-        return float(math.prod(range(b, a)))
-    return 1.0 / float(math.prod(range(a, b)))
 
 
 def laguerre(n: int, t):
@@ -132,13 +115,6 @@ def generalized_laguerre(p: int, d, t):
     return cur if cur.ndim else float(cur)
 
 
-def _check_laguerre_args(p: int, d) -> None:
-    if p < 0:
-        raise ValueError(f"generalized_laguerre requires p >= 0, got {p}")
-    if np.any(np.asarray(d) < 0) if np.ndim(d) else d < 0:
-        raise ValueError(f"generalized_laguerre requires d >= 0, got {d}")
-
-
 def _laguerre_climb(p: int, d, t, active=None):
     """Yield L_0^(d)(t), ..., L_p^(d)(t), the iterates of one recurrence climb.
 
@@ -151,7 +127,10 @@ def _laguerre_climb(p: int, d, t, active=None):
     it leave the climb, so no step is spent on a parameter whose needed
     degree is passed.
     """
-    _check_laguerre_args(p, d)
+    if p < 0:
+        raise ValueError(f"generalized_laguerre requires p >= 0, got {p}")
+    if np.any(np.asarray(d) < 0) if np.ndim(d) else d < 0:
+        raise ValueError(f"generalized_laguerre requires d >= 0, got {d}")
     t = np.asarray(t, dtype=float)
     shape = np.broadcast(d, t).shape
     cur = np.ones(shape)

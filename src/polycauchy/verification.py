@@ -75,8 +75,6 @@ __all__ = [
     "write_report",
 ]
 
-SUITE_NAMES = ("hermite", "cauchy", "projection", "gram", "ranges")
-
 PROVENANCE_CLOSED = "closed-form"
 PROVENANCE_QUADRATURE = "quadrature"
 PROVENANCE_CONSTANT = "paper-constant"
@@ -123,7 +121,7 @@ class VerifyConfig:
     nr: int | None = None
     ntheta: int | None = None
     radius_pad: float = DEFAULT_RADIUS_PAD
-    kernel_truncation: int = 60
+    kernel_truncation: int = KernelSpec.truncation
     tolerance: float | None = None
 
     def __post_init__(self) -> None:
@@ -831,6 +829,8 @@ _SUITE_BUILDERS = {
     "ranges": _suite_ranges,
 }
 
+SUITE_NAMES = tuple(_SUITE_BUILDERS)
+
 
 def run_suite(
     suite: str, config: VerifyConfig | None = None
@@ -840,8 +840,8 @@ def run_suite(
         config = VerifyConfig()
     if suite == "all":
         records: list[VerificationRecord] = []
-        for name in SUITE_NAMES:
-            records.extend(_SUITE_BUILDERS[name](config))
+        for build in _SUITE_BUILDERS.values():
+            records.extend(build(config))
         return records
     if suite not in _SUITE_BUILDERS:
         raise ValueError(

@@ -255,6 +255,17 @@ def test_polar_grids_are_cached():
     assert build_polar_grid(np.int64(64), np.int32(128), 1) is default
 
 
+def test_grids_compare_and_hash_by_identity():
+    # grids of other shapes compare unequal instead of comparing arrays
+    coarse, fine = build_polar_grid(8, 8), build_polar_grid(9, 8)
+    assert coarse != fine and coarse == build_polar_grid(8, 8)
+    near, far = build_singular_grid(1j), build_singular_grid(1j, 48)
+    # singular grids are not cached: two builds are two grids
+    assert near != far and near != build_singular_grid(1j)
+    assert hash(coarse) == hash(build_polar_grid(8, 8))
+    assert len({coarse, fine, build_polar_grid(8, 8), near, far, build_singular_grid(1j)}) == 5
+
+
 def test_grid_counts_are_integers():
     # a float count is refused, not truncated to a coarser rule
     for n_radial, n_theta in ((8.0, 12), (8, 12.7), (8, 12.0)):

@@ -8,6 +8,7 @@ round-trips for coefficient extraction.
 import cmath
 import math
 from collections import OrderedDict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -149,6 +150,27 @@ def test_projection_coefficient_vanishing_guard():
         projection_coefficient_closed(-1, 0, 0)
 
 
+def test_projection_coefficient_is_the_correctly_rounded_rational():
+    # (-1)^{n+k+1} Gamma(n+j) / (2^{n+j} n! Gamma(n+j-k)) is rational;
+    # every nonzero coefficient for n, j, k <= 12 is its correctly
+    # rounded value, which pins the arguments of the integer ratio
+    nonzero = 0
+    for n in range(13):
+        for j in range(13):
+            for k in range(13):
+                coeff, target = projection_coefficient_closed(n, j, k)
+                if n + j - k - 1 < 0:
+                    assert (coeff, target) == (0.0, None)
+                    continue
+                exact = Fraction(
+                    (-1) ** (n + k + 1) * math.factorial(n + j - 1),
+                    2 ** (n + j) * math.factorial(n) * math.factorial(n + j - k - 1),
+                )
+                assert coeff == float(exact), (n, j, k)
+                nonzero += 1
+    assert nonzero == 1742
+
+
 def _radial_integral(m: int, n: int, j: int, k: int) -> float:
     """The radial integral behind the projection coefficient, m = n+j-k-1 >= 0.
 
@@ -253,7 +275,8 @@ def test_project_basis_cache_is_bounded_and_per_grid():
     for n in range(3 * poly_bergman._BASIS_CACHE_SIZE):
         project_numeric(f, n, 2, grid=grid)
     assert len(poly_bergman._basis_cache) <= poly_bergman._BASIS_CACHE_SIZE
-    for g, stack in poly_bergman._basis_cache.values():
+    for (g, n), stack in poly_bergman._basis_cache.items():
+        assert g is grid
         assert not stack.flags.writeable
 
 

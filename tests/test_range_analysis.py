@@ -252,6 +252,44 @@ def test_psi_gram_m0_entries_against_mpmath():
             assert abs(got - want) <= 1e-15 * abs(want), (a, b)
 
 
+def _profile_mp(m: int, n: int, t):
+    """Radial profile of e^{-t} H_{m-1,n}, the psi_{m,n} Gram's factor, in mpmath."""
+    if m == 0:
+        radial = -(t ** (mpmath.mpf(n + 1) / 2)) * mpmath.hyp1f1(1, n + 2, t) / (n + 1)
+    else:
+        p, d = min(m - 1, n), abs(m - 1 - n)
+        radial = (-1) ** p * math.factorial(p) * t ** (mpmath.mpf(d) / 2) * mpmath.laguerre(p, d, t)
+    return radial * mpmath.exp(-t)
+
+
+def test_psi_gram_m0_rows_against_mpmath_on_the_nodes():
+    # every pattern-nonzero entry of the nine m = 0 rows at K = 8 against
+    # pi sum_k w_k P_a(t_k) P_b(t_k), summed at 30 digits on the same
+    # nodes, on the Cauchy-Schwarz scale sqrt(G_aa G_bb).  The worst gap
+    # measured is 1.0e-15; the bound is 4e-15.
+    grid = build_polar_grid()
+    indices = [HermiteIndex(m, n) for m in range(9) for n in range(9)]
+    report = psi_gram(indices, grid)
+    rows = [r for r, a in enumerate(indices) if a.m == 0]
+    cols = sorted({s for r in rows for s in np.flatnonzero(~report.expected_zero_mask[r])})
+    with mpmath.workdps(30):
+        nodes = [mpmath.mpf(t) for t in grid.radial_t.tolist()]
+        weights = [mpmath.mpf(w) for w in grid.radial_w.tolist()]
+        profile = {s: [_profile_mp(indices[s].m, indices[s].n, t) for t in nodes] for s in cols}
+
+        def entry(r, s):
+            terms = (w * a * b for w, a, b in zip(weights, profile[r], profile[s]))
+            return mpmath.pi * mpmath.fsum(terms)
+
+        diagonal = {s: entry(s, s) for s in cols}
+        worst = 0.0
+        for r in rows:
+            for s in np.flatnonzero(~report.expected_zero_mask[r]):
+                gap = abs(report.values[r, s] - entry(r, s))
+                worst = max(worst, float(gap / mpmath.sqrt(diagonal[r] * diagonal[s])))
+    assert worst <= 4e-15, worst
+
+
 def test_psi_gram_values_are_one_read_only_real_matrix():
     # one float64 matrix, exactly symmetric and read-only, whose m = 0
     # rows and columns are the separable Gram of every row, aliased

@@ -15,7 +15,6 @@ import scipy.special
 
 from polycauchy import (
     factorial,
-    gamma_ratio,
     gauss2f1_unit,
     generalized_laguerre,
     kahan_sum,
@@ -59,18 +58,6 @@ def test_factorial_exact():
         factorial(171)
     with pytest.raises(ValueError):
         factorial(-1)
-
-
-def test_gamma_ratio_exact_integer_products():
-    # Gamma(a)/Gamma(b) = product of integers between b and a
-    assert gamma_ratio(7, 3) == 360.0
-    assert gamma_ratio(3, 7) == 1.0 / 360.0
-    assert gamma_ratio(5, 5) == 1.0
-    assert gamma_ratio(1, 1) == 1.0
-    for a in range(1, 15):
-        for b in range(1, 15):
-            want = math.factorial(a - 1) / math.factorial(b - 1)
-            assert gamma_ratio(a, b) == pytest.approx(want, rel=1e-15)
 
 
 def test_kummer_against_rational_oracle():
