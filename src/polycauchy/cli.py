@@ -235,6 +235,12 @@ def _cmd_project(args: argparse.Namespace, cfg: VerifyConfig) -> int:
     evaluate = hermite_eval if kind == "hermite" else cauchy_hermite_closed
     grid = cfg.polar_grid()
     seq = project_numeric(lambda pts: evaluate(idx, pts), args.level, args.jmax, grid=grid)
+    # checked after the call, so a negative or overflowing --jmax keeps its own error
+    if args.jmax >= grid.n_theta:
+        raise ValueError(
+            f"--jmax {args.jmax} needs --ntheta > {args.jmax}: on {grid.n_theta} angular "
+            f"nodes H_{{j,n}} and H_{{j+{grid.n_theta},n}} share an angular bin"
+        )
     table = {
         "level": seq.n,
         "source": [kind, m, k],

@@ -34,13 +34,12 @@ exponent n+k+1 is fixed by an independent Gaussian-integral oracle at
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_quadrature import PolarGrid, _reduce_polar, build_polar_grid
-from .ito_hermite import HermiteIndex, hermite_table
+from .gaussian_quadrature import PolarGrid, build_polar_grid
+from .ito_hermite import HermiteIndex, hermite_radial_profile, hermite_table
 from .special_fn import factorial, laguerre
 
 __all__ = [
@@ -48,6 +47,7 @@ __all__ = [
     "KernelSpec",
     "kernel_closed",
     "kernel_series",
+    "project_levels",
     "project_numeric",
     "projection_coefficient_closed",
 ]
@@ -139,12 +139,12 @@ def project_numeric(
 ) -> CoefficientSequence:
     """Coefficients alpha_j = <f, H_{j,n}> / (pi j! n!), j = 0..J.
 
-    ``f`` is evaluated once on the grid points and contracted against
-    the stacked conjugate basis row H_{0..J,n} by one reduction; each
-    coefficient equals the quadrature
-    ``inner_product_gaussian(f, H_{j,n}, grid)`` over pi j! n! bit for
-    bit.  ``f`` must accept complex ndarray input; the grid must carry
-    beta = 1, the weight of the ambient space.
+    ``f`` is evaluated once on the grid points and projected by
+    :func:`project_levels`.  ``f`` must accept complex ndarray input;
+    the grid must carry beta = 1, the weight of the ambient space.
+    The angular rule tells frequencies apart only modulo n_theta, so
+    for J >= n_theta the coefficients alias: H_{j,n} and
+    H_{j+n_theta,n} read the same angular bin.
     """
     if n < 0:
         raise ValueError(f"project_numeric requires n >= 0, got n={n}")
@@ -152,43 +152,50 @@ def project_numeric(
         raise ValueError(f"project_numeric requires J >= 1, got J={J}")
     if grid is None:
         grid = build_polar_grid()
-    if grid.beta != 1.0:
-        raise ValueError(
-            f"project_numeric requires a grid with beta=1, got beta={grid.beta}"
-        )
-    fn = factorial(n)
-    # J! first: past its overflow it raises before the (J+1)-row stack
+    # J! first: past its overflow it raises before f is evaluated
     factorial(J)
     fv = np.broadcast_to(np.asarray(f(grid.points), dtype=complex), grid.points.shape)
-    sums = _reduce_polar(fv * _conjugate_basis(grid, n, J), grid.radial_w)
-    scale = np.pi / grid.n_theta
-    coeffs = (
-        complex(s) * scale / (math.pi * factorial(j) * fn) for j, s in enumerate(sums)
-    )
-    return CoefficientSequence(n=n, coeffs=tuple(coeffs))
+    return CoefficientSequence(n=n, coeffs=tuple(project_levels(fv, (n,), J, grid)[0]))
 
 
-_BASIS_CACHE_SIZE = 8
-_basis_cache: OrderedDict = OrderedDict()
+def project_levels(values, levels, J: int, grid: PolarGrid) -> np.ndarray:
+    """Coefficients <f, H_{j,n}> / (pi j! n!) of stacked sources on each level.
 
-
-def _conjugate_basis(grid: PolarGrid, n: int, J: int) -> np.ndarray:
-    """conj(H_{j,n}) on the grid points for j = 0..J, read-only.
-
-    Kept for the last :data:`_BASIS_CACHE_SIZE` (grid, level) pairs.
-    Grids compare and hash by identity, and the key holds the grid, so
-    a grid with other nodes never shares an entry.
+    ``values`` holds sources on ``grid.points``, shape
+    (..., n_radial, n_theta); the result has shape
+    (..., len(levels), J + 1), entry [..., i, j] for level
+    ``levels[i]`` and index j.  On the circle |z|^2 = t the basis
+    factorises as H_{j,n} = P_{j,n}(t) e^{i (j - n) theta} with real P
+    (:func:`hermite_radial_profile`), so the grid quadrature of
+    f conj(H_{j,n}) e^{-|z|^2} is bin (j - n) mod n_theta of the
+    source's angular DFT, summed against w_r P_{j,n}(t_r).  One FFT
+    along theta serves every level of a source.  Each entry depends
+    only on its own source, level and j: a stacked call equals its
+    one-source calls bit for bit, and coefficient j does not depend on
+    J.  The grid must carry beta = 1.
     """
-    key = (grid, n)
-    stack = _basis_cache.get(key)
-    if stack is None or stack.shape[0] <= J:
-        stack = hermite_table(J, (n,), grid.points)[:, 0].conjugate()
-        stack.flags.writeable = False
-    _basis_cache[key] = stack
-    _basis_cache.move_to_end(key)
-    while len(_basis_cache) > _BASIS_CACHE_SIZE:
-        _basis_cache.popitem(last=False)
-    return stack[: J + 1]
+    levels = [int(n) for n in levels]
+    if J < 0 or min(levels, default=0) < 0:
+        raise ValueError(f"project_levels requires J, n >= 0, got J={J}, levels={levels}")
+    if grid.beta != 1.0:
+        raise ValueError(f"project_levels requires a grid with beta=1, got beta={grid.beta}")
+    values = np.asarray(values, dtype=complex)
+    if values.shape[-2:] != grid.points.shape:
+        raise ValueError(
+            f"source shape {values.shape} does not end in grid shape {grid.points.shape}"
+        )
+    # 1 / (n_theta j! n!): the angular rule's pi / n_theta over pi j! n!
+    scale = np.array(
+        [[grid.n_theta * factorial(j) * factorial(n) for j in range(J + 1)] for n in levels]
+    )
+    indices = [HermiteIndex(j, n) for n in levels for j in range(J + 1)]
+    profile, freq = hermite_radial_profile(indices, grid.radial_t)
+    rows = profile.reshape(len(levels), J + 1, -1) * grid.radial_w / scale[..., None]
+    bins = freq.reshape(len(levels), J + 1) % grid.n_theta
+    spectrum = np.fft.fft(values, axis=-1)
+    # (..., n_radial, levels, J+1) to contiguous radial rows, each summed alone
+    picked = np.ascontiguousarray(np.moveaxis(spectrum[..., bins], -3, -1))
+    return np.sum(picked * rows, axis=-1)
 
 
 def projection_coefficient_closed(n: int, j: int, k: int):

@@ -47,10 +47,9 @@ from .ito_hermite import (
 from .poly_bergman import (
     KernelSpec,
     CoefficientSequence,
-    _conjugate_basis,
     kernel_closed,
     kernel_series,
-    project_numeric,
+    project_levels,
     projection_coefficient_closed,
 )
 from .range_analysis import (
@@ -573,22 +572,19 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
 def _suite_projection(cfg: VerifyConfig) -> list[VerificationRecord]:
     rec = _Recorder(cfg)
     grid = cfg.polar_grid()
-    # h[m, n] = H_{m,n} on the grid points for m, n <= 5; each source
-    # below is a precomputed value array on those points
+    # h[m, k] = H_{m,k} on the grid points for m, k <= 5, and
+    # onto[m, k, n, j] its coefficient j <= 7 on level n <= 5: one
+    # angular FFT per source.  Coefficient j does not depend on J, so
+    # each record slices the J = m + 2 it checks.
     h = hermite_table(5, range(6), grid.points)
-    # each level's conjugate basis stack is built once, at the largest J
-    # used below (prop-coefficient reaches J = 8 at level 4); entries do
-    # not depend on the stack's height, so later calls slice it
-    for n in range(6):
-        _conjugate_basis(grid, n, 8)
+    onto = project_levels(h, range(6), 7, grid)
 
     # reproducing property on the basis of each level
     for m in range(6):
         for n in range(6):
-            seq = project_numeric(lambda pts, v=h[m, n]: v, n, J=m + 2, grid=grid)
             expected = np.zeros(m + 3, dtype=complex)
             expected[m] = 1.0
-            rec.add("projection-reproducing", f"m{m}-n{n}", seq.coeffs, expected)
+            rec.add("projection-reproducing", f"m{m}-n{n}", onto[m, n, n, : m + 3], expected)
 
     # cross-level projections vanish
     for m in range(6):
@@ -596,8 +592,9 @@ def _suite_projection(cfg: VerifyConfig) -> list[VerificationRecord]:
             for k in range(5):
                 if k == n:
                     continue
-                seq = project_numeric(lambda pts, v=h[m, k]: v, n, J=m + 2, grid=grid)
-                rec.add("projection-level-orthogonal", f"m{m}-n{n}-k{k}", seq.coeffs, 0.0)
+                rec.add(
+                    "projection-level-orthogonal", f"m{m}-n{n}-k{k}", onto[m, k, n, : m + 3], 0.0
+                )
 
     # kernel series versus closed evaluation, and kernel hermiticity;
     # closed[n][i, j] = K_n(z_i, z_j), so K_n(z_j, z_i) is its transpose
@@ -615,31 +612,30 @@ def _suite_projection(cfg: VerifyConfig) -> list[VerificationRecord]:
         rec.add("kernel-hermitian", f"n{n}", closed[n].ravel(), flipped.ravel())
 
     # closed projection coefficient against quadrature extraction; a
-    # vanishing projection is judged by its largest coefficient.  Each
-    # psi_{j,k} is evaluated on the grid once, for every level.
-    psi = {
-        (j, k): cauchy_hermite_closed(HermiteIndex(j, k), grid.points)
-        for j in range(5)
-        for k in range(5)
-    }
+    # vanishing projection is judged by its largest coefficient.  The 25
+    # psi_{j,k} images are projected onto every level in one call, at
+    # the largest J a record reads (target m = 7, at level 4).
+    psi = np.stack(
+        [cauchy_hermite_closed(HermiteIndex(j, k), grid.points) for j in range(5) for k in range(5)]
+    ).reshape(5, 5, *grid.points.shape)
+    onto = project_levels(psi, range(5), 8, grid)
     for n in range(5):
         for j in range(5):
             for k in range(5):
                 coefficient, target = projection_coefficient_closed(n, j, k)
                 upto = 1 if target is None else max(1, target.m + 1)
-                seq = project_numeric(lambda pts, v=psi[j, k]: v, n, J=upto, grid=grid)
-                coeffs = seq.coeffs
+                coeffs = onto[j, k, n, : upto + 1]
                 oracle = coeffs if target is None else coeffs[target.m]
                 if (n, j, k) == (0, 1, 0):
                     rec.add("prop-sign", "n0j1k0", oracle, coefficient)
                 else:
                     rec.add("prop-coefficient", f"n{n}-j{j}-k{k}", oracle, coefficient)
 
-    # the flipped-sign variant must disagree with the oracle at (0, 1, 0)
+    # the flipped-sign variant must disagree with the prop-sign oracle,
+    # coefficient 0 of psi_{1,0} on level 0
     coefficient, _ = projection_coefficient_closed(0, 1, 0)
     display = -coefficient
-    oracle = complex(project_numeric(lambda pts: psi[1, 0], 0, J=1, grid=grid).coeffs[0])
-    rec.add("prop-sign-display-typo", "n0j1k0", abs(display - oracle), 1.0)
+    rec.add("prop-sign-display-typo", "n0j1k0", abs(display - complex(onto[1, 0, 0, 0])), 1.0)
 
     return rec.records
 
@@ -781,9 +777,12 @@ def _suite_ranges(cfg: VerifyConfig) -> list[VerificationRecord]:
             violations += len(support - allowed)
         rec.add("range-support", f"case{case:02d}", violations, 0)
 
-    # coefficient route equals the quadrature route
+    # coefficient route equals the quadrature route: the five images
+    # are projected onto every level in one call, at the largest J a
+    # record reads
     grid = cfg.polar_grid()
     rng = np.random.default_rng(20260817)
+    images, closed = [], []
     for ell in range(5):
         coeffs = tuple(
             complex(a, b)
@@ -791,19 +790,19 @@ def _suite_ranges(cfg: VerifyConfig) -> list[VerificationRecord]:
         )
         seq = CoefficientSequence(n=ell, coeffs=coeffs)
         psis = [cauchy_hermite_closed(HermiteIndex(j, ell), grid.points) for j in range(4)]
-
-        # the image on the grid points, evaluated once for every level
         image = coeffs[0] * psis[0]
         for alpha, psi in zip(coeffs[1:], psis[1:]):
             image = image + alpha * psi
-
+        images.append(image)
+        closed.append([pn_cauchy_on_coeffs(seq, n).coeffs for n in range(5)])
+    J = max(max(1, len(c)) for row in closed for c in row)
+    onto = project_levels(np.stack(images), range(5), J, grid)
+    for ell in range(5):
         for n in range(5):
-            closed = pn_cauchy_on_coeffs(seq, n)
-            upto = max(1, len(closed.coeffs))
-            numeric = project_numeric(lambda pts, v=image: v, n, J=upto, grid=grid)
+            upto = max(1, len(closed[ell][n]))
             closed_arr = np.zeros(upto + 1, dtype=complex)
-            closed_arr[: len(closed.coeffs)] = closed.coeffs
-            rec.add("range-route-equality", f"l{ell}-n{n}", numeric.coeffs, closed_arr)
+            closed_arr[: len(closed[ell][n])] = closed[ell][n]
+            rec.add("range-route-equality", f"l{ell}-n{n}", onto[ell, n, : upto + 1], closed_arr)
 
     # truncated-operator spectrum structure
     values = truncated_operator_svd(8)

@@ -340,6 +340,23 @@ def test_project_overflowing_jmax_fails_at_once(capsys):
     assert "factorial(100000000) overflows" in captured.err
 
 
+def test_project_rejects_an_aliasing_jmax(capsys):
+    # on 4 angular nodes H_{5,0} and H_{1,0} share a bin: coefficient 5 would read 0.05
+    argv = ["project", "--level", "0", "--source", "hermite", "1", "0", "--jmax", "6",
+            "--ntheta", "4", "--nr", "8"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --jmax 6 needs --ntheta > 6: on 4 angular nodes "
+        "H_{j,n} and H_{j+4,n} share an angular bin\n"
+    )
+    # one node more and the bins are distinct: coefficient 5 is rounding noise
+    assert main(argv[:-4] + ["--ntheta", "7", "--nr", "8"]) == 0
+    coeffs = json.loads(capsys.readouterr().out)["coefficients"]
+    assert len(coeffs) == 7 and abs(complex(*np.atleast_1d(coeffs[5]))) < 1e-15
+
+
 def test_project_rejects_unknown_source(capsys):
     # a usage error found at parse time, before any config is read
     argv = ["project", "--level", "0", "--source", "basis", "1", "0", "--jmax", "1",
@@ -482,8 +499,8 @@ def test_verify_all_report_bytes_are_pinned(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     for path, want in (
-        (out, "1cb0217bf1fad93dda21588830b99ccb"),
-        (out.with_suffix(".csv"), "844911287764dcbd05a280c232b0f4ba"),
+        (out, "70cfeb7839975f5e58a5b291fd621c1b"),
+        (out.with_suffix(".csv"), "b5d7c735ecc5bc22bab09199d71bbb6f"),
     ):
         assert hashlib.md5(path.read_bytes()).hexdigest() == want, (path.name, builds)
 
