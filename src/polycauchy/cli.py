@@ -241,6 +241,16 @@ def _cmd_project(args: argparse.Namespace, cfg: VerifyConfig) -> int:
             f"--jmax {args.jmax} needs --ntheta > {args.jmax}: on {grid.n_theta} angular "
             f"nodes H_{{j,n}} and H_{{j+{grid.n_theta},n}} share an angular bin"
         )
+    # the source has one angular frequency; coefficient j reads bin (j - n) mod n_theta
+    frequency = m - k if kind == "hermite" else m - 1 - k
+    for j in range(args.jmax + 1):
+        offset = j - args.level - frequency
+        if offset and offset % grid.n_theta == 0:
+            raise ValueError(
+                f"coefficient {j} would alias: on {grid.n_theta} angular nodes the source "
+                f"{kind} {m} {k}, of frequency {frequency}, shares the angular bin of "
+                f"H_{{{j},{args.level}}}; raise --ntheta"
+            )
     table = {
         "level": seq.n,
         "source": [kind, m, k],

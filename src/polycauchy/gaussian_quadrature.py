@@ -1,18 +1,20 @@
 """Quadrature grids for Gaussian-weighted integrals over the plane.
 
-Plane integrals of the form
+Plane integrals against the weight of the ambient space,
 
 .. math::
 
-    \\int_{\\mathbb{C}} g(z)\\, e^{-\\beta |z|^2}\\, dx\\,dy
+    \\int_{\\mathbb{C}} g(z)\\, e^{-|z|^2}\\, dx\\,dy
     = \\tfrac{1}{2} \\int_0^\\infty \\int_0^{2\\pi}
-      g(\\sqrt{t}\\, e^{i\\theta})\\, e^{-\\beta t} \\, d\\theta\\, dt
+      g(\\sqrt{t}\\, e^{i\\theta})\\, e^{-t} \\, d\\theta\\, dt
 
 are discretised by Gauss-Laguerre nodes in the squared radius t paired
 with a uniform trapezoid rule in the angle.  The trapezoid rule
 integrates e^{i p theta} exactly to zero for 0 < |p| < N_theta, which is
 what makes index selection rules hold to machine precision on these
-grids.
+grids.  The one other weight the library meets, e^{-beta t}, is purely
+radial: its rule is the Gauss-Laguerre pair rescaled to beta, with no
+angular part.
 
 Laguerre nodes are built all at once.  The eigenvalues of the n x n
 Laguerre Jacobi matrix (Golub-Welsch) are the starting guesses, good
@@ -189,25 +191,21 @@ def _phase_table(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PolarGrid:
-    """Tensor grid for integrals against e^{-beta |z|^2} dx dy.
+    """Tensor grid for integrals against e^{-|z|^2} dx dy.
 
-    radial_t, radial_w: Gauss-Laguerre nodes/weights in t = |z|^2,
-    already rescaled for the weight e^{-beta t}.  points are
-    sqrt(t) times the libm unit phases of :func:`_phase_table`.
-    Immutable after construction; arrays are read-only.  Grids compare
-    and hash by identity; :func:`build_polar_grid` returns one cached
-    instance per resolution.
+    radial_t, radial_w: Gauss-Laguerre nodes/weights in t = |z|^2 for
+    the weight e^{-t}.  points are sqrt(t) times the libm unit phases
+    of :func:`_phase_table`.  Immutable after construction; arrays are
+    read-only.  Grids compare and hash by identity;
+    :func:`build_polar_grid` returns one cached instance per resolution.
     """
 
-    beta: float
     radial_t: np.ndarray
     radial_w: np.ndarray
     n_theta: int
     points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
-            raise ValueError(f"PolarGrid requires beta > 0, got {self.beta}")
         if self.n_theta < 4:
             raise ValueError(f"PolarGrid requires n_theta >= 4, got {self.n_theta}")
         if np.any(self.radial_t < 0) or np.any(self.radial_w < 0):
@@ -226,36 +224,41 @@ class PolarGrid:
 def build_polar_grid(
     n_radial: int = DEFAULT_RADIAL_NODES,
     n_theta: int = DEFAULT_ANGULAR_NODES,
-    beta: float = 1.0,
 ) -> PolarGrid:
-    """The (cached, immutable) PolarGrid for the weight e^{-beta |z|^2}.
+    """The (cached, immutable) PolarGrid for the weight e^{-|z|^2}.
 
     n_radial is capped at 200; node accuracy is not guaranteed beyond
     that, and trailing weights underflow well before it.  The cache is
-    keyed on (int, int, float), so ``build_polar_grid()`` and
-    ``build_polar_grid(64, 128, 1)`` return the same grid.
+    keyed on (int, int), so ``build_polar_grid()`` and
+    ``build_polar_grid(64, 128)`` return the same grid.
     """
-    return _polar_grid_cached(operator.index(n_radial), operator.index(n_theta), float(beta))
+    return _polar_grid_cached(operator.index(n_radial), operator.index(n_theta))
 
 
 @lru_cache(maxsize=32)
-def _polar_grid_cached(n_radial: int, n_theta: int, beta: float) -> PolarGrid:
+def _polar_grid_cached(n_radial: int, n_theta: int) -> PolarGrid:
+    t, w = _radial_rule(n_radial, 1.0)
+    return PolarGrid(radial_t=t, radial_w=w, n_theta=n_theta)
+
+
+@lru_cache(maxsize=32)
+def _radial_rule(n_radial: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Laguerre nodes x / beta and weights w / beta for e^{-beta t}.
+
+    Cached and read-only.  Every beta reads the nodes of the beta = 1
+    entry, so each n_radial is generated once; x / 1.0 is x bit for bit.
+    """
     if not 1 <= n_radial <= MAX_RADIAL_NODES:
         raise ValueError(
-            f"build_polar_grid requires 1 <= n_radial <= {MAX_RADIAL_NODES}, got {n_radial}"
+            f"radial rule requires 1 <= n_radial <= {MAX_RADIAL_NODES}, got {n_radial}"
         )
-    if beta <= 0:
-        raise ValueError(f"build_polar_grid requires beta > 0, got {beta}")
-    x, w = _standard_laguerre_cached(n_radial)
-    return PolarGrid(beta=beta, radial_t=x / beta, radial_w=w / beta, n_theta=n_theta)
-
-
-@lru_cache(maxsize=32)
-def _standard_laguerre_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = gauss_laguerre_nodes(n)
-    x.flags.writeable = False
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"radial rule requires a finite beta > 0, got {beta}")
+    x, w = gauss_laguerre_nodes(n_radial) if beta == 1.0 else _radial_rule(n_radial, 1.0)
+    t, w = x / beta, w / beta
+    t.flags.writeable = False
     w.flags.writeable = False
-    return x, w
+    return t, w
 
 
 @lru_cache(maxsize=32)
@@ -334,7 +337,7 @@ def _reduce_polar(values: np.ndarray, radial_w: np.ndarray):
 
 
 def plane_quadrature(values: np.ndarray, grid: PolarGrid) -> complex:
-    """Integrate precomputed point values against e^{-beta |z|^2} dx dy.
+    """Integrate precomputed point values against e^{-|z|^2} dx dy.
 
     ``values[i, j]`` is the non-weight part of the integrand at
     ``grid.points[i, j]``.
@@ -401,34 +404,22 @@ def polar_separable_quadrature(
 def inner_product_gaussian(f, g, grid: PolarGrid | None = None) -> complex:
     """<f, g> = integral of f(z) conj(g(z)) e^{-|z|^2} dx dy.
 
-    The grid must carry beta = 1, the weight of the ambient space.
     ``f`` and ``g`` are evaluated on the full point array and may return
     scalars (constants broadcast).
     """
     if grid is None:
         grid = build_polar_grid()
-    if grid.beta != 1.0:
-        raise ValueError(
-            f"inner_product_gaussian requires a grid with beta=1, got beta={grid.beta}"
-        )
     fv = np.broadcast_to(np.asarray(f(grid.points), dtype=complex), grid.points.shape)
     gv = np.broadcast_to(np.asarray(g(grid.points), dtype=complex), grid.points.shape)
     return plane_quadrature(fv * gv.conjugate(), grid)
 
 
-def integrate_radial_weighted(h, beta: float, grid: PolarGrid | None = None) -> float:
-    """Integrate h(t) e^{-beta t} over [0, inf).
+def integrate_radial_weighted(h, beta: float, n_radial: int = DEFAULT_RADIAL_NODES) -> float:
+    """Integrate h(t) e^{-beta t} over [0, inf) by the n_radial-node rule.
 
-    The grid supplies the resolution; its nodes are rescaled to the
-    requested beta when the two differ.
+    The rule is exact for polynomials h of degree <= 2 n_radial - 1.
     """
-    if beta <= 0:
-        raise ValueError(f"integrate_radial_weighted requires beta > 0, got {beta}")
-    if grid is None:
-        grid = build_polar_grid(beta=float(beta))
-    scale = grid.beta / beta
-    t = grid.radial_t * scale
-    w = grid.radial_w * scale
+    t, w = _radial_rule(operator.index(n_radial), float(beta))
     hv = np.broadcast_to(np.asarray(h(t), dtype=float), t.shape)
     return float(np.sum(hv * w))
 

@@ -486,8 +486,8 @@ def _separable_gram(profile, freq, grid: PolarGrid) -> np.ndarray:
     values = np.zeros((rows.size, rows.size))
     for s, e in zip(starts[:-1], starts[1:]):
         product = weighted[s:e] @ p[s:e].T
-        # mirror the upper triangle, so the block is exactly symmetric
-        for i in range(1, e - s):
-            product[i, :i] = product[:i, i]
+        # mirror the upper triangle, so the block is exactly symmetric; a
+        # masked copy, not triu(P) + triu(P, 1).T, which turns -0.0 into 0.0
+        np.copyto(product, product.T, where=np.tri(e - s, k=-1, dtype=bool))
         values[np.ix_(rows[s:e], rows[s:e])] = product * angular
     return values

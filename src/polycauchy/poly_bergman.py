@@ -140,8 +140,7 @@ def project_numeric(
     """Coefficients alpha_j = <f, H_{j,n}> / (pi j! n!), j = 0..J.
 
     ``f`` is evaluated once on the grid points and projected by
-    :func:`project_levels`.  ``f`` must accept complex ndarray input;
-    the grid must carry beta = 1, the weight of the ambient space.
+    :func:`project_levels`.  ``f`` must accept complex ndarray input.
     The angular rule tells frequencies apart only modulo n_theta, so
     for J >= n_theta the coefficients alias: H_{j,n} and
     H_{j+n_theta,n} read the same angular bin.
@@ -172,13 +171,11 @@ def project_levels(values, levels, J: int, grid: PolarGrid) -> np.ndarray:
     along theta serves every level of a source.  Each entry depends
     only on its own source, level and j: a stacked call equals its
     one-source calls bit for bit, and coefficient j does not depend on
-    J.  The grid must carry beta = 1.
+    J.
     """
     levels = [int(n) for n in levels]
     if J < 0 or min(levels, default=0) < 0:
         raise ValueError(f"project_levels requires J, n >= 0, got J={J}, levels={levels}")
-    if grid.beta != 1.0:
-        raise ValueError(f"project_levels requires a grid with beta=1, got beta={grid.beta}")
     values = np.asarray(values, dtype=complex)
     if values.shape[-2:] != grid.points.shape:
         raise ValueError(

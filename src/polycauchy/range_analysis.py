@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian_quadrature import PolarGrid, build_polar_grid
+from .gaussian_quadrature import PolarGrid, _radial_rule, build_polar_grid
 from .ito_hermite import HermiteIndex, _separable_gram, c_mn, hermite_radial_profile
 from .poly_bergman import CoefficientSequence, projection_coefficient_closed
 from .special_fn import factorial, kahan_sum, kummer_terminating
@@ -136,14 +136,15 @@ def _psi_pair_radial(indices, rows, cols, grid: PolarGrid) -> np.ndarray:
     pi c_{m-1,n} c_{j-1,k} * integral of t^{(d_a+d_b)/2} F_a F_b e^{-3t} dt,
     with F the terminating confluent factors; an independent check on
     the grid value (series evaluation against recurrence evaluation).
+    The integral takes the e^{-3t} Gauss-Laguerre rule of
+    ``grid.n_radial`` nodes, a radial rule with no angular part.
     Returns one value per pair (indices[rows[e]], indices[cols[e]]),
-    Kahan-summed over ascending beta = 3 nodes (with ``np.sum`` the K = 8
+    Kahan-summed over the ascending nodes (with ``np.sum`` the K = 8
     gap goes from 4.2298e-16 to 8.4597e-16, halving spectrum headroom).
     The pairs x nodes terms are formed _PAIR_CHUNK pairs at a time;
     every step is elementwise per pair, so the chunking moves no bit.
     """
-    grid3 = build_polar_grid(grid.n_radial, grid.n_theta, 3.0)
-    t, w = grid3.radial_t, grid3.radial_w
+    t, w = _radial_rule(grid.n_radial, 3.0)
     p = np.array([min(i.m - 1, i.n) for i in indices], dtype=int)
     d = np.array([abs(i.m - 1 - i.n) for i in indices], dtype=int)
     factor = kummer_terminating(p[:, None], d[:, None] + 1, t)
@@ -247,19 +248,19 @@ def psi_gram(indices, grid: PolarGrid | None = None) -> GramReport:
     filled in place.  Pairs with both first indices >= 1 come from their
     exact closed form (:func:`_psi_polynomial_gram`), within one
     rounding of pi times a rational, whatever the grid.  Pairs involving
-    the extended m = 0 function are integrated on the beta = 1 grid,
+    the extended m = 0 function are integrated on the polar grid,
     whose decay is only 1/|z| times Gaussian: every such entry reduces
     to a real radial profile times one angular frequency, so only pairs
     whose frequency difference is a multiple of the grid's n_theta are
     integrated, one real matmul per frequency class modulo n_theta
     (:func:`ito_hermite._separable_gram`), and every other entry is the
-    rule's exact zero.  The beta = 1 profiles are built only for rows in
+    rule's exact zero.  The grid profiles are built only for rows in
     the class of an m = 0 row, and only the rows and columns of m = 0
     indices are written from them.  The matrix is exactly symmetric.
     Polynomial entries expected nonzero are re-derived through the
-    radial confluent-series route on beta = 3 nodes (one batched series
-    climb), an independent check, and the worst relative gap is
-    reported.  That rule is exact for a pair only while
+    radial confluent-series route on the e^{-3t} rule of n_radial nodes
+    (one batched series climb), an independent check, and the worst
+    relative gap is reported.  That rule is exact for a pair only while
     (m - 1 + n + j - 1 + k) / 2 <= 2 n_radial - 1, so the gap also shows
     an n_radial too small for the indices.  The largest factorial the
     profiles need is formed first, so an index past its overflow raises
@@ -269,8 +270,6 @@ def psi_gram(indices, grid: PolarGrid | None = None) -> GramReport:
     """
     if grid is None:
         grid = build_polar_grid()
-    if grid.beta != 1.0:
-        raise ValueError(f"psi_gram requires a grid with beta=1, got beta={grid.beta}")
     idx = [i if isinstance(i, HermiteIndex) else HermiteIndex(*i) for i in indices]
     for i in idx:
         if i.m < 0:

@@ -145,7 +145,7 @@ class VerifyConfig:
             )
 
     def polar_grid(self) -> PolarGrid:
-        """The beta = 1 polar grid at the configured resolution."""
+        """The polar grid for e^{-|z|^2} at the configured resolution."""
         return build_polar_grid(
             DEFAULT_RADIAL_NODES if self.nr is None else self.nr,
             DEFAULT_ANGULAR_NODES if self.ntheta is None else self.ntheta,
@@ -553,7 +553,7 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
     block = [HermiteIndex(m, n) for m in range(5) for n in range(5)]
     diagonal = np.diagonal(psi_gram(block, grid=base).values)
     radial = _psi_diagonal_radial([idx for idx in block if idx.m >= 1], base)
-    fine = build_polar_grid(min(2 * base.n_radial, 160), 2 * base.n_theta, 1.0)
+    fine = build_polar_grid(min(2 * base.n_radial, 160), 2 * base.n_theta)
     # block[:5] holds the m = 0 indices
     refined_diagonal = np.diagonal(psi_gram(block[:5], grid=fine).values)
     for i, idx in enumerate(block):
@@ -649,12 +649,11 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
 
     # radial moment exactness at two weights
     for n_radial, beta in ((base.n_radial, 1.0), (24, 3.0)):
-        grid = build_polar_grid(n_radial, 8, beta)
         for k in range(2 * n_radial):
             rec.add(
                 "radial-moment",
                 f"beta{beta:g}-k{k}",
-                integrate_radial_weighted(lambda t, kk=k: t**kk, beta, grid),
+                integrate_radial_weighted(lambda t, kk=k: t**kk, beta, n_radial),
                 factorial(k) / beta ** (k + 1),
             )
 

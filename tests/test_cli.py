@@ -357,6 +357,26 @@ def test_project_rejects_an_aliasing_jmax(capsys):
     assert len(coeffs) == 7 and abs(complex(*np.atleast_1d(coeffs[5]))) < 1e-15
 
 
+def test_project_rejects_a_source_frequency_that_aliases(capsys):
+    # H_{0,5} has frequency -5 and psi_{0,5} frequency -6; on 4 angular nodes
+    # they read the bins of H_{3,0} and H_{2,0}, where the true coefficient is 0
+    flags = ["--jmax", "3", "--ntheta", "4", "--nr", "8"]
+    for source, j, frequency in ((["hermite", "0", "5"], 3, -5), (["psi", "0", "5"], 2, -6)):
+        assert main(["project", "--level", "0", "--source", *source, *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: coefficient {j} would alias: on 4 angular nodes the source "
+            f"{' '.join(source)}, of frequency {frequency}, shares the angular bin of "
+            f"H_{{{j},0}}; raise --ntheta\n"
+        )
+    # H_{1,0} meets only its own bin on the same small grid
+    assert main(["project", "--level", "0", "--source", "hermite", "1", "0", *flags]) == 0
+    coeffs = json.loads(capsys.readouterr().out)["coefficients"]
+    assert len(coeffs) == 4 and abs(complex(*np.atleast_1d(coeffs[1])) - 1.0) < 1e-13
+    assert all(abs(complex(*np.atleast_1d(coeffs[j]))) < 1e-15 for j in (0, 2, 3))
+
+
 def test_project_rejects_unknown_source(capsys):
     # a usage error found at parse time, before any config is read
     argv = ["project", "--level", "0", "--source", "basis", "1", "0", "--jmax", "1",

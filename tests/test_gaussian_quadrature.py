@@ -27,7 +27,7 @@ from polycauchy import (
     polar_separable_quadrature,
 )
 from polycauchy import gaussian_quadrature
-from polycauchy.gaussian_quadrature import _phase_table, _reduce_polar
+from polycauchy.gaussian_quadrature import _phase_table, _radial_rule, _reduce_polar
 
 
 def test_one_point_rule_exact():
@@ -148,37 +148,34 @@ def test_weights_sum_to_one():
 def test_moment_exactness():
     # integral of t^k e^(-beta t) = k!/beta^(k+1), exact up to k = 2n-1
     for n_radial, beta in ((24, 1.0), (24, 3.0), (64, 1.0)):
-        grid = build_polar_grid(n_radial, 8, beta)
         for k in range(2 * n_radial):
-            got = integrate_radial_weighted(lambda t, kk=k: t**kk, beta, grid)
+            got = integrate_radial_weighted(lambda t, kk=k: t**kk, beta, n_radial)
             want = math.factorial(k) / beta ** (k + 1)
             assert abs(got - want) <= 1e-11 * (1.0 + want)
 
 
 def test_build_polar_grid_examples():
-    g = build_polar_grid(1, 4, 1.0)
+    g = build_polar_grid(1, 4)
     assert g.radial_t[0] == 1.0 and g.radial_w[0] == 1.0
-    g = build_polar_grid(2, 4, 1.0)
+    g = build_polar_grid(2, 4)
     s = math.sqrt(2.0)
     assert g.radial_t[0] == pytest.approx(2.0 - s, rel=1e-15)
-    g3 = build_polar_grid(2, 4, 3.0)
-    assert g3.radial_t[0] == pytest.approx((2.0 - s) / 3.0, rel=1e-15)
-    assert g3.radial_w[1] == pytest.approx((2.0 - s) / 12.0, rel=1e-15)
+    t3, w3 = _radial_rule(2, 3.0)
+    assert t3[0] == pytest.approx((2.0 - s) / 3.0, rel=1e-15)
+    assert w3[1] == pytest.approx((2.0 - s) / 12.0, rel=1e-15)
 
 
 def test_build_polar_grid_validation():
     with pytest.raises(ValueError):
-        build_polar_grid(0, 8, 1.0)
+        build_polar_grid(0, 8)
     with pytest.raises(ValueError):
-        build_polar_grid(201, 8, 1.0)
+        build_polar_grid(201, 8)
     with pytest.raises(ValueError):
-        build_polar_grid(4, 8, 0.0)
-    with pytest.raises(ValueError):
-        PolarGrid(beta=1.0, radial_t=np.array([1.0]), radial_w=np.array([1.0]), n_theta=3)
+        PolarGrid(radial_t=np.array([1.0]), radial_w=np.array([1.0]), n_theta=3)
 
 
 def test_grid_arrays_read_only():
-    g = build_polar_grid(4, 8, 1.0)
+    g = build_polar_grid(4, 8)
     for arr in (g.radial_t, g.radial_w, g.points):
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -189,7 +186,7 @@ def test_phase_tables_are_cached_and_read_only():
     with pytest.raises(ValueError):
         _phase_table(64)[1] = 0
     # grid points are sqrt(t) times the cached table
-    g = build_polar_grid(8, 64, 1.0)
+    g = build_polar_grid(8, 64)
     want = np.sqrt(g.radial_t)[:, None] * _phase_table(64)[None, :]
     assert g.points.tobytes() == want.tobytes()
 
@@ -205,7 +202,7 @@ def test_singular_grid_holds_its_fixed_factors():
 
 
 def test_angular_phase_sum_exact_selection():
-    g = build_polar_grid(4, 16, 1.0)
+    g = build_polar_grid(4, 16)
     assert angular_phase_sum(0, g) == complex(16)
     assert angular_phase_sum(16, g) == complex(16)
     for p in (1, 2, 3, 5, 7, 8, 9, 15, -3, 31):
@@ -218,7 +215,7 @@ def test_angular_phase_sum_exact_selection():
         (9, (1, 3, -2, 10)),
         (15, (5, 6, 14, -1)),
     ):
-        g = build_polar_grid(4, n_theta, 1.0)
+        g = build_polar_grid(4, n_theta)
         assert angular_phase_sum(n_theta, g) == complex(n_theta)
         for p in freqs:
             assert angular_phase_sum(p, g) == 0j
@@ -226,7 +223,7 @@ def test_angular_phase_sum_exact_selection():
 
 def test_polar_separable_matches_generic():
     # a separable integrand must agree with the generic reduction
-    g = build_polar_grid(32, 32, 1.0)
+    g = build_polar_grid(32, 32)
     radial = np.exp(-0.5 * g.radial_t) * (1.0 + g.radial_t)
     for p in (0, 1, 4):
         sep = polar_separable_quadrature(radial, np.zeros_like(radial), p, g)
@@ -236,7 +233,7 @@ def test_polar_separable_matches_generic():
 
 
 def test_reduce_polar_accepts_stacked_values():
-    g = build_polar_grid(16, 8, 1.0)
+    g = build_polar_grid(16, 8)
     values = np.stack([g.points**k for k in range(3)])
     stacked = _reduce_polar(values, g.radial_w)
     assert stacked.shape == (3,)
@@ -245,14 +242,14 @@ def test_reduce_polar_accepts_stacked_values():
 
 
 def test_polar_grids_are_cached():
-    assert build_polar_grid(12, 8, 3.0) is build_polar_grid(12, 8, 3.0)
-    assert build_polar_grid(12, 8, 3.0) is not build_polar_grid(12, 8, 1.0)
-    # the cache key is normalised, so defaults and int beta hit the same grid
+    assert build_polar_grid(12, 8) is build_polar_grid(12, 8)
+    assert build_polar_grid(12, 8) is not build_polar_grid(12, 16)
+    # the cache key is normalised to (int, int), so defaults and numpy
+    # integers hit the same grid
     default = build_polar_grid()
-    assert build_polar_grid(64, 128, 1.0) is default
-    assert build_polar_grid(64, 128, 1) is default
-    assert build_polar_grid(n_theta=128, beta=1) is default
-    assert build_polar_grid(np.int64(64), np.int32(128), 1) is default
+    assert build_polar_grid(64, 128) is default
+    assert build_polar_grid(n_theta=128) is default
+    assert build_polar_grid(np.int64(64), np.int32(128)) is default
 
 
 def test_grids_compare_and_hash_by_identity():
@@ -286,14 +283,8 @@ def test_inner_product_examples():
     assert abs(inner_product_gaussian(ident, conj)) <= 1e-13
 
 
-def test_inner_product_requires_unit_beta():
-    g = build_polar_grid(8, 8, 2.0)
-    with pytest.raises(ValueError):
-        inner_product_gaussian(lambda p: p, lambda p: p, g)
-
-
 def test_angular_orthogonality_of_monomials():
-    g = build_polar_grid(64, 128, 1.0)
+    g = build_polar_grid(64, 128)
     for a in range(11):
         for b in range(a + 1, 11):
             v = inner_product_gaussian(
@@ -315,13 +306,29 @@ def test_integrate_radial_examples():
     )
 
 
-def test_integrate_radial_rescales_other_beta():
-    # grid built at beta=1, integral requested at beta=2
-    g = build_polar_grid(32, 8, 1.0)
-    got = integrate_radial_weighted(lambda t: t**3, 2.0, g)
-    assert got == pytest.approx(math.factorial(3) / 2.0**4, rel=1e-12)
-    with pytest.raises(ValueError):
-        integrate_radial_weighted(lambda t: t, 0.0, g)
+def test_radial_rule_requires_a_finite_positive_beta():
+    for beta in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite beta > 0"):
+            integrate_radial_weighted(lambda t: np.ones_like(t), beta)
+        with pytest.raises(ValueError, match="finite beta > 0"):
+            _radial_rule(8, beta)
+    for n_radial in (0, 201):
+        with pytest.raises(ValueError, match="n_radial"):
+            integrate_radial_weighted(lambda t: t, 1.0, n_radial)
+
+
+def test_radial_rules_share_their_nodes():
+    # each beta divides the cached e^{-t} rule: x / 1.0 is x bit for bit
+    x, w = gauss_laguerre_nodes(32)
+    t1, w1 = _radial_rule(32, 1.0)
+    t2, w2 = _radial_rule(32, 2.0)
+    assert t1.tobytes() == x.tobytes() and w1.tobytes() == w.tobytes()
+    assert t2.tobytes() == (x / 2.0).tobytes() and w2.tobytes() == (w / 2.0).tobytes()
+    assert _radial_rule(32, 2.0)[0] is t2
+    assert build_polar_grid(32, 8).radial_t.tobytes() == x.tobytes()
+    for arr in (t1, w1, t2, w2):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_singular_quadrature_examples():

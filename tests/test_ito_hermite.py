@@ -421,13 +421,13 @@ def test_radial_profiles_against_mpmath():
 
 
 def _hermite_gram(indices, grid=None) -> np.ndarray:
-    """Gram matrix of basis polynomials on a beta = 1 grid: one batched profile call."""
+    """Gram matrix of basis polynomials on a polar grid: one batched profile call."""
     grid = build_polar_grid() if grid is None else grid
     return _separable_gram(*hermite_radial_profile(indices, grid.radial_t), grid)
 
 
 def hermite_inner_product(a: HermiteIndex, b: HermiteIndex, grid=None) -> complex:
-    """Per-pair oracle of :func:`_hermite_gram`: <H_a, H_b> on a beta = 1 grid.
+    """Per-pair oracle of :func:`_hermite_gram`: <H_a, H_b> on a polar grid.
 
     One radial product of the two real profiles in double-double, then
     the separable rule with frequency f_a - f_b.
@@ -509,12 +509,6 @@ def test_gram_selection_zero_on_grid_with_odd_factor():
     # frequency difference 4 on n_theta = 12 is off-pattern: an exact zero
     g = _hermite_gram([HermiteIndex(4, 0), HermiteIndex(0, 0)], build_polar_grid(16, 12))
     assert g[0, 1] == 0j and g[1, 0] == 0j
-
-
-def test_unit_weight_required():
-    grid = build_polar_grid(16, 16, 2.0)
-    with pytest.raises(ValueError, match="beta=1"):
-        psi_gram([HermiteIndex(0, 0)], grid)
 
 
 SIGNED_ZEROS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))

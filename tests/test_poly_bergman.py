@@ -285,7 +285,6 @@ def test_project_reads_each_grids_own_nodes():
     grid = build_polar_grid(12, 8)
     # same shape, other nodes: the radial rows come from each grid's own nodes
     other = PolarGrid(
-        beta=1.0,
         radial_t=np.array(grid.radial_t) * 0.75,
         radial_w=np.array(grid.radial_w),
         n_theta=8,
@@ -343,11 +342,6 @@ def test_verify_projects_in_three_batched_calls(monkeypatch):
         ((5, 5), tuple(range(5)), 8),
         ((5,), tuple(range(5)), 7),
     ]
-
-
-def test_project_rejects_other_beta():
-    with pytest.raises(ValueError, match="beta=1"):
-        project_numeric(lambda pts: pts, 0, 2, grid=build_polar_grid(8, 8, 3.0))
 
 
 def test_overflow_raises_before_allocation():

@@ -32,6 +32,7 @@ from polycauchy._ddouble import two_prod
 from polycauchy.gaussian_quadrature import (
     PolarGrid,
     build_polar_grid,
+    gauss_laguerre_nodes,
     polar_separable_quadrature,
 )
 from polycauchy.ito_hermite import _separable_gram, c_mn, hermite_radial_profile
@@ -125,8 +126,6 @@ def test_gram_selection_rule_exact_zeros():
 def test_gram_validation():
     with pytest.raises(ValueError):
         psi_gram([(-1, 0)])
-    with pytest.raises(ValueError):
-        psi_gram([(1, 0)], build_polar_grid(8, 8, 3.0))
 
 
 def test_psi_gram_overflow_raises_before_any_profile(monkeypatch):
@@ -148,7 +147,7 @@ def _profile(idx, t, *, weighted=False):
 
 
 def _psi_profile(idx: HermiteIndex, grid: PolarGrid):
-    """Profile of psi_{m,n} = -e^{-t} H_{m-1,n} on a beta = 1 grid."""
+    """Profile of psi_{m,n} = -e^{-t} H_{m-1,n} on a polar grid."""
     profile, freq = _profile(HermiteIndex(idx.m - 1, idx.n), grid.radial_t, weighted=True)
     return -profile, freq
 
@@ -295,7 +294,7 @@ def test_psi_gram_values_are_one_read_only_real_matrix():
     # rows and columns are the separable Gram of every row, aliased
     # classes of n_theta = 8 included
     indices = [HermiteIndex(m, n) for m in range(5) for n in range(5)]
-    for grid in (build_polar_grid(), build_polar_grid(16, 8, 1.0)):
+    for grid in (build_polar_grid(), build_polar_grid(16, 8)):
         values = psi_gram(indices, grid).values
         assert values.dtype == np.float64 and not values.flags.writeable
         assert np.array_equal(values, values.T)
@@ -336,8 +335,9 @@ def test_psi_gram_keeps_its_residue_classes():
     cases = ((range(4), range(3), 32, 16), (range(5), range(5), 16, 8))
     for ms, ns, n_radial, n_theta in cases:
         indices = [HermiteIndex(m, n) for m in ms for n in ns]
-        grid = build_polar_grid(n_radial, n_theta, 1.0)
-        grid3 = build_polar_grid(n_radial, n_theta, 3.0)
+        grid = build_polar_grid(n_radial, n_theta)
+        x, w = gauss_laguerre_nodes(n_radial)
+        t3, w3 = x / 3.0, w / 3.0
         report = psi_gram(indices, grid)
         assert np.array_equal(report.values, report.values.T)
         freq = np.array([i.m - 1 - i.n for i in indices])
@@ -359,7 +359,7 @@ def test_psi_gram_keeps_its_residue_classes():
 
                     expected = (
                         math.pi * c_mn(a.m - 1, a.n) * c_mn(b.m - 1, b.n)
-                        * kahan_sum(h(grid3.radial_t) * grid3.radial_w)
+                        * kahan_sum(h(t3) * w3)
                     )
                     gap = abs(report.values[r, s] - expected) / (1.0 + abs(expected))
                     worst = max(worst, gap)
@@ -381,9 +381,9 @@ def test_psi_gram_on_wide_grids_is_finite_and_stable():
     # the m = 0 profiles never form e^t, so the Gram stays finite and
     # agrees with nr = 64
     indices = [HermiteIndex(m, n) for m in range(3) for n in range(3)]
-    coarse = psi_gram(indices, build_polar_grid(64, 64, 1.0)).values
+    coarse = psi_gram(indices, build_polar_grid(64, 64)).values
     for nr in (150, 200):
-        wide = psi_gram(indices, build_polar_grid(nr, 64, 1.0))
+        wide = psi_gram(indices, build_polar_grid(nr, 64))
         assert np.all(np.isfinite(wide.values)) and wide.passed
         nonzero = coarse != 0
         assert np.array_equal(wide.values != 0, nonzero)
@@ -445,8 +445,8 @@ def _psi_basis_entry(
     """<psi_{j,k}, H_{m,n}> by the separable rule.
 
     For j >= 1 the polynomial factors pair with the psi envelope into
-    an effective e^{-2|z|^2} weight (beta = 2 grid, exact rule); j = 0
-    keeps the extended profile on the beta = 1 grid.
+    an effective e^{-2|z|^2} weight (grid2, the e^{-t} nodes and weights
+    halved, exact rule); j = 0 keeps the extended profile on grid1.
     """
     j, k = psi_idx.m, psi_idx.n
     if j >= 1:
@@ -466,8 +466,9 @@ def test_closed_operator_matrix_matches_quadrature():
         (HermiteIndex(m, n) for m in range(degree + 1) for n in range(degree + 1 - m)),
         key=lambda i: (i.m + i.n, i.m),
     )
-    grid1 = build_polar_grid(beta=1.0)
-    grid2 = build_polar_grid(beta=2.0)
+    grid1 = build_polar_grid()
+    x, w = gauss_laguerre_nodes(grid1.n_radial)
+    grid2 = PolarGrid(radial_t=x / 2, radial_w=w / 2, n_theta=grid1.n_theta)
     quadrature = np.empty((len(basis), len(basis)))
     for r, row in enumerate(basis):
         row_norm = math.pi * math.sqrt(math.factorial(row.m) * math.factorial(row.n))
