@@ -214,16 +214,17 @@ def _cmd_cauchy(args: argparse.Namespace, cfg: VerifyConfig) -> int:
     if not args.numeric:
         _emit(format_complex(closed), args)
         return 0
-    numeric = _finite(
-        cauchy_transform_numeric(
-            lambda pts: hermite_eval(idx, pts), args.z, cfg.singular_grid(args.z)
-        ),
-        f"numeric {what}",
-    )
+    grid = cfg.singular_grid(args.z)
+    values = hermite_eval(idx, grid.points)
+    numeric = _finite(cauchy_transform_numeric(lambda pts: values, args.z, grid), f"numeric {what}")
+    # the quadrature's own sum of |terms|: its rounding, and any cancellation, scale with it
+    terms = np.abs(values * grid.weight).sum(axis=-1) * grid.radial_w
+    scale = _finite(float(np.sum(terms)) * (2.0 / grid.n_theta), f"scale of numeric {what}")
     lines = [
         f"closed={format_complex(closed)}",
         f"numeric={format_complex(numeric)}",
         f"difference={format_real(abs(closed - numeric))}",
+        f"scale={format_real(scale)}",
     ]
     _emit("\n".join(lines), args)
     return 0

@@ -47,8 +47,36 @@ into the Jacobian, leaving the smooth integrand
     -(1/pi) f(z + rho e^{i theta}) e^{-|z + rho e^{i theta}|^2} e^{-i theta}
 
 integrated by Gauss-Legendre in rho over [0, R] and the trapezoid rule
-in theta.  R = |z| + radius_pad puts the Gaussian tail below 1e-60 for
-the default pad of 12.
+in theta.  R = |z| + radius_pad: every dropped point is at least the
+pad from the centre, so for the default pad of 8 the Gaussian tail is
+below e^{-64} ~ 1.6e-28, times the source's polynomial growth.  The
+default grid is 64 radii times 128 angles.  Over 120 seeded centres
+with |z| <= 3, the worst gap |numeric - closed| of the field-eval
+indices, divided by the rule's own sum of |terms| (the scale ``cauchy
+--numeric`` prints) and, in brackets, by 1 + |closed|:
+
+    ===========  ===================  ===================  ===================
+    (m, n)       96 x 256, pad 12     64 x 128, pad 8      48 x 128, pad 7
+    ===========  ===================  ===================  ===================
+    (0, 0)       4.8e-15 (1.7e-15)    1.6e-15 (5.9e-16)    4.6e-15 (1.5e-15)
+    (4, 4)       5.7e-15 (1.8e-14)    1.2e-15 (1.0e-14)    5.2e-16 (4.1e-15)
+    (3, 9)       4.1e-15 (5.5e-14)    2.0e-15 (1.7e-13)    8.0e-16 (5.8e-14)
+    (12, 12)     7.2e-15 (2.0e-11)    4.2e-15 (1.8e-11)    3.2e-13 (5.4e-09)
+    (20, 10)     4.9e-15 (8.8e-11)    2.4e-15 (1.3e-10)    1.4e-14 (1.2e-10)
+    ===========  ===================  ===================  ===================
+
+The other four indices read at most 2.3e-14 on either scale on every
+grid.  Pad 7 truncates the tail at (12, 12).  On the scale of 1 +
+|closed| the high indices read larger where the terms cancel: near a
+zero of the image, or (20, 10) near the origin, where the gap is
+1e-5 of 1 + |closed| and 6e-17 of the scale at |z| = 0.05.
+
+The default resolves centres up to |z| of about 10.  Farther out the
+Gaussian's mass lies near rho = |z| within an angle of about 1/|z|,
+which 128 angles under-resolve: at (4, 4) the worst gap over six
+angles, divided by 1 + |closed|, reads 1.6e-11 at |z| = 10, 1.2e-7 at
+12, 2.2e-4 at 15 and 4.0e-2 at 20, where 96 x 256, pad 12 read at
+most 1e-11 up to |z| = 20.  128 x 512 reads 1e-15 at |z| = 30.
 
 Every reduction runs in a fixed order, so repeated runs produce
 identical bits.  Only the per-pair separable rule (double-double, the
@@ -86,9 +114,9 @@ __all__ = [
 MAX_RADIAL_NODES = 200
 DEFAULT_RADIAL_NODES = 64
 DEFAULT_ANGULAR_NODES = 128
-DEFAULT_SINGULAR_RADIAL = 96
-DEFAULT_SINGULAR_ANGULAR = 256
-DEFAULT_RADIUS_PAD = 12.0
+DEFAULT_SINGULAR_RADIAL = 64
+DEFAULT_SINGULAR_ANGULAR = 128
+DEFAULT_RADIUS_PAD = 8.0
 
 _RESCALE_EXP = 500  # power-of-two renormalisation threshold, exact in binary
 _LOG_RESCALE = _RESCALE_EXP * math.log(2.0)
@@ -311,9 +339,11 @@ def build_singular_grid(
     """Gauss-Legendre-in-rho grid on [0, |center| + radius_pad]."""
     if n_radial < 1:
         raise ValueError(f"build_singular_grid requires n_radial >= 1, got {n_radial}")
-    if radius_pad <= 0:
-        raise ValueError(f"build_singular_grid requires radius_pad > 0, got {radius_pad}")
+    if not (math.isfinite(radius_pad) and radius_pad > 0):
+        raise ValueError(f"build_singular_grid requires a finite radius_pad > 0, got {radius_pad}")
     center = complex(center)
+    if not cmath.isfinite(center):
+        raise ValueError(f"build_singular_grid requires a finite center, got {center}")
     radius = abs(center) + radius_pad
     x, w = _standard_legendre_cached(n_radial)
     rho = 0.5 * radius * (x + 1.0)

@@ -111,7 +111,7 @@ class VerifyConfig:
 
     nr / ntheta replace the module default resolutions when set (None
     means unset; 0 and negative counts are rejected); the
-    singular-integral grid keeps its own (larger) defaults otherwise.
+    singular-integral grid keeps its own defaults otherwise.
     tolerance, when set, overrides the tolerance of every record; it
     must be finite and >= 0.  radius_pad must be finite and > 0, and
     kernel_truncation >= 0.

@@ -22,8 +22,8 @@ BLOCKED_INDICES = ((1, 0), (2, 5), (12, 12), (20, 10))
 
 def test_singular_grid_defaults_and_validation():
     grid = build_singular_grid(1.0 + 0.5j)
-    assert (grid.radial_rho.size, grid.n_theta) == (96, 256)
-    assert grid.radius == abs(1.0 + 0.5j) + 12.0
+    assert (grid.radial_rho.size, grid.n_theta) == (64, 128)
+    assert grid.radius == abs(1.0 + 0.5j) + 8.0
     with pytest.raises(ValueError, match="n_radial"):
         build_singular_grid(0j, n_radial=0)
     with pytest.raises(ValueError, match="n_theta"):
@@ -33,6 +33,42 @@ def test_singular_grid_defaults_and_validation():
     f = lambda xi: hermite_eval(HermiteIndex(1, 1), xi)
     with pytest.raises(ValueError, match="center"):
         cauchy_transform_numeric(f, 0.5, build_singular_grid(0.25))
+
+
+def test_singular_grid_rejects_non_finite_inputs():
+    # any of them makes every grid point NaN, and the quadrature NaN
+    nan, inf = math.nan, math.inf
+    for center in (complex(nan, 0.0), complex(0.0, nan), complex(inf, 0.0), complex(0.0, -inf)):
+        with pytest.raises(ValueError, match="finite center"):
+            build_singular_grid(center)
+    with pytest.raises(ValueError, match="finite center"):
+        cauchy_singular_quadrature(lambda xi: xi, complex(nan, 0.0))
+    for pad in (nan, inf):
+        with pytest.raises(ValueError, match="finite radius_pad"):
+            build_singular_grid(0.5, radius_pad=pad)
+
+
+def test_default_grid_holds_the_field_indices_to_their_scale():
+    # The gap is judged against the route's own scale, its sum of
+    # |terms| (what `cauchy --numeric` prints as scale=), since the
+    # terms' cancellation scales with it.  Divided by 1 + |closed|
+    # instead, the gap reads 1.8e-11 at (12, 12) near a zero of the
+    # image and 1e-5 at (20, 10) near the origin.  On the default grid
+    # the worst ratio over 360 centres was 4.4e-15; a pad of 7 truncates
+    # the Gaussian tail to 3.1e-13 at (12, 12) at every centre.
+    rng = np.random.default_rng(2026)
+    centres = 3.0 * np.sqrt(rng.uniform(size=40)) * np.exp(2j * np.pi * rng.uniform(size=40))
+    indices = ((0, 0), (0, 3), (1, 0), (2, 5), (4, 4), (7, 2), (3, 9), (12, 12), (20, 10))
+    for z in centres.tolist():
+        grid = build_singular_grid(z)
+        for m, n in indices:
+            idx = HermiteIndex(m, n)
+            values = hermite_eval(idx, grid.points)
+            numeric = cauchy_transform_numeric(lambda xi: values, z, grid)
+            terms = np.abs(values * grid.weight).sum(axis=-1) * grid.radial_w
+            scale = np.sum(terms) * (2.0 / grid.n_theta)
+            gap = abs(numeric - cauchy_hermite_closed(idx, z))
+            assert gap <= 3e-14 * scale, (m, n, z, gap / scale)
 
 
 def test_numeric_delegates_to_the_singular_quadrature():

@@ -89,7 +89,18 @@ def test_cauchy_numeric_report(capsys):
     assert lines[0].startswith("closed=")
     assert lines[1].startswith("numeric=")
     assert lines[2].startswith("difference=")
-    assert float(lines[2].split("=")[1]) < 1e-6
+    assert lines[3].startswith("scale=") and len(lines) == 4
+    difference, scale = (float(line.split("=")[1]) for line in lines[2:])
+    assert difference < 1e-6
+    # the sum of |terms| bounds the sum itself
+    assert scale >= abs(complex(lines[1].split("=")[1].replace("i", "j")))
+    # (12, 12): a difference of 1.5e-7 is 5.8e-16 of the route's scale
+    assert main(["cauchy", "--m", "12", "--n", "12", "--z", "0.5,0.3", "--numeric"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    closed = abs(complex(lines[0].split("=")[1].replace("i", "j")))
+    difference, scale = (float(line.split("=")[1]) for line in lines[2:])
+    assert difference <= 1e-10 * (1.0 + closed)
+    assert closed < scale and difference <= 1e-14 * scale
 
 
 def test_domain_error_exit_code(capsys):
@@ -519,8 +530,8 @@ def test_verify_all_report_bytes_are_pinned(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     for path, want in (
-        (out, "70cfeb7839975f5e58a5b291fd621c1b"),
-        (out.with_suffix(".csv"), "b5d7c735ecc5bc22bab09199d71bbb6f"),
+        (out, "7aee136882e255d49526c66515331363"),
+        (out.with_suffix(".csv"), "e4178753176fe8e6dfb95c04f5e3413b"),
     ):
         assert hashlib.md5(path.read_bytes()).hexdigest() == want, (path.name, builds)
 
