@@ -28,7 +28,7 @@ from .cauchy_transform import (
     cauchy_hermite_closed,
     cauchy_transform_numeric,
 )
-from .gaussian_quadrature import build_polar_grid
+from .gaussian_quadrature import build_polar_grid, cauchy_singular_scale
 from .ito_hermite import (
     HermiteIndex,
     hermite_eval,
@@ -215,11 +215,9 @@ def _cmd_cauchy(args: argparse.Namespace, cfg: VerifyConfig) -> int:
         _emit(format_complex(closed), args)
         return 0
     grid = cfg.singular_grid(args.z)
-    values = hermite_eval(idx, grid.points)
-    numeric = _finite(cauchy_transform_numeric(lambda pts: values, args.z, grid), f"numeric {what}")
-    # the quadrature's own sum of |terms|: its rounding, and any cancellation, scale with it
-    terms = np.abs(values * grid.weight).sum(axis=-1) * grid.radial_w
-    scale = _finite(float(np.sum(terms)) * (2.0 / grid.n_theta), f"scale of numeric {what}")
+    source = lambda pts: hermite_eval(idx, pts)
+    numeric = _finite(cauchy_transform_numeric(source, args.z, grid), f"numeric {what}")
+    scale = _finite(cauchy_singular_scale(source, args.z, grid), f"scale of numeric {what}")
     lines = [
         f"closed={format_complex(closed)}",
         f"numeric={format_complex(numeric)}",

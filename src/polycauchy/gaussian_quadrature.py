@@ -46,14 +46,15 @@ into the Jacobian, leaving the smooth integrand
 
     -(1/pi) f(z + rho e^{i theta}) e^{-|z + rho e^{i theta}|^2} e^{-i theta}
 
-integrated by Gauss-Legendre in rho over [0, R] and the trapezoid rule
-in theta.  R = |z| + radius_pad: every dropped point is at least the
-pad from the centre, so for the default pad of 8 the Gaussian tail is
-below e^{-64} ~ 1.6e-28, times the source's polynomial growth.  The
-default grid is 64 radii times 128 angles.  Over 120 seeded centres
-with |z| <= 3, the worst gap |numeric - closed| of the field-eval
-indices, divided by the rule's own sum of |terms| (the scale ``cauchy
---numeric`` prints) and, in brackets, by 1 + |closed|:
+integrated by Gauss-Legendre in rho over [max(0, |z| - radius_pad),
+|z| + radius_pad] and the trapezoid rule in theta.  Every dropped point
+is at least the pad from the origin, so for the default pad of 8 the
+Gaussian tail is below e^{-64} ~ 1.6e-28, times the source's polynomial
+growth.  The default grid is 64 radii times 128 angles while |z| <= 5.
+Over 120 seeded centres with |z| <= 3, the worst gap |numeric - closed|
+of the field-eval indices, divided by the rule's own sum of |terms|
+(:func:`cauchy_singular_scale`, the scale ``cauchy --numeric`` prints)
+and, in brackets, by 1 + |closed|:
 
     ===========  ===================  ===================  ===================
     (m, n)       96 x 256, pad 12     64 x 128, pad 8      48 x 128, pad 7
@@ -71,12 +72,36 @@ grid.  Pad 7 truncates the tail at (12, 12).  On the scale of 1 +
 zero of the image, or (20, 10) near the origin, where the gap is
 1e-5 of 1 + |closed| and 6e-17 of the scale at |z| = 0.05.
 
-The default resolves centres up to |z| of about 10.  Farther out the
-Gaussian's mass lies near rho = |z| within an angle of about 1/|z|,
-which 128 angles under-resolve: at (4, 4) the worst gap over six
-angles, divided by 1 + |closed|, reads 1.6e-11 at |z| = 10, 1.2e-7 at
-12, 2.2e-4 at 15 and 4.0e-2 at 20, where 96 x 256, pad 12 read at
-most 1e-11 up to |z| = 20.  128 x 512 reads 1e-15 at |z| = 30.
+Farther out the Gaussian's mass lies near rho = |z| within an angle of
+about 1/|z|, and the pad-8 tail, whose boundary flattens as |z| grows,
+costs a degree-30 source 6e-9 of the scale at |z| = 8.  So past |z| = 5
+the default (:func:`singular_grid_shape`) is pad 12, 128 radii on the
+rho interval of length at most 24, and 256 angles doubled until they
+are at least 16 |z|, up to 4096 at |z| = 256; a farther centre needs an
+explicit n_theta.  Worst gap over six angles, divided by 1 + |closed|
+(by the scale in brackets), on the default grid and on the old fixed
+96 x 256, pad 12 grid on [0, |z| + 12]:
+
+    =====  ========  ===================  ===================  ===================
+    |z|    grid      (4, 4)               (0, 0) to (3, 9)     (12, 12), (20, 10)
+    =====  ========  ===================  ===================  ===================
+    5      64x128    2.6e-15 (1.0e-15)    6.3e-14 (1.7e-15)    4.7e-10 (1.2e-15)
+           old       2.3e-15 (8.8e-16)    2.7e-14 (3.1e-15)    4.2e-10 (9.8e-16)
+    8      128x256   1.1e-15 (7.0e-16)    8.6e-14 (6.7e-15)    4.7e-05 (1.7e-15)
+           old       1.6e-15 (1.0e-15)    7.4e-14 (3.4e-15)    6.9e-05 (1.8e-15)
+    12     128x256   2.9e-15 (2.8e-15)    4.3e-14 (6.5e-15)    6.2e-05 (2.0e-15)
+           old       3.0e-15 (2.9e-15)    3.9e-14 (4.6e-15)    4.0e-01 (7.3e-12)
+    30     128x512   1.1e-15 (2.7e-15)    5.0e-14 (9.9e-15)    3.1e-04 (1.4e-14)
+           old       9.3e-05 (2.5e-04)    3.7e-02 (2.4e-03)    7.0e+09 (3.3e-01)
+    256    128x4096  1.5e-15 (3.1e-14)    6.2e-14 (5.9e-14)    1.5e-03 (6.1e-13)
+           old       4.8e-02 (8.8e-01)    3.5e+00 (1.5e+03)    6.1e+09 (9.9e-01)
+    =====  ========  ===================  ===================  ===================
+
+The middle column is (0, 0), (1, 0), (0, 3), (2, 5), (7, 2) and (3, 9).
+Far out the high indices' terms cancel, to 5e-5 to 1.5e-3 of
+1 + |closed|; on the scale they hold 2e-15 out to |z| = 12.  64 x 128, pad 8 kept
+past |z| = 5 reads 2.0e-4 at (4, 4) and |z| = 15, and 6.0e-9 of the
+scale at (12, 12) and |z| = 8.
 
 Every reduction runs in a fixed order, so repeated runs produce
 identical bits.  Only the per-pair separable rule (double-double, the
@@ -104,11 +129,13 @@ __all__ = [
     "build_polar_grid",
     "build_singular_grid",
     "cauchy_singular_quadrature",
+    "cauchy_singular_scale",
     "gauss_laguerre_nodes",
     "inner_product_gaussian",
     "integrate_radial_weighted",
     "plane_quadrature",
     "polar_separable_quadrature",
+    "singular_grid_shape",
 ]
 
 MAX_RADIAL_NODES = 200
@@ -117,6 +144,11 @@ DEFAULT_ANGULAR_NODES = 128
 DEFAULT_SINGULAR_RADIAL = 64
 DEFAULT_SINGULAR_ANGULAR = 128
 DEFAULT_RADIUS_PAD = 8.0
+NEAR_SINGULAR_RADIUS = 5.0  # past it the default singular grid is sized to |center|
+FAR_SINGULAR_RADIAL = 128
+FAR_SINGULAR_ANGULAR = 256
+FAR_RADIUS_PAD = 12.0
+MAX_SINGULAR_ANGULAR = 4096  # the default angles resolve |center| <= 4096 / 16 = 256
 
 _RESCALE_EXP = 500  # power-of-two renormalisation threshold, exact in binary
 _LOG_RESCALE = _RESCALE_EXP * math.log(2.0)
@@ -330,29 +362,65 @@ class SingularGrid:
         object.__setattr__(self, "weight", weight)
 
 
+def singular_grid_shape(center: complex) -> tuple[int, int | None, float]:
+    """Default ``(n_radial, n_theta, radius_pad)`` of the singular grid at ``center``.
+
+    64 x 128 with pad 8 while |center| <= 5.  Farther out the Gaussian's
+    mass lies within an angle of about 1/|center| of the origin's
+    direction, and a degree-30 source needs pad 12 and 128 radii on the
+    24-long rho interval: 256 angles, doubled until at least 16 |center|.
+    n_theta is None past |center| = 256, which would need more than
+    4096 angles.
+    """
+    r = abs(complex(center))
+    if r <= NEAR_SINGULAR_RADIUS:
+        return DEFAULT_SINGULAR_RADIAL, DEFAULT_SINGULAR_ANGULAR, DEFAULT_RADIUS_PAD
+    if 16.0 * r > MAX_SINGULAR_ANGULAR:
+        return FAR_SINGULAR_RADIAL, None, FAR_RADIUS_PAD
+    n_theta = FAR_SINGULAR_ANGULAR
+    while n_theta < 16.0 * r:
+        n_theta *= 2
+    return FAR_SINGULAR_RADIAL, n_theta, FAR_RADIUS_PAD
+
+
 def build_singular_grid(
     center: complex,
-    n_radial: int = DEFAULT_SINGULAR_RADIAL,
-    n_theta: int = DEFAULT_SINGULAR_ANGULAR,
-    radius_pad: float = DEFAULT_RADIUS_PAD,
+    n_radial: int | None = None,
+    n_theta: int | None = None,
+    radius_pad: float | None = None,
 ) -> SingularGrid:
-    """Gauss-Legendre-in-rho grid on [0, |center| + radius_pad]."""
+    """Gauss-Legendre-in-rho grid on [max(0, |center| - radius_pad), |center| + radius_pad].
+
+    Every point cut off either end is at least radius_pad from the
+    origin.  An argument left None takes its value from
+    :func:`singular_grid_shape`; past |center| = 256 n_theta must be
+    given.
+    """
+    center = complex(center)
+    if not cmath.isfinite(center):
+        raise ValueError(f"build_singular_grid requires a finite center, got {center}")
+    shape = singular_grid_shape(center)
+    n_radial = shape[0] if n_radial is None else n_radial
+    n_theta = shape[1] if n_theta is None else n_theta
+    radius_pad = shape[2] if radius_pad is None else radius_pad
     if n_radial < 1:
         raise ValueError(f"build_singular_grid requires n_radial >= 1, got {n_radial}")
     if not (math.isfinite(radius_pad) and radius_pad > 0):
         raise ValueError(f"build_singular_grid requires a finite radius_pad > 0, got {radius_pad}")
-    center = complex(center)
-    if not cmath.isfinite(center):
-        raise ValueError(f"build_singular_grid requires a finite center, got {center}")
+    if n_theta is None:
+        raise ValueError(
+            f"the default singular grid resolves |center| <= {MAX_SINGULAR_ANGULAR // 16}, "
+            f"got {abs(center):.6g}; give n_theta (--ntheta)"
+        )
+    inner = max(0.0, abs(center) - radius_pad)
     radius = abs(center) + radius_pad
     x, w = _standard_legendre_cached(n_radial)
-    rho = 0.5 * radius * (x + 1.0)
-    rho_w = 0.5 * radius * w
+    half = 0.5 * (radius - inner)
     return SingularGrid(
         center=center,
         radius=radius,
-        radial_rho=rho,
-        radial_w=rho_w,
+        radial_rho=inner + half * (x + 1.0),
+        radial_w=half * w,
         n_theta=operator.index(n_theta),
     )
 
@@ -454,6 +522,18 @@ def integrate_radial_weighted(h, beta: float, n_radial: int = DEFAULT_RADIAL_NOD
     return float(np.sum(hv * w))
 
 
+def _singular_terms(f, z: complex, grid: SingularGrid | None):
+    """The integrand f * e^{-|xi|^2} e^{-i theta} on the grid at z, and the grid."""
+    z = complex(z)
+    if grid is None:
+        grid = build_singular_grid(z)
+    elif grid.center != z:
+        raise ValueError(
+            f"singular grid was built for center {grid.center}, not {z}; rebuild the grid"
+        )
+    return np.asarray(f(grid.points), dtype=complex) * grid.weight, grid
+
+
 def cauchy_singular_quadrature(f, z: complex, grid: SingularGrid | None = None) -> complex:
     """Weighted Cauchy transform of f at z by the recentred polar rule.
 
@@ -464,15 +544,23 @@ def cauchy_singular_quadrature(f, z: complex, grid: SingularGrid | None = None) 
     and the result is an array of the leading shape, each entry equal
     to the call on its own integrand.
     """
-    z = complex(z)
-    if grid is None:
-        grid = build_singular_grid(z)
-    elif grid.center != z:
-        raise ValueError(
-            f"singular grid was built for center {grid.center}, not {z}; rebuild the grid"
-        )
-    fv = np.asarray(f(grid.points), dtype=complex)
-    sums = _reduce_polar(fv * grid.weight, grid.radial_w)
+    terms, grid = _singular_terms(f, z, grid)
+    sums = _reduce_polar(terms, grid.radial_w)
     if np.ndim(sums):
         return sums * (-2.0 / grid.n_theta)
     return complex(sums) * (-2.0 / grid.n_theta)
+
+
+def cauchy_singular_scale(f, z: complex, grid: SingularGrid | None = None) -> float:
+    """The rule's own sum of |terms| for :func:`cauchy_singular_quadrature`.
+
+    (2 / n_theta) times the sum over the grid of |w_rho f e^{-|xi|^2}
+    e^{-i theta}|; it bounds the quadrature's modulus, and its rounding
+    and any cancellation among the terms scale with it.  Takes the same
+    arguments, stacks included.
+    """
+    terms, grid = _singular_terms(f, z, grid)
+    sums = _reduce_polar(np.abs(terms), grid.radial_w)
+    if np.ndim(sums):
+        return sums * (2.0 / grid.n_theta)
+    return float(sums) * (2.0 / grid.n_theta)

@@ -28,15 +28,13 @@ from .cauchy_transform import (
 from .gaussian_quadrature import (
     DEFAULT_ANGULAR_NODES,
     DEFAULT_RADIAL_NODES,
-    DEFAULT_RADIUS_PAD,
-    DEFAULT_SINGULAR_ANGULAR,
-    DEFAULT_SINGULAR_RADIAL,
     PolarGrid,
     SingularGrid,
     build_polar_grid,
     build_singular_grid,
     inner_product_gaussian,
     integrate_radial_weighted,
+    singular_grid_shape,
 )
 from .ito_hermite import (
     HermiteIndex,
@@ -111,15 +109,16 @@ class VerifyConfig:
 
     nr / ntheta replace the module default resolutions when set (None
     means unset; 0 and negative counts are rejected); the
-    singular-integral grid keeps its own defaults otherwise.
+    singular-integral grid keeps its own defaults otherwise, sized to
+    the centre by :func:`singular_grid_shape`, as does its radius_pad.
     tolerance, when set, overrides the tolerance of every record; it
-    must be finite and >= 0.  radius_pad must be finite and > 0, and
-    kernel_truncation >= 0.
+    must be finite and >= 0.  radius_pad, when set, must be finite and
+    > 0, and kernel_truncation >= 0.
     """
 
     nr: int | None = None
     ntheta: int | None = None
-    radius_pad: float = DEFAULT_RADIUS_PAD
+    radius_pad: float | None = None
     kernel_truncation: int = KernelSpec.truncation
     tolerance: float | None = None
 
@@ -134,7 +133,9 @@ class VerifyConfig:
             raise ValueError(
                 f"VerifyConfig requires a finite tolerance >= 0, got {self.tolerance}"
             )
-        if not (math.isfinite(self.radius_pad) and self.radius_pad > 0):
+        if self.radius_pad is not None and not (
+            math.isfinite(self.radius_pad) and self.radius_pad > 0
+        ):
             raise ValueError(
                 f"VerifyConfig requires a finite radius_pad > 0, got {self.radius_pad}"
             )
@@ -153,11 +154,14 @@ class VerifyConfig:
 
     def singular_grid(self, center: complex, refine: int = 1) -> SingularGrid:
         """The singular grid at ``center``, at ``refine`` times the resolution."""
+        n_radial, n_theta, radius_pad = singular_grid_shape(center)
+        n_radial = n_radial if self.nr is None else self.nr
+        n_theta = n_theta if self.ntheta is None else self.ntheta
         return build_singular_grid(
             center,
-            refine * (DEFAULT_SINGULAR_RADIAL if self.nr is None else self.nr),
-            refine * (DEFAULT_SINGULAR_ANGULAR if self.ntheta is None else self.ntheta),
-            self.radius_pad,
+            refine * n_radial,
+            None if n_theta is None else refine * n_theta,
+            radius_pad if self.radius_pad is None else self.radius_pad,
         )
 
 

@@ -11,9 +11,11 @@ from polycauchy import (
     build_singular_grid,
     cauchy_hermite_closed,
     cauchy_singular_quadrature,
+    cauchy_singular_scale,
     cauchy_transform_numeric,
     hermite_eval,
     hermite_eval_extended,
+    singular_grid_shape,
 )
 from polycauchy.cauchy_transform import _BLOCK
 
@@ -24,6 +26,18 @@ def test_singular_grid_defaults_and_validation():
     grid = build_singular_grid(1.0 + 0.5j)
     assert (grid.radial_rho.size, grid.n_theta) == (64, 128)
     assert grid.radius == abs(1.0 + 0.5j) + 8.0
+    assert singular_grid_shape(-5.0j) == (64, 128, 8.0)
+    # past |z| = 5: 128 radii on [max(0, |z| - 12), |z| + 12], and 256
+    # angles doubled until they are at least 16 |z|
+    assert singular_grid_shape(5.5) == (128, 256, 12.0)
+    far = build_singular_grid(15.0)
+    assert (far.radial_rho.size, far.n_theta) == (128, 256)
+    assert 3.0 < far.radial_rho.min() and far.radial_rho.max() < far.radius == 27.0
+    assert [build_singular_grid(r).n_theta for r in (16.0, 16.5, 256.0)] == [256, 512, 4096]
+    assert singular_grid_shape(256.5) == (128, None, 12.0)
+    with pytest.raises(ValueError, match=r"resolves \|center\| <= 256"):
+        build_singular_grid(256.5j)
+    assert build_singular_grid(1e6, n_theta=8).n_theta == 8
     with pytest.raises(ValueError, match="n_radial"):
         build_singular_grid(0j, n_radial=0)
     with pytest.raises(ValueError, match="n_theta"):
@@ -63,12 +77,49 @@ def test_default_grid_holds_the_field_indices_to_their_scale():
         grid = build_singular_grid(z)
         for m, n in indices:
             idx = HermiteIndex(m, n)
-            values = hermite_eval(idx, grid.points)
-            numeric = cauchy_transform_numeric(lambda xi: values, z, grid)
-            terms = np.abs(values * grid.weight).sum(axis=-1) * grid.radial_w
-            scale = np.sum(terms) * (2.0 / grid.n_theta)
-            gap = abs(numeric - cauchy_hermite_closed(idx, z))
+            f = lambda xi: hermite_eval(idx, xi)
+            scale = cauchy_singular_scale(f, z, grid)
+            gap = abs(cauchy_transform_numeric(f, z, grid) - cauchy_hermite_closed(idx, z))
             assert gap <= 3e-14 * scale, (m, n, z, gap / scale)
+
+
+def test_default_grid_resolves_far_centres():
+    # The Gaussian's mass lies within an angle of about 1/|z|, so 64 x
+    # 128, pad 8 reads 2.0e-4 of 1 + |closed| at (4, 4) and |z| = 15;
+    # the grid sized to |z| reads at most 3.1e-15 at (4, 4) and 8.6e-14
+    # at (0, 3) out to 256.
+    def sweep(indices, radii):
+        for m, n in indices:
+            idx = HermiteIndex(m, n)
+            f = lambda xi: hermite_eval(idx, xi)
+            for r in radii:
+                for k in range(3):
+                    z = r * complex(math.cos(2.1 * k + 0.3), math.sin(2.1 * k + 0.3))
+                    closed = cauchy_hermite_closed(idx, z)
+                    yield (m, n, z), abs(cauchy_transform_numeric(f, z) - closed), closed, f
+
+    for key, gap, closed, _ in sweep(((4, 4), (0, 3)), (15.0, 30.0, 100.0)):
+        assert gap <= 1e-12 * (1.0 + abs(closed)), (key, gap)
+    # The degree-30 sources cancel to 1e-4 of 1 + |closed| out here, so
+    # they are judged on the scale: the sized grid reads at most 2.4e-15
+    # at |z| <= 12, where pad 8 loses 6e-9 at |z| = 8 to the Gaussian
+    # tail and 96 radii 7.3e-12 at |z| = 12.
+    for (m, n, z), gap, _, f in sweep(((12, 12), (20, 10)), (8.0, 12.0)):
+        scale = cauchy_singular_scale(f, z)
+        assert gap <= 3e-14 * scale, (m, n, z, gap / scale)
+
+
+def test_scale_is_the_sum_of_the_rule_moduli():
+    z = 0.4 - 0.2j
+    grid = build_singular_grid(z)
+    stack = lambda xi: np.stack([hermite_eval(HermiteIndex(m, 2), xi) for m in range(3)])
+    scales = cauchy_singular_scale(stack, z, grid)
+    for m in range(3):
+        f = lambda xi, m=m: hermite_eval(HermiteIndex(m, 2), xi)
+        scale = cauchy_singular_scale(f, z)
+        assert isinstance(scale, float) and scale == scales[m]
+        assert abs(cauchy_singular_quadrature(f, z, grid)) <= scale
+    assert cauchy_singular_scale(lambda xi: np.zeros_like(xi), z, grid) == 0.0
 
 
 def test_numeric_delegates_to_the_singular_quadrature():

@@ -101,6 +101,23 @@ def test_cauchy_numeric_report(capsys):
     difference, scale = (float(line.split("=")[1]) for line in lines[2:])
     assert difference <= 1e-10 * (1.0 + closed)
     assert closed < scale and difference <= 1e-14 * scale
+    # a far centre: the default angles grow with |z|
+    assert main(["cauchy", "--m", "4", "--n", "4", "--z", "15,0", "--numeric"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    closed = abs(complex(lines[0].split("=")[1].replace("i", "j")))
+    assert float(lines[2].split("=")[1]) <= 1e-13 * (1.0 + closed)
+
+
+def test_cauchy_numeric_beyond_the_default_grid(capsys):
+    # past |z| = 256 the default grid would need more than 4096 angles
+    assert main(["cauchy", "--m", "0", "--n", "3", "--z", "300,0", "--numeric"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "resolves |center| <= 256" in captured.err
+    argv = ["cauchy", "--m", "0", "--n", "3", "--z", "300,0", "--numeric", "--ntheta", "8192"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    closed = abs(complex(lines[0].split("=")[1].replace("i", "j")))
+    assert float(lines[2].split("=")[1]) <= 1e-12 * (1.0 + closed)
 
 
 def test_domain_error_exit_code(capsys):
