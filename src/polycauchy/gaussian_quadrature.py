@@ -46,11 +46,12 @@ into the Jacobian, leaving the smooth integrand
 
     -(1/pi) f(z + rho e^{i theta}) e^{-|z + rho e^{i theta}|^2} e^{-i theta}
 
-integrated by Gauss-Legendre in rho over [max(0, |z| - radius_pad),
-|z| + radius_pad] and the trapezoid rule in theta.  Every dropped point
-is at least the pad from the origin, so for the default pad of 8 the
-Gaussian tail is below e^{-64} ~ 1.6e-28, times the source's polynomial
-growth.  The default grid is 64 radii times 128 angles while |z| <= 5.
+integrated by Gauss-Legendre in rho over [max(0, |z| - pad), |z| + pad]
+and the trapezoid rule in theta, the pad set by
+:func:`singular_grid_shape` alone.  Every dropped point is at least the
+pad from the origin, so for the pad of 8 the Gaussian tail is below
+e^{-64} ~ 1.6e-28, times the source's polynomial growth.  The default
+grid is 64 radii times 128 angles while |z| <= 5.
 Over 120 seeded centres with |z| <= 3, the worst gap |numeric - closed|
 of the field-eval indices, divided by the rule's own sum of |terms|
 (:func:`cauchy_singular_scale`, the scale ``cauchy --numeric`` prints)
@@ -387,26 +388,22 @@ def build_singular_grid(
     center: complex,
     n_radial: int | None = None,
     n_theta: int | None = None,
-    radius_pad: float | None = None,
 ) -> SingularGrid:
-    """Gauss-Legendre-in-rho grid on [max(0, |center| - radius_pad), |center| + radius_pad].
+    """Gauss-Legendre-in-rho grid on [max(0, |center| - pad), |center| + pad].
 
-    Every point cut off either end is at least radius_pad from the
-    origin.  An argument left None takes its value from
-    :func:`singular_grid_shape`; past |center| = 256 n_theta must be
-    given.
+    The pad comes from :func:`singular_grid_shape` alone, and every
+    point cut off either end is at least the pad from the origin.  A
+    count left None also takes its value from there; past |center| =
+    256 n_theta must be given.
     """
     center = complex(center)
     if not cmath.isfinite(center):
         raise ValueError(f"build_singular_grid requires a finite center, got {center}")
-    shape = singular_grid_shape(center)
-    n_radial = shape[0] if n_radial is None else n_radial
-    n_theta = shape[1] if n_theta is None else n_theta
-    radius_pad = shape[2] if radius_pad is None else radius_pad
+    default_radial, default_theta, radius_pad = singular_grid_shape(center)
+    n_radial = default_radial if n_radial is None else n_radial
+    n_theta = default_theta if n_theta is None else n_theta
     if n_radial < 1:
         raise ValueError(f"build_singular_grid requires n_radial >= 1, got {n_radial}")
-    if not (math.isfinite(radius_pad) and radius_pad > 0):
-        raise ValueError(f"build_singular_grid requires a finite radius_pad > 0, got {radius_pad}")
     if n_theta is None:
         raise ValueError(
             f"the default singular grid resolves |center| <= {MAX_SINGULAR_ANGULAR // 16}, "

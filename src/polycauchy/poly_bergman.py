@@ -147,8 +147,8 @@ def project_numeric(
     """
     if n < 0:
         raise ValueError(f"project_numeric requires n >= 0, got n={n}")
-    if J < 1:
-        raise ValueError(f"project_numeric requires J >= 1, got J={J}")
+    if J < 0:
+        raise ValueError(f"project_numeric requires J >= 0, got J={J}")
     if grid is None:
         grid = build_polar_grid()
     # J! first: past its overflow it raises before f is evaluated

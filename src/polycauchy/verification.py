@@ -34,7 +34,6 @@ from .gaussian_quadrature import (
     build_singular_grid,
     inner_product_gaussian,
     integrate_radial_weighted,
-    singular_grid_shape,
 )
 from .ito_hermite import (
     HermiteIndex,
@@ -110,16 +109,13 @@ class VerifyConfig:
     nr / ntheta replace the module default resolutions when set (None
     means unset; 0 and negative counts are rejected); the
     singular-integral grid keeps its own defaults otherwise, sized to
-    the centre by :func:`singular_grid_shape`, as does its radius_pad.
-    tolerance, when set, overrides the tolerance of every record; it
-    must be finite and >= 0.  radius_pad, when set, must be finite and
-    > 0, and kernel_truncation >= 0.
+    the centre by :func:`singular_grid_shape`, whose pad it always
+    takes.  tolerance, when set, overrides the tolerance of every
+    record; it must be finite and >= 0.
     """
 
     nr: int | None = None
     ntheta: int | None = None
-    radius_pad: float | None = None
-    kernel_truncation: int = KernelSpec.truncation
     tolerance: float | None = None
 
     def __post_init__(self) -> None:
@@ -133,17 +129,6 @@ class VerifyConfig:
             raise ValueError(
                 f"VerifyConfig requires a finite tolerance >= 0, got {self.tolerance}"
             )
-        if self.radius_pad is not None and not (
-            math.isfinite(self.radius_pad) and self.radius_pad > 0
-        ):
-            raise ValueError(
-                f"VerifyConfig requires a finite radius_pad > 0, got {self.radius_pad}"
-            )
-        if self.kernel_truncation < 0:
-            raise ValueError(
-                "VerifyConfig requires kernel_truncation >= 0, "
-                f"got {self.kernel_truncation}"
-            )
 
     def polar_grid(self) -> PolarGrid:
         """The polar grid for e^{-|z|^2} at the configured resolution."""
@@ -152,17 +137,9 @@ class VerifyConfig:
             DEFAULT_ANGULAR_NODES if self.ntheta is None else self.ntheta,
         )
 
-    def singular_grid(self, center: complex, refine: int = 1) -> SingularGrid:
-        """The singular grid at ``center``, at ``refine`` times the resolution."""
-        n_radial, n_theta, radius_pad = singular_grid_shape(center)
-        n_radial = n_radial if self.nr is None else self.nr
-        n_theta = n_theta if self.ntheta is None else self.ntheta
-        return build_singular_grid(
-            center,
-            refine * n_radial,
-            None if n_theta is None else refine * n_theta,
-            radius_pad if self.radius_pad is None else self.radius_pad,
-        )
+    def singular_grid(self, center: complex) -> SingularGrid:
+        """The singular grid at ``center`` at the configured resolution."""
+        return build_singular_grid(center, self.nr, self.ntheta)
 
 
 ABSOLUTE = "absolute"
@@ -608,7 +585,7 @@ def _suite_projection(cfg: VerifyConfig) -> list[VerificationRecord]:
         for n in range(5)
     ]
     for n in range(5):
-        spec = KernelSpec(n=n, truncation=cfg.kernel_truncation)
+        spec = KernelSpec(n=n)
         series = kernel_series(spec, kernel_pts, kernel_pts)
         rec.add("kernel-series-vs-closed", f"n{n}", series.ravel(), closed[n].ravel())
     for n in range(5):
@@ -684,10 +661,12 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
         f = (lambda pts: np.ones_like(pts)) if idx is None else (
             lambda pts, i=idx: hermite_eval(i, pts)
         )
-        coarse = cauchy_singular_quadrature(f, z, cfg.singular_grid(z))
-        fine = cauchy_singular_quadrature(f, z, cfg.singular_grid(z, refine=2))
+        grid = cfg.singular_grid(z)
+        fine = build_singular_grid(z, 2 * grid.radial_rho.size, 2 * grid.n_theta)
+        coarse = cauchy_singular_quadrature(f, z, grid)
+        refined = cauchy_singular_quadrature(f, z, fine)
         name = "const" if idx is None else f"m{idx.m}-n{idx.n}"
-        rec.add("singular-refinement", f"{name}-z{z}", coarse, fine)
+        rec.add("singular-refinement", f"{name}-z{z}", coarse, refined)
 
     # selection rule over the full index block
     indices = [HermiteIndex(m, n) for m in range(6) for n in range(6)]

@@ -360,6 +360,19 @@ def test_project_json_output(capsys):
     assert abs(lead - (-0.5)) < 1e-9
 
 
+def test_project_jmax_zero_is_coefficient_zero(capsys):
+    # J = 0 is the lone coefficient 0, bit for bit that of the J = 1 run
+    argv = ["project", "--level", "0", "--source", "hermite", "0", "0", "--jmax"]
+    coeffs = []
+    for jmax in ("0", "1"):
+        assert main(argv + [jmax]) == 0
+        coeffs.append(json.loads(capsys.readouterr().out)["coefficients"])
+    assert len(coeffs[0]) == 1 and coeffs[0] == coeffs[1][:1]
+    assert main(argv + ["-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "requires J >= 0, got J=-1" in captured.err
+
+
 def test_project_overflowing_jmax_fails_at_once(capsys):
     argv = ["project", "--source", "psi", "1", "0", "--level", "0", "--jmax", "100000000"]
     assert main(argv) == 3
@@ -630,7 +643,7 @@ def test_config_passes_only_the_settings_given(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "VerifyConfig", lambda **kw: seen.append(kw) or VerifyConfig(**kw))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"radius_pad": 6, "tolerances": 1, "nr": 48}))
+    cfg.write_text(json.dumps({"ntheta": 32, "tolerances": 1, "nr": 48}))
     parser = _build_parser()
     for argv in (
         ["verify", "ranges"],
@@ -638,8 +651,9 @@ def test_config_passes_only_the_settings_given(tmp_path, monkeypatch):
         ["svd", "--degree", "4"],
     ):
         cli._load_config(parser.parse_args(argv))
-    assert seen == [{}, {"radius_pad": 6.0, "tolerance": 1.0, "nr": 16}, {}]
-    assert isinstance(seen[1]["radius_pad"], float)
+    assert seen == [{}, {"ntheta": 32, "tolerance": 1.0, "nr": 16}, {}]
+    # the JSON int 1 reaches the float field as a float
+    assert isinstance(seen[1]["tolerance"], float)
 
 
 def test_config_file_settings(capsys, tmp_path):
@@ -657,15 +671,19 @@ def test_config_file_settings(capsys, tmp_path):
     for text, named in (
         (json.dumps({"nr": "abc"}), "nr must be a finite int"),
         (json.dumps({"ntheta": 64.5}), "ntheta must be a finite int"),
-        (json.dumps({"kernel_truncation": True}), "kernel_truncation must be a finite int"),
-        (json.dumps({"radius_pad": None}), "radius_pad must be a finite float"),
+        (json.dumps({"ntheta": True}), "ntheta must be a finite int"),
+        (json.dumps({"tolerances": None}), "tolerances must be a finite float"),
         (json.dumps({"tolerances": float("nan")}), "tolerances must be a finite float"),
+        # past the double range, where math.isfinite would overflow
+        (json.dumps({"nr": 10**400}), "nr must be a finite int"),
+        (json.dumps({"tolerances": 10**400}), "tolerances must be a finite float"),
         (json.dumps({"nr": 0}), "nr >= 1"),
+        (json.dumps({"nr": -1}), "nr >= 1"),
         (json.dumps({"ntheta": 0}), "ntheta >= 1"),
         (json.dumps({"tolerances": -1}), "finite tolerance >= 0"),
-        (json.dumps({"radius_pad": -1}), "finite radius_pad > 0"),
-        (json.dumps({"radius_pad": 0}), "finite radius_pad > 0"),
-        (json.dumps({"kernel_truncation": -4}), "kernel_truncation >= 0"),
+        # the singular grid's pad and the kernel truncation are not settings
+        (json.dumps({"radius_pad": 8}), "unknown keys ['radius_pad']"),
+        (json.dumps({"kernel_truncation": 60}), "unknown keys ['kernel_truncation']"),
         ('{"nr": 48', "cannot be read"),
     ):
         bad.write_text(text)
@@ -674,12 +692,12 @@ def test_config_file_settings(capsys, tmp_path):
         assert err.startswith("error:") and named in err
 
     # every suite rejects the config before it runs
-    bad.write_text(json.dumps({"radius_pad": -1, "kernel_truncation": -4}))
+    bad.write_text(json.dumps({"nr": 0}))
     for suite in ("hermite", "cauchy", "projection", "gram", "ranges", "all"):
         assert main(["verify", suite, "--config", str(bad)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:") and "radius_pad > 0" in captured.err
+        assert captured.err.startswith("error:") and "nr >= 1" in captured.err
 
     missing = tmp_path / "missing.json"
     assert main(["verify", "ranges", "--config", str(missing)]) == 3
@@ -856,7 +874,9 @@ def test_verify_exit_codes(suite, tolerance, nr, ntheta):
         assert out == ""
 
 
-_CONFIG_KEYS = ("nr", "ntheta", "radius_pad", "kernel_truncation", "tolerances")
+_CONFIG_KEYS = ("nr", "ntheta", "tolerances")
+# keys a config file once took; they are now unknown
+_REMOVED_CONFIG_KEYS = ("radius_pad", "kernel_truncation")
 _CONFIG_VALUES = st.one_of(
     st.integers(-3, 40),
     st.floats(),
@@ -874,7 +894,7 @@ def _config_is_valid(data):
             return False
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             return False
-        if key in ("nr", "ntheta", "kernel_truncation") and not isinstance(value, int):
+        if key in ("nr", "ntheta") and not isinstance(value, int):
             return False
         if not math.isfinite(value):
             return False
@@ -882,8 +902,6 @@ def _config_is_valid(data):
         data.get("nr", 1) >= 1
         # grids need n_theta >= 4
         and data.get("ntheta", 4) >= 4
-        and data.get("radius_pad", 1.0) > 0
-        and data.get("kernel_truncation", 0) >= 0
         and data.get("tolerances", 0.0) >= 0
     )
 
@@ -891,7 +909,7 @@ def _config_is_valid(data):
 @settings(max_examples=30, deadline=None)
 @given(
     data=st.dictionaries(
-        st.sampled_from(_CONFIG_KEYS + ("unknown",)),
+        st.sampled_from(_CONFIG_KEYS + _REMOVED_CONFIG_KEYS + ("unknown",)),
         _CONFIG_VALUES,
         max_size=4,
     )

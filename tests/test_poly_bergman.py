@@ -226,8 +226,10 @@ def test_project_reproduces_basis_coefficients():
 def test_project_validation():
     with pytest.raises(ValueError):
         project_numeric(lambda pts: pts, -1, 2)
-    with pytest.raises(ValueError):
-        project_numeric(lambda pts: pts, 0, 0)
+    with pytest.raises(ValueError, match="J >= 0"):
+        project_numeric(lambda pts: pts, 0, -1)
+    # J = 0, as in project_levels, is coefficient 0 alone
+    assert len(project_numeric(lambda pts: np.ones_like(pts), 0, 0).coeffs) == 1
 
 
 def test_project_synthesize_round_trip():
