@@ -46,6 +46,7 @@ __all__ = [
     "CoefficientSequence",
     "KernelSpec",
     "kernel_closed",
+    "kernel_levels",
     "kernel_series",
     "project_levels",
     "project_numeric",
@@ -110,28 +111,45 @@ def kernel_series(spec: KernelSpec, z, w):
     ``z`` and ``w`` are points or sequences of points.  For two points
     the result is a complex; otherwise it is the array of K_n(z_i, w_j)
     with shape ``np.shape(z) + np.shape(w)``, each entry equal to the
-    call on its two points.  One one-level Hermite table serves each
-    list; each term is a real outer product of the rows, rounded as
-    Python's a * b / s, since numpy's complex multiply rounds otherwise.
+    call on its two points.  This is the one-level view of
+    :func:`kernel_levels`, and equals its row bit for bit.
     """
-    n = spec.n
-    fn = factorial(n)
+    values = kernel_levels(z, w, (spec.n,), spec.truncation)[0]
+    return complex(values) if not values.ndim else values
+
+
+def kernel_levels(z, w, levels, truncation: int = KernelSpec.truncation) -> np.ndarray:
+    """Series kernels K_n(z_i, w_j) of :func:`kernel_series` on each level.
+
+    The result has shape ``(len(levels),) + np.shape(z) + np.shape(w)``,
+    entry [i, ...] for level ``levels[i]`` at truncation M =
+    ``truncation``.  One Hermite table over the points z and conj w
+    serves every level, since H_{n,m}(w) = H_{m,n}(conj w).  Each term
+    is a real outer product of the rows, rounded as Python's a * b / s
+    (numpy's complex multiply rounds otherwise), summed in ascending m.
+    Each entry depends only on its own level and points: a stacked call
+    equals its one-level calls bit for bit.
+    """
+    levels = [int(n) for n in levels]
+    if truncation < 0 or min(levels, default=0) < 0:
+        raise ValueError(
+            f"kernel_levels requires truncation, n >= 0, got {truncation}, levels={levels}"
+        )
     # M! first: past its overflow it raises before the rows are built
-    factorial(spec.truncation)
-    scale = [math.pi * factorial(m) * fn for m in range(spec.truncation + 1)]
+    factorial(truncation)
+    scale = np.array(
+        [[math.pi * factorial(m) * factorial(n) for n in levels] for m in range(truncation + 1)]
+    )[:, :, None, None]
     z_arr = np.asarray(z, dtype=complex)
     w_arr = np.asarray(w, dtype=complex)
-    at_z = hermite_table(spec.truncation, (n,), z_arr.ravel())[:, 0]
-    # H_{n,m}(w) = H_{m,n}(conj w): the series takes the rows at conj w
-    at_w = hermite_table(spec.truncation, (n,), w_arr.ravel().conjugate())[:, 0]
-    values = np.zeros((z_arr.size, w_arr.size), dtype=complex)
-    outer = np.multiply.outer
+    points = np.concatenate([z_arr.ravel(), w_arr.ravel().conjugate()])
+    table = hermite_table(truncation, levels, points)
+    at_z, at_w = table[..., : z_arr.size, None], table[..., None, z_arr.size :]
+    values = np.zeros((len(levels), z_arr.size, w_arr.size), dtype=complex)
     for row_z, row_w, s in zip(at_z, at_w, scale):
-        values.real += (outer(row_z.real, row_w.real) - outer(row_z.imag, row_w.imag)) / s
-        values.imag += (outer(row_z.real, row_w.imag) + outer(row_z.imag, row_w.real)) / s
-    if not z_arr.ndim and not w_arr.ndim:
-        return complex(values[0, 0])
-    return values.reshape(z_arr.shape + w_arr.shape)
+        values.real += (row_z.real * row_w.real - row_z.imag * row_w.imag) / s
+        values.imag += (row_z.real * row_w.imag + row_z.imag * row_w.real) / s
+    return values.reshape((len(levels),) + z_arr.shape + w_arr.shape)
 
 
 def project_numeric(

@@ -42,10 +42,9 @@ from .ito_hermite import (
     hermite_table,
 )
 from .poly_bergman import (
-    KernelSpec,
     CoefficientSequence,
     kernel_closed,
-    kernel_series,
+    kernel_levels,
     project_levels,
     projection_coefficient_closed,
 )
@@ -220,56 +219,80 @@ def _magnitude(values) -> np.ndarray:
     return np.hypot(values.real, values.imag)
 
 
-def _worst_entry(gaps: np.ndarray) -> int:
-    """Index of the worst gap: the first NaN if any, else the first largest.
+def _worst_entry(gaps: np.ndarray) -> np.ndarray:
+    """Index of each row's worst gap: the first NaN if any, else the first largest.
 
-    This is np.argmax's rule, which ranks NaN above every number and
-    returns the first of equal maxima.
+    This is np.argmax's rule along the last axis, which ranks NaN above
+    every number and returns the first of equal maxima.
     """
-    return int(gaps.argmax())
+    return gaps.argmax(axis=-1)
+
+
+def _stacked(values, count: int) -> np.ndarray:
+    """``values`` as ``count`` complex rows of one width; a number stands for every row."""
+    values = np.asarray(values, dtype=complex)
+    return values.reshape(count, -1) if values.ndim else np.broadcast_to(values, (count, 1))
 
 
 class _Recorder:
     """Accumulates records judged by their family's row of CHECK_FAMILIES.
 
-    lhs and rhs may be paired arrays (rhs may be a scalar); the record
-    keeps the worst entry, and a relative tolerance scales with that
-    entry's rhs.  A set ``cfg.tolerance`` replaces the tolerance of
-    every record.
+    One :meth:`add` judges a stack of K records of one family: K
+    suffixes, and lhs, rhs and each of ``terms`` as K rows of paired
+    entries, shape (K, width) or anything that reshapes to it (a
+    length-K sequence is one entry per record, and a number is that
+    entry in every record).  A one-entry side broadcasts against the
+    other's row.  Each record keeps its row's worst entry
+    (:func:`_worst_entry`), and a relative tolerance scales with that
+    entry's rhs.  A single record is the stack of one, its suffix a
+    string.  A set ``cfg.tolerance`` replaces the tolerance of every
+    record.  Each record equals the one judged alone: every step is
+    elementwise or along its own row.
     """
 
     def __init__(self, cfg: VerifyConfig):
         self.cfg = cfg
         self.records: list[VerificationRecord] = []
 
-    def add(self, family: str, suffix: str, lhs, rhs, terms: tuple = ()) -> None:
+    def add(self, family: str, suffixes, lhs, rhs, terms: tuple = ()) -> None:
         row = CHECK_FAMILIES[family]
-        lhs = np.array(lhs, dtype=complex, ndmin=1)
-        rhs = np.array(rhs, dtype=complex, ndmin=1)
+        suffixes = [suffixes] if isinstance(suffixes, str) else list(suffixes)
+        count = len(suffixes)
+        lhs, rhs = _stacked(lhs, count), _stacked(rhs, count)
         gaps = _magnitude(lhs - rhs)
         if row.model == SCALED:
-            gaps = gaps / sum((_magnitude(term) for term in terms or (rhs,)), 1.0)
-        i = _worst_entry(gaps)
-        # a one-entry side broadcasts against the other
-        worst_lhs, worst_rhs = lhs.item(i % lhs.size), rhs.item(i % rhs.size)
-        abs_err = gaps.item(i)
+            gaps = gaps / sum((_magnitude(_stacked(t, count)) for t in terms or (rhs,)), 1.0)
+        at = np.arange(count)
+        worst = _worst_entry(gaps)
+        worst_lhs = lhs[at, worst % lhs.shape[1]]
+        worst_rhs = rhs[at, worst % rhs.shape[1]]
+        abs_err = gaps[at, worst]
         if self.cfg.tolerance is not None:
-            tolerance = self.cfg.tolerance
+            tolerance = np.full(count, float(self.cfg.tolerance))
         elif row.model == RELATIVE:
-            tolerance = row.tolerance * (1.0 + abs(worst_rhs))
+            tolerance = row.tolerance * (1.0 + _magnitude(worst_rhs))
         else:
-            tolerance = row.tolerance
-        self.records.append(
-            VerificationRecord(
-                test_id=f"{family}-{suffix}" if suffix else family,
-                lhs=worst_lhs,
-                rhs=worst_rhs,
-                abs_err=abs_err,
-                tolerance=float(tolerance),
-                passed=bool(abs_err <= tolerance),
-                provenance=row.provenance,
-            )
-        )
+            tolerance = np.full(count, row.tolerance)
+        passed = abs_err <= tolerance
+        for suffix, *values in zip(
+            suffixes,
+            worst_lhs.tolist(),
+            worst_rhs.tolist(),
+            abs_err.tolist(),
+            tolerance.tolist(),
+            passed.tolist(),
+        ):
+            test_id = f"{family}-{suffix}" if suffix else family
+            self.records.append(VerificationRecord(test_id, *values, row.provenance))
+
+
+def _clamped_columns(width: int, last) -> np.ndarray:
+    """Column indices 0..width-1 per row, each row's past its ``last`` repeating it.
+
+    Rows of unequal length gathered by these columns stack into one
+    array; an entry pair repeated in its row changes no record.
+    """
+    return np.minimum(np.arange(width), np.asarray(last)[:, None])
 
 
 def _sample_points(count: int, radius: float, seed: int) -> np.ndarray:
@@ -365,75 +388,70 @@ def _suite_hermite(cfg: VerifyConfig) -> list[VerificationRecord]:
     # entries equal the scalar calls bit for bit (kummer_terminating).
     b_values = np.arange(1, 13)
     kummer = kummer_terminating(np.arange(13)[:, None, None], b_values[:, None], t)
-    for p, batch in enumerate(kummer):
-        for b, row in zip(b_values.tolist(), batch):
-            rec.add(
-                "kummer-rational",
-                f"p{p}-b{b}",
-                row,
-                [_kummer_exact(p, b, v) for v in t_values],
-            )
+    pairs = [(p, b) for p in range(13) for b in b_values.tolist()]
+    rec.add(
+        "kummer-rational",
+        [f"p{p}-b{b}" for p, b in pairs],
+        kummer,
+        [[_kummer_exact(p, b, v) for v in t_values] for p, b in pairs],
+    )
 
     confluent = kummer_terminating(np.arange(11)[:, None], 1, t)
-    for n in range(11):
-        rec.add("laguerre-kummer", f"n{n}", laguerre(n, t), confluent[n])
+    rec.add(
+        "laguerre-kummer",
+        [f"n{n}" for n in range(11)],
+        [laguerre(n, t) for n in range(11)],
+        confluent,
+    )
 
-    for c in (1.0, 2.5, 6.0):
-        for p in range(9):
-            for q in range(p + 1, 9):
-                rec.add(
-                    "gauss2f1-symmetry",
-                    f"p{p}-q{q}-c{c:g}",
-                    gauss2f1_unit(p, q, c),
-                    gauss2f1_unit(q, p, c),
-                )
+    triples = [(p, q, c) for c in (1.0, 2.5, 6.0) for p in range(9) for q in range(p + 1, 9)]
+    rec.add(
+        "gauss2f1-symmetry",
+        [f"p{p}-q{q}-c{c:g}" for p, q, c in triples],
+        [gauss2f1_unit(p, q, c) for p, q, c in triples],
+        [gauss2f1_unit(q, p, c) for p, q, c in triples],
+    )
 
     pts = _sample_points(20, 3.0, seed=20260815)
-    # h[m, n] = H_{m,n}(pts) for m, n <= 9
+    # h[m, n] = H_{m,n}(pts) for m, n <= 9.  Each family below stacks
+    # its records (m, n), m, n <= 8, in that order.  An integer times an
+    # entry rounds once, as the per-record scalar product did.
     h = hermite_table(9, range(10), pts)
+    block = [f"m{m}-n{n}" for m in range(9) for n in range(9)]
+    below = h[:9, :9]
+    index = np.arange(9)
 
     # conjugate symmetry
-    for m in range(9):
-        for n in range(9):
-            rec.add("hermite-conjugate", f"m{m}-n{n}", h[m, n], np.conjugate(h[n, m]))
+    rec.add("hermite-conjugate", block, below, np.conjugate(below.swapaxes(0, 1)))
 
     # raising identity H_{m+1,n} = z H_{m,n} - n H_{m,n-1}
-    for m in range(9):
-        for n in range(9):
-            up = h[m + 1, n]
-            mid = pts * h[m, n]
-            low = 0.0 if n == 0 else n * h[m, n - 1]
-            rec.add("hermite-index-shift", f"m{m}-n{n}", up, mid - low, terms=(up, mid, low))
+    up = h[1:, :9]
+    mid = pts * below
+    low = np.zeros_like(mid)
+    low[:, 1:] = index[1:, None] * h[:9, :8]
+    rec.add("hermite-index-shift", block, up, mid - low, terms=(up, mid, low))
 
     # polyanalytic of order n+1: d/dzbar applied n+1 times to the exact
     # integer coefficients of H_{m,n} leaves nothing
     table = _hermite_integer_coefficients(8)
+    residues = []
     for m in range(9):
         for n in range(9):
             poly = table[m, n]
             for _ in range(n + 1):
                 poly = {(a, b - 1): b * c for (a, b), c in poly.items() if b}
-            rec.add(
-                "polyanalytic-order",
-                f"m{m}-n{n}",
-                float(max((abs(c) for c in poly.values()), default=0)),
-                0.0,
-            )
+            residues.append(float(max((abs(c) for c in poly.values()), default=0)))
+    rec.add("polyanalytic-order", block, residues, 0.0)
 
     # Landau eigen-identity m*n*H_{m-1,n-1} - n*conj(z)*H_{m,n-1} = -n*H_{m,n}
-    zero = np.zeros_like(pts)
-    for m in range(9):
-        for n in range(9):
-            first = m * n * h[m - 1, n - 1] if m >= 1 and n >= 1 else zero
-            second = n * np.conjugate(pts) * h[m, n - 1] if n >= 1 else zero
-            target = -n * h[m, n]
-            rec.add(
-                "landau-eigenvalue",
-                f"m{m}-n{n}",
-                first - second,
-                target,
-                terms=(first, second, target),
-            )
+    first = np.zeros_like(below)
+    first[1:, 1:] = (index[1:, None] * index[1:])[..., None] * h[:8, :8]
+    second = np.zeros_like(below)
+    second[:, 1:] = (index[1:, None] * np.conjugate(pts)) * h[:9, :8]
+    target = -index[:, None] * below
+    rec.add(
+        "landau-eigenvalue", block, first - second, target, terms=(first, second, target)
+    )
 
     # extended function matches the transform of the antiholomorphic basis:
     # one singular grid per radius and one stacked quadrature of H_{0,0..4}
@@ -446,10 +464,13 @@ def _suite_hermite(cfg: VerifyConfig) -> list[VerificationRecord]:
         )
         for r, z in centres.items()
     }
-    for n in range(5):
-        for r, z in centres.items():
-            closed = -math.exp(-abs(z) ** 2) * hermite_eval_extended(n, z)
-            rec.add("extension-transform", f"n{n}-r{r:g}", numerics[r][n], closed)
+    cases = [(n, r, z) for n in range(5) for r, z in centres.items()]
+    rec.add(
+        "extension-transform",
+        [f"n{n}-r{r:g}" for n, r, _ in cases],
+        [numerics[r][n] for n, r, _ in cases],
+        [-math.exp(-abs(z) ** 2) * hermite_eval_extended(n, z) for n, _, z in cases],
+    )
 
     return rec.records
 
@@ -497,32 +518,34 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
                 lambda pts, h=table[:, n]: h, complex(z), grids[z]
             )
         linearity[z] = _linearity_sources(table)
-    # each closed image is evaluated once on the array of the centres; a
-    # scalar image equals its array entry bit for bit
+    # each closed image is evaluated once on the array of the centres;
+    # the records run over m, then n, then the centre
     centres = np.array(_CAUCHY_POINTS)
-    for m in range(6):
-        for n in range(6):
-            closed = cauchy_hermite_closed(HermiteIndex(m, n), centres)
-            for z, image in zip(_CAUCHY_POINTS, closed.tolist()):
-                rec.add(
-                    "cauchy-closed-vs-numeric",
-                    f"m{m}-n{n}-z{z}",
-                    numerics[z, n][m],
-                    image,
-                )
+    closed = [
+        [cauchy_hermite_closed(HermiteIndex(m, n), centres) for n in range(6)] for m in range(6)
+    ]
+    numeric = np.array([[numerics[z, n] for z in _CAUCHY_POINTS] for n in range(6)])
+    rec.add(
+        "cauchy-closed-vs-numeric",
+        [f"m{m}-n{n}-z{z}" for m in range(6) for n in range(6) for z in _CAUCHY_POINTS],
+        numeric.transpose(2, 0, 1),
+        closed,
+    )
 
     # linearity of the numeric transform, f and g evaluated once per centre
     a, b = _LINEARITY_WEIGHTS
+    combined, split = [], []
     for z in _CAUCHY_POINTS:
         grid = grids[z]
         fv, gv = linearity[z]
-        combined = cauchy_singular_quadrature(
-            lambda pts: _linearity_integrand(fv, gv), complex(z), grid
+        combined.append(
+            cauchy_singular_quadrature(lambda pts: _linearity_integrand(fv, gv), complex(z), grid)
         )
-        split = a * cauchy_singular_quadrature(lambda pts: fv, complex(z), grid) + b * (
-            cauchy_singular_quadrature(lambda pts: gv, complex(z), grid)
+        split.append(
+            a * cauchy_singular_quadrature(lambda pts: fv, complex(z), grid)
+            + b * cauchy_singular_quadrature(lambda pts: gv, complex(z), grid)
         )
-        rec.add("cauchy-linearity", f"z{z}", combined, split)
+    rec.add("cauchy-linearity", [f"z{z}" for z in _CAUCHY_POINTS], combined, split)
 
     # transform images stay square-integrable: diagonal radial route.
     # The m >= 1 diagonal is the closed form entry by entry, whatever the
@@ -533,16 +556,13 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
     base = cfg.polar_grid()
     block = [HermiteIndex(m, n) for m in range(5) for n in range(5)]
     diagonal = np.diagonal(psi_gram(block, grid=base).values)
-    radial = _psi_diagonal_radial([idx for idx in block if idx.m >= 1], base)
+    radial = _psi_diagonal_radial(block[5:], base)
     fine = build_polar_grid(min(2 * base.n_radial, 160), 2 * base.n_theta)
-    # block[:5] holds the m = 0 indices
+    # block[:5] holds the m = 0 indices, checked on the refined grid
     refined_diagonal = np.diagonal(psi_gram(block[:5], grid=fine).values)
-    for i, idx in enumerate(block):
-        suffix = f"m{idx.m}-n{idx.n}"
-        if idx.m >= 1:
-            rec.add("membership-radial", suffix, diagonal[i], radial[idx])
-        else:
-            rec.add("membership-refined", suffix, diagonal[i], refined_diagonal[i])
+    suffixes = [f"m{idx.m}-n{idx.n}" for idx in block]
+    rec.add("membership-refined", suffixes[:5], diagonal[:5], refined_diagonal)
+    rec.add("membership-radial", suffixes[5:], diagonal[5:], [radial[idx] for idx in block[5:]])
 
     return rec.records
 
@@ -560,57 +580,63 @@ def _suite_projection(cfg: VerifyConfig) -> list[VerificationRecord]:
     h = hermite_table(5, range(6), grid.points)
     onto = project_levels(h, range(6), 7, grid)
 
-    # reproducing property on the basis of each level
-    for m in range(6):
-        for n in range(6):
-            expected = np.zeros(m + 3, dtype=complex)
-            expected[m] = 1.0
-            rec.add("projection-reproducing", f"m{m}-n{n}", onto[m, n, n, : m + 3], expected)
-
-    # cross-level projections vanish
-    for m in range(6):
-        for n in range(5):
-            for k in range(5):
-                if k == n:
-                    continue
-                rec.add(
-                    "projection-level-orthogonal", f"m{m}-n{n}-k{k}", onto[m, k, n, : m + 3], 0.0
-                )
+    # reproducing property on the basis of each level, and cross-level
+    # projections vanish.  Record m reads coefficients j <= m + 2, as
+    # columns clamped at m + 2 so the records stack.
+    pairs = [(m, n) for m in range(6) for n in range(6)]
+    source, level = np.array(pairs).T[..., None]
+    columns = _clamped_columns(8, source[:, 0] + 2)
+    rec.add(
+        "projection-reproducing",
+        [f"m{m}-n{n}" for m, n in pairs],
+        onto[source, level, level, columns],
+        columns == source,
+    )
+    triples = [(m, n, k) for m in range(6) for n in range(5) for k in range(5) if k != n]
+    source, level, other = np.array(triples).T[..., None]
+    rec.add(
+        "projection-level-orthogonal",
+        [f"m{m}-n{n}-k{k}" for m, n, k in triples],
+        onto[source, other, level, _clamped_columns(8, source[:, 0] + 2)],
+        0.0,
+    )
 
     # kernel series versus closed evaluation, and kernel hermiticity;
-    # closed[n][i, j] = K_n(z_i, z_j), so K_n(z_j, z_i) is its transpose
+    # closed[n, i, j] = K_n(z_i, z_j), so K_n(z_j, z_i) is its transpose
     kernel_pts = (0j, 0.7 + 0j, -1.2 + 0.5j, 1.9j, -0.3 - 1.1j)
-    closed = [
-        np.array([[kernel_closed(n, z, w) for w in kernel_pts] for z in kernel_pts])
-        for n in range(5)
-    ]
-    for n in range(5):
-        spec = KernelSpec(n=n)
-        series = kernel_series(spec, kernel_pts, kernel_pts)
-        rec.add("kernel-series-vs-closed", f"n{n}", series.ravel(), closed[n].ravel())
-    for n in range(5):
-        flipped = closed[n].T.conjugate()
-        rec.add("kernel-hermitian", f"n{n}", closed[n].ravel(), flipped.ravel())
+    closed = np.array(
+        [[[kernel_closed(n, z, w) for w in kernel_pts] for z in kernel_pts] for n in range(5)]
+    )
+    levels = [f"n{n}" for n in range(5)]
+    series = kernel_levels(kernel_pts, kernel_pts, range(5))
+    rec.add("kernel-series-vs-closed", levels, series, closed)
+    rec.add("kernel-hermitian", levels, closed, closed.transpose(0, 2, 1).conjugate())
 
     # closed projection coefficient against quadrature extraction; a
-    # vanishing projection is judged by its largest coefficient.  The 25
-    # psi_{j,k} images are projected onto every level in one call, at
-    # the largest J a record reads (target m = 7, at level 4).
+    # vanishing projection is judged by its coefficients 0 and 1, and
+    # any other by its target's coefficient (read twice, so the records
+    # stack).  The 25 psi_{j,k} images are projected onto every level in
+    # one call, at the largest J a record reads (target m = 7, at level 4).
     psi = np.stack(
         [cauchy_hermite_closed(HermiteIndex(j, k), grid.points) for j in range(5) for k in range(5)]
     ).reshape(5, 5, *grid.points.shape)
     onto = project_levels(psi, range(5), 8, grid)
-    for n in range(5):
-        for j in range(5):
-            for k in range(5):
-                coefficient, target = projection_coefficient_closed(n, j, k)
-                upto = 1 if target is None else max(1, target.m + 1)
-                coeffs = onto[j, k, n, : upto + 1]
-                oracle = coeffs if target is None else coeffs[target.m]
-                if (n, j, k) == (0, 1, 0):
-                    rec.add("prop-sign", "n0j1k0", oracle, coefficient)
-                else:
-                    rec.add("prop-coefficient", f"n{n}-j{j}-k{k}", oracle, coefficient)
+    cases = [(n, j, k) for n in range(5) for j in range(5) for k in range(5)]
+    coefficients, columns = [], []
+    for n, j, k in cases:
+        coefficient, target = projection_coefficient_closed(n, j, k)
+        coefficients.append(coefficient)
+        columns.append((0, 1) if target is None else (target.m, target.m))
+    level, j_at, k_at = np.array(cases).T[..., None]
+    oracle = onto[j_at, k_at, level, np.array(columns)]
+    # the sign anchor (0, 1, 0) is a family of its own, in case order
+    suffixes = [f"n{n}-j{j}-k{k}" for n, j, k in cases]
+    sign = cases.index((0, 1, 0))
+    rec.add("prop-coefficient", suffixes[:sign], oracle[:sign], coefficients[:sign])
+    rec.add("prop-sign", "n0j1k0", oracle[sign], coefficients[sign])
+    rec.add(
+        "prop-coefficient", suffixes[sign + 1 :], oracle[sign + 1 :], coefficients[sign + 1 :]
+    )
 
     # the flipped-sign variant must disagree with the prop-sign oracle,
     # coefficient 0 of psi_{1,0} on level 0
@@ -629,27 +655,28 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
     base = cfg.polar_grid()
 
     # radial moment exactness at two weights
-    for n_radial, beta in ((base.n_radial, 1.0), (24, 3.0)):
-        for k in range(2 * n_radial):
-            rec.add(
-                "radial-moment",
-                f"beta{beta:g}-k{k}",
-                integrate_radial_weighted(lambda t, kk=k: t**kk, beta, n_radial),
-                factorial(k) / beta ** (k + 1),
-            )
+    moments = [(n, beta, k) for n, beta in ((base.n_radial, 1.0), (24, 3.0)) for k in range(2 * n)]
+    rec.add(
+        "radial-moment",
+        [f"beta{beta:g}-k{k}" for _, beta, k in moments],
+        [integrate_radial_weighted(lambda t, kk=k: t**kk, beta, n) for n, beta, k in moments],
+        [factorial(k) / beta ** (k + 1) for _, beta, k in moments],
+    )
 
     # angular exactness of monomial inner products; each power is the same
     # numpy call as pts**e inside the integrand, raised once for every pair
     powers = [base.points**e for e in range(11)]
-    for a in range(11):
-        for b in range(a + 1, 11):
-            value = inner_product_gaussian(
-                lambda pts, v=powers[a]: v, lambda pts, v=powers[b]: v, base
-            )
-            normalized = value / (
-                math.pi * math.sqrt(factorial(a) * factorial(b))
-            )
-            rec.add("angular-orthogonal", f"a{a}-b{b}", normalized, 0.0)
+    pairs = [(a, b) for a in range(11) for b in range(a + 1, 11)]
+    rec.add(
+        "angular-orthogonal",
+        [f"a{a}-b{b}" for a, b in pairs],
+        [
+            inner_product_gaussian(lambda pts, v=powers[a]: v, lambda pts, v=powers[b]: v, base)
+            / (math.pi * math.sqrt(factorial(a) * factorial(b)))
+            for a, b in pairs
+        ],
+        0.0,
+    )
 
     # refinement stability of the singular rule
     refinement_cases = (
@@ -657,16 +684,21 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
         (None, 1 + 0j),
         (HermiteIndex(1, 1), 1 + 0j),
     )
+    coarse, refined = [], []
     for idx, z in refinement_cases:
         f = (lambda pts: np.ones_like(pts)) if idx is None else (
             lambda pts, i=idx: hermite_eval(i, pts)
         )
         grid = cfg.singular_grid(z)
         fine = build_singular_grid(z, 2 * grid.radial_rho.size, 2 * grid.n_theta)
-        coarse = cauchy_singular_quadrature(f, z, grid)
-        refined = cauchy_singular_quadrature(f, z, fine)
-        name = "const" if idx is None else f"m{idx.m}-n{idx.n}"
-        rec.add("singular-refinement", f"{name}-z{z}", coarse, refined)
+        coarse.append(cauchy_singular_quadrature(f, z, grid))
+        refined.append(cauchy_singular_quadrature(f, z, fine))
+    rec.add(
+        "singular-refinement",
+        [f"{'const' if i is None else f'm{i.m}-n{i.n}'}-z{z}" for i, z in refinement_cases],
+        coarse,
+        refined,
+    )
 
     # selection rule over the full index block
     indices = [HermiteIndex(m, n) for m in range(6) for n in range(6)]
@@ -676,22 +708,20 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
 
     diag = dict(zip(indices, np.diagonal(report.values)))
     radial = _psi_diagonal_radial([i for i in indices if i.m >= 1], base)
-    for m in range(1, 6):
-        for n in range(6):
-            idx = HermiteIndex(m, n)
-            rec.add("gram-diagonal", f"m{m}-n{n}", diag[idx], radial[idx])
-
-    for idx, constant, label in (
-        (HermiteIndex(1, 0), math.pi / 3.0, "third"),
-        (HermiteIndex(2, 0), math.pi / 9.0, "ninth"),
-    ):
-        rec.add("gram-diagonal-pi", f"{label}-m{idx.m}-n{idx.n}", diag[idx], constant)
+    block = [HermiteIndex(m, n) for m in range(1, 6) for n in range(6)]
     rec.add(
         "gram-diagonal",
-        "log-m0-n0",
-        diag[HermiteIndex(0, 0)],
-        math.pi * math.log(4.0 / 3.0),
+        [f"m{i.m}-n{i.n}" for i in block],
+        [diag[i] for i in block],
+        [radial[i] for i in block],
     )
+    rec.add(
+        "gram-diagonal-pi",
+        ["third-m1-n0", "ninth-m2-n0"],
+        [diag[HermiteIndex(1, 0)], diag[HermiteIndex(2, 0)]],
+        [math.pi / 3.0, math.pi / 9.0],
+    )
+    rec.add("gram-diagonal", "log-m0-n0", diag[HermiteIndex(0, 0)], math.pi * math.log(4.0 / 3.0))
 
     # diagonal-offset families are mutually orthogonal.  Their indices lie
     # in the block above.  A masked entry is the closed form's exact zero
@@ -701,13 +731,16 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
     # union's order: the maximum equals psi_gram(union).max_violation.
     offsets = (-2, -1, 0, 1, 2)
     position = {idx: i for i, idx in enumerate(indices)}
-    for i, ell in enumerate(offsets):
-        for ell2 in offsets[i + 1 :]:
-            union = e_ell_indices(ell, 4) + e_ell_indices(ell2, 4)
-            pick = np.ix_(*[[position[idx] for idx in union]] * 2)
-            cross = report.values[pick][report.expected_zero_mask[pick]]
-            violation = float(np.max(np.abs(cross)))
-            rec.add("offset-block-orthogonal", f"l{ell}-l{ell2}", violation, 0.0)
+    pairs = [(ell, ell2) for i, ell in enumerate(offsets) for ell2 in offsets[i + 1 :]]
+    violations = []
+    for ell, ell2 in pairs:
+        union = e_ell_indices(ell, 4) + e_ell_indices(ell2, 4)
+        pick = np.ix_(*[[position[idx] for idx in union]] * 2)
+        cross = report.values[pick][report.expected_zero_mask[pick]]
+        violations.append(float(np.max(np.abs(cross))))
+    rec.add(
+        "offset-block-orthogonal", [f"l{ell}-l{ell2}" for ell, ell2 in pairs], violations, 0.0
+    )
 
     return rec.records
 
@@ -721,21 +754,18 @@ def _suite_ranges(cfg: VerifyConfig) -> list[VerificationRecord]:
     # closure dimensions of the conjugate-side spans: the exact rank of
     # the integer coefficient vectors of each listed basis
     table = _hermite_integer_coefficients(10)
-    for n in range(11):
-        for ell in range(11):
-            if not 0 < n + ell <= 10:
-                continue
-            rec.add(
-                "rtilde-dimension",
-                f"n{n}-l{ell}",
-                _span_rank(RangeBasisSpec(VARIANT_R_TILDE, ell, n), table),
-                n + ell,
-            )
-    empty = RangeBasisSpec(VARIANT_R_TILDE, 0, 0)
-    rec.add("rtilde-dimension", "n0-l0", _span_rank(empty, table), 0)
+    spans = [(n, ell) for n in range(11) for ell in range(11) if 0 < n + ell <= 10]
+    spans.append((0, 0))
+    rec.add(
+        "rtilde-dimension",
+        [f"n{n}-l{ell}" for n, ell in spans],
+        [_span_rank(RangeBasisSpec(VARIANT_R_TILDE, ell, n), table) for n, ell in spans],
+        [n + ell for n, ell in spans],
+    )
 
     # projected-transform support stays inside the range index set
     rng = np.random.default_rng(20260816)
+    violations = []
     for case in range(50):
         ell = int(rng.integers(0, 5))
         length = int(rng.integers(1, 6))
@@ -746,7 +776,7 @@ def _suite_ranges(cfg: VerifyConfig) -> list[VerificationRecord]:
             )
         )
         seq = CoefficientSequence(n=ell, coeffs=coeffs)
-        violations = 0
+        outside = 0
         for n in range(5):
             out = pn_cauchy_on_coeffs(seq, n)
             support = {m for m, alpha in enumerate(out.coeffs) if alpha != 0}
@@ -756,12 +786,14 @@ def _suite_ranges(cfg: VerifyConfig) -> list[VerificationRecord]:
                     RangeBasisSpec(VARIANT_R, ell, n), count=n + length + 2
                 )
             }
-            violations += len(support - allowed)
-        rec.add("range-support", f"case{case:02d}", violations, 0)
+            outside += len(support - allowed)
+        violations.append(outside)
+    rec.add("range-support", [f"case{case:02d}" for case in range(50)], violations, 0)
 
     # coefficient route equals the quadrature route: the five images
     # are projected onto every level in one call, at the largest J a
-    # record reads
+    # record reads.  Record (ell, n) reads coefficients j <= max(1,
+    # len(closed[ell][n])), the closed ones past their length 0.
     grid = cfg.polar_grid()
     rng = np.random.default_rng(20260817)
     images, closed = [], []
@@ -776,15 +808,19 @@ def _suite_ranges(cfg: VerifyConfig) -> list[VerificationRecord]:
         for alpha, psi in zip(coeffs[1:], psis[1:]):
             image = image + alpha * psi
         images.append(image)
-        closed.append([pn_cauchy_on_coeffs(seq, n).coeffs for n in range(5)])
-    J = max(max(1, len(c)) for row in closed for c in row)
-    onto = project_levels(np.stack(images), range(5), J, grid)
-    for ell in range(5):
-        for n in range(5):
-            upto = max(1, len(closed[ell][n]))
-            closed_arr = np.zeros(upto + 1, dtype=complex)
-            closed_arr[: len(closed[ell][n])] = closed[ell][n]
-            rec.add("range-route-equality", f"l{ell}-n{n}", onto[ell, n, : upto + 1], closed_arr)
+        closed.extend(pn_cauchy_on_coeffs(seq, n).coeffs for n in range(5))
+    last = np.array([max(1, len(c)) for c in closed])
+    onto = project_levels(np.stack(images), range(5), last.max(), grid)
+    closed_rows = np.zeros((len(closed), last.max() + 1), dtype=complex)
+    for row, c in zip(closed_rows, closed):
+        row[: len(c)] = c
+    columns = _clamped_columns(last.max() + 1, last)
+    rec.add(
+        "range-route-equality",
+        [f"l{ell}-n{n}" for ell in range(5) for n in range(5)],
+        np.take_along_axis(onto.reshape(len(closed), -1), columns, axis=1),
+        closed_rows,
+    )
 
     # truncated-operator spectrum structure
     values = truncated_operator_svd(8)
@@ -850,11 +886,14 @@ def record_to_row(record: VerificationRecord) -> dict:
     }
 
 
+# json.dumps's texts for the floats whose repr is not valid JSON
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _float_json(value: float) -> str:
     """A float as json.dumps prints it: repr, or NaN / Infinity / -Infinity."""
-    if math.isfinite(value):
-        return float.__repr__(value)
-    return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    text = float.__repr__(value)
+    return _JSON_NON_FINITE.get(text, text)
 
 
 def _complex_json(value: complex) -> str:
@@ -866,9 +905,15 @@ def _complex_json(value: complex) -> str:
 
 
 def _number_texts(value) -> tuple[str, str]:
-    """abs_err or tolerance as json.dumps and as repr print it."""
-    if type(value) is float:
-        return _float_json(value), float.__repr__(value)
+    """abs_err or tolerance as json.dumps and as the CSV prints it.
+
+    Every float, numpy's float64 included, is formatted once by
+    ``float.__repr__``, whose text is also the JSON one when finite;
+    any other number is printed by json.dumps and repr.
+    """
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_NON_FINITE.get(text, text), text
     return json.dumps(value), repr(value)
 
 
@@ -879,7 +924,8 @@ def write_report(records: list[VerificationRecord], path: str) -> str:
     ``.csv``.  Output bytes depend only on the records.  Each record's
     texts are formed once and shared by both files: a JSON line is
     ``json.dumps(record_to_row(record))``, and a CSV row holds the same
-    lhs and rhs JSON and the ``repr`` of abs_err and tolerance.
+    lhs and rhs JSON and the ``float.__repr__`` of abs_err and
+    tolerance (numpy floats included; ``repr`` of any other number).
     """
     csv_path = path.rsplit(".", 1)[0] + ".csv" if "." in path.rsplit("/", 1)[-1] else path + ".csv"
     if csv_path == path:

@@ -28,6 +28,7 @@ from polycauchy import (
     hermite_table,
     inner_product_gaussian,
     kernel_closed,
+    kernel_levels,
     kernel_series,
     project_levels,
     project_numeric,
@@ -115,20 +116,60 @@ def test_kernel_series_on_point_lists_equals_scalar_calls():
         assert isinstance(kernel_series(spec, 0.7, -0.2j), complex)
 
 
-def test_kernel_series_builds_one_row_per_point_list(monkeypatch):
+@pytest.mark.parametrize("truncation", [0, 60])
+def test_kernel_levels_equal_one_level_series(truncation):
+    # the stacked levels equal each one-level call bit for bit, on scalar
+    # points, unequal point lists and 2-D point arrays
+    rng = np.random.default_rng(20261020)
+    cloud = 1.5 * (rng.standard_normal(10) + 1j * rng.standard_normal(10))
+    cases = (
+        (0.7 - 0.2j, -1.1 + 0.4j),
+        (cloud[:3], cloud[3:]),
+        (cloud[:6].reshape(2, 3), cloud[6:].reshape(2, 2)),
+        (0.3j, cloud[:4].reshape(2, 2)),
+    )
+    for z, w in cases:
+        stacked = kernel_levels(z, w, range(5), truncation)
+        assert stacked.shape == (5,) + np.shape(z) + np.shape(w)
+        for n in range(5):
+            one = kernel_series(KernelSpec(n=n, truncation=truncation), z, w)
+            assert np.shape(one) == stacked.shape[1:]
+            assert np.asarray(one).tobytes() == stacked[n].tobytes()
+    # a level list in any order, with repeats, reads the same rows
+    z, w = cloud[:3], cloud[3:]
+    assert kernel_levels(z, w, (4, 0, 4), truncation).tobytes() == (
+        kernel_levels(z, w, range(5), truncation)[[4, 0, 4]].tobytes()
+    )
+
+
+def test_kernel_levels_validation():
+    with pytest.raises(ValueError):
+        kernel_levels(0j, 0j, (0, -1))
+    with pytest.raises(ValueError):
+        kernel_levels(0j, 0j, (0,), -1)
+    with pytest.raises(OverflowError, match="factorial"):
+        kernel_levels(0j, 0j, (0,), 10**8)
+    assert kernel_levels(0j, 0j, ()).shape == (0,)
+
+
+def test_kernel_series_builds_one_table_for_both_point_lists(monkeypatch):
+    # one table over z and conj w serves the series, whatever the levels
     calls = []
     table = poly_bergman.hermite_table
 
     def counting(m_max, levels, z):
-        calls.append(np.shape(z))
+        calls.append((len(levels), np.shape(z)))
         return table(m_max, levels, z)
 
     monkeypatch.setattr(poly_bergman, "hermite_table", counting)
     kernel_series(KernelSpec(n=2, truncation=20), KERNEL_POINTS, KERNEL_POINTS[:3])
-    assert calls == [(len(KERNEL_POINTS),), (3,)]
+    assert calls == [(1, (len(KERNEL_POINTS) + 3,))]
     calls.clear()
     kernel_series(KernelSpec(n=2, truncation=20), 0.5j, 0.2)
-    assert calls == [(1,), (1,)]
+    assert calls == [(1, (2,))]
+    calls.clear()
+    kernel_levels(KERNEL_POINTS, KERNEL_POINTS[:3], range(5), 20)
+    assert calls == [(5, (len(KERNEL_POINTS) + 3,))]
 
 
 def test_kernel_hermitian():

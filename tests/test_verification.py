@@ -176,6 +176,11 @@ def test_report_bytes_deterministic(tmp_path):
         assert parsed["pass"] is True
 
 
+def _number_repr(value):
+    """repr of a number, numpy floats printed as the float they are."""
+    return float.__repr__(value) if isinstance(value, float) else repr(value)
+
+
 def _per_record_report(records):
     """The JSONL and CSV texts formatted record by record through record_to_row."""
     lines = "".join(json.dumps(record_to_row(r)) + "\n" for r in records)
@@ -189,8 +194,8 @@ def _per_record_report(records):
                 row["test_id"],
                 json.dumps(row["lhs"]),
                 json.dumps(row["rhs"]),
-                repr(r.abs_err),
-                repr(r.tolerance),
+                _number_repr(r.abs_err),
+                _number_repr(r.tolerance),
                 "true" if r.passed else "false",
                 r.provenance,
             ]
@@ -208,6 +213,9 @@ def _hand_built_records():
         ("negative-zero-parts", complex(-0.0, 3.0), complex(-2.0, -0.0), 5.0, 1.0, False),
         ('comma, and "quote"', 1e-300 + 1e300j, -5e-324 + 0j, 1e300, 1e-300, False),
         ("non-ascii-é–id", 0.1 + 0.2j, 0.30000000000000004 + 0j, 0, 0, True),
+        # numpy floats print as floats in both files
+        ("numpy-floats", 1 + 0j, 1.001 + 0j, np.float64(0.001), np.float64(0.002), True),
+        ("numpy-nan", 0j, 0j, np.float64(math.nan), np.float64(inf), False),
     )
     return [
         VerificationRecord(tid, lhs, rhs, err, tol, passed, "closed-form")
@@ -371,6 +379,93 @@ def test_worst_entry_rule():
     rec = _Recorder(VerifyConfig())
     rec.add("kernel-hermitian", "tie", [1.0, 2.0, 3.0], [0.5, 1.5, 2.5])
     assert (rec.records[0].lhs, rec.records[0].rhs) == (1.0, 0.5)
+
+
+def _judged_one_by_one(cfg, family, suffixes, lhs, rhs, terms=()):
+    """The records of K one-record calls, row i of each stacked side in call i."""
+    rec = _Recorder(cfg)
+    for i, suffix in enumerate(suffixes):
+        rec.add(family, suffix, lhs[i], rhs[i], tuple(term[i] for term in terms))
+    return rec.records
+
+
+def _judged_as_stack(cfg, family, suffixes, lhs, rhs, terms=()):
+    rec = _Recorder(cfg)
+    rec.add(family, suffixes, lhs, rhs, terms)
+    return rec.records
+
+
+def test_stacked_records_equal_one_record_calls():
+    nan = math.nan
+    rng = np.random.default_rng(20261020)
+    noise = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    # gap rows: the first NaN, the first of tied maxima (3 then -3), all
+    # zero, and a generic row
+    lhs = np.array(
+        [
+            [1.0, 3.0, nan, 3.0, nan],
+            [1.0, 3.0, 2.0, -3.0, 0.0],
+            [0.0] * 5,
+            noise[3],
+        ],
+        dtype=complex,
+    )
+    rhs = np.zeros_like(lhs)
+    rhs[3] = noise[2]
+    rhs[1, 3] = -6.0  # a tie of gaps 3 at entries 1 and 3
+    suffixes = ["nan", "tie", "zero", "generic"]
+    one_entry = rng.standard_normal((4, 1)) + 0.5j
+    terms = tuple(rng.standard_normal((4, 5)) for _ in range(3))
+    cases = (
+        ("kernel-hermitian", lhs, rhs, ()),
+        # a one-entry side broadcasts against its row, either way round
+        ("kernel-hermitian", lhs, one_entry, ()),
+        ("kernel-hermitian", one_entry, lhs, ()),
+        # scaled: 1 + |rhs|, and 1 + the sum of three term magnitudes
+        ("kummer-rational", lhs, rhs, ()),
+        ("landau-eigenvalue", lhs, rhs, terms),
+        # relative: the tolerance scales with the worst entry's rhs
+        ("radial-moment", lhs, noise, ()),
+    )
+    for cfg in (VerifyConfig(), VerifyConfig(tolerance=0), VerifyConfig(tolerance=0.5)):
+        for family, left, right, extra in cases:
+            stacked = _judged_as_stack(cfg, family, suffixes, left, right, extra)
+            alone = _judged_one_by_one(cfg, family, suffixes, left, right, extra)
+            assert [repr(r) for r in stacked] == [repr(r) for r in alone], (family, cfg)
+            assert [r.test_id for r in stacked] == [f"{family}-{s}" for s in suffixes]
+            if cfg.tolerance is not None:
+                assert all(type(r.tolerance) is float for r in stacked)
+                assert all(r.tolerance == cfg.tolerance for r in stacked)
+
+    nan_row, tie_row, zero_row, _ = _judged_as_stack(
+        VerifyConfig(), "kernel-hermitian", suffixes, lhs, rhs
+    )
+    assert math.isnan(nan_row.abs_err) and not nan_row.passed
+    assert math.isnan(nan_row.lhs.real)
+    assert (tie_row.lhs, tie_row.rhs, tie_row.abs_err) == (3.0, 0.0, 3.0)
+    assert (zero_row.abs_err, zero_row.passed) == (0.0, True)
+    # every row's worst gap is entry 2, so the tolerance reads rhs[:, 2]
+    shifted = noise + np.array([0.1, 0.2, 0.9, 0.3, 0.0])
+    relative = _judged_as_stack(VerifyConfig(), "radial-moment", suffixes, shifted, noise)
+    for record, row in zip(relative, noise):
+        assert (record.lhs - record.rhs, record.rhs) == (pytest.approx(0.9), row[2])
+        assert record.tolerance == 1e-11 * (1.0 + abs(row[2]))
+    scaled = _judged_as_stack(VerifyConfig(), "landau-eigenvalue", suffixes, lhs, rhs, terms)
+    gaps = np.abs(lhs[3] - rhs[3]) / (1.0 + sum(np.abs(t[3]) for t in terms))
+    assert scaled[3].abs_err == pytest.approx(gaps.max(), rel=1e-15)
+
+
+def test_a_number_stands_for_every_record():
+    rec = _Recorder(VerifyConfig())
+    rec.add("range-support", ["a", "b", "c"], [0, 2, 0], 0)
+    rec.add("kernel-hermitian", "single", 0.25, [0.25, 0.5])
+    assert [(r.test_id, r.abs_err, r.passed) for r in rec.records] == [
+        ("range-support-a", 0.0, True),
+        ("range-support-b", 2.0, False),
+        ("range-support-c", 0.0, True),
+        ("kernel-hermitian-single", 0.25, False),
+    ]
+    assert rec.records[-1].rhs == 0.5
 
 
 def test_linearity_integrand_has_fixed_operand_order():
