@@ -2,12 +2,12 @@
 
 Evaluates any operation on demand, exports Gram matrices and spectra,
 and drives the verification suites.  All output is fixed-precision (15
-significant digits) and deterministic for fixed flags and config, so
-runs can be diffed byte for byte.
+significant digits) and deterministic for fixed flags, so runs can be
+diffed byte for byte.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3
 numeric-domain error (a violated precondition, named in the message),
-overflow, or a config or output file that cannot be used.
+overflow, or an output file that cannot be used.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .cauchy_transform import (
     cauchy_hermite_closed,
     cauchy_transform_numeric,
 )
-from .gaussian_quadrature import build_polar_grid, cauchy_singular_scale
+from .gaussian_quadrature import cauchy_singular_scale
 from .ito_hermite import (
     HermiteIndex,
     hermite_eval,
@@ -138,50 +138,12 @@ def _json_by_rows(payload: dict) -> Iterator[str]:
     yield "\n}\n"
 
 
-# The JSON number type each config key takes; an int also serves as a float.
-_CONFIG_TYPES = {
-    "nr": int,
-    "ntheta": int,
-    "tolerances": float,
-}
-
-
-def _load_config(args: argparse.Namespace) -> VerifyConfig:
-    """Merge the optional JSON config file with flag overrides.
-
-    VerifyConfig receives only the settings the file or the flags set,
-    so every default lives in VerifyConfig alone.
-    """
-    settings: dict = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"config file {args.config} cannot be read: {exc}") from None
-        if not isinstance(data, dict):
-            raise ValueError(f"config file {args.config} must hold a JSON object")
-        unknown = set(data) - set(_CONFIG_TYPES)
-        if unknown:
-            raise ValueError(
-                f"config file {args.config} has unknown keys {sorted(unknown)}"
-            )
-        for key, value in data.items():
-            kind = _CONFIG_TYPES[key]
-            numeric = isinstance(value, (int, kind)) and not isinstance(value, bool)
-            # exact for an int past the double range, where isfinite overflows
-            if not numeric or not abs(value) <= sys.float_info.max:
-                raise ValueError(
-                    f"config file {args.config}: {key} must be a finite "
-                    f"{kind.__name__}, got {value!r}"
-                )
-            # the key "tolerances" sets the field "tolerance"
-            settings["tolerance" if key == "tolerances" else key] = kind(value)
-    for name in ("nr", "ntheta", "tolerance"):
-        value = getattr(args, name, None)
-        if value is not None:
-            settings[name] = value
-    return VerifyConfig(**settings)
+def _verify_config(args: argparse.Namespace) -> VerifyConfig:
+    """The settings the flags set, so every default lives in VerifyConfig alone."""
+    names = ("nr", "ntheta", "tolerance")
+    return VerifyConfig(**{
+        name: getattr(args, name) for name in names if getattr(args, name, None) is not None
+    })
 
 
 def _output(args: argparse.Namespace) -> contextlib.AbstractContextManager[TextIO]:
@@ -342,8 +304,7 @@ class _SourceAction(argparse.Action):
 
 
 def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
-    """The settings of the commands that build a grid."""
-    sub.add_argument("--config", help="flat JSON settings file")
+    """--nr and --ntheta, on the commands that build a grid."""
     sub.add_argument("--nr", type=_grid_count, help="radial node count override")
     sub.add_argument("--ntheta", type=_grid_count, help="angular node count override")
 
@@ -435,8 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         # a non-finite result is reported by name (_finite, the gram and
         # verify checks), so numpy's floating-point warnings stay silent
         with np.errstate(all="ignore"):
-            cfg = _load_config(args)
-            return args.run(args, cfg)
+            return args.run(args, _verify_config(args))
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -11,7 +11,6 @@ import platform
 import shlex
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -305,23 +304,25 @@ _GRID_COMMANDS = ("cauchy", "project", "gram", "verify")
 
 
 def test_grid_flags_only_on_grid_commands(capsys):
-    # --config, --nr and --ntheta exist only where a grid is built;
-    # --out is on every command
+    # --nr and --ntheta exist only where a grid is built; --out is on
+    # every command, and no command takes --config
     parser = _build_parser()
     (commands,) = [a for a in parser._actions if a.choices and a.dest == "command"]
     assert set(commands.choices) == set(_COMMAND_ARGS)
-    grid_flags = {"--config", "--nr", "--ntheta"}
+    grid_flags = {"--nr", "--ntheta"}
     for name, sub in commands.choices.items():
         flags = {flag for action in sub._actions for flag in action.option_strings}
         assert "--out" in flags
         assert flags & grid_flags == (grid_flags if name in _GRID_COMMANDS else set()), name
     for name, args in _COMMAND_ARGS.items():
         argv = [name] + args
+        flags = [["--config", "f"]]
         if name in _GRID_COMMANDS:
-            parsed = parser.parse_args(argv + ["--nr", "8", "--ntheta", "8", "--config", "f"])
-            assert (parsed.nr, parsed.ntheta, parsed.config) == (8, 8, "f")
-            continue
-        for flag in (["--nr", "8"], ["--ntheta", "8"], ["--config", "f"]):
+            parsed = parser.parse_args(argv + ["--nr", "8", "--ntheta", "8"])
+            assert (parsed.nr, parsed.ntheta) == (8, 8)
+        else:
+            flags += [["--nr", "8"], ["--ntheta", "8"]]
+        for flag in flags:
             with pytest.raises(SystemExit) as exc:
                 main(argv + flag)
             assert exc.value.code == 2
@@ -419,9 +420,7 @@ def test_project_rejects_a_source_frequency_that_aliases(capsys):
 
 
 def test_project_rejects_unknown_source(capsys):
-    # a usage error found at parse time, before any config is read
-    argv = ["project", "--level", "0", "--source", "basis", "1", "0", "--jmax", "1",
-            "--config", "/nonexistent/config.json"]
+    argv = ["project", "--level", "0", "--source", "basis", "1", "0", "--jmax", "1"]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -637,72 +636,18 @@ def test_verify_report_determinism(capsys, tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_config_passes_only_the_settings_given(tmp_path, monkeypatch):
-    # every default lives in VerifyConfig: the loader passes only what
-    # the file or the flags set, and a flag overrides the file
+def test_config_passes_only_the_settings_given(monkeypatch):
+    # every default lives in VerifyConfig: the CLI passes only the flags given
     seen = []
     monkeypatch.setattr(cli, "VerifyConfig", lambda **kw: seen.append(kw) or VerifyConfig(**kw))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"ntheta": 32, "tolerances": 1, "nr": 48}))
     parser = _build_parser()
     for argv in (
         ["verify", "ranges"],
-        ["verify", "ranges", "--config", str(cfg), "--nr", "16"],
+        ["verify", "ranges", "--nr", "16", "--ntheta", "32", "--tolerance", "1"],
         ["svd", "--degree", "4"],
     ):
-        cli._load_config(parser.parse_args(argv))
-    assert seen == [{}, {"ntheta": 32, "tolerance": 1.0, "nr": 16}, {}]
-    # the JSON int 1 reaches the float field as a float
-    assert isinstance(seen[1]["tolerance"], float)
-
-
-def test_config_file_settings(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"nr": 48, "ntheta": 64}))
-    assert main(["verify", "ranges", "--config", str(cfg)]) == 0
-    capsys.readouterr()
-
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"nr": 48, "mystery": 1}))
-    assert main(["verify", "ranges", "--config", str(bad)]) == 3
-    err = capsys.readouterr().err
-    assert "mystery" in err
-
-    for text, named in (
-        (json.dumps({"nr": "abc"}), "nr must be a finite int"),
-        (json.dumps({"ntheta": 64.5}), "ntheta must be a finite int"),
-        (json.dumps({"ntheta": True}), "ntheta must be a finite int"),
-        (json.dumps({"tolerances": None}), "tolerances must be a finite float"),
-        (json.dumps({"tolerances": float("nan")}), "tolerances must be a finite float"),
-        # past the double range, where math.isfinite would overflow
-        (json.dumps({"nr": 10**400}), "nr must be a finite int"),
-        (json.dumps({"tolerances": 10**400}), "tolerances must be a finite float"),
-        (json.dumps({"nr": 0}), "nr >= 1"),
-        (json.dumps({"nr": -1}), "nr >= 1"),
-        (json.dumps({"ntheta": 0}), "ntheta >= 1"),
-        (json.dumps({"tolerances": -1}), "finite tolerance >= 0"),
-        # the singular grid's pad and the kernel truncation are not settings
-        (json.dumps({"radius_pad": 8}), "unknown keys ['radius_pad']"),
-        (json.dumps({"kernel_truncation": 60}), "unknown keys ['kernel_truncation']"),
-        ('{"nr": 48', "cannot be read"),
-    ):
-        bad.write_text(text)
-        assert main(["verify", "ranges", "--config", str(bad)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and named in err
-
-    # every suite rejects the config before it runs
-    bad.write_text(json.dumps({"nr": 0}))
-    for suite in ("hermite", "cauchy", "projection", "gram", "ranges", "all"):
-        assert main(["verify", suite, "--config", str(bad)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and "nr >= 1" in captured.err
-
-    missing = tmp_path / "missing.json"
-    assert main(["verify", "ranges", "--config", str(missing)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "missing.json" in err
+        cli._verify_config(parser.parse_args(argv))
+    assert seen == [{}, {"nr": 16, "ntheta": 32, "tolerance": 1.0}, {}]
 
 
 def test_bad_out_paths_exit_3(capsys, tmp_path):
@@ -872,63 +817,6 @@ def test_verify_exit_codes(suite, tolerance, nr, ntheta):
         assert "FAIL " in out
     if code == 3:
         assert out == ""
-
-
-_CONFIG_KEYS = ("nr", "ntheta", "tolerances")
-# keys a config file once took; they are now unknown
-_REMOVED_CONFIG_KEYS = ("radius_pad", "kernel_truncation")
-_CONFIG_VALUES = st.one_of(
-    st.integers(-3, 40),
-    st.floats(),
-    st.booleans(),
-    st.none(),
-    st.text(max_size=3),
-    st.lists(st.integers(), max_size=2),
-)
-
-
-def _config_is_valid(data):
-    """The documented config rules, key by key."""
-    for key, value in data.items():
-        if key not in _CONFIG_KEYS:
-            return False
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return False
-        if key in ("nr", "ntheta") and not isinstance(value, int):
-            return False
-        if not math.isfinite(value):
-            return False
-    return (
-        data.get("nr", 1) >= 1
-        # grids need n_theta >= 4
-        and data.get("ntheta", 4) >= 4
-        and data.get("tolerances", 0.0) >= 0
-    )
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    data=st.dictionaries(
-        st.sampled_from(_CONFIG_KEYS + _REMOVED_CONFIG_KEYS + ("unknown",)),
-        _CONFIG_VALUES,
-        max_size=4,
-    )
-)
-def test_config_exit_codes(data):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = f"{tmp}/cfg.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
-        code, out = _exit_code(["verify", "hermite", "--config", path])
-    if not _config_is_valid(data):
-        assert code == 3
-        assert out == ""
-        return
-    assert code in (0, 1)
-    if code == 0:
-        assert " 0 failed, " in out and "nan" not in out.lower()
-    else:
-        assert "FAIL " in out
 
 
 def test_module_entry_point():

@@ -123,6 +123,17 @@ def test_tolerance_override_forces_failures():
     assert all(r.tolerance == 1e-15 for r in records)
 
 
+def test_verify_config_rejects_bad_settings():
+    # library callers of run_suite(suite, config) meet these checks directly
+    for kwargs in ({"nr": 0}, {"nr": -1}, {"ntheta": 0}):
+        with pytest.raises(ValueError, match=">= 1"):
+            VerifyConfig(**kwargs)
+    for tolerance in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite tolerance >= 0"):
+            VerifyConfig(tolerance=tolerance)
+    assert VerifyConfig(tolerance=0.0).tolerance == 0.0
+
+
 def test_every_suite_passes_at_default_config():
     for suite in ("cauchy", "gram", "ranges"):
         records = run_suite(suite)
