@@ -303,10 +303,11 @@ class _SourceAction(argparse.Action):
             ) from None
 
 
-def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
-    """--nr and --ntheta, on the commands that build a grid."""
+def _add_grid_flags(sub: argparse.ArgumentParser, angular: bool = True) -> None:
+    """--nr, and --ntheta unless the command reads no angular nodes."""
     sub.add_argument("--nr", type=_grid_count, help="radial node count override")
-    sub.add_argument("--ntheta", type=_grid_count, help="angular node count override")
+    if angular:
+        sub.add_argument("--ntheta", type=_grid_count, help="angular node count override")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -352,7 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_gram)
     p.add_argument("--max-index", type=_max_index, required=True, help="indices run 0..K")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_grid_flags(p)
+    # the Gram reads no angular grid: --nr sizes its radial cross-check
+    _add_grid_flags(p, angular=False)
 
     p = commands.add_parser("ranges", help="range-space basis indices")
     p.set_defaults(run=_cmd_ranges)

@@ -477,11 +477,12 @@ def polar_separable_quadrature(
     place times the integrand's radial log-derivative.
 
     This is the per-pair route, correct to a final rounding of the
-    double-double sum.  The Gram matrices do not call it: they contract
-    whole frequency classes of plain-double profiles in one matmul each
-    (``ito_hermite._separable_gram``), and it serves as the oracle of
-    one such entry, with the exact product of the two profiles
-    (``_ddouble.two_prod``) as its radial pair.
+    double-double sum.  The separable Gram (``ito_hermite._separable_gram``)
+    does not call it: it contracts whole frequency classes of
+    plain-double profiles in one matmul each, and this serves as the
+    oracle of one such entry, with the exact product of the two profiles
+    (``_ddouble.two_prod``) as its radial pair.  The psi Gram reads no
+    angular grid, and calls neither.
     """
     radial_hi = np.asarray(radial_hi, dtype=float)
     radial_lo = np.asarray(radial_lo, dtype=float)

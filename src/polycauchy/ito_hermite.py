@@ -423,8 +423,9 @@ def hermite_radial_profile(indices, t, *, weighted: bool = False):
     polynomial profile times e^{-t}, and for m = -1 the weighted form
     of :func:`hermite_eval_extended`, which stays finite at any t.
 
-    The real climb is kept beside the evaluators: for the 45 weighted
-    rows of the K = 8 psi Gram on 64 nodes it took 0.39 ms, and reading
+    The real climb is kept beside the evaluators: for 45 weighted rows
+    (the m = 0 classes of a K = 8 psi Gram) on 64 nodes it took 0.39 ms,
+    and reading
     them off :func:`hermite_table` and :func:`hermite_eval_extended` at
     z = sqrt(t) took 0.52 ms (x86-64, numpy 2.4.6, one core).
     """
@@ -470,8 +471,12 @@ def _separable_gram(profile, freq, grid: PolarGrid) -> np.ndarray:
     scaled by the angular constant n_theta * (pi / n_theta).  The
     result is a real float64 matrix, and every entry outside the
     classes is the rule's exact 0.0.  The summation order of each entry
-    is BLAS's for the given shapes; the ``verify all`` report is
-    byte-identical with one and with two OpenBLAS threads.
+    is BLAS's for the given shapes, so its last bits follow the BLAS
+    kernel; the ``verify all`` report is byte-identical with one and with
+    two OpenBLAS threads.  The psi Gram does not call it: it is the
+    quadrature side of ``verify``'s ``membership-refined`` records, which
+    hold the Parseval series of the m = 0 diagonal to the Gram of the
+    weighted m = -1 profiles on a refined grid.
     ``gaussian_quadrature.polar_separable_quadrature`` is the per-pair
     double-double oracle of one entry.
     """

@@ -4,7 +4,9 @@ Three views of the same operator family live here.  Index-set bases
 describe the spaces P_n(C(A^2_ell)) and their finite-dimensional
 complements; the psi-Gram computations expose the orthogonality
 selection rule <psi_{m,n}, psi_{j,k}> = 0 unless m - j = n - k, with
-the polynomial entries from their exact closed form; and a
+the polynomial entries from their exact closed form and the entries
+with an m = 0 member from the Parseval series across the levels, so
+the Gram reads no grid; and a
 truncated matrix of the transform against the normalized basis,
 scattered in one numpy pass from the closed projection coefficients
 (exact in every intermediate up to the degree cap 12) and handed to
@@ -20,6 +22,7 @@ asserted from expectations.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian_quadrature import PolarGrid, _radial_rule, build_polar_grid
-from .ito_hermite import HermiteIndex, _separable_gram, c_mn, hermite_radial_profile
+from .ito_hermite import HermiteIndex, c_mn
 from .poly_bergman import CoefficientSequence, projection_coefficient_closed
 from .special_fn import factorial, kahan_sum, kummer_terminating
 
@@ -49,6 +52,7 @@ VARIANT_R_TILDE = "R-tilde"
 
 _GRAM_TOLERANCE = 1e-9  # largest selection-rule violation a psi Gram passes with
 _PAIR_CHUNK = 8192  # cross-check pairs per term block (8192 x 64 nodes is 4 MB)
+_TAIL = np.finfo(float).eps / 4  # a series stops once its tail bound is this share of its sum
 
 
 @dataclass(frozen=True)
@@ -166,14 +170,12 @@ class GramReport:
     ``indices`` is the row and column order of ``values``, a read-only,
     exactly symmetric float64 matrix.
     expected_zero_mask flags pairs with m - j != n - k.  Those entries
-    are exact zeros (0.0): the closed form gives them for polynomial pairs,
-    and for pairs with an m = 0 member the angular rule integrates only
-    pairs whose frequency difference is a multiple of the grid's
-    n_theta, so only a grid that aliases them makes them nonzero.
-    max_violation is the largest magnitude over the flagged entries and
-    passed reflects max_violation < tolerance.  radial_check_max_rel
-    records the worst relative deviation of pattern-nonzero polynomial
-    entries from the independent radial route.
+    are exact zeros (0.0) by construction: neither the closed form nor
+    the Parseval series forms a pair outside its selection-rule class,
+    so max_violation, the largest magnitude over the flagged entries, is
+    0.0 on every grid, and passed reflects max_violation < tolerance.
+    radial_check_max_rel records the worst relative deviation of
+    pattern-nonzero polynomial entries from the independent radial route.
     """
 
     indices: tuple = field(compare=False)
@@ -241,30 +243,97 @@ def _psi_polynomial_gram(indices) -> np.ndarray:
     return out
 
 
+def _rounded(num: int, den: int) -> float:
+    """num / den of two Python integers, rounded once; inf past the double range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
+
+
+def _psi_parseval(indices, rows, cols) -> np.ndarray:
+    """<psi_a, psi_b> by Parseval across the levels, one value per pair.
+
+    P_n psi_{j,l} is a single basis element, c(n, j, l) H_{m,n} with
+    m = n + j - l - 1 (the closed projection coefficient), and
+    ||H_{m,n}||^2 = pi m! n!.  So for a = (j, l) and b = (j', l') of one
+    selection-rule class, j - l = j' - l', the entry is the series
+
+        pi (-1)^{l + l'} sum_{n >= n0} t_n,
+        t_n = (n+j-1)! (n+j'-1)! / (m! n! 2^{2n+j+j'}),
+
+    over the levels n >= n0 = max(0, l + 1 - j) where m >= 0.  It holds
+    for every index, m = 0 included, and every term has one sign.
+    Returns one value per pair (indices[rows[e]], indices[cols[e]]);
+    each pair must be of one class.
+
+    Each pair's first term is formed from Python integers and rounded
+    once (inf past the double range).  The climb then multiplies by the
+    ratio t_{n+1} / t_n = (n+j)(n+j') / (4 (m+1)(n+1)), one division of
+    two exact integer products.  Four times the ratio is (1 + l'/(m+1))
+    (1 + (j-1)/(n+1)), and the same with a and b swapped, so it is
+    nonincreasing in n unless j = j' = 0; then l = l', and it is
+    nonincreasing for l >= 1, while for l = 0 it rises to its limit 1/4.
+    So no later ratio exceeds r = max(ratio_n, 1/4), and once r < 1 the
+    tail after t_n is at most t_n r / (1 - r).  A pair stops at the first
+    term where that bound is at most eps/4 of its partial sum.
+
+    A term k steps up the climb carries 2k + 1 roundings, and the
+    ascending sum of N terms N - 1 more; with the stop and the final
+    multiply by pi the entry is within (3N + 1) eps / 2 of the exact
+    value, relative, to first order.  All pairs climb together and leave
+    one by one, but every step is elementwise per pair, so a value does
+    not depend on the pairs beside it, and only +, * and / enter: no
+    BLAS and no SIMD-tiered function.
+    """
+    j = np.array([i.m for i in indices], dtype=np.int64)
+    ell = np.array([i.n for i in indices], dtype=np.int64)
+    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    j, j2, sign = j[rows], j[cols], np.where((ell[rows] + ell[cols]) % 2, -1.0, 1.0)
+    delta = j - ell[rows] - 1  # level n meets the target m = n + delta
+    n = np.maximum(0, -delta)
+    top = int(np.max(n + j + j2, initial=0))
+    fact = list(itertools.accumulate(range(1, top + 1), operator.mul, initial=1))
+    t = np.array([
+        _rounded(fact[x + p - 1] * fact[x + q - 1], fact[x + d] * fact[x] << 2 * x + p + q)
+        for x, p, q, d in zip(n.tolist(), j.tolist(), j2.tolist(), delta.tolist())
+    ], dtype=float)
+    out = np.empty(t.size)
+    total = np.zeros(t.size)
+    live = np.arange(t.size)
+    while live.size:
+        total += t
+        ratio = (n + j) * (n + j2) / (4 * (n + delta + 1) * (n + 1))
+        r = np.maximum(ratio, 0.25)
+        done = (r < 1.0) & (t * r <= _TAIL * total * (1.0 - r))
+        out[live[done]] = total[done]
+        keep = ~done
+        live, total, t = live[keep], total[keep], t[keep] * ratio[keep]
+        n, j, j2, delta = n[keep] + 1, j[keep], j2[keep], delta[keep]
+    return sign * (math.pi * out)
+
+
 def psi_gram(indices, grid: PolarGrid | None = None) -> GramReport:
     """Gram matrix <psi_a, psi_b> over the ambient Gaussian space.
 
     Every entry is real, and the Gram is one float64 N x N matrix,
     filled in place.  Pairs with both first indices >= 1 come from their
     exact closed form (:func:`_psi_polynomial_gram`), within one
-    rounding of pi times a rational, whatever the grid.  Pairs involving
-    the extended m = 0 function are integrated on the polar grid,
-    whose decay is only 1/|z| times Gaussian: every such entry reduces
-    to a real radial profile times one angular frequency, so only pairs
-    whose frequency difference is a multiple of the grid's n_theta are
-    integrated, one real matmul per frequency class modulo n_theta
-    (:func:`ito_hermite._separable_gram`), and every other entry is the
-    rule's exact zero.  The grid profiles are built only for rows in
-    the class of an m = 0 row, and only the rows and columns of m = 0
-    indices are written from them.  The matrix is exactly symmetric.
+    rounding of pi times a rational.  Pairs with an m = 0 member come
+    from the Parseval series across the levels (:func:`_psi_parseval`),
+    one climb for all of them, within a few eps times the climb length.
+    Every other entry is the selection rule's exact zero, so the values
+    read no grid: they are the same bits on every grid and under every
+    BLAS kernel.  The matrix is exactly symmetric.
     Polynomial entries expected nonzero are re-derived through the
-    radial confluent-series route on the e^{-3t} rule of n_radial nodes
-    (one batched series climb), an independent check, and the worst
-    relative gap is reported.  That rule is exact for a pair only while
-    (m - 1 + n + j - 1 + k) / 2 <= 2 n_radial - 1, so the gap also shows
-    an n_radial too small for the indices.  The largest factorial the
-    profiles need is formed first, so an index past its overflow raises
-    OverflowError before any work.
+    radial confluent-series route on the e^{-3t} rule of
+    ``grid.n_radial`` nodes (one batched series climb), an independent
+    check, and the worst relative gap is reported; ``grid.n_radial`` is
+    all this function reads of the grid.  That rule is exact for a pair
+    only while (m - 1 + n + j - 1 + k) / 2 <= 2 n_radial - 1, so the gap
+    also shows an n_radial too small for the indices.  The largest
+    max(m - 1, n)! over the indices is formed first, so an index past
+    its overflow raises OverflowError before any work.
     An entry or gap that is not finite raises ValueError, so a report
     never passes on one.
     """
@@ -274,30 +343,20 @@ def psi_gram(indices, grid: PolarGrid | None = None) -> GramReport:
     for i in idx:
         if i.m < 0:
             raise ValueError(f"psi_gram requires indices with m >= 0, got {i}")
-    # p! first: past its overflow it raises before the profiles are built
+    # p! first: past its overflow it raises before any work
     factorial(max((max(i.m - 1, i.n) for i in idx), default=0))
     m = np.array([i.m for i in idx], dtype=int)
     n = np.array([i.n for i in idx], dtype=int)
     # m - j != n - k, as m - n != j - k: one N x N bool, no N x N integers
     mask = (m - n)[:, None] != (m - n)[None, :]
     values = _psi_polynomial_gram(idx)
-    # pairs with an m = 0 member meet only rows of its frequency class
+    # each m = 0 index meets its class, the columns the mask keeps in its row
     zero = m == 0
-    residue = (m - 1 - n) % grid.n_theta
-    near = np.isin(residue, residue[zero])
-    if near.any():
-        # psi_{m,n} = -e^{-t} H_{m-1,n}; the sign cancels in every product.
-        # The weighted profiles form the m = 0 images without e^t, so they
-        # stay finite on the outermost nodes of large grids
-        profile, freq = hermite_radial_profile(
-            [HermiteIndex(i.m - 1, i.n) for i, keep in zip(idx, near) if keep],
-            grid.radial_t,
-            weighted=True,
-        )
-        block = _separable_gram(profile, freq, grid)
-        values[np.ix_(zero, near)] = block[zero[near]]
-        values[np.ix_(near, zero)] = block[:, zero[near]]
-        del block  # about a quarter of the N x N matrix at K = 63
+    at, cols = np.nonzero(~mask[zero])
+    rows = np.flatnonzero(zero)[at]
+    series = _psi_parseval(idx, rows, cols)
+    values[rows, cols] = series
+    values[cols, rows] = series
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         r, s = bad[0]

@@ -37,8 +37,10 @@ from .gaussian_quadrature import (
 )
 from .ito_hermite import (
     HermiteIndex,
+    _separable_gram,
     hermite_eval,
     hermite_eval_extended,
+    hermite_radial_profile,
     hermite_table,
 )
 from .poly_bergman import (
@@ -53,6 +55,7 @@ from .range_analysis import (
     VARIANT_R_TILDE,
     RangeBasisSpec,
     _psi_pair_radial,
+    _psi_parseval,
     e_ell_indices,
     pn_cauchy_on_coeffs,
     psi_gram,
@@ -547,22 +550,25 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
         )
     rec.add("cauchy-linearity", [f"z{z}" for z in _CAUCHY_POINTS], combined, split)
 
-    # transform images stay square-integrable: diagonal radial route.
-    # The m >= 1 diagonal is the closed form entry by entry, whatever the
-    # block.  The m = 0 diagonal is a BLAS sum over its frequency class,
-    # so its last bits follow the block: (0,0) reads 0.9037798853840014
-    # here and ...18 as a one-index Gram, far inside the 1e-8 relative
-    # tolerance of the refined-grid record.
+    # transform images stay square-integrable.  The psi Gram's diagonal
+    # is the closed form (m >= 1) and the Parseval series (m = 0); the
+    # m >= 1 entries are held to the series, which shares no code with
+    # the closed form, and the m = 0 entries to the separable quadrature
+    # of their weighted m = -1 profiles on a refined grid
     base = cfg.polar_grid()
     block = [HermiteIndex(m, n) for m in range(5) for n in range(5)]
     diagonal = np.diagonal(psi_gram(block, grid=base).values)
-    radial = _psi_diagonal_radial(block[5:], base)
+    at = np.arange(5, len(block))
+    series = _psi_parseval(block, at, at)
     fine = build_polar_grid(min(2 * base.n_radial, 160), 2 * base.n_theta)
-    # block[:5] holds the m = 0 indices, checked on the refined grid
-    refined_diagonal = np.diagonal(psi_gram(block[:5], grid=fine).values)
+    # block[:5] holds the m = 0 indices; psi_{0,n} = -e^{-t} H_{-1,n}
+    profile, freq = hermite_radial_profile(
+        [HermiteIndex(-1, i.n) for i in block[:5]], fine.radial_t, weighted=True
+    )
+    refined_diagonal = np.diagonal(_separable_gram(profile, freq, fine))
     suffixes = [f"m{idx.m}-n{idx.n}" for idx in block]
     rec.add("membership-refined", suffixes[:5], diagonal[:5], refined_diagonal)
-    rec.add("membership-radial", suffixes[5:], diagonal[5:], [radial[idx] for idx in block[5:]])
+    rec.add("membership-radial", suffixes[5:], diagonal[5:], series)
 
     return rec.records
 
@@ -724,11 +730,10 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
     rec.add("gram-diagonal", "log-m0-n0", diag[HermiteIndex(0, 0)], math.pi * math.log(4.0 / 3.0))
 
     # diagonal-offset families are mutually orthogonal.  Their indices lie
-    # in the block above.  A masked entry is the closed form's exact zero
-    # (m, j >= 1) or, on a grid that does not alias its frequencies, the
-    # rule's exact zero (an m = 0 member), in any block, so the masked
-    # entries of each union's Gram are read from that report in the
-    # union's order: the maximum equals psi_gram(union).max_violation.
+    # in the block above.  A masked entry is an exact zero by construction
+    # in any block, so the masked entries of each union's Gram are read
+    # from that report in the union's order: the maximum equals
+    # psi_gram(union).max_violation.
     offsets = (-2, -1, 0, 1, 2)
     position = {idx: i for i, idx in enumerate(indices)}
     pairs = [(ell, ell2) for i, ell in enumerate(offsets) for ell2 in offsets[i + 1 :]]

@@ -226,16 +226,15 @@ def test_out_of_memory_exits_3(capsys, monkeypatch):
 def test_gram_with_a_non_finite_entry_exits_3(capsys, monkeypatch):
     from polycauchy import range_analysis
 
-    profile = range_analysis.hermite_radial_profile
+    series = range_analysis._psi_parseval
 
-    def broken(indices, t, *, weighted=False):
-        values, freq = profile(indices, t, weighted=weighted)
-        if weighted:
-            # the beta = 1 row of psi_(0,1) = -e^{-t} H_{-1,1}
-            values[list(indices).index(HermiteIndex(-1, 1))] = np.nan
-        return values, freq
+    def broken(indices, rows, cols):
+        values = series(indices, rows, cols)
+        # the Parseval series of the pairs in the row of psi_(0,1)
+        values[[indices[r] == HermiteIndex(0, 1) for r in rows]] = np.nan
+        return values
 
-    monkeypatch.setattr(range_analysis, "hermite_radial_profile", broken)
+    monkeypatch.setattr(range_analysis, "_psi_parseval", broken)
     assert main(["gram", "--max-index", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -300,11 +299,18 @@ _COMMAND_ARGS = {
     "svd": ["--degree", "4"],
     "verify": ["ranges"],
 }
-_GRID_COMMANDS = ("cauchy", "project", "gram", "verify")
+# the grid flags each command takes: gram reads no angular grid, only
+# the radial rule of its cross-check
+_GRID_FLAGS = {
+    "cauchy": ("--nr", "--ntheta"),
+    "project": ("--nr", "--ntheta"),
+    "gram": ("--nr",),
+    "verify": ("--nr", "--ntheta"),
+}
 
 
 def test_grid_flags_only_on_grid_commands(capsys):
-    # --nr and --ntheta exist only where a grid is built; --out is on
+    # --nr and --ntheta exist only where a grid reads them; --out is on
     # every command, and no command takes --config
     parser = _build_parser()
     (commands,) = [a for a in parser._actions if a.choices and a.dest == "command"]
@@ -313,20 +319,26 @@ def test_grid_flags_only_on_grid_commands(capsys):
     for name, sub in commands.choices.items():
         flags = {flag for action in sub._actions for flag in action.option_strings}
         assert "--out" in flags
-        assert flags & grid_flags == (grid_flags if name in _GRID_COMMANDS else set()), name
+        assert flags & grid_flags == set(_GRID_FLAGS.get(name, ())), name
     for name, args in _COMMAND_ARGS.items():
         argv = [name] + args
-        flags = [["--config", "f"]]
-        if name in _GRID_COMMANDS:
-            parsed = parser.parse_args(argv + ["--nr", "8", "--ntheta", "8"])
-            assert (parsed.nr, parsed.ntheta) == (8, 8)
-        else:
-            flags += [["--nr", "8"], ["--ntheta", "8"]]
+        taken = _GRID_FLAGS.get(name, ())
+        parsed = parser.parse_args(argv + [arg for flag in taken for arg in (flag, "8")])
+        assert [getattr(parsed, flag[2:]) for flag in taken] == [8] * len(taken)
+        flags = [["--config", "f"]] + [[flag, "8"] for flag in sorted(grid_flags - set(taken))]
         for flag in flags:
             with pytest.raises(SystemExit) as exc:
                 main(argv + flag)
             assert exc.value.code == 2
             assert flag[0] in capsys.readouterr().err
+
+
+def test_gram_ntheta_is_a_usage_error(capsys):
+    # the Gram reads no angular grid, so --ntheta is no flag of gram
+    with pytest.raises(SystemExit) as exc:
+        main(["gram", "--max-index", "6", "--ntheta", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --ntheta 8" in capsys.readouterr().err
 
 
 def test_verify_pass_and_fail_codes(capsys):
@@ -514,32 +526,27 @@ def _baseline_dispatch_env() -> dict:
     reason="the digests are pinned to the x86-64 baseline kernels of numpy and OpenBLAS",
 )
 def test_gram_output_bytes_are_pinned(tmp_path):
-    # md5 of the JSON and CSV of two grids, the second aliasing (exit 1),
-    # written by the CLI under the baseline dispatch
+    # md5 of the K = 8 JSON and CSV written by the CLI under the baseline
+    # dispatch.  The Gram's values read no BLAS and no SIMD-tiered function,
+    # so only the cross-check's radial_check_max_rel could move with them
     env = _baseline_dispatch_env()
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     builds = f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}"
-    pinned = {
-        ("--max-index", "8"): (
-            0, "79783e543b1efd2bd73184dd26344d73", "17e887f778e5d157b5e19834e4ba06f5"
-        ),
-        ("--max-index", "6", "--ntheta", "8"): (
-            1, "e02bbcd61837f198dce564670846048c", "7a81e18c97b99c50e6ab0279fc4e66bf"
-        ),
-    }
-    for flags, (code, json_md5, csv_md5) in pinned.items():
-        for fmt, want in (("json", json_md5), ("csv", csv_md5)):
-            out = tmp_path / f"gram.{fmt}"
-            argv = ["gram", *flags, "--format", fmt, "--out", str(out)]
-            proc = subprocess.run(
-                [sys.executable, "-m", "polycauchy", *argv],
-                env=env,
-                capture_output=True,
-                text=True,
-            )
-            assert proc.returncode == code, proc.stderr
-            got = hashlib.md5(out.read_bytes()).hexdigest()
-            assert got == want, (flags, fmt, builds)
+    pinned = (
+        ("json", "5388c3b278b2465c2d4d3c93ce286227"),
+        ("csv", "d210c2d7ab893509ed6aa7ba126bd75a"),
+    )
+    for fmt, want in pinned:
+        out = tmp_path / f"gram.{fmt}"
+        argv = ["gram", "--max-index", "8", "--format", fmt, "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "polycauchy", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.md5(out.read_bytes()).hexdigest() == want, (fmt, builds)
 
 
 @pytest.mark.skipif(
@@ -559,8 +566,8 @@ def test_verify_all_report_bytes_are_pinned(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     for path, want in (
-        (out, "7aee136882e255d49526c66515331363"),
-        (out.with_suffix(".csv"), "e4178753176fe8e6dfb95c04f5e3413b"),
+        (out, "ba473c519e466701abadf222b30fdea2"),
+        (out.with_suffix(".csv"), "a2ae827ef7cf13a071fd5c16089aa7cb"),
     ):
         assert hashlib.md5(path.read_bytes()).hexdigest() == want, (path.name, builds)
 
@@ -717,7 +724,7 @@ def test_project_exit_codes(kind, m, k, level, jmax):
 @settings(max_examples=10, deadline=None)
 @given(bound=st.integers(-3, 2))
 def test_gram_exit_codes(bound):
-    code, out = _exit_code(["gram", "--max-index", str(bound), "--nr", "16", "--ntheta", "16"])
+    code, out = _exit_code(["gram", "--max-index", str(bound), "--nr", "16"])
     assert code in (0, 2, 3)
     assert (code == 2) == (bound < 0)
 

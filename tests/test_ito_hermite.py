@@ -501,8 +501,9 @@ def test_gram_matrix_matches_exact_rule():
         assert np.all(np.abs(g[kept] - want) <= bound[kept])
     aliased = indices.index(HermiteIndex(4, 0)), indices.index(HermiteIndex(0, 4))
     assert g[aliased] == g[aliased[::-1]] != 0
-    # the psi Gram integrates aliased pairs too, so n_theta = 6 fails its rule
-    assert psi_gram(indices, build_polar_grid(24, 6)).passed is False
+    # the psi Gram reads no angular grid, so n_theta = 6 keeps its rule
+    report = psi_gram(indices, build_polar_grid(24, 6))
+    assert report.passed and report.max_violation == 0.0
 
 
 def test_gram_selection_zero_on_grid_with_odd_factor():

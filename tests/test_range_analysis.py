@@ -1,7 +1,8 @@
 """Range bases, psi-Gram selection rule, and truncated singular values.
 
 Oracles: exact index-set combinatorics, closed Gaussian integrals
-(pi/3, pi/9, pi ln(4/3)) for Gram diagonals, double-double polar
+(pi/3, pi/9, pi ln(4/3)) for Gram diagonals, exact rational sums of
+the Parseval series for the entries with an m = 0 member, double-double polar
 quadrature of every <psi_{j,k}, H_{m,n}> for the closed operator
 matrix behind the truncated spectrum, and a per-entry build of that
 matrix which the library's scatter matches bit for bit.
@@ -38,6 +39,7 @@ from polycauchy.gaussian_quadrature import (
 from polycauchy.ito_hermite import _separable_gram, c_mn, hermite_radial_profile
 from polycauchy.special_fn import kahan_sum, kummer_terminating
 from polycauchy.poly_bergman import projection_coefficient_closed
+from polycauchy import range_analysis
 from polycauchy.range_analysis import _operator_matrix
 from polycauchy.verification import _hermite_integer_coefficients
 
@@ -129,12 +131,11 @@ def test_gram_validation():
 
 
 def test_psi_gram_overflow_raises_before_any_profile(monkeypatch):
-    from polycauchy import range_analysis
+    def entries(*args, **kwargs):
+        raise AssertionError("an entry was formed before the overflow check")
 
-    def profile(*args, **kwargs):
-        raise AssertionError("a profile was built before the overflow check")
-
-    monkeypatch.setattr(range_analysis, "hermite_radial_profile", profile)
+    monkeypatch.setattr(range_analysis, "_psi_polynomial_gram", entries)
+    monkeypatch.setattr(range_analysis, "_psi_parseval", entries)
     for past in ([(1, 0), (0, 171)], [(172, 0)], [(3, 171)]):
         with pytest.raises(OverflowError, match=r"factorial\(171\)"):
             psi_gram(past)
@@ -171,11 +172,54 @@ def _exact_psi_entry(a: HermiteIndex, b: HermiteIndex, table: dict) -> float:
     return float(_PI * total)
 
 
+def _exact_parseval(a: HermiteIndex, b: HermiteIndex) -> tuple[Fraction, int]:
+    """<psi_a, psi_b> / pi as an exact rational, and the series' climb length.
+
+    The terms t_n of ``range_analysis._psi_parseval`` in Fractions,
+    summed until the tail bound t_n r / (1 - r), r = max(t_{n+1}/t_n,
+    1/4), is below 2^-80 of the sum.  The climb length N counts the
+    terms up to the first whose tail bound is at most eps/4 of the
+    partial sum, where the library's climb stops.
+    """
+    j, ell, j2, ell2 = a.m, a.n, b.m, b.n
+    delta = j - ell - 1
+    n = max(0, -delta)
+    f = math.factorial
+    t = Fraction(f(n + j - 1) * f(n + j2 - 1), f(n + delta) * f(n) << 2 * n + j + j2)
+    total, count, climb = Fraction(0), 0, None
+    while True:
+        total += t
+        count += 1
+        ratio = Fraction((n + j) * (n + j2), 4 * (n + delta + 1) * (n + 1))
+        r = max(ratio, Fraction(1, 4))
+        if r < 1:
+            tail = t * r / (1 - r)
+            if climb is None and tail <= total / 2**54:
+                climb = count
+            if tail <= total / 2**80:
+                return (-1) ** (ell + ell2) * total, climb
+        t *= ratio
+        n += 1
+
+
+def _parseval_error(got: float, a: HermiteIndex, b: HermiteIndex) -> float:
+    """|got - <psi_a, psi_b>| relative, in units of eps times the climb length N.
+
+    ``_psi_parseval`` states (3N + 1) eps / 2 to first order, 1.5 + 0.5/N
+    in these units; the tests hold it to 0.25, and 0.097 is measured.
+    """
+    exact, climb = _exact_parseval(a, b)
+    want = _PI * exact
+    return float(abs(Fraction(got) - want) / abs(want)) / (climb * np.finfo(float).eps)
+
+
 def test_psi_gram_matches_exact_rational_gram():
     # every pattern-nonzero m, j >= 1 entry at K = 8 and 16 is within one
     # ulp of the correctly rounded exact Gram: the closed form rounds the
     # exact rational once, then divides pi by it.  The anchors pi/3 and
-    # pi/9 come out exactly.
+    # pi/9 come out exactly.  Every entry with an m = 0 member is within
+    # 0.25 N eps of its exact Parseval sum, relative, for a climb of N
+    # terms (0.097 N eps measured)
     for K in (8, 16):
         indices = [HermiteIndex(m, n) for m in range(K + 1) for n in range(K + 1)]
         report = psi_gram(indices)
@@ -189,24 +233,37 @@ def test_psi_gram_matches_exact_rational_gram():
         table = _hermite_integer_coefficients(K)
         for r, a in enumerate(indices):
             for s, b in enumerate(indices[: r + 1]):
-                if a.m >= 1 and b.m >= 1 and not report.expected_zero_mask[r, s]:
+                if report.expected_zero_mask[r, s]:
+                    continue
+                if a.m >= 1 and b.m >= 1:
                     want = _exact_psi_entry(a, b, table)
                     assert abs(values[r, s] - want) <= np.spacing(abs(want)), (a, b)
-    # the m = 0 entries have no exact route: hold them against the
-    # per-pair double-double rule on the exact profile products.  Each is
-    # one 64-node sum of P_a w P_b, so its error is a few eps times
-    # S = pi sum_k w_k |P_a P_b|; the bound is 8 eps S.
-    grid = build_polar_grid()
-    eps = np.finfo(float).eps
-    for r, a in enumerate(indices):
-        for s, b in enumerate(indices[: r + 1]):
-            if (a.m == 0 or b.m == 0) and not report.expected_zero_mask[r, s]:
-                pa, fa = _psi_profile(a, grid)
-                pb, fb = _psi_profile(b, grid)
-                rh, rl = two_prod(pa, pb)
-                want = polar_separable_quadrature(rh, rl, fa - fb, grid)
-                scale = math.pi * np.sum(grid.radial_w * np.abs(pa * pb))
-                assert abs(values[r, s] - want) <= 8 * eps * scale, (a, b)
+                else:
+                    assert _parseval_error(values[r, s], a, b) <= 0.25, (a, b)
+
+
+def test_psi_parseval_matches_exact_sums():
+    # the series against its exact rational sum, within 0.25 N eps for a
+    # climb of N terms (0.097 N eps measured, 1.6e-15 relative): the m = 0
+    # diagonal out to ell = 150, whose terms rise for about 50 levels
+    # before they fall, so the stop rule must wait out the rise (ratio
+    # 37.5 at the first term of (0,150)); pairs offset by (3, 3) from
+    # j = 0, 1 and 7 out to ell = 147; and every seventh m = 0 pair of
+    # the K = 63 Gram
+    pairs = [(HermiteIndex(0, ell),) * 2 for ell in range(151)]
+    pairs += [
+        (HermiteIndex(j, ell), HermiteIndex(j + 3, ell + 3))
+        for j in (0, 1, 7) for ell in range(0, 148, 7)
+    ]
+    pairs += [
+        (HermiteIndex(0, ell), HermiteIndex(j, ell + j)) for ell in range(64) for j in range(64 - ell)
+    ][::7]
+    indices = [i for pair in pairs for i in pair]
+    at = np.arange(0, len(indices), 2)
+    values = range_analysis._psi_parseval(indices, at, at + 1)
+    errors = [_parseval_error(x, a, b) for x, (a, b) in zip(values.tolist(), pairs)]
+    assert max(errors) <= 0.25, pairs[int(np.argmax(errors))]
+    assert values[150] > 1e188  # (0,150), far from overflow
 
 
 def _psi_radial_mp(m: int, n: int, t):
@@ -230,10 +287,11 @@ def _psi_radial_mp(m: int, n: int, t):
 
 
 def test_psi_gram_m0_entries_against_mpmath():
-    # the entries with an m = 0 member have no exact route: hold a few
-    # against a 30-digit quadrature of pi * integral f_a f_b e^{-t} dt of
-    # the radial factors.  (0,0) x (0,0) is pi log(4/3).  The worst gap
-    # measured is 2.5e-16 relative, on (0,2) x (0,2); the bound is 1e-15.
+    # a route that shares nothing with the Parseval series: a few entries
+    # with an m = 0 member against a 30-digit quadrature of
+    # pi * integral f_a f_b e^{-t} dt of the radial factors.  (0,0) x (0,0)
+    # is pi log(4/3).  The worst gap measured is 6.4e-16 relative, on
+    # (0,2) x (0,2), the series' plain ascending sum; the bound is 1e-15.
     pairs = (((0, 0), (0, 0)), ((0, 2), (0, 2)), ((0, 1), (2, 3)), ((0, 3), (1, 4)))
     indices = sorted({i for pair in pairs for i in pair})
     report = psi_gram(indices)
@@ -262,13 +320,19 @@ def _profile_mp(m: int, n: int, t):
 
 
 def test_psi_gram_m0_rows_against_mpmath_on_the_nodes():
-    # every pattern-nonzero entry of the nine m = 0 rows at K = 8 against
-    # pi sum_k w_k P_a(t_k) P_b(t_k), summed at 30 digits on the same
-    # nodes, on the Cauchy-Schwarz scale sqrt(G_aa G_bb).  The worst gap
-    # measured is 1.0e-15; the bound is 4e-15.
+    # the grid route of the m = 0 rows, which verify's membership-refined
+    # records hold the series to: every pattern-nonzero entry of the nine
+    # m = 0 rows at K = 8, as the separable Gram of the weighted m = -1
+    # profiles, against pi sum_k w_k P_a(t_k) P_b(t_k), summed at 30 digits
+    # on the same nodes, on the Cauchy-Schwarz scale sqrt(G_aa G_bb).  The
+    # worst gap measured is 1.0e-15; the bound is 4e-15.
     grid = build_polar_grid()
     indices = [HermiteIndex(m, n) for m in range(9) for n in range(9)]
     report = psi_gram(indices, grid)
+    profile, freq = hermite_radial_profile(
+        [HermiteIndex(i.m - 1, i.n) for i in indices], grid.radial_t, weighted=True
+    )
+    separable = _separable_gram(profile, freq, grid)
     rows = [r for r, a in enumerate(indices) if a.m == 0]
     cols = sorted({s for r in rows for s in np.flatnonzero(~report.expected_zero_mask[r])})
     with mpmath.workdps(30):
@@ -284,28 +348,27 @@ def test_psi_gram_m0_rows_against_mpmath_on_the_nodes():
         worst = 0.0
         for r in rows:
             for s in np.flatnonzero(~report.expected_zero_mask[r]):
-                gap = abs(report.values[r, s] - entry(r, s))
+                gap = abs(separable[r, s] - entry(r, s))
                 worst = max(worst, float(gap / mpmath.sqrt(diagonal[r] * diagonal[s])))
     assert worst <= 4e-15, worst
 
 
 def test_psi_gram_values_are_one_read_only_real_matrix():
-    # one float64 matrix, exactly symmetric and read-only, whose m = 0
-    # rows and columns are the separable Gram of every row, aliased
-    # classes of n_theta = 8 included
-    indices = [HermiteIndex(m, n) for m in range(5) for n in range(5)]
-    for grid in (build_polar_grid(), build_polar_grid(16, 8)):
-        values = psi_gram(indices, grid).values
+    # one float64 matrix, exactly symmetric and read-only, that reads no
+    # angular grid: at K = 6 the 8 angles, on which a quadrature of the
+    # m = 0 rows aliases (0,4) with (4,0), give the bits of 128 angles,
+    # and the selection rule holds on both
+    indices = [HermiteIndex(m, n) for m in range(7) for n in range(7)]
+    reports = [psi_gram(indices, build_polar_grid(64, n_theta)) for n_theta in (128, 8)]
+    for report in reports:
+        values = report.values
         assert values.dtype == np.float64 and not values.flags.writeable
         assert np.array_equal(values, values.T)
+        assert report.passed and report.max_violation == 0.0
         with pytest.raises(ValueError):
             values[0, 0] = 0.0
-        profile, freq = hermite_radial_profile(
-            [HermiteIndex(i.m - 1, i.n) for i in indices], grid.radial_t, weighted=True
-        )
-        separable = _separable_gram(profile, freq, grid)
-        zero = [i.m == 0 for i in indices]
-        assert values[zero].tobytes() == separable[zero].tobytes()
+    assert reports[1].values.tobytes() == reports[0].values.tobytes()
+    assert reports[1].radial_check_max_rel == reports[0].radial_check_max_rel
 
 
 def test_psi_polynomial_block_does_not_depend_on_the_grid():
@@ -328,10 +391,10 @@ def test_psi_gram_overflow_is_a_named_error():
 
 
 def test_psi_gram_keeps_its_residue_classes():
-    # entries off the frequency classes mod n_theta are the rule's exact
-    # zeros, the Gram is exactly symmetric, and the radial cross-check
-    # equals the per-pair confluent-series integral; on n_theta = 8 the
-    # m = 0 pair (0,4), (4,0) aliases to a nonzero entry
+    # entries off the selection-rule classes are exact zeros, the Gram is
+    # exactly symmetric, and the radial cross-check equals the per-pair
+    # confluent-series integral; on n_theta = 8 the m = 0 pair (0,4),
+    # (4,0), whose frequencies differ by 8, stays the exact zero
     cases = ((range(4), range(3), 32, 16), (range(5), range(5), 16, 8))
     for ms, ns, n_radial, n_theta in cases:
         indices = [HermiteIndex(m, n) for m in ms for n in ns]
@@ -341,7 +404,7 @@ def test_psi_gram_keeps_its_residue_classes():
         report = psi_gram(indices, grid)
         assert np.array_equal(report.values, report.values.T)
         freq = np.array([i.m - 1 - i.n for i in indices])
-        kept = (freq[:, None] - freq[None, :]) % n_theta == 0
+        kept = freq[:, None] == freq[None, :]
         assert np.all(report.values[~kept] == 0j)
         assert np.all(report.values[kept] != 0j)
         worst = 0.0
@@ -365,8 +428,7 @@ def test_psi_gram_keeps_its_residue_classes():
                     worst = max(worst, gap)
         assert report.radial_check_max_rel == worst > 0.0
     aliased = indices.index(HermiteIndex(0, 4)), indices.index(HermiteIndex(4, 0))
-    assert report.expected_zero_mask[aliased] and report.values[aliased] != 0
-    assert report.values[aliased[::-1]] == report.values[aliased]
+    assert report.expected_zero_mask[aliased] and report.values[aliased] == 0.0
 
 
 def test_psi_gram_radial_cross_check_keeps_its_compensated_gap():
@@ -378,34 +440,27 @@ def test_psi_gram_radial_cross_check_keeps_its_compensated_gap():
 
 def test_psi_gram_on_wide_grids_is_finite_and_stable():
     # the outermost Laguerre node at nr = 200 is 767.8, past e^t's range;
-    # the m = 0 profiles never form e^t, so the Gram stays finite and
-    # agrees with nr = 64
+    # the values read no nodes, so they are the bits of nr = 64, and the
+    # cross-check on the e^{-3t} rule stays finite
     indices = [HermiteIndex(m, n) for m in range(3) for n in range(3)]
     coarse = psi_gram(indices, build_polar_grid(64, 64)).values
     for nr in (150, 200):
         wide = psi_gram(indices, build_polar_grid(nr, 64))
-        assert np.all(np.isfinite(wide.values)) and wide.passed
-        nonzero = coarse != 0
-        assert np.array_equal(wide.values != 0, nonzero)
-        gap = np.abs(wide.values[nonzero] - coarse[nonzero]) / np.abs(coarse[nonzero])
-        assert np.max(gap) <= 1e-12, nr
+        assert wide.passed and math.isfinite(wide.radial_check_max_rel)
+        assert wide.values.tobytes() == coarse.tobytes(), nr
 
 
 def test_psi_gram_refuses_non_finite_values(monkeypatch):
-    from polycauchy import range_analysis
+    rounded = range_analysis._rounded
 
-    profile = range_analysis.hermite_radial_profile
+    def overflowing(num, den):
+        # every series' first term past the double range: the exact
+        # quotient overflows, and the climb carries the inf to the entry
+        return rounded(num << 1100, den)
 
-    def broken(indices, t, *, weighted=False):
-        values, freq = profile(indices, t, weighted=weighted)
-        if weighted:
-            # the beta = 1 row of psi_(0,1) = -e^{-t} H_{-1,1}
-            values[list(indices).index(HermiteIndex(-1, 1)), -1] = np.nan
-        return values, freq
-
-    monkeypatch.setattr(range_analysis, "hermite_radial_profile", broken)
-    with pytest.raises(ValueError, match=r"psi_\(0,1\).*not a finite double"):
-        psi_gram([(0, 0), (0, 1), (1, 0)])
+    monkeypatch.setattr(range_analysis, "_rounded", overflowing)
+    with pytest.raises(ValueError, match=r"psi_\(0,1\).* = inf is not a finite double"):
+        psi_gram([(1, 0), (0, 1), (1, 1)])
 
 
 def test_gram_report_consistency_enforced():
