@@ -10,7 +10,8 @@ Laguerre recurrence behind the Gauss-Laguerre nodes and weights (the
 Newton correction itself is one plain double division), and the
 confluent series of the psi Gram's radial cross-check, whose Kahan sum
 is the library's only compensated sum.  :func:`dd_weighted_sum` serves
-the per-pair separable rule, the oracle of one Gram entry.
+the per-pair separable rule, the quadrature side of ``verify``'s
+``membership-refined`` records.
 """
 
 from __future__ import annotations

@@ -106,7 +106,8 @@ scale at (12, 12) and |z| = 8.
 
 Every reduction runs in a fixed order, so repeated runs produce
 identical bits.  Only the per-pair separable rule (double-double, the
-oracle of one Gram entry) is compensated; radial integrals and
+quadrature side of ``verify``'s ``membership-refined`` records) is
+compensated; radial integrals and
 point-value integrands take numpy sums, whose rounding sits far below
 the quadrature error.
 """
@@ -477,12 +478,13 @@ def polar_separable_quadrature(
     place times the integrand's radial log-derivative.
 
     This is the per-pair route, correct to a final rounding of the
-    double-double sum.  The separable Gram (``ito_hermite._separable_gram``)
-    does not call it: it contracts whole frequency classes of
-    plain-double profiles in one matmul each, and this serves as the
-    oracle of one such entry, with the exact product of the two profiles
-    (``_ddouble.two_prod``) as its radial pair.  The psi Gram reads no
-    angular grid, and calls neither.
+    double-double sum, with the exact product of two profiles
+    (``_ddouble.two_prod``) as its radial pair.  ``verify``'s
+    ``membership-refined`` records take it as the quadrature side of the
+    m = 0 psi Gram diagonal, on the weighted m = -1 profiles of a
+    refined grid.  Only error-free transformations and plain +, * enter,
+    so no BLAS kernel reaches the value.  The psi Gram reads no angular
+    grid and does not call it.
     """
     radial_hi = np.asarray(radial_hi, dtype=float)
     radial_lo = np.asarray(radial_lo, dtype=float)

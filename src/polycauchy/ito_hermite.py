@@ -63,7 +63,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_quadrature import PolarGrid
 from .special_fn import _laguerre_climb, factorial, generalized_laguerre
 
 __all__ = [
@@ -423,11 +422,15 @@ def hermite_radial_profile(indices, t, *, weighted: bool = False):
     polynomial profile times e^{-t}, and for m = -1 the weighted form
     of :func:`hermite_eval_extended`, which stays finite at any t.
 
-    The real climb is kept beside the evaluators: for 45 weighted rows
-    (the m = 0 classes of a K = 8 psi Gram) on 64 nodes it took 0.39 ms,
-    and reading
-    them off :func:`hermite_table` and :func:`hermite_eval_extended` at
-    z = sqrt(t) took 0.52 ms (x86-64, numpy 2.4.6, one core).
+    The real climb is kept beside the evaluators because it reads t
+    itself: read off :func:`hermite_table` at z = sqrt(t), the 48 rows
+    of ``project_levels`` on levels 0..5, J = 7, differ by up to 9.7e-15
+    relative, the rounded square root raised to the power d.  It costs
+    the same on today's callers (best of 15, x86-64, numpy 2.4.6, one
+    pinned core): those 48 rows took 0.20 ms here and 0.21 ms from the
+    table, the 45 rows of levels 0..4, J = 8 took 0.20 ms and 0.19 ms,
+    and the five weighted m = -1 rows of ``verify`` on 128 nodes took
+    0.21 ms here and from :func:`hermite_eval_extended`.
     """
     t = np.asarray(t, dtype=float)
     m, n = np.array([(i.m, i.n) for i in indices], dtype=int).reshape(-1, 2).T
@@ -457,42 +460,3 @@ def hermite_radial_profile(indices, t, *, weighted: bool = False):
         profile[r] = t ** np.where(series, half, -half) * body
     return profile, m - n
 
-
-def _separable_gram(profile, freq, grid: PolarGrid) -> np.ndarray:
-    """Separable-rule Gram matrix of stacked profiles ``hermite_radial_profile`` returns.
-
-    The angular sum of a pair vanishes exactly unless its frequency
-    difference is a multiple of ``grid.n_theta``, where it is exactly
-    n_theta.  Rows are therefore grouped by their frequency modulo
-    n_theta, aliased pairs of a coarse grid included, and each class
-    is one real matmul (P * w) @ P.T over the radial nodes, with the
-    weights on the left factor only.  That block has its upper triangle
-    mirrored into the lower, so the Gram is exactly symmetric, and is
-    scaled by the angular constant n_theta * (pi / n_theta).  The
-    result is a real float64 matrix, and every entry outside the
-    classes is the rule's exact 0.0.  The summation order of each entry
-    is BLAS's for the given shapes, so its last bits follow the BLAS
-    kernel; the ``verify all`` report is byte-identical with one and with
-    two OpenBLAS threads.  The psi Gram does not call it: it is the
-    quadrature side of ``verify``'s ``membership-refined`` records, which
-    hold the Parseval series of the m = 0 diagonal to the Gram of the
-    weighted m = -1 profiles on a refined grid.
-    ``gaussian_quadrature.polar_separable_quadrature`` is the per-pair
-    double-double oracle of one entry.
-    """
-    profile = np.asarray(profile, dtype=float)
-    residue = np.asarray(freq) % grid.n_theta
-    # classes as contiguous runs; the stable sort keeps each class in index order
-    rows = np.argsort(residue, kind="stable")
-    starts = np.flatnonzero(np.diff(residue[rows], prepend=-1)).tolist() + [rows.size]
-    p = profile[rows]
-    weighted = p * grid.radial_w
-    angular = grid.n_theta * (np.pi / grid.n_theta)
-    values = np.zeros((rows.size, rows.size))
-    for s, e in zip(starts[:-1], starts[1:]):
-        product = weighted[s:e] @ p[s:e].T
-        # mirror the upper triangle, so the block is exactly symmetric; a
-        # masked copy, not triu(P) + triu(P, 1).T, which turns -0.0 into 0.0
-        np.copyto(product, product.T, where=np.tri(e - s, k=-1, dtype=bool))
-        values[np.ix_(rows[s:e], rows[s:e])] = product * angular
-    return values

@@ -310,7 +310,9 @@ def _psi_parseval(indices, rows, cols) -> np.ndarray:
         keep = ~done
         live, total, t = live[keep], total[keep], t[keep] * ratio[keep]
         n, j, j2, delta = n[keep] + 1, j[keep], j2[keep], delta[keep]
-    return sign * (math.pi * out)
+    # a sum just under the double range overflows to inf here, as a term past it does above
+    with np.errstate(over="ignore"):
+        return sign * (math.pi * out)
 
 
 def psi_gram(indices, grid: PolarGrid | None = None) -> GramReport:
@@ -332,8 +334,9 @@ def psi_gram(indices, grid: PolarGrid | None = None) -> GramReport:
     all this function reads of the grid.  That rule is exact for a pair
     only while (m - 1 + n + j - 1 + k) / 2 <= 2 n_radial - 1, so the gap
     also shows an n_radial too small for the indices.  The largest
-    max(m - 1, n)! over the indices is formed first, so an index past
-    its overflow raises OverflowError before any work.
+    max(m - 1, n)! over the m >= 1 indices is formed first, so such an
+    index past its overflow raises OverflowError before any work; the
+    m = 0 series forms no factorial in floating point.
     An entry or gap that is not finite raises ValueError, so a report
     never passes on one.
     """
@@ -343,8 +346,9 @@ def psi_gram(indices, grid: PolarGrid | None = None) -> GramReport:
     for i in idx:
         if i.m < 0:
             raise ValueError(f"psi_gram requires indices with m >= 0, got {i}")
-    # p! first: past its overflow it raises before any work
-    factorial(max((max(i.m - 1, i.n) for i in idx), default=0))
+    # p! of the m >= 1 rows first, which the radial cross-check's c_mn
+    # forms: past its overflow it raises before any work
+    factorial(max((max(i.m - 1, i.n) for i in idx if i.m >= 1), default=0))
     m = np.array([i.m for i in idx], dtype=int)
     n = np.array([i.n for i in idx], dtype=int)
     # m - j != n - k, as m - n != j - k: one N x N bool, no N x N integers

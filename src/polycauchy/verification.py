@@ -21,6 +21,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from ._ddouble import two_prod
 from .cauchy_transform import (
     cauchy_hermite_closed,
     cauchy_singular_quadrature,
@@ -34,10 +35,10 @@ from .gaussian_quadrature import (
     build_singular_grid,
     inner_product_gaussian,
     integrate_radial_weighted,
+    polar_separable_quadrature,
 )
 from .ito_hermite import (
     HermiteIndex,
-    _separable_gram,
     hermite_eval,
     hermite_eval_extended,
     hermite_radial_profile,
@@ -553,8 +554,9 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
     # transform images stay square-integrable.  The psi Gram's diagonal
     # is the closed form (m >= 1) and the Parseval series (m = 0); the
     # m >= 1 entries are held to the series, which shares no code with
-    # the closed form, and the m = 0 entries to the separable quadrature
-    # of their weighted m = -1 profiles on a refined grid
+    # the closed form, and the m = 0 entries to the per-pair separable
+    # rule on their weighted m = -1 profiles on a refined grid, summed
+    # correctly rounded
     base = cfg.polar_grid()
     block = [HermiteIndex(m, n) for m in range(5) for n in range(5)]
     diagonal = np.diagonal(psi_gram(block, grid=base).values)
@@ -562,10 +564,12 @@ def _suite_cauchy(cfg: VerifyConfig) -> list[VerificationRecord]:
     series = _psi_parseval(block, at, at)
     fine = build_polar_grid(min(2 * base.n_radial, 160), 2 * base.n_theta)
     # block[:5] holds the m = 0 indices; psi_{0,n} = -e^{-t} H_{-1,n}
-    profile, freq = hermite_radial_profile(
+    profile, _ = hermite_radial_profile(
         [HermiteIndex(-1, i.n) for i in block[:5]], fine.radial_t, weighted=True
     )
-    refined_diagonal = np.diagonal(_separable_gram(profile, freq, fine))
+    refined_diagonal = [
+        polar_separable_quadrature(*two_prod(row, row), 0, fine).real for row in profile
+    ]
     suffixes = [f"m{idx.m}-n{idx.n}" for idx in block]
     rec.add("membership-refined", suffixes[:5], diagonal[:5], refined_diagonal)
     rec.add("membership-radial", suffixes[5:], diagonal[5:], series)
@@ -727,7 +731,9 @@ def _suite_gram(cfg: VerifyConfig) -> list[VerificationRecord]:
         [diag[HermiteIndex(1, 0)], diag[HermiteIndex(2, 0)]],
         [math.pi / 3.0, math.pi / 9.0],
     )
-    rec.add("gram-diagonal", "log-m0-n0", diag[HermiteIndex(0, 0)], math.pi * math.log(4.0 / 3.0))
+    # pi log(4/3) correctly rounded (40-digit mpmath); math.pi * math.log(4/3)
+    # lands 2 ulp below it
+    rec.add("gram-diagonal", "log-m0-n0", diag[HermiteIndex(0, 0)], 0.9037798853840016)
 
     # diagonal-offset families are mutually orthogonal.  Their indices lie
     # in the block above.  A masked entry is an exact zero by construction

@@ -26,6 +26,7 @@ from polycauchy import (
     kernel_series,
     KernelSpec,
     pn_cauchy_on_coeffs,
+    polar_separable_quadrature,
     project_numeric,
     projection_coefficient_closed,
     psi_gram,
@@ -34,7 +35,7 @@ from polycauchy import (
     truncated_operator_svd,
     write_report,
 )
-from polycauchy.ito_hermite import _separable_gram
+from polycauchy._ddouble import two_prod
 
 CAUCHY_POINTS = (0.5 + 0j, 1.0 + 1.0j, -2.0 + 0j, 0.3 - 1.7j, 3.0j)
 KERNEL_POINTS = (0j, 0.7 + 0j, -1.2 + 0.5j, 1.9j, -0.3 - 1.1j)
@@ -51,7 +52,14 @@ def test_criterion_1_orthonormality():
     start = time.perf_counter()
     indices = [HermiteIndex(m, n) for m in range(7) for n in range(7)]
     grid = build_polar_grid()
-    g = _separable_gram(*hermite_radial_profile(indices, grid.radial_t), grid)
+    # the per-pair separable rule on the exact product of two profiles
+    rows = list(zip(*hermite_radial_profile(indices, grid.radial_t)))
+    g = np.array(
+        [
+            [polar_separable_quadrature(*two_prod(a, b), p - q, grid).real for b, q in rows]
+            for a, p in rows
+        ]
+    )
     want = np.zeros_like(g)
     for i, idx in enumerate(indices):
         want[i, i] = math.pi * math.factorial(idx.m) * math.factorial(idx.n)

@@ -34,7 +34,6 @@ from polycauchy._ddouble import two_prod
 from polycauchy.ito_hermite import (
     EXTENSION_CROSSOVER,
     _power,
-    _separable_gram,
     _series_coefficients,
 )
 from polycauchy.special_fn import factorial, generalized_laguerre
@@ -421,16 +420,26 @@ def test_radial_profiles_against_mpmath():
 
 
 def _hermite_gram(indices, grid=None) -> np.ndarray:
-    """Gram matrix of basis polynomials on a polar grid: one batched profile call."""
+    """Gram matrix of basis polynomials on a polar grid: one batched profile call.
+
+    Each entry is the per-pair separable rule on the exact product of
+    two rows (``two_prod``), so the matrix is exactly symmetric.
+    """
     grid = build_polar_grid() if grid is None else grid
-    return _separable_gram(*hermite_radial_profile(indices, grid.radial_t), grid)
+    rows = list(zip(*hermite_radial_profile(indices, grid.radial_t)))
+    return np.array(
+        [
+            [polar_separable_quadrature(*two_prod(a, b), p - q, grid) for b, q in rows]
+            for a, p in rows
+        ]
+    )
 
 
 def hermite_inner_product(a: HermiteIndex, b: HermiteIndex, grid=None) -> complex:
-    """Per-pair oracle of :func:`_hermite_gram`: <H_a, H_b> on a polar grid.
+    """One entry of :func:`_hermite_gram`: <H_a, H_b> on a polar grid.
 
-    One radial product of the two real profiles in double-double, then
-    the separable rule with frequency f_a - f_b.
+    One radial product of the two real one-index profiles in
+    double-double, then the separable rule with frequency f_a - f_b.
     """
     grid = build_polar_grid() if grid is None else grid
     pa, fa = _profile(a, grid.radial_t)
@@ -483,13 +492,13 @@ def _exact_rule_gram(indices, n_theta: int) -> np.ndarray:
 def test_gram_matrix_matches_exact_rule():
     # Each kept entry is one 64-node (or 16-node) sum of P_a w P_b, so
     # its error is bounded by a few eps times S = pi sum_k w_k |P_a P_b|
-    # (1.7 eps S measured at m, n <= 6); the bound is 8 eps S.  On
+    # (1.9 eps S measured at m, n <= 6); the bound is 8 eps S.  On
     # n_theta = 8 the frequency difference 8 of (4,0) and (0,4) aliases
     # to a nonzero entry, which the Gram must integrate too.
     for size, grid in ((7, build_polar_grid()), (5, build_polar_grid(16, 8))):
         indices = [HermiteIndex(m, n) for m in range(size) for n in range(size)]
         profile, freq = hermite_radial_profile(indices, grid.radial_t)
-        g = _separable_gram(profile, freq, grid)
+        g = _hermite_gram(indices, grid)
         assert g.shape == (size * size, size * size)
         assert np.array_equal(g, g.T)
         exact = _exact_rule_gram(indices, grid.n_theta)

@@ -36,7 +36,7 @@ from polycauchy.gaussian_quadrature import (
     gauss_laguerre_nodes,
     polar_separable_quadrature,
 )
-from polycauchy.ito_hermite import _separable_gram, c_mn, hermite_radial_profile
+from polycauchy.ito_hermite import c_mn, hermite_radial_profile
 from polycauchy.special_fn import kahan_sum, kummer_terminating
 from polycauchy.poly_bergman import projection_coefficient_closed
 from polycauchy import range_analysis
@@ -136,9 +136,22 @@ def test_psi_gram_overflow_raises_before_any_profile(monkeypatch):
 
     monkeypatch.setattr(range_analysis, "_psi_polynomial_gram", entries)
     monkeypatch.setattr(range_analysis, "_psi_parseval", entries)
-    for past in ([(1, 0), (0, 171)], [(172, 0)], [(3, 171)]):
+    for past in ([(0, 171), (1, 171)], [(172, 0)], [(3, 171)]):
         with pytest.raises(OverflowError, match=r"factorial\(171\)"):
             psi_gram(past)
+
+
+def test_psi_gram_m0_rows_past_factorial_overflow():
+    # the m = 0 series forms no factorial in floating point, so its rows
+    # run on past 170! up to the double range: pi times the integral of
+    # t^{n+1} (1F1(1; n+2; t) / (n+1))^2 e^{-3t} by 30-digit mpmath quad
+    # is 1.46633746633548686622e225 at n = 171 (2.2e-16 off) and
+    # 2.29e308 at n = 217, past the largest double
+    report = psi_gram([(0, 171)])
+    assert report.passed
+    assert abs(report.values[0, 0] / 1.46633746633548686622e225 - 1) <= 1e-14
+    with pytest.raises(ValueError, match="not a finite double"):
+        psi_gram([(0, 217)])
 
 
 def _profile(idx, t, *, weighted=False):
@@ -322,17 +335,21 @@ def _profile_mp(m: int, n: int, t):
 def test_psi_gram_m0_rows_against_mpmath_on_the_nodes():
     # the grid route of the m = 0 rows, which verify's membership-refined
     # records hold the series to: every pattern-nonzero entry of the nine
-    # m = 0 rows at K = 8, as the separable Gram of the weighted m = -1
-    # profiles, against pi sum_k w_k P_a(t_k) P_b(t_k), summed at 30 digits
-    # on the same nodes, on the Cauchy-Schwarz scale sqrt(G_aa G_bb).  The
-    # worst gap measured is 1.0e-15; the bound is 4e-15.
+    # m = 0 rows at K = 8, as the per-pair separable rule on the weighted
+    # m = -1 profiles, against pi sum_k w_k P_a(t_k) P_b(t_k), summed at
+    # 30 digits on the same nodes, on the Cauchy-Schwarz scale
+    # sqrt(G_aa G_bb).  The worst gap measured is 8.7e-16; the bound is 4e-15.
     grid = build_polar_grid()
     indices = [HermiteIndex(m, n) for m in range(9) for n in range(9)]
     report = psi_gram(indices, grid)
-    profile, freq = hermite_radial_profile(
+    rows_t, freq = hermite_radial_profile(
         [HermiteIndex(i.m - 1, i.n) for i in indices], grid.radial_t, weighted=True
     )
-    separable = _separable_gram(profile, freq, grid)
+
+    def separable(r, s):
+        pair = two_prod(rows_t[r], rows_t[s])
+        return polar_separable_quadrature(*pair, freq[r] - freq[s], grid).real
+
     rows = [r for r, a in enumerate(indices) if a.m == 0]
     cols = sorted({s for r in rows for s in np.flatnonzero(~report.expected_zero_mask[r])})
     with mpmath.workdps(30):
@@ -348,7 +365,7 @@ def test_psi_gram_m0_rows_against_mpmath_on_the_nodes():
         worst = 0.0
         for r in rows:
             for s in np.flatnonzero(~report.expected_zero_mask[r]):
-                gap = abs(separable[r, s] - entry(r, s))
+                gap = abs(separable(r, s) - entry(r, s))
                 worst = max(worst, float(gap / mpmath.sqrt(diagonal[r] * diagonal[s])))
     assert worst <= 4e-15, worst
 
